@@ -65,7 +65,7 @@ const MUT_METHODS: &[&str] = &[
     "record",
     "incr",
     "emit",
-    "set_offered_load",
+    "set_offered_loads",
 ];
 
 /// Tokens that are categorically banned inside a region closure:

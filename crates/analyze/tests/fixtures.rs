@@ -206,6 +206,35 @@ fn undeclared_write_inside_a_parallel_region_is_caught() {
 }
 
 #[test]
+fn switch_offered_load_setter_inside_a_region_is_caught() {
+    use analyze::phase::lint_regions;
+    let root = fixture_root("fx-phase-offered");
+    // Setting a switch's offered loads mutates shared state through a
+    // method call on a shared-read capture; nothing else in the closure
+    // writes, so the method list alone must catch it.
+    write(
+        &root,
+        "crates/core/src/planner.rs",
+        "#![forbid(unsafe_code)]\n\
+         pub fn plan(pool: &EpochPool, state: &State) {\n\
+             let mut out = Vec::new();\n\
+             pool.map_into(REGION_POD_PLANNING, &state.pods, &mut out, |pod| {\n\
+                 state.switches[pod.switch].set_offered_loads(|_| 0.0);\n\
+                 state.score(pod)\n\
+             });\n\
+         }\n",
+    );
+    let errors = lint_regions(&root, &fixture_regions());
+    assert!(
+        errors
+            .iter()
+            .any(|e| e.starts_with("[phase-region]")
+                && e.contains("calls a mutating method on `state`")),
+        "set_offered_loads in region not caught: {errors:#?}"
+    );
+}
+
+#[test]
 fn declared_thread_local_write_is_accepted() {
     use analyze::phase::lint_regions;
     let root = fixture_root("fx-phase-clean");

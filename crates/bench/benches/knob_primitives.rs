@@ -32,7 +32,7 @@ fn bench_switch(c: &mut Criterion) {
             sw.add_rip(VipAddr(0), RipAddr(r), 1.0 + (r % 7) as f64)
                 .unwrap();
         }
-        sw.set_offered_load(VipAddr(0), 3.5e9).unwrap();
+        sw.set_offered_loads(|_| 3.5e9);
         b.iter(|| sw.distribute_vip(VipAddr(0)).unwrap().len())
     });
     group.bench_function("split_by_weight_64", |b| {

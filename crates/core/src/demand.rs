@@ -326,16 +326,9 @@ pub fn propagate_into(
     timing.route_s = clock.lap();
 
     // --- 3: switches (serial, phase demand-switch-reset) -----------------
-    // Reset every VIP's offered load, then set the live ones.
-    let all_vips: Vec<VipAddr> = state.vips().map(|(v, _)| v).collect();
-    for vip in all_vips {
-        let switch = state.vip(vip).expect("listed").switch;
-        let demand = snap.vip_demand_bps.get(&vip).copied().unwrap_or(0.0);
-        state.switches[switch.0 as usize]
-            .set_offered_load(vip, demand)
-            .expect("state invariant: recorded VIP configured on its switch");
-    }
-    for (i, sw) in state.switches.iter().enumerate() {
+    // Every configured VIP takes its routed demand (0 when none arrived).
+    for (i, sw) in state.switches.iter_mut().enumerate() {
+        sw.set_offered_loads(|vip| snap.vip_demand_bps.get(&vip).copied().unwrap_or(0.0));
         snap.switch_offered_bps[i] = sw.offered_bps();
     }
     timing.switch_reset_s = clock.lap();

@@ -837,6 +837,43 @@ mod tests {
     }
 
     #[test]
+    fn switch_offered_totals_stay_fresh_across_transfer_and_failure() {
+        let mut st = state();
+        let vips: Vec<VipAddr> = (0..9)
+            .map(|i| {
+                let vip = st.allocate_vip(AppId(i), SwitchId(i % 2)).unwrap();
+                st.add_instance_running(AppId(i), ServerId(i), vip, 1.0)
+                    .unwrap();
+                vip
+            })
+            .collect();
+        // Loads of very different magnitudes, so any change in summation
+        // order would show in the low bits.
+        for sw in &mut st.switches {
+            sw.set_offered_loads(|v| [3e-3, 1e9, 7.5e6][v.0 as usize % 3] * f64::from(v.0 + 1));
+        }
+        st.switches[0].open_session(vips[0], 1).unwrap();
+        let assert_fresh = |st: &PlatformState, when: &str| {
+            for sw in &st.switches {
+                let fresh: f64 = sw.vips().map(|(_, c)| c.offered_bps).sum();
+                assert_eq!(
+                    sw.offered_bps().to_bits(),
+                    fresh.to_bits(),
+                    "{} {when}",
+                    sw.id()
+                );
+            }
+        };
+        assert_fresh(&st, "after set_offered_loads");
+        st.transfer_vip(vips[2], SwitchId(1)).unwrap();
+        assert_fresh(&st, "after transfer_vip");
+        let (rehomed, _, dropped) = st.fail_switch(SwitchId(0));
+        assert!(rehomed > 0 && dropped == 1);
+        assert_fresh(&st, "after fail_switch");
+        st.assert_invariants();
+    }
+
+    #[test]
     fn switch_failure_without_capacity_loses_vips() {
         let mut cfg = PlatformConfig::small_test();
         cfg.switch_limits.max_vips = 1;

@@ -180,11 +180,7 @@ impl TwoLayerFabric {
     ) -> (BTreeMap<VipAddr, f64>, BTreeMap<lbswitch::RipAddr, f64>) {
         // Stage 1: DD layer.
         for sw in &mut self.dd_switches {
-            let vips: Vec<VipAddr> = sw.vips().map(|(v, _)| v).collect();
-            for v in vips {
-                let d = evip_demand_bps.get(&v).copied().unwrap_or(0.0);
-                sw.set_offered_load(v, d).expect("configured");
-            }
+            sw.set_offered_loads(|v| evip_demand_bps.get(&v).copied().unwrap_or(0.0));
         }
         let mut mvip_demand: BTreeMap<VipAddr, f64> = BTreeMap::new();
         for sw in &self.dd_switches {
@@ -197,11 +193,7 @@ impl TwoLayerFabric {
         }
         // Stage 2: LB layer.
         for sw in &mut self.lb_switches {
-            let vips: Vec<VipAddr> = sw.vips().map(|(v, _)| v).collect();
-            for v in vips {
-                let d = mvip_demand.get(&v).copied().unwrap_or(0.0);
-                sw.set_offered_load(v, d).expect("configured");
-            }
+            sw.set_offered_loads(|v| mvip_demand.get(&v).copied().unwrap_or(0.0));
         }
         let mut rip_demand: BTreeMap<lbswitch::RipAddr, f64> = BTreeMap::new();
         for sw in &self.lb_switches {

@@ -123,21 +123,36 @@ impl RouteTable {
         self.advertise(prefix, router, prepends, now);
     }
 
+    /// The entries for `prefix`, in router order: a range over the
+    /// `(prefix, router)` key space, O(log n + k) instead of a table scan.
+    fn prefix_routes(
+        &self,
+        prefix: Prefix,
+    ) -> impl Iterator<Item = (AccessRouterId, &RouteState)> + '_ {
+        self.routes
+            .range((prefix, AccessRouterId(0))..=(prefix, AccessRouterId(u32::MAX)))
+            .map(|(&(_, r), s)| (r, s))
+    }
+
+    /// `true` if the route attracts traffic at `now`: its advertisement
+    /// has converged and its withdrawal (if any) has not.
+    fn is_usable(&self, s: &RouteState, now: SimTime) -> bool {
+        s.advertised_at + self.convergence <= now
+            && match s.withdrawn_at {
+                None => true,
+                Some(w) => now < w + self.convergence,
+            }
+    }
+
     /// Every route for `prefix` that still attracts traffic at `now`:
     /// converged advertisements whose withdrawal (if any) has not yet
     /// converged.
     pub fn usable_routes(&self, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
         let mut v: Vec<ActiveRoute> = self
-            .routes
-            .iter()
-            .filter(|((p, _), _)| *p == prefix)
-            .filter(|(_, s)| s.advertised_at + self.convergence <= now)
-            .filter(|(_, s)| match s.withdrawn_at {
-                None => true,
-                Some(w) => now < w + self.convergence,
-            })
-            .map(|((_, r), s)| ActiveRoute {
-                router: *r,
+            .prefix_routes(prefix)
+            .filter(|(_, s)| self.is_usable(s, now))
+            .map(|(router, s)| ActiveRoute {
+                router,
                 padding: s.padding,
             })
             .collect();
@@ -162,7 +177,8 @@ impl RouteTable {
 
     /// `true` if `prefix` is reachable (has any usable route) at `now`.
     pub fn is_reachable(&self, prefix: Prefix, now: SimTime) -> bool {
-        !self.usable_routes(prefix, now).is_empty()
+        self.prefix_routes(prefix)
+            .any(|(_, s)| self.is_usable(s, now))
     }
 
     /// Number of prefixes with at least one non-withdrawn advertisement.
@@ -288,5 +304,105 @@ mod tests {
     #[should_panic(expected = "never advertised")]
     fn padding_unknown_route_panics() {
         table().pad(5, AR0, 1, SimTime::ZERO);
+    }
+
+    /// Reference model: the original lookup, a scan of the whole table
+    /// filtered to `prefix`.
+    fn usable_routes_scan(rt: &RouteTable, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
+        let mut v: Vec<ActiveRoute> = rt
+            .routes
+            .iter()
+            .filter(|((p, _), _)| *p == prefix)
+            .filter(|(_, s)| s.advertised_at + rt.convergence <= now)
+            .filter(|(_, s)| match s.withdrawn_at {
+                None => true,
+                Some(w) => now < w + rt.convergence,
+            })
+            .map(|((_, r), s)| ActiveRoute {
+                router: *r,
+                padding: s.padding,
+            })
+            .collect();
+        v.sort_by_key(|r| (r.padding, r.router));
+        v
+    }
+
+    fn preferred_routes_scan(rt: &RouteTable, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
+        let usable = usable_routes_scan(rt, prefix, now);
+        let min_pad = usable.iter().map(|r| r.padding).min();
+        usable
+            .into_iter()
+            .filter(|r| Some(r.padding) == min_pad)
+            .collect()
+    }
+
+    /// SplitMix64: a dependency-free seeded generator for the tables.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[(self.next() % xs.len() as u64) as usize]
+        }
+    }
+
+    #[test]
+    fn range_lookup_matches_full_scan_reference() {
+        // Adjacent prefixes and both ends of the key space, so a range
+        // that leaks into a neighbour (or misses an end) shows up.
+        const PREFIXES: [Prefix; 7] = [0, 1, 2, 500, 501, u64::MAX - 1, u64::MAX];
+        const ABSENT: [Prefix; 4] = [3, 499, 502, u64::MAX - 2];
+        let routers = [
+            AccessRouterId(0),
+            AccessRouterId(1),
+            AccessRouterId(2),
+            AccessRouterId(u32::MAX - 1),
+            AccessRouterId(u32::MAX),
+        ];
+        let mut padded_preferred_split = 0;
+        for seed in 0..64u64 {
+            let mut rng = SplitMix(seed);
+            let mut rt = table();
+            for _ in 0..40 {
+                let p = rng.pick(&PREFIXES);
+                let r = rng.pick(&routers);
+                let t = SimTime::from_secs(rng.next() % 300);
+                match rng.next() % 4 {
+                    0 | 1 => rt.advertise(p, r, (rng.next() % 3) as u32, t),
+                    2 => rt.withdraw(p, r, t),
+                    _ => {
+                        let live = rt.routes.get(&(p, r)).map(|s| s.withdrawn_at.is_none());
+                        if live == Some(true) {
+                            rt.pad(p, r, 1 + (rng.next() % 3) as u32, t);
+                        }
+                    }
+                }
+            }
+            for now in [0, 30, 59, 60, 120, 200, 299, 359, 400].map(SimTime::from_secs) {
+                for p in PREFIXES.into_iter().chain(ABSENT) {
+                    let want = usable_routes_scan(&rt, p, now);
+                    let preferred = preferred_routes_scan(&rt, p, now);
+                    assert_eq!(rt.usable_routes(p, now), want, "seed {seed} prefix {p}");
+                    assert_eq!(
+                        rt.preferred_routes(p, now),
+                        preferred,
+                        "seed {seed} prefix {p}"
+                    );
+                    assert_eq!(rt.is_reachable(p, now), !want.is_empty());
+                    if preferred.len() < want.len() {
+                        padded_preferred_split += 1;
+                    }
+                }
+            }
+        }
+        // The tables exercised padding: some lookups had usable routes
+        // that were not preferred.
+        assert!(padded_preferred_split > 0);
     }
 }

@@ -126,20 +126,33 @@ pub struct LbSwitch {
     rip_total: usize,
     total_conns: u64,
     reconfigs: u64,
+    /// Invariant: `vips.values().map(|c| c.offered_bps).sum()`, re-summed
+    /// in BTreeMap order after every change to the VIP set or to offered
+    /// loads, so it is bit-identical to a fresh sum.
+    offered_total: f64,
 }
 
 impl LbSwitch {
     /// Create a switch with the given limits.
     pub fn new(id: SwitchId, limits: SwitchLimits) -> Self {
         limits.validate();
-        LbSwitch {
+        let mut sw = LbSwitch {
             id,
             limits,
             vips: BTreeMap::new(),
             rip_total: 0,
             total_conns: 0,
             reconfigs: 0,
-        }
+            offered_total: 0.0,
+        };
+        // An empty f64 sum is -0.0, not the 0.0 literal above.
+        sw.resum_offered();
+        sw
+    }
+
+    /// Re-establish the `offered_total` invariant.
+    fn resum_offered(&mut self) {
+        self.offered_total = self.vips.values().map(|c| c.offered_bps).sum();
     }
 
     /// This switch's id.
@@ -206,6 +219,7 @@ impl LbSwitch {
             return Err(SwitchError::VipLimitExceeded);
         }
         self.vips.insert(vip, VipConfig::default());
+        self.resum_offered();
         self.reconfigs += 1;
         Ok(())
     }
@@ -219,6 +233,7 @@ impl LbSwitch {
             return Err(SwitchError::NotQuiescent(vip, live));
         }
         let cfg = self.vips.remove(&vip).expect("checked above");
+        self.resum_offered();
         self.rip_total -= cfg.rips.len();
         self.reconfigs += 1;
         Ok(cfg.rips)
@@ -229,6 +244,7 @@ impl LbSwitch {
     /// the quiescence-gated transfer exists to avoid.
     pub fn force_remove_vip(&mut self, vip: VipAddr) -> Result<(Vec<RipEntry>, u64), SwitchError> {
         let cfg = self.vips.remove(&vip).ok_or(SwitchError::UnknownVip(vip))?;
+        self.resum_offered();
         let dropped = cfg.active_conns();
         self.total_conns -= dropped;
         self.rip_total -= cfg.rips.len();
@@ -381,20 +397,20 @@ impl LbSwitch {
 
     // ---- fluid data plane ------------------------------------------------
 
-    /// Set the offered external load of one VIP for this epoch (bits/s).
-    pub fn set_offered_load(&mut self, vip: VipAddr, bps: f64) -> Result<(), SwitchError> {
-        assert!(bps >= 0.0 && bps.is_finite());
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
-        cfg.offered_bps = bps;
-        Ok(())
+    /// Set this epoch's offered external load (bits/s) of every
+    /// configured VIP to `load(vip)`, then re-sum the switch total once.
+    pub fn set_offered_loads(&mut self, mut load: impl FnMut(VipAddr) -> f64) {
+        for (&vip, cfg) in &mut self.vips {
+            let bps = load(vip);
+            assert!(bps >= 0.0 && bps.is_finite());
+            cfg.offered_bps = bps;
+        }
+        self.resum_offered();
     }
 
     /// Total offered load across all VIPs, bits/s.
     pub fn offered_bps(&self) -> f64 {
-        self.vips.values().map(|c| c.offered_bps).sum()
+        self.offered_total
     }
 
     /// Load actually served: offered load capped at switch capacity.
@@ -577,8 +593,7 @@ mod tests {
         sw.add_vip(VipAddr(1)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
         sw.add_rip(VipAddr(1), RipAddr(2), 1.0).unwrap();
-        sw.set_offered_load(VipAddr(0), 3e9).unwrap();
-        sw.set_offered_load(VipAddr(1), 3e9).unwrap();
+        sw.set_offered_loads(|_| 3e9);
         assert!((sw.utilization() - 1.5).abs() < 1e-9);
         assert!((sw.served_bps() - 4e9).abs() < 1.0);
         // Each VIP is scaled by 4/6.
@@ -592,7 +607,7 @@ mod tests {
         sw.add_vip(VipAddr(0)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(2), 1.0).unwrap();
-        sw.set_offered_load(VipAddr(0), 2e9).unwrap();
+        sw.set_offered_loads(|_| 2e9);
         sw.set_rip_weight(VipAddr(0), RipAddr(2), 3.0).unwrap();
         let d = sw.distribute_vip(VipAddr(0)).unwrap();
         assert!((d[0].1 - 0.5e9).abs() < 1.0);
@@ -603,11 +618,73 @@ mod tests {
     fn pps_utilization_with_small_packets() {
         let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
         sw.add_vip(VipAddr(0)).unwrap();
-        sw.set_offered_load(VipAddr(0), 4e9).unwrap();
+        sw.set_offered_loads(|_| 4e9);
         // 4 Gbps of 400-byte packets = 1.25 Mpps exactly.
         assert!((sw.pps_utilization(400.0) - 1.0).abs() < 1e-9);
         // 4 Gbps of 64-byte packets would exceed the pps budget.
         assert!(sw.pps_utilization(64.0) > 1.0);
+    }
+
+    #[test]
+    fn offered_total_matches_a_fresh_sum_after_every_step() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let fresh = |sw: &LbSwitch| -> f64 { sw.vips().map(|(_, c)| c.offered_bps).sum() };
+        for seed in 0..32 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
+            assert_eq!(sw.offered_bps().to_bits(), fresh(&sw).to_bits());
+            for step in 0..200 {
+                let vip = VipAddr(rng.gen_range(0..24));
+                match rng.gen_range(0..5) {
+                    0 | 1 => {
+                        let _ = sw.add_vip(vip);
+                    }
+                    2 => {
+                        // Sometimes pin a session first, so the quiescence
+                        // gate refuses and the total must be left alone.
+                        if sw.has_vip(vip)
+                            && rng.gen_bool(0.3)
+                            && sw.add_rip(vip, RipAddr(vip.0), 1.0).is_ok()
+                        {
+                            sw.open_session(vip, 0).unwrap();
+                        }
+                        let _ = sw.remove_vip(vip);
+                    }
+                    3 => {
+                        let _ = sw.force_remove_vip(vip);
+                    }
+                    _ => {
+                        // Magnitudes far apart, so summation order shows.
+                        let scale = [0.0, 1e-3, 1.0, 3e7, 1e9, 7e12];
+                        sw.set_offered_loads(|_| {
+                            scale[rng.gen_range(0..scale.len())] * rng.gen::<f64>()
+                        });
+                    }
+                }
+                assert_eq!(
+                    sw.offered_bps().to_bits(),
+                    fresh(&sw).to_bits(),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn set_offered_loads_sets_every_configured_vip() {
+        let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
+        for v in [3, 1, 2] {
+            sw.add_vip(VipAddr(v)).unwrap();
+        }
+        let mut seen = Vec::new();
+        sw.set_offered_loads(|v| {
+            seen.push(v.0);
+            f64::from(v.0) * 1e9
+        });
+        assert_eq!(seen, vec![1, 2, 3], "called once per VIP, in VIP order");
+        assert_eq!(sw.vip(VipAddr(2)).unwrap().offered_bps, 2e9);
+        assert_eq!(sw.offered_bps(), 6e9);
     }
 
     #[test]
