@@ -21,6 +21,10 @@
 //! or non-numeric `wall_per_epoch_s` map, duplicate keys) are `Err`s
 //! that say which document and which tier is malformed, so a truncated
 //! or hand-edited baseline fails loudly instead of gating nothing.
+//!
+//! Speed-ups must not change model output: a tier whose `served_final`
+//! differs bit for bit from the baseline's same tier is an `Err` naming
+//! the tier and both values (see [`check_served_final`]).
 
 use obs::json::Json;
 use std::fmt::Write as _;
@@ -227,13 +231,58 @@ pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, Str
     Ok(out)
 }
 
-/// Compare two parsed bench documents. `Err` means a malformed document
-/// or zero overlapping measurements (the diff is spelled out in the
-/// message); `Ok` carries the per-measurement verdicts and the
-/// one-sided keys.
+/// The `(label, served_final)` of every tier that records one. Call
+/// after [`extract`] has validated the tier labels.
+fn served_finals(doc: &Json, side: &str) -> Result<Vec<(String, f64)>, String> {
+    let mut out = Vec::new();
+    for tier in doc
+        .get("tiers")
+        .and_then(|t| t.as_arr())
+        .unwrap_or_default()
+    {
+        let (Some(label), Some(val)) = (
+            tier.get("label").and_then(|l| l.as_str()),
+            tier.get("served_final"),
+        ) else {
+            continue;
+        };
+        let Some(v) = val.as_f64() else {
+            return Err(format!(
+                "{side}: tier {label:?} \"served_final\" is not a number"
+            ));
+        };
+        out.push((label.to_string(), v));
+    }
+    Ok(out)
+}
+
+/// The model-output gate: every tier present on both sides with a
+/// `served_final` must carry the same f64 bits. A wall-time win that
+/// changes what the simulator computes is a different model, not a
+/// speed-up. Tiers lacking the field on either side are not checked.
+pub fn check_served_final(baseline: &Json, candidate: &Json) -> Result<(), String> {
+    let cand = served_finals(candidate, "candidate")?;
+    for (label, b) in served_finals(baseline, "baseline")? {
+        if let Some(&(_, c)) = cand.iter().find(|(l, _)| *l == label) {
+            if b.to_bits() != c.to_bits() {
+                return Err(format!(
+                    "tier {label:?} served_final changed: baseline {b:?}, candidate {c:?} \
+                     — model output must stay bit-identical"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Compare two parsed bench documents. `Err` means a malformed document,
+/// a changed `served_final`, or zero overlapping measurements (the diff
+/// is spelled out in the message); `Ok` carries the per-measurement
+/// verdicts and the one-sided keys.
 pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<CompareReport, String> {
     let base = extract(baseline, "baseline")?;
     let cand = extract(candidate, "candidate")?;
+    check_served_final(baseline, candidate)?;
     let mut rows = Vec::new();
     let mut only_baseline = Vec::new();
     for (tier, threads, b) in &base {
@@ -418,6 +467,39 @@ mod tests {
         );
         let err = compare(&b, &bad, 0.15).expect_err("schema");
         assert!(err.contains("phase:rip-bind"), "{err}");
+    }
+
+    #[test]
+    fn served_final_must_keep_its_bits() {
+        let b = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"served_final":0.8908731288551586},
+               {"label":"100k","wall_per_epoch_s":{"t1":4.0},"served_final":0.5}"#,
+        );
+        // Same bits (and a faster wall) passes.
+        let same = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":0.5},"served_final":0.8908731288551586}"#,
+        );
+        assert!(compare(&b, &same, 0.15).expect("comparable").passed());
+        // One ulp off is a model change, named with the tier and both values.
+        let moved = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":0.5},"served_final":0.8908731288551587}"#,
+        );
+        let err = compare(&b, &moved, 0.15).expect_err("output changed");
+        assert!(
+            err.contains("\"30k\"") && err.contains("served_final"),
+            "{err}"
+        );
+        assert!(err.contains("0.8908731288551586"), "{err}");
+        assert!(err.contains("0.8908731288551587"), "{err}");
+        // A tier missing the field on one side is not checked.
+        let absent = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0}}"#);
+        assert!(compare(&b, &absent, 0.15).is_ok());
+        let bad = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"served_final":"x"}"#);
+        let err = compare(&b, &bad, 0.15).expect_err("schema");
+        assert!(
+            err.contains("candidate") && err.contains("served_final"),
+            "{err}"
+        );
     }
 
     #[test]

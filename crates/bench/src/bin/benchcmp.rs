@@ -17,8 +17,10 @@
 //! Malformed documents (missing `tiers`, unlabeled tiers, empty or
 //! non-numeric wall maps) are errors too, never panics or silent
 //! skips; the comparison itself lives in `megadc_bench::benchcmp`.
+//! A tier whose `served_final` differs from the baseline's bits is an
+//! error too: a speed-up may not change model output.
 //! Exit code 0 = within tolerance, 1 = regression, 2 = usage/parse/
-//! schema error.
+//! schema error or changed `served_final`.
 //!
 //! Wall-clock measurements are inherently noisy; the tolerance band is
 //! the contract. Improvements are never failures — ratcheting the

@@ -85,7 +85,213 @@ impl PodManager {
     /// `snapshot` supplies the measured pod-local demand. Read-only with
     /// respect to the platform; the returned [`PodPlan`] is applied by the
     /// platform loop (with actuation latencies).
+    ///
+    /// The pod's state is read once: one `VmRow` per VM on a healthy
+    /// server, stably sorted by app. Each app's rows are then a contiguous
+    /// run (its dense index is the run's position) in server order, so
+    /// demand sums, the incumbent, the `(app, server) → VM` lookup and the
+    /// plan diff all index those rows instead of maps.
     pub fn plan(&self, state: &PlatformState, snapshot: &LoadSnapshot) -> PodPlan {
+        // Decision time covers the whole threaded region — problem
+        // assembly *and* the controller solve — since both run on the
+        // epoch pool and both scale with pod size.
+        let started = std::time::Instant::now();
+        let cfg = &state.config;
+        // Failed servers are invisible to the planner: their instances are
+        // already gone, and nothing may be placed on them.
+        let servers: Vec<ServerId> = state
+            .pod_servers(self.id)
+            .iter()
+            .copied()
+            .filter(|&s| state.server_healthy(s))
+            .collect();
+        let max_vms = (cfg.pod_max_vms / servers.len().max(1)).max(1);
+        let mut server_caps = Vec::with_capacity(servers.len());
+        let mut rows: Vec<VmRow> = Vec::new();
+        for (s, &srv) in servers.iter().enumerate() {
+            let server = state.fleet.server(srv).expect("pod lists valid");
+            server_caps.push(ServerCap {
+                cpu: server.spec().cpu,
+                max_vms,
+            });
+            for vm in server.vms() {
+                assert_eq!(state.fleet.locate(vm.id), Ok(srv), "fleet index is stale");
+                rows.push(VmRow {
+                    app: AppId(vm.app),
+                    vm: vm.id,
+                    server: s,
+                    cpu_slice: vm.cpu_slice,
+                });
+            }
+        }
+        rows.sort_by_key(|r| r.app);
+        // Apps covering the pod, in id order; app `a`'s rows, in server order.
+        let by_app: Vec<&[VmRow]> = rows.chunk_by(|x, y| x.app == y.app).collect();
+
+        // Pod-local demand per app: offered CPU on this pod's VMs, scaled
+        // by provisioning headroom. (Unserved demand shows up as offered
+        // load on saturated VMs, so it is already included.) Availability
+        // floor: an app covering the pod always keeps at least one
+        // minimum-slice instance here, even with zero measured demand
+        // (elastic scale-down never goes to zero).
+        let problem = PlacementProblem {
+            servers: server_caps,
+            apps: by_app
+                .iter()
+                .map(|vms| {
+                    let mut demand = 0.0f64;
+                    for r in *vms {
+                        demand += snapshot.vm_cpu_offered.get(&r.vm).copied().unwrap_or(0.0);
+                    }
+                    AppReq {
+                        demand_cpu: (demand * cfg.headroom).max(cfg.vm_cpu_slice),
+                        vm_cap: cfg.vm_max_cpu_slice,
+                    }
+                })
+                .collect(),
+        };
+
+        // Incumbent: current instances with their slices (a later VM of
+        // the same app on the same server overwrites an earlier one).
+        let mut incumbent = Placement::empty(by_app.len());
+        for (a, vms) in by_app.iter().enumerate() {
+            for r in *vms {
+                incumbent.set(a, r.server, r.cpu_slice);
+            }
+        }
+
+        let next = self.controller.compute(&problem, Some(&incumbent));
+        let decision_time = SimDuration::from_secs_f64(started.elapsed().as_secs_f64());
+
+        // Diff the placements into actions.
+        let mut plan = PodPlan {
+            pod: self.id,
+            decision_time,
+            placement_changes: next.changes_from(&incumbent),
+            problem_size: (servers.len(), state.pod_vm_count(self.id)),
+            ..PodPlan::default()
+        };
+        for (a, vms) in by_app.iter().enumerate() {
+            for (s, cpu) in next.instances(a) {
+                match vm_at(vms, s) {
+                    Some(vm) => {
+                        let old = incumbent.get(a, s);
+                        // Keep at least the minimum slice; only act on
+                        // meaningful moves.
+                        let target = cpu.max(cfg.vm_cpu_slice);
+                        if (target - old).abs() > 0.05 * old.max(cfg.vm_cpu_slice) {
+                            plan.slice_adjustments.push((vm, target));
+                        }
+                    }
+                    None => {
+                        plan.new_instances.push((
+                            vms[0].app,
+                            servers[s],
+                            cpu.max(cfg.vm_cpu_slice),
+                        ));
+                    }
+                }
+            }
+            for (s, _) in incumbent.instances(a) {
+                if next.get(a, s) == 0.0 {
+                    // Every incumbent instance came from a row.
+                    plan.remove_instances.extend(vm_at(vms, s));
+                }
+            }
+        }
+
+        // Weight requests: per VIP with pod-resident RIP-backed VMs, set
+        // relative weights proportional to the planned allocation. A VIP's
+        // RIPs are VMs of its own app, so an app with a single VM here can
+        // only yield a single-VM list — moot, and skipped up front.
+        let mut per_vip: BTreeMap<VipAddr, Vec<(VmId, f64)>> = BTreeMap::new();
+        for (a, vms) in by_app.iter().enumerate().filter(|(_, vms)| vms.len() > 1) {
+            for r in *vms {
+                let Some(rip) = state.rip_of_vm(r.vm) else {
+                    continue;
+                };
+                let vip = state.rip(rip).expect("bound").vip;
+                let alloc = next.get(a, r.server);
+                if alloc > 0.0 {
+                    per_vip.entry(vip).or_default().push((r.vm, alloc));
+                }
+            }
+        }
+        plan.weight_requests = per_vip
+            .into_iter()
+            .filter(|(_, ws)| ws.len() > 1) // single-VM weights are moot
+            .collect();
+        plan
+    }
+
+    /// Whether the pod is overloaded by processing capacity (§III.A):
+    /// CPU utilization above the configured threshold, or nonzero unserved
+    /// demand attributable to its VMs.
+    pub fn is_overloaded(&self, state: &PlatformState, snapshot: &LoadSnapshot) -> bool {
+        let utils = snapshot.pod_utilizations(state);
+        utils[self.id.index()] > state.config.pod_overload_threshold
+    }
+
+    /// Whether the pod manager itself is overloaded — the *elephant pod*
+    /// condition (§IV.C): too many servers or VMs for its decision space.
+    pub fn is_elephant(&self, state: &PlatformState) -> bool {
+        state.pod_servers(self.id).len() > state.config.pod_max_servers
+            || state.pod_vm_count(self.id) > state.config.pod_max_vms
+    }
+}
+
+/// One pod-local VM as the planner sees it.
+#[derive(Debug, Clone, Copy)]
+struct VmRow {
+    app: AppId,
+    vm: VmId,
+    /// Index into the round's healthy-server list.
+    server: usize,
+    cpu_slice: f64,
+}
+
+/// The VM of one app's rows (sorted by server) on server index `s`; the
+/// last one if the app has several there, as the incumbent keeps.
+fn vm_at(rows: &[VmRow], s: usize) -> Option<VmId> {
+    let end = rows.partition_point(|r| r.server <= s);
+    rows[..end].last().filter(|r| r.server == s).map(|r| r.vm)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PlatformConfig;
+    use crate::demand::propagate;
+    use crate::platform::Platform;
+    use crate::viprip::{Priority, Request, VipRipManager};
+    use dcnet::access::AccessRouterId;
+    use dcsim::SimTime;
+    use lbswitch::SwitchId;
+
+    /// One app with two instances in pod 0 (servers 0 and 2), demand
+    /// driven through VIP 0 on switch 0.
+    fn state_with_load(demand_bps: f64) -> (PlatformState, LoadSnapshot) {
+        let mut cfg = PlatformConfig::small_test();
+        cfg.num_apps = 2;
+        let mut st = PlatformState::new(cfg);
+        let app0 = st.register_app(0);
+        let _app1 = st.register_app(1);
+        let vip = st.allocate_vip(app0, SwitchId(0)).unwrap();
+        st.advertise_vip(vip, AccessRouterId(0), SimTime::ZERO)
+            .unwrap();
+        st.add_instance_running(app0, ServerId(0), vip, 1.0)
+            .unwrap();
+        st.add_instance_running(app0, ServerId(2), vip, 1.0)
+            .unwrap();
+        st.dns.set_exposure(0, vec![(vip, 1.0)], SimTime::ZERO);
+        let now = SimTime::ZERO + st.routes.convergence();
+        let snap = propagate(&mut st, &[demand_bps, 0.0], now);
+        (st, snap)
+    }
+
+    /// The map-based planner the row-based [`PodManager::plan`] replaced,
+    /// kept verbatim as the differential reference.
+    fn plan_reference(mgr: &PodManager, state: &PlatformState, snapshot: &LoadSnapshot) -> PodPlan {
         // Decision time covers the whole threaded region — problem
         // assembly *and* the controller solve — since both run on the
         // epoch pool and both scale with pod size.
@@ -93,7 +299,7 @@ impl PodManager {
         // Failed servers are invisible to the planner: their instances are
         // already gone, and nothing may be placed on them.
         let servers: Vec<ServerId> = state
-            .pod_servers(self.id)
+            .pod_servers(mgr.id)
             .iter()
             .copied()
             .filter(|&s| state.server_healthy(s))
@@ -163,15 +369,15 @@ impl PodManager {
             }
         }
 
-        let next = self.controller.compute(&problem, Some(&incumbent));
+        let next = mgr.controller.compute(&problem, Some(&incumbent));
         let decision_time = SimDuration::from_secs_f64(started.elapsed().as_secs_f64());
 
         // Diff the placements into actions.
         let mut plan = PodPlan {
-            pod: self.id,
+            pod: mgr.id,
             decision_time,
             placement_changes: next.changes_from(&incumbent),
-            problem_size: (servers.len(), state.pod_vm_count(self.id)),
+            problem_size: (servers.len(), state.pod_vm_count(mgr.id)),
             ..PodPlan::default()
         };
         for (a, &app) in apps.iter().enumerate() {
@@ -224,50 +430,177 @@ impl PodManager {
         plan
     }
 
-    /// Whether the pod is overloaded by processing capacity (§III.A):
-    /// CPU utilization above the configured threshold, or nonzero unserved
-    /// demand attributable to its VMs.
-    pub fn is_overloaded(&self, state: &PlatformState, snapshot: &LoadSnapshot) -> bool {
-        let utils = snapshot.pod_utilizations(state);
-        utils[self.id.index()] > state.config.pod_overload_threshold
+    /// Every `PodPlan` field except `decision_time`, f64s as bits.
+    type PlanBits = (
+        PodId,
+        Vec<(VmId, u64)>,
+        Vec<(AppId, ServerId, u64)>,
+        Vec<VmId>,
+        Vec<(VipAddr, Vec<(VmId, u64)>)>,
+        usize,
+        (usize, usize),
+    );
+
+    fn plan_bits(p: &PodPlan) -> PlanBits {
+        (
+            p.pod,
+            p.slice_adjustments
+                .iter()
+                .map(|&(vm, c)| (vm, c.to_bits()))
+                .collect(),
+            p.new_instances
+                .iter()
+                .map(|&(a, s, c)| (a, s, c.to_bits()))
+                .collect(),
+            p.remove_instances.clone(),
+            p.weight_requests
+                .iter()
+                .map(|(vip, ws)| (*vip, ws.iter().map(|&(vm, w)| (vm, w.to_bits())).collect()))
+                .collect(),
+            p.placement_changes,
+            p.problem_size,
+        )
     }
 
-    /// Whether the pod manager itself is overloaded — the *elephant pod*
-    /// condition (§IV.C): too many servers or VMs for its decision space.
-    pub fn is_elephant(&self, state: &PlatformState) -> bool {
-        state.pod_servers(self.id).len() > state.config.pod_max_servers
-            || state.pod_vm_count(self.id) > state.config.pod_max_vms
+    /// Plan every pod with both planners and require identical plans.
+    /// Returns how many plans carried any action.
+    fn assert_matches_reference(st: &PlatformState, snap: &LoadSnapshot) -> usize {
+        let mut active = 0;
+        for pod in 0..st.num_pods() {
+            let mgr = PodManager::new(PodId(pod as u32));
+            let new = mgr.plan(st, snap);
+            let old = plan_reference(&mgr, st, snap);
+            assert_eq!(plan_bits(&new), plan_bits(&old), "pod {pod}");
+            active += usize::from(
+                !new.slice_adjustments.is_empty()
+                    || !new.new_instances.is_empty()
+                    || !new.remove_instances.is_empty()
+                    || !new.weight_requests.is_empty(),
+            );
+        }
+        active
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::PlatformConfig;
-    use crate::demand::propagate;
-    use dcnet::access::AccessRouterId;
-    use dcsim::SimTime;
-    use lbswitch::SwitchId;
+    /// Step `p` for `epochs`, failing `fail` after the third, and check
+    /// both planners agree on every pod after every epoch.
+    fn differential_run(mut p: Platform, epochs: usize, fail: Option<ServerId>) {
+        let mut active = 0;
+        for epoch in 0..epochs {
+            p.step();
+            if epoch == 2 {
+                if let Some(srv) = fail {
+                    p.inject_server_failure(srv).unwrap();
+                }
+            }
+            let snap = p.last_snapshot().unwrap().clone();
+            active += assert_matches_reference(&p.state, &snap);
+        }
+        assert!(
+            active > 0,
+            "no plan carried an action: the check is vacuous"
+        );
+    }
 
-    /// One app with two instances in pod 0 (servers 0 and 2), demand
-    /// driven through VIP 0 on switch 0.
-    fn state_with_load(demand_bps: f64) -> (PlatformState, LoadSnapshot) {
-        let mut cfg = PlatformConfig::small_test();
-        cfg.num_apps = 2;
+    #[test]
+    fn plan_matches_reference_small_test_with_server_failure() {
+        let p = Platform::build(PlatformConfig::small_test()).unwrap();
+        differential_run(p, 6, Some(ServerId(1)));
+    }
+
+    #[test]
+    fn plan_matches_reference_paper_mix_miniature() {
+        let mut cfg = PlatformConfig::paper_scale();
+        cfg.num_apps = 40;
+        cfg.num_servers = 80;
+        cfg.initial_pods = 2;
+        cfg.threads = 1;
+        cfg.total_demand_bps = (40 * cfg.initial_instances_per_app) as f64 * 0.2e6;
+        assert_eq!(cfg.initial_instances_per_app, 20);
+        let p = Platform::build(cfg).unwrap();
+        differential_run(p, 4, None);
+    }
+
+    #[test]
+    fn plan_matches_reference_e5_single_pod() {
+        // E5's pod: one pod, 4 first-fit instances per app, demand at
+        // ~70% of pod CPU so the controller re-apportions, grows slices
+        // and adds instances.
+        let servers = 40;
+        let mut cfg = PlatformConfig::pod_scale();
+        cfg.num_servers = servers;
+        cfg.initial_pods = 1;
+        cfg.pod_max_servers = servers * 2;
+        cfg.pod_max_vms = servers * 8;
+        cfg.num_apps = servers;
+        cfg.num_switches = 4;
+        cfg.total_demand_bps = servers as f64 * 8.0 * 0.7 / 1.0417e-8;
         let mut st = PlatformState::new(cfg);
-        let app0 = st.register_app(0);
-        let _app1 = st.register_app(1);
-        let vip = st.allocate_vip(app0, SwitchId(0)).unwrap();
+        let mut mgr = VipRipManager::new();
+        for a in 0..cfg.num_apps {
+            let app = st.register_app(a);
+            mgr.submit(Priority::Normal, Request::NewVip { app });
+        }
+        mgr.process_all(&mut st);
+        for i in 0..cfg.num_apps * 4 {
+            let a = (i / 4) as u32;
+            let vm = st
+                .fleet
+                .create_vm_running(
+                    ServerId((i % servers) as u32),
+                    a,
+                    cfg.vm_cpu_slice,
+                    cfg.vm_mem_mb,
+                )
+                .unwrap();
+            let req = Request::NewRip {
+                app: AppId(a),
+                vm,
+                weight: 1.0,
+            };
+            mgr.submit(Priority::Normal, req);
+        }
+        mgr.process_all(&mut st);
+        for a in 0..cfg.num_apps as u32 {
+            let vips = st.app(AppId(a)).unwrap().vips.clone();
+            st.dns
+                .set_exposure(a, vips.iter().map(|&v| (v, 1.0)).collect(), SimTime::ZERO);
+            for &v in &vips {
+                st.advertise_vip(v, AccessRouterId(0), SimTime::ZERO)
+                    .unwrap();
+            }
+        }
+        let now = SimTime::ZERO + st.routes.convergence();
+        let per_app = cfg.total_demand_bps / cfg.num_apps as f64;
+        let snap = propagate(&mut st, &vec![per_app; cfg.num_apps], now);
+        assert_eq!(assert_matches_reference(&st, &snap), 1);
+    }
+
+    #[test]
+    fn last_vm_wins_for_two_vms_of_one_app_on_one_server() {
+        let mut cfg = PlatformConfig::small_test();
+        cfg.num_apps = 1;
+        let mut st = PlatformState::new(cfg);
+        let app = st.register_app(0);
+        let vip = st.allocate_vip(app, SwitchId(0)).unwrap();
         st.advertise_vip(vip, AccessRouterId(0), SimTime::ZERO)
             .unwrap();
-        st.add_instance_running(app0, ServerId(0), vip, 1.0)
-            .unwrap();
-        st.add_instance_running(app0, ServerId(2), vip, 1.0)
-            .unwrap();
+        let (first, _) = st.add_instance_running(app, ServerId(0), vip, 1.0).unwrap();
+        let (last, _) = st.add_instance_running(app, ServerId(0), vip, 1.0).unwrap();
+        st.add_instance_running(app, ServerId(2), vip, 1.0).unwrap();
         st.dns.set_exposure(0, vec![(vip, 1.0)], SimTime::ZERO);
         let now = SimTime::ZERO + st.routes.convergence();
-        let snap = propagate(&mut st, &[demand_bps, 0.0], now);
-        (st, snap)
+        // Heavy load: both occupied servers stay loaded and their slices grow.
+        let snap = propagate(&mut st, &[400e6], now);
+        assert_eq!(assert_matches_reference(&st, &snap), 1);
+        let plan = PodManager::new(PodId(0)).plan(&st, &snap);
+        assert!(
+            plan.slice_adjustments.iter().any(|&(vm, _)| vm == last),
+            "the later VM on server 0 is the one adjusted: {plan:?}"
+        );
+        assert!(
+            plan.slice_adjustments.iter().all(|&(vm, _)| vm != first),
+            "the earlier VM on server 0 is shadowed: {plan:?}"
+        );
     }
 
     #[test]

@@ -44,8 +44,8 @@ fn greedy(problem: &PlacementProblem, fit: Fit) -> Placement {
                     let ry = problem.servers[y].cpu - loads[y];
                     match fit {
                         Fit::First => x.cmp(&y),
-                        Fit::Best => rx.partial_cmp(&ry).expect("finite"),
-                        Fit::Worst => ry.partial_cmp(&rx).expect("finite"),
+                        Fit::Best => rx.total_cmp(&ry),
+                        Fit::Worst => ry.total_cmp(&rx),
                     }
                 });
             let Some(srv) = candidate else { break };

@@ -96,7 +96,7 @@ impl TangController {
             .map(|a| (a, problem.apps[a].demand_cpu - placement.satisfied(a)))
             .filter(|&(_, r)| r > self.quantum)
             .collect();
-        residuals.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite residuals"));
+        residuals.sort_by(|a, b| b.1.total_cmp(&a.1));
 
         // Servers by residual capacity, largest first (indices into a
         // max-heap emulated by re-sorting; fleet sizes here are pod-scale).
@@ -104,7 +104,7 @@ impl TangController {
         order.sort_by(|&x, &y| {
             let rx = problem.servers[x].cpu - loads[x];
             let ry = problem.servers[y].cpu - loads[y];
-            ry.partial_cmp(&rx).expect("finite capacities")
+            ry.total_cmp(&rx)
         });
 
         let mut added = 0;
