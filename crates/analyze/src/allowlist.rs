@@ -1,7 +1,7 @@
 //! The allowlist / ratchet file (`crates/analyze/allowlist.txt`).
 //!
-//! Plain line-based format (the vendored `serde` is a no-op stub, so no
-//! structured deserialization here):
+//! Plain line-based format, parsed by hand (the workspace has no
+//! serialization framework):
 //!
 //! ```text
 //! # comment

@@ -12,7 +12,7 @@
 //!    finish" is exactly the nondeterminism the epoch engine exists to
 //!    prevent.
 //! 2. **Region lint** ([`lint_regions`]) — scans `crates/core` for every
-//!    `EpochPool` entry point (`map_into` / `map_blocks_into`), matches
+//!    `EpochPool` entry point (`map_into`), matches
 //!    the call site to a [`megadc::phases::RegionDecl`] by its `REGION_*`
 //!    const token, and rejects: closures mutating anything that is not a
 //!    closure-local or a declared thread-local capture; interior
@@ -180,7 +180,7 @@ pub fn check_decls(phases: &[PhaseDecl], regions: &[RegionDecl]) -> Vec<String> 
 struct CallSite {
     file: String,
     line: usize,
-    /// Full balanced argument text of the `map_into`/`map_blocks_into` call.
+    /// Full balanced argument text of the `map_into` call.
     args: String,
 }
 
@@ -264,64 +264,62 @@ pub fn lint_regions(root: &Path, regions: &[RegionDecl]) -> Vec<String> {
     errors
 }
 
-/// Find `map_into(` / `map_blocks_into(` call sites in stripped source
-/// and extract their balanced argument text (calls span many lines).
+/// Find `map_into(` call sites in stripped source and extract their
+/// balanced argument text (calls span many lines).
 fn call_sites(stripped: &str, mask: &[bool], relpath: &str) -> Vec<CallSite> {
     let mut out = Vec::new();
-    for needle in ["map_into", "map_blocks_into"] {
-        let mut from = 0;
-        while let Some(pos) = stripped[from..].find(needle) {
-            let at = from + pos;
-            from = at + needle.len();
-            // Whole-token check (`map_into` is a prefix of `map_blocks_into`
-            // is not — but guard against longer identifiers either side).
-            let before = stripped[..at].chars().next_back().unwrap_or(' ');
-            if before.is_ascii_alphanumeric() || before == '_' {
-                continue;
-            }
-            let after = &stripped[at + needle.len()..];
-            if after
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
-            {
-                continue;
-            }
-            let line = stripped[..at].matches('\n').count();
-            if mask.get(line).copied().unwrap_or(false) {
-                continue; // test code
-            }
-            let Some(open_rel) = after.find('(') else {
-                continue;
-            };
-            if !after[..open_rel].trim().is_empty() {
-                continue; // not a call
-            }
-            let args_start = at + needle.len() + open_rel + 1;
-            let mut depth = 1i64;
-            let mut end = args_start;
-            for (i, c) in stripped[args_start..].char_indices() {
-                match c {
-                    '(' => depth += 1,
-                    ')' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = args_start + i;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if depth != 0 {
-                continue; // unbalanced (malformed source) — rustc will complain
-            }
-            out.push(CallSite {
-                file: relpath.to_string(),
-                line: line + 1,
-                args: stripped[args_start..end].to_string(),
-            });
+    let needle = "map_into";
+    let mut from = 0;
+    while let Some(pos) = stripped[from..].find(needle) {
+        let at = from + pos;
+        from = at + needle.len();
+        // Whole-token check: skip longer identifiers either side.
+        let before = stripped[..at].chars().next_back().unwrap_or(' ');
+        if before.is_ascii_alphanumeric() || before == '_' {
+            continue;
         }
+        let after = &stripped[at + needle.len()..];
+        if after
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+        {
+            continue;
+        }
+        let line = stripped[..at].matches('\n').count();
+        if mask.get(line).copied().unwrap_or(false) {
+            continue; // test code
+        }
+        let Some(open_rel) = after.find('(') else {
+            continue;
+        };
+        if !after[..open_rel].trim().is_empty() {
+            continue; // not a call
+        }
+        let args_start = at + needle.len() + open_rel + 1;
+        let mut depth = 1i64;
+        let mut end = args_start;
+        for (i, c) in stripped[args_start..].char_indices() {
+            match c {
+                '(' => depth += 1,
+                ')' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        end = args_start + i;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        if depth != 0 {
+            continue; // unbalanced (malformed source) — rustc will complain
+        }
+        out.push(CallSite {
+            file: relpath.to_string(),
+            line: line + 1,
+            args: stripped[args_start..end].to_string(),
+        });
     }
     out
 }

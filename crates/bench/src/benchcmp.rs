@@ -2,8 +2,8 @@
 //!
 //! [`compare`] takes two parsed `BENCH_scale.json` documents and
 //! produces a [`CompareReport`]: every measurement present on both
-//! sides — the per-thread wall times (`t1`…`t8`), the parallel demand
-//! stages (`demand`), and the per-phase profiler columns
+//! sides — the per-thread wall times (`t1`…`t8`), the demand route +
+//! serve stages (`demand`), and the per-phase profiler columns
 //! (`phase:<id>`) — is checked against the tolerance band, and every
 //! key present on only one side is *named* in the report — a key
 //! mismatch is never a panic and never a silent skip. Because the

@@ -16,10 +16,9 @@
 //! evenly across thread counts instead of biasing the later ones.
 //!
 //! Besides the measured speedup the report derives the *parallel
-//! fraction* — the seconds per epoch spent in the declared parallel
-//! regions (pod planning plus the route/serve stages of demand
-//! propagation) over the single-thread epoch wall time — and the
-//! Amdahl prediction for 4 threads. On hosts without real parallelism (CI
+//! fraction* — the seconds per epoch spent in the one declared parallel
+//! region (pod planning) over the single-thread epoch wall time — and
+//! the Amdahl prediction for 4 threads. On hosts without real parallelism (CI
 //! containers pinned to one core report `available_parallelism = 1`)
 //! the measured speedup degenerates to ~1× while the parallel fraction
 //! still shows what the engine would buy; `host_parallelism` is
@@ -53,15 +52,14 @@ pub(crate) struct TierResult {
     /// Per-epoch planning seconds (sum of pod decision times), measured
     /// over the t=1 epochs only so it is commensurable with `wall(1)`.
     plan_s_per_epoch: f64,
-    /// Per-epoch seconds in the parallel demand-propagation stages
-    /// (route + serve, `PlatformMetrics::propagation_times`), t=1
-    /// epochs only — at higher thread counts on an oversubscribed host
-    /// the same regions take longer inside, which would overstate the
-    /// single-thread fraction.
+    /// Per-epoch seconds in the route and serve stages of demand
+    /// propagation (the `demand-route` + `demand-serve` profiler
+    /// phases), t=1 epochs only.
     demand_s_per_epoch: f64,
     /// Per-epoch seconds per declared epoch phase (parallel to
     /// `obs::phases::EPOCH_PHASES`), from the platform's span profiler,
-    /// t=1 epochs only for the same reason as `demand_s_per_epoch`.
+    /// t=1 epochs only — at higher thread counts on an oversubscribed
+    /// host the same phases take longer inside.
     phase_s_per_epoch: Vec<f64>,
     served_final: f64,
 }
@@ -80,14 +78,13 @@ impl TierResult {
         self.wall(1) / self.wall(4)
     }
 
-    /// Fraction of the single-thread epoch spent in declared parallel
-    /// regions: pod planning (`decision_time` now covers problem
-    /// assembly plus the controller solve) plus the route/serve stages
-    /// of demand propagation (`propagation_times`). Still a lower
-    /// bound on what threads can attack — plan application, the
-    /// global knobs, and the VIP/RIP queue remain serial.
+    /// Fraction of the single-thread epoch spent in the declared
+    /// parallel region, pod planning (`decision_time` covers problem
+    /// assembly plus the controller solve). Everything else — demand
+    /// propagation, plan application, the global knobs and the VIP/RIP
+    /// queue — is serial.
     fn parallel_fraction(&self) -> f64 {
-        ((self.plan_s_per_epoch + self.demand_s_per_epoch) / self.wall(1)).clamp(0.0, 1.0)
+        (self.plan_s_per_epoch / self.wall(1)).clamp(0.0, 1.0)
     }
 
     /// Amdahl's-law speedup prediction at 4 workers given the measured
@@ -143,13 +140,11 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
     let num_phases = obs::phases::EPOCH_PHASES.len();
     let mut wall_total = vec![0.0f64; THREADS.len()];
     let mut plan_total = 0.0f64;
-    let mut demand_total = 0.0f64;
     let mut phase_total = vec![0.0f64; num_phases];
     for _round in 0..rounds {
         for (i, &threads) in THREADS.iter().enumerate() {
             p.set_threads(threads);
             let plan_samples0 = p.metrics.decision_times.len();
-            let demand_samples0 = p.metrics.propagation_times.len();
             let phase0: Vec<f64> = (0..num_phases).map(|ph| p.profiler.total_s(ph)).collect();
             let t0 = Instant::now();
             p.step();
@@ -158,15 +153,17 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
                 plan_total += p.metrics.decision_times.values()[plan_samples0..]
                     .iter()
                     .sum::<f64>();
-                demand_total += p.metrics.propagation_times.values()[demand_samples0..]
-                    .iter()
-                    .sum::<f64>();
                 for (ph, total) in phase_total.iter_mut().enumerate() {
                     *total += p.profiler.total_s(ph) - phase0[ph];
                 }
             }
         }
     }
+    let demand_total: f64 = ["demand-route", "demand-serve"]
+        .iter()
+        .filter_map(|id| obs::profile::phase_index(id))
+        .map(|ph| phase_total[ph])
+        .sum();
     let served_final = p
         .last_snapshot()
         .map(|s| s.served_fraction())

@@ -9,14 +9,13 @@ use dcdns::DnsConfig;
 use dcsim::SimDuration;
 use elastic::ElasticConfig;
 use lbswitch::SwitchLimits;
-use serde::{Deserialize, Serialize};
 use vmm::{CostModel, ServerSpec};
 use workload::{RequestProfile, WorkloadConfig};
 
 /// Ablation switches for the paper's control knobs: every knob can be
 /// turned off individually so experiments can measure its contribution
 /// (E3/E4/E6 and the ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobFlags {
     /// §IV.A selective VIP exposure for access links.
     pub link_exposure: bool,
@@ -81,7 +80,7 @@ impl Default for KnobFlags {
 }
 
 /// Full configuration of a simulated platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Experiment seed (drives every random stream).
     pub seed: u64,

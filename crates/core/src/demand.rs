@@ -20,45 +20,20 @@
 //! The output [`LoadSnapshot`] carries every quantity the paper's control
 //! knobs and the experiments observe.
 //!
-//! ## Parallel propagation
-//!
-//! Stages 1+2 (per-app) and stage 4 (per-VIP) are read-only over the
-//! platform state, so they run on the [`crate::parallel::EpochPool`] as
-//! the declared regions [`obs::phases::REGION_DEMAND_ROUTE`] and
-//! [`obs::phases::REGION_DEMAND_SERVE`]. Determinism is preserved by
-//! construction, not by luck:
-//!
-//! * work is split into **fixed index blocks** of [`DEMAND_BLOCK`]
-//!   items, so the grouping never depends on the thread count;
-//! * each block's partial is a list of *individual contributions* in
-//!   visit order — `(app, bps)`, `(vip, bps)`, `(link, bps)`, … — not a
-//!   pre-summed map;
-//! * the serial merge replays the contributions block by block, which
-//!   reproduces **exactly the operation sequence of the old serial
-//!   loop**. Float accumulation never regroups, so the snapshot is
-//!   bit-identical at any thread count, under any `MEGADC_SHUFFLE`
-//!   seed, and to the pre-parallel implementation.
-//!
-//! Stage 3 stays serial: it mutates the switches' offered-load
-//! registers (phase `demand-switch-reset` in [`obs::phases`]).
+//! Propagation is one serial pass: apps in index order, then VIPs in
+//! address order. Every accumulator therefore receives its float adds in
+//! a fixed sequence, so the snapshot is a pure function of the state and
+//! the demand vector. Parallelism lives where control is partitioned
+//! (pod planning), not in this model of the traffic.
 
 use crate::ids::vip_prefix;
-use crate::parallel::EpochPool;
 use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
 use dcsim::metrics::{jains_fairness, max_mean_ratio};
 use dcsim::SimTime;
 use lbswitch::VipAddr;
-use obs::phases::{REGION_DEMAND_ROUTE, REGION_DEMAND_SERVE};
 use std::collections::BTreeMap;
 use vmm::VmId;
-
-/// Fixed block size for parallel propagation. Chosen so a paper-scale
-/// tier (30k apps, ~60k VIPs) yields enough blocks to load 8+ workers
-/// while a small test tier still takes the serial fast path. Changing
-/// this value regroups float accumulation and therefore changes
-/// low-order output bits — it is part of the determinism contract.
-pub const DEMAND_BLOCK: usize = 512;
 
 /// Everything observed during one propagation epoch.
 #[derive(Debug, Clone, Default)]
@@ -156,40 +131,24 @@ impl LoadSnapshot {
 
 /// Wall-clock seconds spent in each propagation stage, as measured by
 /// the funneled [`PhaseClock`]. Profiling output only — it feeds the
-/// phase profiler and the E19 samples, never a deterministic export.
+/// phase profiler, never a deterministic export.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PropagateTiming {
-    /// Stage 1+2 (DNS split + routing, parallel) including the serial
-    /// contribution replay.
+    /// Stages 1+2 (DNS split + routing).
     pub route_s: f64,
-    /// Stage 3 (switch offered-load reset, serial).
+    /// Stage 3 (switch offered-load reset).
     pub switch_reset_s: f64,
-    /// Stage 4 (RIPs → VMs → servers, parallel) including the replay.
+    /// Stage 4 (RIPs → VMs → servers).
     pub serve_s: f64,
 }
 
-impl PropagateTiming {
-    /// The demand-stage total the E19 scale bench samples
-    /// (`demand_s_per_epoch`): the two parallelizable stages.
-    pub fn parallel_stages_s(&self) -> f64 {
-        self.route_s + self.serve_s
-    }
-}
-
-/// Propagate `app_demand_bps` through the platform at time `now`,
-/// serially (a one-worker pool, sanitizer off).
+/// Propagate `app_demand_bps` through the platform at time `now`.
 ///
 /// Mutates the switches' offered-load registers (they are the data plane);
 /// everything else is read-only.
 pub fn propagate(state: &mut PlatformState, app_demand_bps: &[f64], now: SimTime) -> LoadSnapshot {
     let mut snap = LoadSnapshot::default();
-    propagate_into(
-        state,
-        app_demand_bps,
-        now,
-        &mut snap,
-        &EpochPool::with_shuffle(1, None),
-    );
+    propagate_into(state, app_demand_bps, now, &mut snap);
     snap
 }
 
@@ -200,45 +159,18 @@ fn fill_zeroed(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// Per-block partial of the DNS-split + routing stage: individual
-/// contributions in visit order, replayed serially at the merge so float
-/// accumulation order matches the serial loop exactly.
-#[derive(Default)]
-struct RoutePartial {
-    /// `(app index, lost bps)` — unreachable shares.
-    unserved: Vec<(usize, f64)>,
-    /// `(vip, bps)` — one entry per app×VIP contribution.
-    vip_demand: Vec<(VipAddr, f64)>,
-    /// `(link index, bps)` — one entry per route×link contribution.
-    link_load: Vec<(usize, f64)>,
-}
-
-/// Per-block partial of the serving stage, same contribution-list
-/// discipline as [`RoutePartial`].
-#[derive(Default)]
-struct ServePartial {
-    unserved: Vec<(usize, f64)>,
-    vip_served: Vec<(VipAddr, f64)>,
-    vm_offered: Vec<(VmId, f64)>,
-    vm_served: Vec<(VmId, f64)>,
-    server_load: Vec<(usize, f64)>,
-}
-
 /// [`propagate`] into a caller-owned snapshot: every vector and map in
-/// `snap` is cleared and refilled, so the parallel epoch engine's
-/// per-epoch scratch reuses one snapshot's allocations across epochs
-/// instead of paying a fresh `LoadSnapshot` each tick.
+/// `snap` is cleared and refilled, so the platform reuses one snapshot's
+/// allocations across epochs instead of paying a fresh `LoadSnapshot`
+/// each tick.
 ///
-/// The read-only stages run on `pool` (see the module docs for the
-/// determinism argument). Returns per-stage wall-clock timings — the
-/// platform feeds them to the phase profiler and E19 measures the
-/// parallel fraction of the epoch from the parallel stages' total.
+/// Returns per-stage wall-clock timings, which the platform feeds to the
+/// phase profiler.
 pub fn propagate_into(
     state: &mut PlatformState,
     app_demand_bps: &[f64],
     now: SimTime,
     snap: &mut LoadSnapshot,
-    pool: &EpochPool,
 ) -> PropagateTiming {
     assert_eq!(
         app_demand_bps.len(),
@@ -246,169 +178,123 @@ pub fn propagate_into(
         "demand vector covers all apps"
     );
     let profile = state.config.request_profile;
-    snap.time = now;
-    snap.app_demand_bps.clear();
-    snap.app_demand_bps.extend_from_slice(app_demand_bps);
-    fill_zeroed(&mut snap.link_load_bps, state.access.num_links());
-    fill_zeroed(&mut snap.switch_offered_bps, state.switches.len());
-    fill_zeroed(&mut snap.server_cpu_load, state.fleet.num_servers());
-    fill_zeroed(&mut snap.unserved_bps_by_app, state.num_apps());
-    snap.vip_demand_bps.clear();
-    snap.vip_served_bps.clear();
-    snap.vm_cpu_offered.clear();
-    snap.vm_cpu_served.clear();
+    let LoadSnapshot {
+        time,
+        app_demand_bps: snap_demand,
+        vip_demand_bps,
+        vip_served_bps,
+        link_load_bps,
+        switch_offered_bps,
+        vm_cpu_offered,
+        vm_cpu_served,
+        server_cpu_load,
+        unserved_bps_by_app,
+    } = snap;
+    *time = now;
+    snap_demand.clear();
+    snap_demand.extend_from_slice(app_demand_bps);
+    fill_zeroed(link_load_bps, state.access.num_links());
+    fill_zeroed(switch_offered_bps, state.switches.len());
+    fill_zeroed(server_cpu_load, state.fleet.num_servers());
+    fill_zeroed(unserved_bps_by_app, state.num_apps());
+    vip_demand_bps.clear();
+    vip_served_bps.clear();
+    vm_cpu_offered.clear();
+    vm_cpu_served.clear();
 
-    // --- 1+2: DNS split and routing (parallel, region demand-route) -----
+    // --- 1+2: DNS split and routing (phase demand-route) -----------------
     let mut timing = PropagateTiming::default();
     let mut clock = PhaseClock::start();
-    let mut route_parts: Vec<RoutePartial> = Vec::new();
-    {
-        let st: &PlatformState = &*state;
-        pool.map_blocks_into(
-            REGION_DEMAND_ROUTE,
-            st.num_apps(),
-            DEMAND_BLOCK,
-            &mut route_parts,
-            |range| {
-                let mut part = RoutePartial::default();
-                for app in &st.apps()[range] {
-                    let demand = app_demand_bps[app.id.0 as usize];
-                    if demand <= 0.0 {
-                        continue;
-                    }
-                    let shares = st.dns.effective_shares(app.id.dns_key(), now);
-                    if shares.is_empty() {
-                        part.unserved.push((app.id.0 as usize, demand));
-                        continue;
-                    }
-                    for (vip, share) in shares {
-                        let vd = demand * share;
-                        if vd <= 0.0 {
-                            continue;
-                        }
-                        let routes = st.routes.preferred_routes(vip_prefix(vip), now);
-                        if routes.is_empty() {
-                            part.unserved.push((app.id.0 as usize, vd));
-                            continue;
-                        }
-                        part.vip_demand.push((vip, vd));
-                        let per_router = vd / routes.len() as f64;
-                        for r in routes {
-                            let links: Vec<_> =
-                                st.access.links_at_router(r.router).map(|l| l.id).collect();
-                            if links.is_empty() {
-                                continue;
-                            }
-                            let per_link = per_router / links.len() as f64;
-                            for l in links {
-                                part.link_load.push((l.index(), per_link));
-                            }
-                        }
-                    }
+    for app in state.apps() {
+        let app_idx = app.id.0 as usize;
+        let demand = app_demand_bps[app_idx];
+        if demand <= 0.0 {
+            continue;
+        }
+        let shares = state.dns.effective_shares(app.id.dns_key(), now);
+        if shares.is_empty() {
+            unserved_bps_by_app[app_idx] += demand;
+            continue;
+        }
+        for (vip, share) in shares {
+            let vd = demand * share;
+            if vd <= 0.0 {
+                continue;
+            }
+            let routes = state.routes.preferred_routes(vip_prefix(vip), now);
+            if routes.is_empty() {
+                unserved_bps_by_app[app_idx] += vd;
+                continue;
+            }
+            *vip_demand_bps.entry(vip).or_insert(0.0) += vd;
+            let per_router = vd / routes.len() as f64;
+            for r in routes {
+                let links = state.access.links_at_router(r.router).count();
+                if links == 0 {
+                    continue;
                 }
-                part
-            },
-        );
-    }
-    // Merge: replay contributions in block order — the exact operation
-    // sequence of the serial loop, so every float is bit-identical.
-    for part in &route_parts {
-        for &(app_idx, bps) in &part.unserved {
-            snap.unserved_bps_by_app[app_idx] += bps;
-        }
-        for &(vip, vd) in &part.vip_demand {
-            *snap.vip_demand_bps.entry(vip).or_insert(0.0) += vd;
-        }
-        for &(link_idx, bps) in &part.link_load {
-            snap.link_load_bps[link_idx] += bps;
+                let per_link = per_router / links as f64;
+                for l in state.access.links_at_router(r.router) {
+                    link_load_bps[l.id.index()] += per_link;
+                }
+            }
         }
     }
     timing.route_s = clock.lap();
 
-    // --- 3: switches (serial, phase demand-switch-reset) -----------------
+    // --- 3: switches (phase demand-switch-reset) -------------------------
     // Every configured VIP takes its routed demand (0 when none arrived).
     for (i, sw) in state.switches.iter_mut().enumerate() {
-        sw.set_offered_loads(|vip| snap.vip_demand_bps.get(&vip).copied().unwrap_or(0.0));
-        snap.switch_offered_bps[i] = sw.offered_bps();
+        sw.set_offered_loads(|vip| vip_demand_bps.get(&vip).copied().unwrap_or(0.0));
+        switch_offered_bps[i] = sw.offered_bps();
     }
     timing.switch_reset_s = clock.lap();
 
-    // --- 4: RIPs → VMs → servers (parallel, region demand-serve) ---------
-    let vips: Vec<VipAddr> = snap.vip_demand_bps.keys().copied().collect();
-    let vip_demand: Vec<f64> = snap.vip_demand_bps.values().copied().collect();
-    let mut serve_parts: Vec<ServePartial> = Vec::new();
-    {
-        let st: &PlatformState = &*state;
-        pool.map_blocks_into(
-            REGION_DEMAND_SERVE,
-            vips.len(),
-            DEMAND_BLOCK,
-            &mut serve_parts,
-            |range| {
-                let mut part = ServePartial::default();
-                for i in range {
-                    let vip = vips[i];
-                    let rec = *st.vip(vip).expect("listed");
-                    let app_idx = rec.app.0 as usize;
-                    let sw = &st.switches[rec.switch.0 as usize];
-                    // Switch-capacity overflow for this VIP (uniform scaling).
-                    let offered = vip_demand[i];
-                    let dist = sw.distribute_vip(vip).expect("configured");
-                    let distributed: f64 = dist.iter().map(|&(_, b)| b).sum();
-                    if offered > distributed {
-                        part.unserved.push((app_idx, offered - distributed));
-                    }
-                    for (rip, bps) in dist {
-                        if bps <= 0.0 {
-                            continue;
-                        }
-                        let vm_id = match st.rip(rip) {
-                            Ok(r) => r.vm,
-                            Err(_) => {
-                                part.unserved.push((app_idx, bps));
-                                continue;
-                            }
-                        };
-                        let vm = st.fleet.vm(vm_id).expect("RIP references live VM");
-                        if !vm.state.serves_traffic() {
-                            part.unserved.push((app_idx, bps));
-                            continue;
-                        }
-                        let cpu = profile.cpu_demand(profile.rps_for_bandwidth(bps));
-                        let served_cpu = cpu.min(vm.cpu_slice);
-                        if cpu > served_cpu {
-                            let lost_rps = (cpu - served_cpu) / profile.cpu_per_req;
-                            part.unserved
-                                .push((app_idx, profile.bandwidth_bps(lost_rps)));
-                        }
-                        let served_rps = served_cpu / profile.cpu_per_req;
-                        part.vip_served
-                            .push((vip, profile.bandwidth_bps(served_rps)));
-                        part.vm_offered.push((vm_id, cpu));
-                        part.vm_served.push((vm_id, served_cpu));
-                        let srv = st.fleet.locate(vm_id).expect("live VM");
-                        part.server_load.push((srv.0 as usize, served_cpu));
-                    }
+    // --- 4: RIPs → VMs → servers (phase demand-serve) --------------------
+    for (&vip, &offered) in vip_demand_bps.iter() {
+        let rec = *state.vip(vip).expect("listed");
+        let app_idx = rec.app.0 as usize;
+        let sw = &state.switches[rec.switch.0 as usize];
+        // Switch-capacity overflow for this VIP (uniform scaling).
+        let dist = sw.distribute_vip(vip).expect("configured");
+        let distributed: f64 = dist.iter().map(|&(_, b)| b).sum();
+        if offered > distributed {
+            unserved_bps_by_app[app_idx] += offered - distributed;
+        }
+        // Summed locally and stored once: the VIP gets an entry only when
+        // some RIP served it, and the adds run in the same order.
+        let mut served_bps: Option<f64> = None;
+        for (rip, bps) in dist {
+            if bps <= 0.0 {
+                continue;
+            }
+            let vm_id = match state.rip(rip) {
+                Ok(r) => r.vm,
+                Err(_) => {
+                    unserved_bps_by_app[app_idx] += bps;
+                    continue;
                 }
-                part
-            },
-        );
-    }
-    for part in &serve_parts {
-        for &(app_idx, bps) in &part.unserved {
-            snap.unserved_bps_by_app[app_idx] += bps;
+            };
+            let vm = state.fleet.vm(vm_id).expect("RIP references live VM");
+            if !vm.state.serves_traffic() {
+                unserved_bps_by_app[app_idx] += bps;
+                continue;
+            }
+            let cpu = profile.cpu_demand(profile.rps_for_bandwidth(bps));
+            let served_cpu = cpu.min(vm.cpu_slice);
+            if cpu > served_cpu {
+                let lost_rps = (cpu - served_cpu) / profile.cpu_per_req;
+                unserved_bps_by_app[app_idx] += profile.bandwidth_bps(lost_rps);
+            }
+            let served_rps = served_cpu / profile.cpu_per_req;
+            *served_bps.get_or_insert(0.0) += profile.bandwidth_bps(served_rps);
+            *vm_cpu_offered.entry(vm_id).or_insert(0.0) += cpu;
+            *vm_cpu_served.entry(vm_id).or_insert(0.0) += served_cpu;
+            let srv = state.fleet.locate(vm_id).expect("live VM");
+            server_cpu_load[srv.0 as usize] += served_cpu;
         }
-        for &(vip, bps) in &part.vip_served {
-            *snap.vip_served_bps.entry(vip).or_insert(0.0) += bps;
-        }
-        for &(vm_id, cpu) in &part.vm_offered {
-            *snap.vm_cpu_offered.entry(vm_id).or_insert(0.0) += cpu;
-        }
-        for &(vm_id, cpu) in &part.vm_served {
-            *snap.vm_cpu_served.entry(vm_id).or_insert(0.0) += cpu;
-        }
-        for &(srv_idx, cpu) in &part.server_load {
-            snap.server_cpu_load[srv_idx] += cpu;
+        if let Some(bps) = served_bps {
+            vip_served_bps.insert(vip, bps);
         }
     }
     timing.serve_s = clock.lap();
@@ -550,6 +436,113 @@ mod tests {
         assert!(pods.iter().all(|&u| (0.0..1.0).contains(&u)));
         // Servers 0 and 1 are in pods 0 and 1 (round-robin deal).
         assert!(pods[0] > 0.0 && pods[1] > 0.0);
+    }
+
+    /// Relative closeness at 1e-9 (exact for two zeros).
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+    }
+
+    /// The propagation identities of `snap` against the `state` it was
+    /// computed from: per app, offered demand = unserved + served through
+    /// its VIPs; each switch is offered exactly the demand of the VIPs
+    /// homed on it; each server carries exactly the CPU its VMs serve;
+    /// no VM serves more CPU than it is offered.
+    fn assert_conserved(state: &PlatformState, snap: &LoadSnapshot) {
+        let mut served_by_app = vec![0.0; state.num_apps()];
+        for (&vip, &bps) in &snap.vip_served_bps {
+            served_by_app[state.vip(vip).expect("served VIP").app.0 as usize] += bps;
+        }
+        for (app, &demand) in snap.app_demand_bps.iter().enumerate() {
+            let accounted = snap.unserved_bps_by_app[app] + served_by_app[app];
+            assert!(
+                close(demand, accounted),
+                "app {app}: demand {demand} != unserved + served {accounted}"
+            );
+        }
+
+        let mut offered_by_switch = vec![0.0; state.switches.len()];
+        for (&vip, &bps) in &snap.vip_demand_bps {
+            offered_by_switch[state.vip(vip).expect("routed VIP").switch.0 as usize] += bps;
+        }
+        for (i, (&got, &want)) in snap
+            .switch_offered_bps
+            .iter()
+            .zip(&offered_by_switch)
+            .enumerate()
+        {
+            assert!(
+                close(got, want),
+                "switch {i}: offered {got} != VIP sum {want}"
+            );
+        }
+
+        let mut load_by_server = vec![0.0; state.fleet.num_servers()];
+        for (&vm, &cpu) in &snap.vm_cpu_served {
+            load_by_server[state.fleet.locate(vm).expect("serving VM").0 as usize] += cpu;
+        }
+        for (s, (&got, &want)) in snap.server_cpu_load.iter().zip(&load_by_server).enumerate() {
+            assert!(close(got, want), "server {s}: load {got} != VM sum {want}");
+        }
+
+        assert_eq!(
+            snap.vm_cpu_served.keys().collect::<Vec<_>>(),
+            snap.vm_cpu_offered.keys().collect::<Vec<_>>()
+        );
+        for (vm, &served) in &snap.vm_cpu_served {
+            let offered = snap.vm_cpu_offered[vm];
+            assert!(
+                served <= offered,
+                "{vm}: served {served} > offered {offered}"
+            );
+        }
+    }
+
+    #[test]
+    fn demand_is_conserved_through_faults() {
+        let mut p = crate::Platform::build(PlatformConfig::small_test()).expect("build");
+        let mut unserved_epochs = 0;
+        for epoch in 0..30 {
+            if epoch == 8 {
+                p.inject_switch_failure(SwitchId(0))
+                    .expect("switch 1 stays");
+            }
+            if epoch == 16 {
+                let lost = p.inject_server_failure(ServerId(0)).expect("healthy");
+                assert!(lost > 0, "server 0 hosted no VMs");
+            }
+            if epoch == 20 {
+                // Withdraw one VIP everywhere (its demand turns
+                // unreachable) and give another a RIP on a booting VM
+                // (its share is lost until the VM runs).
+                let now = p.now();
+                let vips = p.state.app(AppId(0)).expect("app 0").vips.clone();
+                for r in 0..p.state.access.num_access_routers() as u32 {
+                    p.state
+                        .routes
+                        .withdraw(vip_prefix(vips[0]), AccessRouterId(r), now);
+                }
+                let slice = p.state.config.vm_cpu_slice;
+                let mem = p.state.config.vm_mem_mb;
+                let fleet = &mut p.state.fleet;
+                let vm = (0..fleet.num_servers() as u32)
+                    .find_map(|s| fleet.create_vm(ServerId(s), 0, slice, mem, now).ok())
+                    .expect("some server has room");
+                p.state.bind_rip(vips[1], vm, 1.0).expect("bind");
+            }
+            let demand = p.step().app_demand_bps.clone();
+            // The step's own snapshot predates the epoch's knob actions,
+            // which may move VIPs and VMs; re-propagate the same demand
+            // over the state the step left so every lookup is current.
+            let now = p.now();
+            let snap = propagate(&mut p.state, &demand, now);
+            assert!(snap.total_demand_bps() > 0.0);
+            assert_conserved(&p.state, &snap);
+            if snap.total_unserved_bps() > 0.0 {
+                unserved_epochs += 1;
+            }
+        }
+        assert!(unserved_epochs > 0, "no epoch lost demand");
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Platform-level identifiers and address pools.
 
 use lbswitch::{RipAddr, VipAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a hosted application (≈ a website, §II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(pub u32);
 
 /// Identifier of a *logical server pod* (§III.A). Not to be confused with
 /// fat-tree fabric pods — the paper's footnote 1 makes the same point.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PodId(pub u32);
 
 impl fmt::Display for AppId {
@@ -53,7 +50,7 @@ pub fn vip_prefix(vip: VipAddr) -> u64 {
 
 /// An allocator of addresses from a finite pool, with free-list reuse —
 /// "allocates an unused IP address" (§III.C).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AddressPool {
     next: u32,
     free: Vec<u32>,
@@ -103,7 +100,7 @@ impl AddressPool {
 }
 
 /// Typed VIP pool.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VipPool(AddressPool);
 
 impl VipPool {
@@ -127,7 +124,7 @@ impl VipPool {
 
 /// Typed RIP pool — the paper notes RIPs come from a private block such as
 /// 10.0.0.0/8, i.e. ~16.7M addresses; the pool enforces that bound.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RipPool(AddressPool);
 
 impl Default for RipPool {

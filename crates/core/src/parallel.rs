@@ -39,8 +39,6 @@
 //! divergence means some caller was accidentally depending on scheduling
 //! order, which the happy-path scheduler would hide.
 
-use std::ops::Range;
-
 /// A fixed-width pool of scoped worker threads for the epoch's declared
 /// parallel regions.
 ///
@@ -158,35 +156,6 @@ impl EpochPool {
         let mut out = Vec::with_capacity(items.len());
         self.map_into(region, items, &mut out, f);
         out
-    }
-
-    /// Map `f` over `0..n` split into **fixed-size index blocks** of
-    /// `block` items, appending one `R` per block to `out` in block
-    /// order.
-    ///
-    /// The block size — not the thread count — defines the grouping of
-    /// work, so a caller that folds the per-block partials in block
-    /// order performs *exactly the same operation sequence* at every
-    /// thread count (and on the serial fast path). This is what lets
-    /// parallel demand propagation stay bit-identical to its serial
-    /// ancestor: float accumulation never regroups.
-    pub fn map_blocks_into<R, F>(
-        &self,
-        region: &str,
-        n: usize,
-        block: usize,
-        out: &mut Vec<R>,
-        f: F,
-    ) where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        assert!(block > 0, "block size must be positive");
-        let blocks: Vec<Range<usize>> = (0..n)
-            .step_by(block)
-            .map(|start| start..(start + block).min(n))
-            .collect();
-        self.map_into(region, &blocks, out, |r| f(r.clone()));
     }
 }
 
@@ -310,37 +279,5 @@ mod tests {
         assert_eq!(sorted, (0..64).collect::<Vec<_>>());
         // ...and the identity when the sanitizer is off.
         assert_eq!(spawn_permutation(None, 64), (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn block_mapping_is_thread_count_invariant() {
-        // One float-ish partial per block; folding in block order must be
-        // identical regardless of threads/shuffle because the grouping is
-        // defined by the block size alone.
-        let n = 1234usize;
-        let fold = |parts: &[f64]| parts.iter().fold(0.0f64, |a, b| a * 0.5 + b);
-        let mut baseline = Vec::new();
-        EpochPool::with_shuffle(1, None).map_blocks_into(
-            REGION_POD_PLANNING,
-            n,
-            97,
-            &mut baseline,
-            |r| r.map(|i| (i as f64).sqrt()).sum::<f64>(),
-        );
-        assert_eq!(baseline.len(), n.div_ceil(97));
-        for threads in [2, 5, 16] {
-            for shuffle in [None, Some(9u64)] {
-                let mut out = Vec::new();
-                EpochPool::with_shuffle(threads, shuffle).map_blocks_into(
-                    REGION_POD_PLANNING,
-                    n,
-                    97,
-                    &mut out,
-                    |r| r.map(|i| (i as f64).sqrt()).sum::<f64>(),
-                );
-                assert_eq!(out, baseline);
-                assert!(fold(&out).to_bits() == fold(&baseline).to_bits());
-            }
-        }
     }
 }

@@ -61,10 +61,6 @@ pub struct PlatformMetrics {
     /// Pod-manager decision times (seconds, wall clock), covering
     /// problem assembly plus the controller solve.
     pub decision_times: Samples,
-    /// Wall-clock seconds spent in the parallel stages of demand
-    /// propagation, one sample per epoch (E19's parallel-fraction
-    /// numerator alongside `decision_times`).
-    pub propagation_times: Samples,
     /// Total placement changes decided by pod managers.
     pub placement_changes: Counter,
     /// Slice adjustments applied.
@@ -384,16 +380,7 @@ impl Platform {
         demands.extend((0..num_apps).map(|a| workload.demand_bps(a, now)));
         self.profiler.record(span("demand-fill"), clock.lap());
         let mut snap = std::mem::take(&mut self.scratch.snap);
-        let timing = propagate_into(
-            &mut self.state,
-            &self.scratch.demands,
-            now,
-            &mut snap,
-            &self.pool,
-        );
-        self.metrics
-            .propagation_times
-            .record(timing.parallel_stages_s());
+        let timing = propagate_into(&mut self.state, &self.scratch.demands, now, &mut snap);
         self.profiler.record(span("demand-route"), timing.route_s);
         self.profiler
             .record(span("demand-switch-reset"), timing.switch_reset_s);

@@ -31,14 +31,13 @@
 use dcsim::rng::splitmix64;
 use dcsim::{SimDuration, SimTime};
 use lbswitch::VipAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Application key (the `megadc` crate maps its `AppId`s onto these).
 pub type AppKey = u32;
 
 /// DNS behaviour parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DnsConfig {
     /// TTL on authoritative answers. Compliant clients re-resolve within
     /// one TTL of an exposure change.
@@ -86,7 +85,7 @@ impl DnsConfig {
 }
 
 /// Exposure state of one application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct AppExposure {
     /// Target (currently published) weights.
     target: Vec<(VipAddr, f64)>,
@@ -97,7 +96,7 @@ struct AppExposure {
 }
 
 /// The authoritative DNS system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DnsSystem {
     config: DnsConfig,
     apps: BTreeMap<AppKey, AppExposure>,

@@ -7,13 +7,12 @@
 //! engineering goals: avoid overload, and steer traffic among ISPs per
 //! business requirements such as "different link usage costs").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -48,7 +47,7 @@ id_type!(
 );
 
 /// One access link: a border router connected to an ISP access router.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessLink {
     /// This link's id.
     pub id: AccessLinkId,
@@ -68,7 +67,7 @@ pub struct AccessLink {
 /// interconnected (§III), so any VIP advertised at any access router can be
 /// served by any LB switch; the only constrained resources here are the
 /// access links themselves.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AccessNetwork {
     links: Vec<AccessLink>,
     num_border: u32,

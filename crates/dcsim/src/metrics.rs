@@ -7,10 +7,9 @@
 //! computes summaries on demand.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event count (e.g. "route updates issued").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: u64,
 }
@@ -60,7 +59,7 @@ impl std::fmt::Display for TimeTravel {
 impl std::error::Error for TimeTravel {}
 
 /// A time-stamped series of observations of one quantity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
     clamped: u64,
@@ -166,7 +165,7 @@ impl TimeSeries {
 
 /// A bag of scalar samples with percentile summaries (e.g. per-pod decision
 /// times across a run).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
 }
@@ -237,7 +236,7 @@ fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Summary statistics of a [`Samples`] set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -20,8 +20,6 @@
 //!    then by cost, then urgency, and truncated to the per-epoch caps so
 //!    the proactive plane cannot flood the serialized VIP/RIP queue.
 
-use serde::{Deserialize, Serialize};
-
 /// Rungs of the agility ladder (§IV, measured by E7): how fast each knob
 /// takes effect, fastest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -119,7 +117,7 @@ pub struct KnobRequest {
 }
 
 /// Arbiter configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArbiterConfig {
     /// Total proactive actions admitted per epoch.
     pub max_actions_per_epoch: usize,

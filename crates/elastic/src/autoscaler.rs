@@ -25,10 +25,9 @@
 
 use crate::arbiter::{KnobRequest, ProposedAction};
 use crate::forecast::{ForecastConfig, Predictor};
-use serde::{Deserialize, Serialize};
 
 /// Autoscaler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Utilization the controller provisions toward (capacity lands at
     /// `forecast / target_utilization`).

@@ -21,14 +21,12 @@
 //! All predictions are clamped non-negative. Everything is deterministic:
 //! no RNG, no wall clock, no allocation after construction.
 
-use serde::{Deserialize, Serialize};
-
 /// Hard cap on the peak-over-window length, so the predictor's ring
 /// buffer can live inline (no per-app heap allocation).
 pub const MAX_PEAK_WINDOW: usize = 16;
 
 /// Which predictor to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForecastMethod {
     /// Exponentially weighted moving average (level only).
     Ewma,
@@ -39,7 +37,7 @@ pub enum ForecastMethod {
 }
 
 /// Forecaster configuration (one per platform; predictors are per app).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastConfig {
     /// The prediction method.
     pub method: ForecastMethod,

@@ -66,11 +66,9 @@ pub use arbiter::{
 pub use autoscaler::{AppObservation, AppScaler, AutoscalerConfig};
 pub use forecast::{ForecastConfig, ForecastMethod, GroupForecaster, MapeAccumulator, Predictor};
 
-use serde::{Deserialize, Serialize};
-
 /// Top-level configuration of the proactive control plane; embeds into
 /// `PlatformConfig` (and so must stay `Copy`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ElasticConfig {
     /// Master switch. `false` (the default) keeps the platform purely
     /// reactive, byte-for-byte identical to the pre-elastic behaviour.

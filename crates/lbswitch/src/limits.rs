@@ -1,7 +1,6 @@
 //! Hard capacity limits of an LB switch.
 
 use dcsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Capacity limits of one load-balancing switch.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// 6500 CSM parameters the paper assumes throughout (§II); "our approach
 /// equally applies to switches with other parameters", hence a struct
 /// rather than constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchLimits {
     /// Maximum number of VIPs configurable on the switch.
     pub max_vips: usize,

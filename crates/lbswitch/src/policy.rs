@@ -7,10 +7,9 @@
 //! used by the aggregate demand model.
 
 use dcsim::rng::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// Which discipline a VIP uses to pick a RIP for a new session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
     /// Smooth weighted round-robin (deterministic, proportional).
     #[default]
@@ -42,7 +41,7 @@ pub fn split_by_weight(weights: &[f64], demand: f64) -> Vec<f64> {
 /// pick, every entry's current score increases by its weight; the highest
 /// score wins and is decremented by the total weight. Produces the most
 /// evenly interleaved weight-proportional sequence.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WrrState {
     current: Vec<f64>,
 }

@@ -2,22 +2,21 @@
 
 use crate::limits::SwitchLimits;
 use crate::policy::{pick_least_connections, pick_source_hash, split_by_weight, Policy, WrrState};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of an LB switch in the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u32);
 
 /// A virtual IP address: the externally visible address of an application
 /// (§II). Opaque index into the platform's VIP address pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VipAddr(pub u32);
 
 /// A real IP address: the internal address of one VM instance (§II; "can
 /// be taken from a private address space such as the 10.0.0.0/8 block").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RipAddr(pub u32);
 
 impl fmt::Display for SwitchId {
@@ -76,7 +75,7 @@ impl fmt::Display for SwitchError {
 impl std::error::Error for SwitchError {}
 
 /// One RIP entry under a VIP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RipEntry {
     /// The real IP address.
     pub rip: RipAddr,
@@ -87,7 +86,7 @@ pub struct RipEntry {
 }
 
 /// Per-VIP configuration on a switch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VipConfig {
     /// RIP entries in configuration order.
     pub rips: Vec<RipEntry>,
@@ -96,7 +95,6 @@ pub struct VipConfig {
     /// Offered external load for this VIP, bits/s (set by the fluid model
     /// each epoch).
     pub offered_bps: f64,
-    #[serde(skip)]
     wrr: WrrState,
 }
 
@@ -118,7 +116,7 @@ impl VipConfig {
 /// weights should be) lives in the managers of the `megadc` crate, exactly
 /// as in the paper where the global manager mediates every configuration
 /// change (§III.C).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LbSwitch {
     id: SwitchId,
     limits: SwitchLimits,

@@ -1,9 +1,9 @@
 //! Minimal deterministic JSON: a hand-rolled writer for event lines and
 //! a small recursive-descent parser for reading them back.
 //!
-//! The vendored `serde` stub is a no-op (offline build), so the event
-//! log format is produced and consumed here directly. Determinism
-//! requirements: object keys are written in a fixed order by the caller,
+//! The workspace has no serialization framework (the build is offline
+//! and every dependency is vendored), so the event log format is
+//! produced and consumed here directly. Determinism requirements: object keys are written in a fixed order by the caller,
 //! floats use Rust's shortest-round-trip `Display` (never locale- or
 //! platform-dependent), and non-finite floats are written as `null`.
 

@@ -26,7 +26,7 @@
 //!   the `analyze` phase checker and the generated parallel safety
 //!   matrix in DESIGN.md;
 //! * [`json`] — the hand-rolled deterministic JSON writer/parser (the
-//!   vendored serde is a no-op stub).
+//!   workspace has no serialization framework).
 //!
 //! See DESIGN.md §"Observability" for the schema and sizing rationale.
 

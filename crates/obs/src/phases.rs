@@ -17,8 +17,8 @@
 //!   merge order — float accumulation merged "whenever workers finish"
 //!   is exactly the nondeterminism the engine exists to prevent;
 //! * scans `crates/core` for the parallel-region call sites
-//!   (`map_into`/`map_blocks_into`), matches each against a
-//!   [`RegionDecl`] here by the `REGION_*` token, and fails `--deny` on
+//!   (`map_into`), matches each against a [`RegionDecl`] here by the
+//!   `REGION_*` token, and fails `--deny` on
 //!   any write inside a region closure whose target is not a
 //!   closure-local or a declared thread-local — plus any interior
 //!   mutability, event emission, or environment access, which no
@@ -179,7 +179,7 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     },
     PhaseDecl {
         id: "demand-route",
-        parallel: true,
+        parallel: false,
         reads: &[
             DemandVec,
             DnsState,
@@ -188,12 +188,8 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
             VipRipTables,
             Config,
         ],
-        writes: &[],
-        reduces: &[ReduceDecl {
-            resource: Snapshot,
-            order: Some("per-app contribution lists, folded in fixed app-block order"),
-            commutative: false,
-        }],
+        writes: &[Snapshot],
+        reduces: &[],
         where_: "demand::propagate_into (stages 1+2)",
     },
     PhaseDecl {
@@ -206,14 +202,10 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     },
     PhaseDecl {
         id: "demand-serve",
-        parallel: true,
+        parallel: false,
         reads: &[Snapshot, Switches, VipRipTables, VmFleet, Config],
-        writes: &[],
-        reduces: &[ReduceDecl {
-            resource: Snapshot,
-            order: Some("per-VIP contribution lists, folded in fixed VIP-block order"),
-            commutative: false,
-        }],
+        writes: &[Snapshot],
+        reduces: &[],
         where_: "demand::propagate_into (stage 4)",
     },
     PhaseDecl {
@@ -298,12 +290,6 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
 /// The per-pod planning region: one `PodManager::plan` per item, pure
 /// reads of the state/snapshot pair, plans joined in pod-index order.
 pub const REGION_POD_PLANNING: &str = "pod-planning";
-/// The DNS-split + routing stage of demand propagation, over fixed
-/// app-index blocks.
-pub const REGION_DEMAND_ROUTE: &str = "demand-route";
-/// The RIP/VM/server serving stage of demand propagation, over fixed
-/// VIP-index blocks.
-pub const REGION_DEMAND_SERVE: &str = "demand-serve";
 
 /// One closure that enters the `EpochPool`: which phase it belongs to,
 /// where it lives, and what it captures.
@@ -319,8 +305,8 @@ pub struct RegionDecl {
     /// The region id — the *value* of the `REGION_*` const.
     pub id: &'static str,
     /// The `REGION_*` const name, the token the lint matches at the
-    /// `map_into`/`map_blocks_into` call site (string literals are
-    /// stripped before scanning, so the const path is the anchor).
+    /// `map_into` call site (string literals are stripped before
+    /// scanning, so the const path is the anchor).
     pub konst: &'static str,
     /// The phase (by [`PhaseDecl::id`]) the region implements. Must be a
     /// declared parallel phase.
@@ -333,36 +319,17 @@ pub struct RegionDecl {
     pub thread_local: &'static [&'static str],
 }
 
-/// Every closure that enters the `EpochPool`, one entry per
-/// `map_into`/`map_blocks_into` call site in `crates/core`. A call site
-/// without an entry here — or an entry without a call site — fails
-/// `cargo run -p analyze -- --deny`.
-pub const REGIONS: &[RegionDecl] = &[
-    RegionDecl {
-        id: REGION_POD_PLANNING,
-        konst: "REGION_POD_PLANNING",
-        phase: "pod-planning",
-        file: "crates/core/src/platform.rs",
-        shared_reads: &["state_ref", "snap_ref"],
-        thread_local: &[],
-    },
-    RegionDecl {
-        id: REGION_DEMAND_ROUTE,
-        konst: "REGION_DEMAND_ROUTE",
-        phase: "demand-route",
-        file: "crates/core/src/demand.rs",
-        shared_reads: &["st", "app_demand_bps", "now"],
-        thread_local: &[],
-    },
-    RegionDecl {
-        id: REGION_DEMAND_SERVE,
-        konst: "REGION_DEMAND_SERVE",
-        phase: "demand-serve",
-        file: "crates/core/src/demand.rs",
-        shared_reads: &["st", "vips", "vip_demand", "profile"],
-        thread_local: &[],
-    },
-];
+/// Every closure that enters the `EpochPool`, one entry per `map_into`
+/// call site in `crates/core`. A call site without an entry here — or an
+/// entry without a call site — fails `cargo run -p analyze -- --deny`.
+pub const REGIONS: &[RegionDecl] = &[RegionDecl {
+    id: REGION_POD_PLANNING,
+    konst: "REGION_POD_PLANNING",
+    phase: "pod-planning",
+    file: "crates/core/src/platform.rs",
+    shared_reads: &["state_ref", "snap_ref"],
+    thread_local: &[],
+}];
 
 /// Look up a phase declaration by id.
 pub fn phase(id: &str) -> Option<&'static PhaseDecl> {

@@ -6,11 +6,10 @@
 //! is maximized and *placement changes* (instance starts/stops, which are
 //! expensive — §IV.D) are minimized.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Capacity of one server as seen by a placement algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerCap {
     /// CPU capacity units available.
     pub cpu: f64,
@@ -19,7 +18,7 @@ pub struct ServerCap {
 }
 
 /// Requirements of one application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppReq {
     /// Total CPU demand units to satisfy.
     pub demand_cpu: f64,
@@ -29,7 +28,7 @@ pub struct AppReq {
 }
 
 /// A placement problem instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementProblem {
     /// Server capacities.
     pub servers: Vec<ServerCap>,
@@ -63,7 +62,7 @@ impl PlacementProblem {
 
 /// A placement: per application, the CPU allocated to it on each server
 /// hosting one of its instances. An entry `(server, cpu)` *is* an instance.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Placement {
     allocs: Vec<BTreeMap<usize, f64>>,
 }

@@ -12,10 +12,9 @@
 //! | fresh boot | image boot | minutes |
 
 use dcsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Latency model for VM lifecycle operations and slice changes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Fresh VM boot from image.
     pub boot: SimDuration,

@@ -4,7 +4,6 @@
 use crate::cost::CostModel;
 use crate::server::{PlaceError, Server, ServerId, ServerSpec, Vm, VmId, VmState};
 use dcsim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -37,7 +36,7 @@ impl std::error::Error for VmError {}
 /// The whole server fleet. Pod membership is *not* stored here — pods are
 /// logical groupings owned by the `megadc` managers (§III.B: "logical pods
 /// … independent of server location"); the fleet only knows physics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fleet {
     servers: Vec<Server>,
     /// VM → hosting server. For a migrating VM: the *source* (it serves

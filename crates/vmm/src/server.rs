@@ -1,16 +1,15 @@
 //! Physical servers and the VMs placed on them.
 
 use dcsim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a physical server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 /// Identifier of a virtual machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 impl fmt::Display for ServerId {
@@ -27,7 +26,7 @@ impl fmt::Display for VmId {
 /// Hardware of one server. CPU capacity is in abstract *capacity units*
 /// (1.0 ≈ one core's worth); the paper's placement algorithms reason in
 /// the same normalized units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     /// Total CPU capacity units available to VMs.
     pub cpu: f64,
@@ -55,7 +54,7 @@ impl ServerSpec {
 }
 
 /// Lifecycle state of a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmState {
     /// Freshly created (boot or clone); serves no traffic until `ready_at`.
     Booting {
@@ -83,7 +82,7 @@ impl VmState {
 }
 
 /// One virtual machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// This VM's id.
     pub id: VmId,
@@ -120,7 +119,7 @@ impl fmt::Display for PlaceError {
 impl std::error::Error for PlaceError {}
 
 /// A physical server with its resident VMs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Server {
     id: ServerId,
     spec: ServerSpec,

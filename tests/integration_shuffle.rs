@@ -91,9 +91,10 @@ fn event_log_is_byte_identical_under_schedule_shuffle() {
                 baseline.event_log, run.event_log,
                 "event log diverged under MEGADC_SHUFFLE={seed} at {threads} threads"
             );
-            // Bitwise float equality is deliberate: contribution lists
-            // are replayed in block order, so even the accumulation
-            // order of every float is scheduler-independent.
+            // Bitwise float equality is deliberate: demand propagation
+            // is serial and pod plans are applied in pod-index order, so
+            // even the accumulation order of every float is
+            // scheduler-independent.
             assert_eq!(
                 baseline.served_by_epoch, run.served_by_epoch,
                 "served fraction diverged under MEGADC_SHUFFLE={seed} at {threads} threads"
