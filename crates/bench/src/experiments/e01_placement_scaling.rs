@@ -5,13 +5,15 @@
 //! needs ~30 s for 7,000 servers / 17,500 applications, with runtime
 //! growing super-linearly in machine count; \[25\] takes ~30 s for 1,500
 //! VMs. The architecture's answer is pods of ≤5,000 servers running the
-//! controller independently (and, here, in parallel via rayon).
+//! controller independently.
 //!
 //! We sweep problem sizes at the paper's 2.5 apps-per-server ratio and
 //! measure: the flat controller's wall time, a first-fit baseline, and
-//! the hierarchical scheme's wall time (pods of 500 servers solved in
-//! parallel) and total CPU time. The *shape* is the claim: flat grows
-//! super-linearly; hierarchical wall time stays near the single-pod cost.
+//! the hierarchical scheme's wall time and total CPU time. The pods of
+//! 500 servers are solved one after another; the hierarchical wall time
+//! is the slowest pod's, which is what a host with one core per pod
+//! sees. The *shape* is the claim: flat grows super-linearly;
+//! hierarchical wall time stays near the single-pod cost.
 
 use dcsim::rng::component_rng;
 use dcsim::table::{fnum, Table};
@@ -19,7 +21,6 @@ use placement::{
     AppReq, FirstFit, PlacementAlgorithm, PlacementProblem, ServerCap, TangController,
 };
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Build a placement problem with `servers` machines and 2.5× apps with
 /// Zipf-ish demands averaging ~60% total utilization.
@@ -89,11 +90,9 @@ pub fn run(quick: bool) -> String {
         // First-fit baseline.
         let (ff_s, _) = time_it(|| FirstFit.compute(&prob, None).total_satisfied());
         // Hierarchical: servers dealt into pods of `pod_size`, each pod
-        // gets a proportional slice of the apps; pods solved in parallel.
+        // gets a proportional slice of the apps; each pod solved alone.
         let pods = servers.div_ceil(pod_size);
-        let started = std::time::Instant::now();
         let results: Vec<(f64, f64)> = (0..pods)
-            .into_par_iter()
             .map(|p| {
                 let lo_s = p * pod_size;
                 let hi_s = ((p + 1) * pod_size).min(prob.servers.len());
@@ -103,12 +102,10 @@ pub fn run(quick: bool) -> String {
                     servers: prob.servers[lo_s..hi_s].to_vec(),
                     apps: prob.apps[lo_a..hi_a].to_vec(),
                 };
-                let t0 = std::time::Instant::now();
-                let sat = tang.compute(&sub, None).total_satisfied();
-                (t0.elapsed().as_secs_f64(), sat)
+                time_it(|| tang.compute(&sub, None).total_satisfied())
             })
             .collect();
-        let hier_wall = started.elapsed().as_secs_f64();
+        let hier_wall = results.iter().map(|&(s, _)| s).fold(0.0, f64::max);
         let hier_cpu: f64 = results.iter().map(|&(s, _)| s).sum();
         let hier_sat: f64 = results.iter().map(|&(_, s)| s).sum();
         t.row([
@@ -136,8 +133,9 @@ pub fn run(quick: bool) -> String {
          (>1 = super-linear, matching the paper's account of [23]; the paper's\n\
          absolute datapoint — ~30 s at 7,000 servers / 17,500 apps on 2007\n\
          hardware — is reproduced in *shape*, not magnitude)\n\
-         hierarchical wall time tracks one pod's cost regardless of scale,\n\
-         because pods solve in parallel (§III.A).\n",
+         hierarchical wall time (the slowest pod, as with one core per pod)\n\
+         tracks one pod's cost regardless of scale, because pods solve\n\
+         independently (§III.A).\n",
         t.render(),
         exponent,
     )

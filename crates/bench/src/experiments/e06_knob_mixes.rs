@@ -11,6 +11,7 @@ use dcsim::table::{fnum, Table};
 use dcsim::SimDuration;
 use megadc::config::KnobFlags;
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids as mid;
 use workload::FlashCrowd;
 
 struct Outcome {
@@ -48,8 +49,8 @@ fn run_mix(knobs: KnobFlags, epochs: u64) -> Outcome {
     Outcome {
         served_mean: served_sum / epochs as f64,
         served_final,
-        instance_starts: p.metrics.instance_starts.get(),
-        slice_adjustments: p.metrics.slice_adjustments.get(),
+        instance_starts: p.registry.counter(mid::INSTANCE_STARTS),
+        slice_adjustments: p.registry.counter(mid::SLICE_ADJUSTMENTS),
         deployments: p.global.counters.deployments_completed,
         reweights: p.global.counters.interpod_weight_adjustments,
     }

@@ -20,6 +20,7 @@ use crate::Report;
 use dcsim::table::{fnum, Table};
 use dcsim::SimDuration;
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids as mid;
 use std::path::Path;
 use workload::FlashCrowd;
 
@@ -117,9 +118,9 @@ pub(crate) fn run_one(
         served_mean: served_sum / epochs as f64,
         overload_epochs,
         time_to_relief,
-        deployments: p.metrics.instance_starts.get()
+        deployments: p.registry.counter(mid::INSTANCE_STARTS)
             + p.global.counters.deployments_started
-            + p.metrics.proactive_deployments.get(),
+            + p.registry.counter(mid::PROACTIVE_DEPLOY),
         mape: p.forecast_mape(),
         ring_dropped: p.global.recorder.dropped(),
         sink_errors: p.global.recorder.sink_errors(),

@@ -29,6 +29,7 @@ use crate::Report;
 use dcsim::table::{fnum, Table};
 use dcsim::SimDuration;
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids as mid;
 use obs::{scale_direction, Event};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -179,9 +180,9 @@ pub(crate) fn run_one_with(
         overload_epochs: served.iter().filter(|&&s| s < OVERLOAD_THRESHOLD).count(),
         escapes: p.global.counters.misrouting_escapes,
         exposure_updates: p.global.counters.exposure_updates,
-        deployments: p.metrics.instance_starts.get()
+        deployments: p.registry.counter(mid::INSTANCE_STARTS)
             + p.global.counters.deployments_started
-            + p.metrics.proactive_deployments.get(),
+            + p.registry.counter(mid::PROACTIVE_DEPLOY),
         flipflops_90_180: oscillation_flipflops(&recorded, WARMUP + OSC_FROM, WARMUP + OSC_TO),
         flipflops_total: oscillation_flipflops(&recorded, WARMUP, u64::MAX),
         ring_dropped: p.global.recorder.dropped(),

@@ -49,9 +49,6 @@ pub(crate) struct TierResult {
     rounds: usize,
     /// Mean wall seconds per epoch, parallel to [`THREADS`].
     wall_per_epoch_s: Vec<f64>,
-    /// Per-epoch planning seconds (sum of pod decision times), measured
-    /// over the t=1 epochs only so it is commensurable with `wall(1)`.
-    plan_s_per_epoch: f64,
     /// Per-epoch seconds in the route and serve stages of demand
     /// propagation (the `demand-route` + `demand-serve` profiler
     /// phases), t=1 epochs only.
@@ -73,18 +70,28 @@ impl TierResult {
             .unwrap_or(f64::NAN)
     }
 
+    /// Per-epoch planning seconds: the `pod-planning` profiler span,
+    /// measured over the t=1 epochs only so it is commensurable with
+    /// `wall(1)`.
+    fn plan_s_per_epoch(&self) -> f64 {
+        obs::profile::phase_index("pod-planning")
+            .and_then(|ph| self.phase_s_per_epoch.get(ph))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
     /// Measured speedup of 4 threads over 1.
     fn speedup_t4(&self) -> f64 {
         self.wall(1) / self.wall(4)
     }
 
     /// Fraction of the single-thread epoch spent in the declared
-    /// parallel region, pod planning (`decision_time` covers problem
+    /// parallel region, pod planning (its profiler span covers problem
     /// assembly plus the controller solve). Everything else — demand
     /// propagation, plan application, the global knobs and the VIP/RIP
     /// queue — is serial.
     fn parallel_fraction(&self) -> f64 {
-        (self.plan_s_per_epoch / self.wall(1)).clamp(0.0, 1.0)
+        (self.plan_s_per_epoch() / self.wall(1)).clamp(0.0, 1.0)
     }
 
     /// Amdahl's-law speedup prediction at 4 workers given the measured
@@ -139,20 +146,15 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
 
     let num_phases = obs::phases::EPOCH_PHASES.len();
     let mut wall_total = vec![0.0f64; THREADS.len()];
-    let mut plan_total = 0.0f64;
     let mut phase_total = vec![0.0f64; num_phases];
     for _round in 0..rounds {
         for (i, &threads) in THREADS.iter().enumerate() {
             p.set_threads(threads);
-            let plan_samples0 = p.metrics.decision_times.len();
             let phase0: Vec<f64> = (0..num_phases).map(|ph| p.profiler.total_s(ph)).collect();
             let t0 = Instant::now();
             p.step();
             wall_total[i] += t0.elapsed().as_secs_f64();
             if threads == 1 {
-                plan_total += p.metrics.decision_times.values()[plan_samples0..]
-                    .iter()
-                    .sum::<f64>();
                 for (ph, total) in phase_total.iter_mut().enumerate() {
                     *total += p.profiler.total_s(ph) - phase0[ph];
                 }
@@ -176,7 +178,6 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
         build_s,
         rounds,
         wall_per_epoch_s: wall_total.iter().map(|w| w / rounds as f64).collect(),
-        plan_s_per_epoch: plan_total / rounds as f64,
         demand_s_per_epoch: demand_total / rounds as f64,
         phase_s_per_epoch: phase_total.iter().map(|s| s / rounds as f64).collect(),
         served_final,
@@ -223,7 +224,7 @@ fn bench_json(quick: bool, tiers: &[TierResult]) -> String {
             obs::json::write_f64(tier.wall_per_epoch_s[i], &mut out);
         }
         out.push_str("},\"plan_s_per_epoch\":");
-        obs::json::write_f64(tier.plan_s_per_epoch, &mut out);
+        obs::json::write_f64(tier.plan_s_per_epoch(), &mut out);
         out.push_str(",\"demand_s_per_epoch\":");
         obs::json::write_f64(tier.demand_s_per_epoch, &mut out);
         out.push_str(",\"phase_s_per_epoch\":{");
@@ -349,7 +350,7 @@ mod tests {
         assert_eq!(tier.apps, 600);
         assert!(tier.pods >= 1 && tier.vms >= 600);
         assert!(tier.wall_per_epoch_s.iter().all(|&w| w > 0.0));
-        assert!(tier.plan_s_per_epoch >= 0.0);
+        assert!(tier.plan_s_per_epoch() >= 0.0);
         assert!(tier.demand_s_per_epoch > 0.0);
         assert!((0.0..=1.0).contains(&tier.parallel_fraction()));
         assert!(tier.amdahl_t4() >= 1.0);

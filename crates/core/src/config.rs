@@ -202,12 +202,6 @@ pub struct PlatformConfig {
     pub event_ring_capacity: usize,
     /// Knob ablation switches (default: all on).
     pub knobs: KnobFlags,
-    /// Scrape the typed metrics registry (`obs::metrics`) at every epoch
-    /// close (default: on). The scrape reads only sim state and the sim
-    /// clock, so exports are byte-identical across thread counts and
-    /// shuffle seeds; disabling it skips the per-epoch registry refresh
-    /// for harnesses that do not export metrics.
-    pub metrics: bool,
     /// Proactive elasticity control plane (forecasting + predictive
     /// autoscaling + arbitration). Disabled by default: the platform
     /// stays purely reactive unless an experiment opts in.
@@ -262,7 +256,6 @@ impl PlatformConfig {
             threads: 0,
             event_ring_capacity: 0,
             knobs: KnobFlags::ALL,
-            metrics: true,
             elastic: ElasticConfig::default(),
         }
     }

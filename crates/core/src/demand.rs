@@ -503,6 +503,17 @@ mod tests {
         let mut p = crate::Platform::build(PlatformConfig::small_test()).expect("build");
         let mut unserved_epochs = 0;
         for epoch in 0..30 {
+            if epoch == 2 {
+                // Multi-home one VIP at every access router, so its demand
+                // splits across several routes once they converge.
+                let vip = p.state.app(AppId(1)).expect("app 1").vips[0];
+                let now = p.now();
+                for r in 0..p.state.access.num_access_routers() as u32 {
+                    p.state
+                        .routes
+                        .advertise(vip_prefix(vip), AccessRouterId(r), 0, now);
+                }
+            }
             if epoch == 8 {
                 p.inject_switch_failure(SwitchId(0))
                     .expect("switch 1 stays");
@@ -538,6 +549,13 @@ mod tests {
             let snap = propagate(&mut p.state, &demand, now);
             assert!(snap.total_demand_bps() > 0.0);
             assert_conserved(&p.state, &snap);
+            // Link loads carry exactly the reachable (routed) demand.
+            let links: f64 = snap.link_load_bps.iter().sum();
+            let routed: f64 = snap.vip_demand_bps.values().sum();
+            assert!(
+                close(links, routed),
+                "epoch {epoch}: link loads {links} != routed VIP demand {routed}"
+            );
             if snap.total_unserved_bps() > 0.0 {
                 unserved_epochs += 1;
             }

@@ -18,7 +18,8 @@
 //!    serially in pod-index order;
 //! 4. run the global manager's knobs (§IV) and the serialized VIP/RIP
 //!    queue (§III.C);
-//! 5. bind RIPs for newly running instances and record metrics.
+//! 5. bind RIPs for newly running instances and scrape the metrics
+//!    registry.
 //!
 //! Per-epoch scratch (the demand vector, the snapshot buffers, the plan
 //! vector) lives in [`Platform`] and is reused across epochs, so the
@@ -34,7 +35,6 @@ use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
 use crate::viprip::{Priority, Request, Response};
 use dcnet::access::AccessLinkId;
-use dcsim::metrics::{Counter, Samples, TimeSeries};
 use dcsim::SimTime;
 use elastic::{AppObservation, ElasticController, KnobRequest, ProposedAction};
 use lbswitch::SwitchId;
@@ -45,40 +45,6 @@ use std::collections::BTreeMap;
 use vmm::{ServerId, VmId, VmState};
 use workload::Workload;
 
-/// Time-series metrics recorded every epoch.
-#[derive(Debug, Default)]
-pub struct PlatformMetrics {
-    /// Max access-link utilization.
-    pub link_util_max: TimeSeries,
-    /// Jain's fairness of link utilizations.
-    pub link_fairness: TimeSeries,
-    /// Max LB-switch utilization.
-    pub switch_util_max: TimeSeries,
-    /// Max pod CPU utilization.
-    pub pod_util_max: TimeSeries,
-    /// Fraction of offered demand served.
-    pub served_fraction: TimeSeries,
-    /// Pod-manager decision times (seconds, wall clock), covering
-    /// problem assembly plus the controller solve.
-    pub decision_times: Samples,
-    /// Total placement changes decided by pod managers.
-    pub placement_changes: Counter,
-    /// Slice adjustments applied.
-    pub slice_adjustments: Counter,
-    /// Pod-initiated instance starts.
-    pub instance_starts: Counter,
-    /// Pod-initiated instance stops.
-    pub instance_stops: Counter,
-    /// Proactive (forecast-driven) instance deployments started.
-    pub proactive_deployments: Counter,
-    /// Proactive instance retirements.
-    pub proactive_retirements: Counter,
-    /// Proactive VM slice adjustments applied.
-    pub proactive_slice_adjustments: Counter,
-    /// Proactive RIP reweight requests submitted.
-    pub proactive_reweights: Counter,
-}
-
 /// Summary of a multi-epoch run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
@@ -86,7 +52,8 @@ pub struct RunReport {
     pub epochs: u64,
     /// Served fraction in the final epoch.
     pub final_served_fraction: f64,
-    /// Mean served fraction across the run.
+    /// Mean of the per-epoch served fractions over the epochs of this
+    /// [`Platform::run_epochs`] call (the final value when it ran none).
     pub mean_served_fraction: f64,
     /// Final max link utilization.
     pub final_link_util_max: f64,
@@ -115,10 +82,10 @@ pub struct Platform {
     pub workload: Workload,
     /// The global manager (owns the VIP/RIP queue and knob counters).
     pub global: GlobalManager,
-    /// Recorded metrics.
-    pub metrics: PlatformMetrics,
-    /// The deterministic metrics registry (scraped at epoch close when
-    /// `config.metrics` is on; export via [`Registry::render_text`]).
+    /// The deterministic metrics registry — the platform's only metrics
+    /// store. Actuation counters are added where the actuation happens;
+    /// everything else is scraped at epoch close. Export via
+    /// [`Registry::render_text`].
     pub registry: Registry,
     /// The wall-time phase profiler (always on; quarantined from every
     /// deterministic output — feeds E19 and `obs report --bench`).
@@ -294,7 +261,6 @@ impl Platform {
             state,
             workload,
             global,
-            metrics: PlatformMetrics::default(),
             registry: Registry::new(),
             profiler: PhaseProfiler::new(),
             slo: SloTracker::default(),
@@ -435,17 +401,11 @@ impl Platform {
         // relief): give them managers immediately so they plan next round.
         self.sync_pod_managers();
 
-        // Metrics.
+        // The epoch's headline load levels.
         let link_max = max_of(&snap.link_utilizations(&self.state));
         let switch_max = max_of(&snap.switch_utilizations(&self.state));
         let pod_max = max_of(&snap.pod_utilizations(&self.state));
         let served = snap.served_fraction();
-        let m = &mut self.metrics;
-        m.link_util_max.record(now, link_max);
-        m.link_fairness.record(now, snap.link_fairness(&self.state));
-        m.switch_util_max.record(now, switch_max);
-        m.pod_util_max.record(now, pod_max);
-        m.served_fraction.record(now, served);
 
         // Score the epoch against the served-fraction SLO. The inputs
         // (reconfig totals, the recorder's cumulative flip-flop count)
@@ -479,16 +439,14 @@ impl Platform {
 
         // Scrape the metrics registry (the declared `Metrics` write of
         // the `epoch-close` phase).
-        if self.state.config.metrics {
-            self.scrape_registry(
-                &snap,
-                now,
-                (link_max, switch_max, pod_max, served),
-                reconfigs,
-                rips_bound,
-                slo,
-            );
-        }
+        self.scrape_registry(
+            &snap,
+            now,
+            (link_max, switch_max, pod_max, served),
+            reconfigs,
+            rips_bound,
+            slo,
+        );
         self.profiler.record(span("epoch-close"), clock.lap());
         self.profiler.end_epoch();
 
@@ -500,10 +458,11 @@ impl Platform {
         &self.last_snapshot
     }
 
-    /// Refresh every registry instrument from sim state. Counters come
-    /// from cumulative sources (recorder totals, `PlatformMetrics`
-    /// counters, knob counters) via the monotone `set_counter`, so the
-    /// scrape is idempotent; gauges and histograms reflect this epoch.
+    /// Refresh the registry instruments read from sim state. Counters come
+    /// from cumulative sources (recorder totals, knob counters) via the
+    /// monotone `set_counter`, so the scrape is idempotent; gauges and
+    /// histograms reflect this epoch. The actuation counters are not
+    /// scraped: they are added where the actuation happens.
     fn scrape_registry(
         &mut self,
         snap: &LoadSnapshot,
@@ -534,16 +493,7 @@ impl Platform {
             r.observe(mid::POD_UTIL, u);
         }
         let rec = &self.global.recorder;
-        let m = &self.metrics;
         r.set_counter(mid::POD_PLANS, rec.total_count(ActionKind::PodPlan.key()));
-        r.set_counter(mid::INSTANCE_STARTS, m.instance_starts.get());
-        r.set_counter(mid::INSTANCE_STOPS, m.instance_stops.get());
-        r.set_counter(mid::SLICE_ADJUSTMENTS, m.slice_adjustments.get());
-        r.set_counter(mid::PLACEMENT_CHANGES, m.placement_changes.get());
-        r.set_counter(mid::PROACTIVE_DEPLOY, m.proactive_deployments.get());
-        r.set_counter(mid::PROACTIVE_RETIRE, m.proactive_retirements.get());
-        r.set_counter(mid::PROACTIVE_REWEIGHT, m.proactive_reweights.get());
-        r.set_counter(mid::PROACTIVE_SLICE, m.proactive_slice_adjustments.get());
         if let Some(mape) = mape {
             r.set_gauge(mid::FORECAST_MAPE, mape);
         }
@@ -660,7 +610,7 @@ impl Platform {
                     .global
                     .waterfill_app(&self.state, AppId(app), &utils, step)
                 {
-                    self.metrics.proactive_reweights.incr();
+                    self.registry.add(mid::PROACTIVE_REWEIGHT, 1);
                     self.global
                         .recorder
                         .event(Actor::Elastic, ActionKind::ProactiveReweight)
@@ -683,10 +633,10 @@ impl Platform {
                         continue;
                     }
                     if self.state.fleet.adjust_slice(vm, target_slice).is_ok() {
-                        self.metrics.proactive_slice_adjustments.incr();
                         adjusted += 1;
                     }
                 }
+                self.registry.add(mid::PROACTIVE_SLICE, adjusted);
                 if adjusted > 0 {
                     self.global
                         .recorder
@@ -738,12 +688,12 @@ impl Platform {
                             continue;
                         }
                         if self.state.fleet.clone_vm(src, srv, now).is_ok() {
-                            self.metrics.proactive_deployments.incr();
                             remaining -= 1;
                         }
                     }
                 }
                 let deployed = instances - remaining;
+                self.registry.add(mid::PROACTIVE_DEPLOY, deployed as u64);
                 if deployed > 0 {
                     self.last_scale_out.insert(app, self.epochs);
                     self.global
@@ -785,11 +735,11 @@ impl Platform {
                         break;
                     }
                     if self.global.queue_retire(&self.state, vm) {
-                        self.metrics.proactive_retirements.incr();
                         remaining -= 1;
                     }
                 }
                 let retired = instances as usize - remaining;
+                self.registry.add(mid::PROACTIVE_RETIRE, retired as u64);
                 if retired > 0 {
                     self.global
                         .recorder
@@ -807,12 +757,8 @@ impl Platform {
 
     fn apply_pod_plan(&mut self, plan: PodPlan, now: SimTime) {
         let knobs = self.state.config.knobs;
-        self.metrics
-            .decision_times
-            .record(plan.decision_time.as_secs_f64());
-        self.metrics
-            .placement_changes
-            .add(plan.placement_changes as u64);
+        self.registry
+            .add(mid::PLACEMENT_CHANGES, plan.placement_changes as u64);
         if !knobs.pod_slices && !knobs.pod_instances {
             return; // static provisioning baseline
         }
@@ -827,7 +773,6 @@ impl Platform {
             // May fail transiently when a co-resident VM grew first; the
             // next round replans around it.
             if self.state.fleet.adjust_slice(vm, cpu).is_ok() {
-                self.metrics.slice_adjustments.incr();
                 slices += 1;
             }
         }
@@ -855,7 +800,6 @@ impl Platform {
                 ),
             };
             if let Ok(vm) = created {
-                self.metrics.instance_starts.incr();
                 starts += 1;
                 self.last_scale_out.insert(app.0, self.epochs);
                 self.global
@@ -892,10 +836,12 @@ impl Platform {
             // drain a VIP's last live RIP and keeps the doomed RIP out of
             // same-epoch exposure decisions (the retire × transfer race).
             if self.global.queue_retire(&self.state, vm) {
-                self.metrics.instance_stops.incr();
                 stops += 1;
             }
         }
+        self.registry.add(mid::SLICE_ADJUSTMENTS, slices);
+        self.registry.add(mid::INSTANCE_STARTS, starts);
+        self.registry.add(mid::INSTANCE_STOPS, stops);
         let weight_requests = plan.weight_requests.len() as u64;
         for (vip, weights) in plan.weight_requests {
             self.global.viprip.submit(
@@ -1082,23 +1028,30 @@ impl Platform {
         Ok(prev)
     }
 
-    /// Run `n` epochs and summarize.
+    /// Run `n` epochs and summarize. The `final_*` fields read the
+    /// registry gauges of the last epoch (full service before the first).
     pub fn run_epochs(&mut self, n: u64) -> RunReport {
+        let mut served_sum = 0.0;
         for _ in 0..n {
-            self.step();
+            served_sum += self.step().served_fraction();
         }
-        let m = &self.metrics;
+        let r = &self.registry;
+        let final_served = if self.epochs == 0 {
+            1.0
+        } else {
+            r.gauge(mid::SERVED_FRACTION)
+        };
         RunReport {
             epochs: self.epochs,
-            final_served_fraction: m.served_fraction.last().unwrap_or(1.0),
-            mean_served_fraction: m
-                .served_fraction
-                .time_weighted_mean()
-                .or_else(|| m.served_fraction.last())
-                .unwrap_or(1.0),
-            final_link_util_max: m.link_util_max.last().unwrap_or(0.0),
-            final_switch_util_max: m.switch_util_max.last().unwrap_or(0.0),
-            final_pod_util_max: m.pod_util_max.last().unwrap_or(0.0),
+            final_served_fraction: final_served,
+            mean_served_fraction: if n == 0 {
+                final_served
+            } else {
+                served_sum / n as f64
+            },
+            final_link_util_max: r.gauge(mid::LINK_UTIL_MAX),
+            final_switch_util_max: r.gauge(mid::SWITCH_UTIL_MAX),
+            final_pod_util_max: r.gauge(mid::POD_UTIL_MAX),
         }
     }
 }
@@ -1193,7 +1146,8 @@ mod tests {
         });
         let report = p.run_epochs(200);
         // The platform adapts: instances were added and/or slices grown.
-        let adapted = p.metrics.instance_starts.get() > 0 || p.metrics.slice_adjustments.get() > 0;
+        let r = &p.registry;
+        let adapted = r.counter(mid::INSTANCE_STARTS) > 0 || r.counter(mid::SLICE_ADJUSTMENTS) > 0;
         assert!(adapted, "no elastic response to the flash crowd");
         // And the final state is consistent.
         p.state.assert_invariants();
@@ -1218,9 +1172,10 @@ mod tests {
                 peak: 6.0,
             });
             let report = p.run_epochs(60);
-            let proactive_actions = p.metrics.proactive_deployments.get()
-                + p.metrics.proactive_slice_adjustments.get()
-                + p.metrics.proactive_reweights.get();
+            let r = &p.registry;
+            let proactive_actions = r.counter(mid::PROACTIVE_DEPLOY)
+                + r.counter(mid::PROACTIVE_SLICE)
+                + r.counter(mid::PROACTIVE_REWEIGHT);
             (report, proactive_actions, p.forecast_mape())
         };
         let (report, actions, mape) = run();
@@ -1310,8 +1265,8 @@ mod tests {
             });
             p.run_epochs(80);
             (
-                p.metrics.instance_starts.get(),
-                p.metrics.instance_stops.get(),
+                p.registry.counter(mid::INSTANCE_STARTS),
+                p.registry.counter(mid::INSTANCE_STOPS),
             )
         };
         let (starts_hot, stops_hot) = run(0);
@@ -1369,17 +1324,23 @@ mod tests {
         let mut p = Platform::build(PlatformConfig::small_test()).unwrap();
         p.step();
         let pods_before = p.state.num_pods();
-        let samples_before = p.metrics.decision_times.len();
-        p.state.create_pod();
+        let pod = p.state.create_pod();
+        // Give the new pod a server (with its VMs) so it has a plan to make.
+        p.state.move_server_to_pod(ServerId(0), pod);
         assert_eq!(p.pod_managers.len(), pods_before); // manager not yet synced
+        p.global.recorder.take_events();
+        let epoch = p.epochs_run();
         p.step();
         assert_eq!(p.state.num_pods(), pods_before + 1);
         assert_eq!(p.pod_managers.len(), p.state.num_pods());
-        // Every pod — including the brand-new empty one — planned this
-        // epoch: `apply_pod_plan` records one decision-time sample per pod.
-        assert_eq!(
-            p.metrics.decision_times.len() - samples_before,
-            pods_before + 1
+        // The new pod planned this very epoch.
+        assert!(
+            p.global
+                .recorder
+                .take_events()
+                .iter()
+                .any(|e| e.epoch == epoch && e.kind == ActionKind::PodPlan && e.pod == Some(pod.0)),
+            "the new pod did not plan on the next step"
         );
         p.state.assert_invariants();
     }

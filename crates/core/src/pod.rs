@@ -20,14 +20,14 @@
 //!   while the pod's total weight stays fixed.
 //!
 //! The pod manager's **decision time** — the wall-clock cost of one full
-//! planning round (problem assembly plus the controller run, the whole
-//! threaded region) — is measured and reported; it is the quantity that
-//! blows up on *elephant pods* (§IV.C) and that experiment E1/E5 track.
+//! planning round (problem assembly plus the controller run) — is the
+//! quantity that blows up on *elephant pods* (§IV.C). The platform's
+//! `pod-planning` profiler span measures it per epoch; experiment E5
+//! times single rounds.
 
 use crate::demand::LoadSnapshot;
 use crate::ids::{AppId, PodId};
 use crate::state::PlatformState;
-use dcsim::SimDuration;
 use lbswitch::VipAddr;
 use placement::{
     AppReq, Placement, PlacementAlgorithm, PlacementProblem, ServerCap, TangController,
@@ -49,10 +49,6 @@ pub struct PodPlan {
     /// Per-VIP intra-pod weight requests (to be submitted to the VIP/RIP
     /// manager): `(vip, [(vm, relative weight)])` (§IV.F).
     pub weight_requests: Vec<(VipAddr, Vec<(VmId, f64)>)>,
-    /// Wall-clock time the planning round took (problem assembly plus
-    /// the placement controller) — the pod manager's decision cost
-    /// (§IV.C's elephant-pod signal).
-    pub decision_time: SimDuration,
     /// Number of placement changes (instance starts + stops) the
     /// controller decided on.
     pub placement_changes: usize,
@@ -92,10 +88,6 @@ impl PodManager {
     /// demand sums, the incumbent, the `(app, server) → VM` lookup and the
     /// plan diff all index those rows instead of maps.
     pub fn plan(&self, state: &PlatformState, snapshot: &LoadSnapshot) -> PodPlan {
-        // Decision time covers the whole threaded region — problem
-        // assembly *and* the controller solve — since both run on the
-        // epoch pool and both scale with pod size.
-        let started = std::time::Instant::now();
         let cfg = &state.config;
         // Failed servers are invisible to the planner: their instances are
         // already gone, and nothing may be placed on them.
@@ -161,12 +153,10 @@ impl PodManager {
         }
 
         let next = self.controller.compute(&problem, Some(&incumbent));
-        let decision_time = SimDuration::from_secs_f64(started.elapsed().as_secs_f64());
 
         // Diff the placements into actions.
         let mut plan = PodPlan {
             pod: self.id,
-            decision_time,
             placement_changes: next.changes_from(&incumbent),
             problem_size: (servers.len(), state.pod_vm_count(self.id)),
             ..PodPlan::default()
@@ -292,10 +282,6 @@ mod tests {
     /// The map-based planner the row-based [`PodManager::plan`] replaced,
     /// kept verbatim as the differential reference.
     fn plan_reference(mgr: &PodManager, state: &PlatformState, snapshot: &LoadSnapshot) -> PodPlan {
-        // Decision time covers the whole threaded region — problem
-        // assembly *and* the controller solve — since both run on the
-        // epoch pool and both scale with pod size.
-        let started = std::time::Instant::now();
         // Failed servers are invisible to the planner: their instances are
         // already gone, and nothing may be placed on them.
         let servers: Vec<ServerId> = state
@@ -370,12 +356,10 @@ mod tests {
         }
 
         let next = mgr.controller.compute(&problem, Some(&incumbent));
-        let decision_time = SimDuration::from_secs_f64(started.elapsed().as_secs_f64());
 
         // Diff the placements into actions.
         let mut plan = PodPlan {
             pod: mgr.id,
-            decision_time,
             placement_changes: next.changes_from(&incumbent),
             problem_size: (servers.len(), state.pod_vm_count(mgr.id)),
             ..PodPlan::default()
@@ -430,7 +414,7 @@ mod tests {
         plan
     }
 
-    /// Every `PodPlan` field except `decision_time`, f64s as bits.
+    /// Every `PodPlan` field, f64s as bits.
     type PlanBits = (
         PodId,
         Vec<(VmId, u64)>,
@@ -657,15 +641,6 @@ mod tests {
         let (_, weights) = &plan.weight_requests[0];
         assert_eq!(weights.len(), 2);
         assert!(weights.iter().all(|&(_, w)| w > 0.0));
-    }
-
-    #[test]
-    fn decision_time_is_measured() {
-        let (st, snap) = state_with_load(50e6);
-        let plan = PodManager::new(PodId(0)).plan(&st, &snap);
-        // Non-zero (it did work) but far below a second at this scale.
-        assert!(plan.decision_time > SimDuration::ZERO);
-        assert!(plan.decision_time < SimDuration::from_secs(1));
     }
 
     #[test]

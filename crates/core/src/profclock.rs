@@ -1,5 +1,6 @@
 //! The one wall-clock read point in `core`: a lap timer for the phase
-//! profiler and the existing decision/propagation `Samples`.
+//! profiler (epoch phases, including pod planning and the propagation
+//! sub-phases).
 //!
 //! Wall time must never leak into deterministic outputs (event logs,
 //! metrics exports, JSON summaries) — see the `analyze` wall-clock

@@ -10,8 +10,9 @@
 //! * [`rng`] — deterministic derivation of per-component random streams
 //!   from a single experiment seed, so simulations are reproducible
 //!   bit-for-bit regardless of component iteration order.
-//! * [`metrics`] — counters, gauges, time series and histograms used by the
-//!   experiment harness, plus percentile summaries.
+//! * [`metrics`] — the balance metrics (Jain's fairness, max/mean ratio)
+//!   the experiment harness reports. Run counters and gauges live in the
+//!   `obs` metrics registry.
 //! * [`table`] — plain-text / CSV table rendering for experiment output.
 //!
 //! The kernel is intentionally free of any datacenter semantics; it knows

@@ -65,7 +65,7 @@ pub enum EpochResource {
     VipRipQueue,
     /// The flight recorder (event emission is serial-only by contract).
     Recorder,
-    /// Platform metrics (counters, time series, samples).
+    /// The platform's metrics registry (`Platform::registry`).
     Metrics,
     /// The proactive controller's forecasting state.
     ElasticState,

@@ -12,6 +12,7 @@
 use dcsim::table::{fnum, Table};
 use dcsim::SimDuration;
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids;
 use workload::FlashCrowd;
 
 fn main() {
@@ -77,15 +78,15 @@ fn main() {
     println!("elastic response:");
     println!(
         "  slice adjustments      {}",
-        platform.metrics.slice_adjustments.get()
+        platform.registry.counter(ids::SLICE_ADJUSTMENTS)
     );
     println!(
         "  instances started      {}",
-        platform.metrics.instance_starts.get()
+        platform.registry.counter(ids::INSTANCE_STARTS)
     );
     println!(
         "  instances stopped      {}",
-        platform.metrics.instance_stops.get()
+        platform.registry.counter(ids::INSTANCE_STOPS)
     );
     println!("  deployments to pods    {}", c.deployments_completed);
     println!("  inter-pod reweights    {}", c.interpod_weight_adjustments);

@@ -10,6 +10,7 @@
 
 use dcsim::table::{fnum, Table};
 use megadc::{Platform, PlatformConfig, PodId};
+use obs::profile::phase_index;
 
 fn main() {
     let mut config = PlatformConfig::pod_scale();
@@ -26,8 +27,9 @@ fn main() {
         "reweights",
         "deployments",
         "server transfers",
-        "decisions p99 (ms)",
+        "planning (ms/epoch)",
     ]);
+    let planning = phase_index("pod-planning");
     for i in 0..240u64 {
         let snap = platform.step().clone();
         if i % 20 == 0 {
@@ -35,12 +37,7 @@ fn main() {
             let max = u.iter().cloned().fold(0.0, f64::max);
             let min = u.iter().cloned().fold(f64::INFINITY, f64::min);
             let c = platform.global.counters;
-            let p99 = platform
-                .metrics
-                .decision_times
-                .summary()
-                .map(|s| s.p99 * 1e3)
-                .unwrap_or(0.0);
+            let plan_ms = planning.map_or(0.0, |ph| platform.profiler.mean_s_per_epoch(ph) * 1e3);
             t.row([
                 fnum(platform.now().as_secs_f64() / 60.0, 1),
                 format!("{} / {}", fnum(max, 3), fnum(min, 3)),
@@ -48,7 +45,7 @@ fn main() {
                 c.interpod_weight_adjustments.to_string(),
                 c.deployments_completed.to_string(),
                 c.server_transfers.to_string(),
-                fnum(p99, 2),
+                fnum(plan_ms, 2),
             ]);
         }
     }

@@ -7,6 +7,8 @@
 
 use dcsim::table::{fnum, Table};
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids;
+use obs::profile::phase_index;
 
 fn main() {
     // A pod-scale platform: 400 servers in 4 logical pods, 200 apps with
@@ -59,11 +61,14 @@ fn main() {
     ]);
     t.row([
         "instances started".to_string(),
-        platform.metrics.instance_starts.get().to_string(),
+        platform.registry.counter(ids::INSTANCE_STARTS).to_string(),
     ]);
     t.row([
         "slice adjustments".to_string(),
-        platform.metrics.slice_adjustments.get().to_string(),
+        platform
+            .registry
+            .counter(ids::SLICE_ADJUSTMENTS)
+            .to_string(),
     ]);
     t.row([
         "route updates sent".to_string(),
@@ -71,12 +76,11 @@ fn main() {
     ]);
     println!("\n{}", t.render());
 
-    if let Some(summary) = platform.metrics.decision_times.summary() {
+    if let Some(ph) = phase_index("pod-planning") {
         println!(
-            "pod-manager decision time: mean {:.2} ms, p99 {:.2} ms (over {} rounds)",
-            summary.mean * 1e3,
-            summary.p99 * 1e3,
-            summary.count
+            "pod-manager planning: {:.2} ms/epoch (all pods, over {} epochs)",
+            platform.profiler.mean_s_per_epoch(ph) * 1e3,
+            platform.profiler.epochs()
         );
     }
     platform.state.assert_invariants();

@@ -4,6 +4,7 @@
 //! elasticity of the pod managers.
 
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids;
 use vmm::ServerId;
 
 #[test]
@@ -52,7 +53,7 @@ fn server_failures_trigger_reprovisioning() {
     p.run_epochs(10);
     let vms_before = p.state.fleet.num_vms();
     let served_before = p.last_snapshot().unwrap().served_fraction();
-    let starts_before = p.metrics.instance_starts.get();
+    let starts_before = p.registry.counter(ids::INSTANCE_STARTS);
 
     // Kill 10 loaded servers.
     let victims: Vec<ServerId> = (0..10).map(|i| ServerId(i * 7)).collect();
@@ -69,7 +70,7 @@ fn server_failures_trigger_reprovisioning() {
     // served demand is the recovery criterion.
     p.run_epochs(30);
     assert!(
-        p.metrics.instance_starts.get() > starts_before,
+        p.registry.counter(ids::INSTANCE_STARTS) > starts_before,
         "no re-provisioning after server failures"
     );
     let served_after = p.last_snapshot().unwrap().served_fraction();

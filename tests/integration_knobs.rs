@@ -3,6 +3,7 @@
 
 use dcsim::SimDuration;
 use megadc::{Platform, PlatformConfig};
+use obs::metrics::ids;
 use workload::FlashCrowd;
 
 /// §IV.A: an overloaded access link is relieved by DNS exposure shifts,
@@ -104,7 +105,7 @@ fn fast_knobs_act_before_slow_ones() {
     let mut platform = Platform::build(config).expect("build");
     // Step a couple of epochs under moderate load.
     platform.run_epochs(3);
-    let slices_early = platform.metrics.slice_adjustments.get();
+    let slices_early = platform.registry.counter(ids::SLICE_ADJUSTMENTS);
     assert!(
         slices_early > 0,
         "slice adjustment (the fastest knob) never fired"

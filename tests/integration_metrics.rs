@@ -72,7 +72,7 @@ fn metrics_export_is_byte_identical_across_threads_and_shuffle() {
     }
 }
 
-/// The scrape is on by default and produced real observations: counters
+/// The scrape produced real observations: counters
 /// advanced, utilization histograms filled, and the SLO score tracked
 /// the flash crowd's overload window.
 #[test]
@@ -104,10 +104,92 @@ fn scrape_populates_counters_histograms_and_slo() {
         r.counter(ids::SLO_OVERLOAD_EPOCHS) > 0,
         "flash crowd produced no SLO overload epochs"
     );
-    // Disabling the knob stops the scrape entirely.
-    let mut cfg = e17_config(1);
-    cfg.metrics = false;
-    let mut off = Platform::build(cfg).expect("build");
-    off.run_epochs(5);
-    assert_eq!(off.registry.counter(ids::EPOCHS), 0);
+}
+
+/// The actuation counters are added where the actuation happens, next to
+/// the flight-recorder event that reports the same number, so over a run
+/// that drains every event each counter equals its event total.
+#[test]
+fn actuation_counters_equal_flight_recorder_totals() {
+    use obs::metrics::ids;
+    use obs::{ActionKind, Actor, Event};
+    let mut cfg = PlatformConfig::small_test();
+    cfg.total_demand_bps = 1e9;
+    // One VIP per app, so a retire never drains a VIP's last RIP, and a
+    // deep diurnal downswing after the flash crowd drives proactive
+    // retires.
+    cfg.vips_per_app = 1;
+    cfg.popular_extra_vips = 0;
+    cfg.diurnal_amplitude = 0.8;
+    cfg.diurnal_period = SimDuration::from_secs(2400);
+    cfg.elastic = elastic::ElasticConfig::proactive();
+    let mut p = Platform::build(cfg).expect("build");
+    let victim = p.workload.apps_by_popularity()[0];
+    p.workload.add_flash_crowd(FlashCrowd {
+        app: victim,
+        start: p.now() + SimDuration::from_secs(50),
+        ramp: SimDuration::from_secs(60),
+        duration: SimDuration::from_secs(1200),
+        peak: 6.0,
+    });
+    let mut events: Vec<Event> = Vec::new();
+    for _ in 0..300 {
+        p.step();
+        events.extend(p.global.recorder.take_events());
+    }
+    assert_eq!(p.global.recorder.dropped(), 0, "the ring dropped events");
+    let count = |kind: ActionKind| events.iter().filter(|e| e.kind == kind).count() as u64;
+    let delta_sum = |actor: fn(Actor) -> bool, kind: ActionKind, key: &str| -> u64 {
+        events
+            .iter()
+            .filter(|e| e.kind == kind && actor(e.actor))
+            .flat_map(|e| &e.delta)
+            .filter(|(k, _, _)| k == key)
+            .map(|&(_, before, after)| (after - before) as u64)
+            .sum()
+    };
+    let pod = |a: Actor| matches!(a, Actor::Pod(_));
+    let elastic = |a: Actor| a == Actor::Elastic;
+    let r = &p.registry;
+    let expected = [
+        (ids::INSTANCE_STARTS, count(ActionKind::InstanceStart)),
+        (
+            ids::PROACTIVE_REWEIGHT,
+            count(ActionKind::ProactiveReweight),
+        ),
+        (
+            ids::SLICE_ADJUSTMENTS,
+            delta_sum(pod, ActionKind::PodPlan, "vm_fleet.slices_adjusted"),
+        ),
+        (
+            ids::INSTANCE_STOPS,
+            delta_sum(pod, ActionKind::PodPlan, "vm_fleet.instance_stops"),
+        ),
+        (
+            ids::PROACTIVE_SLICE,
+            delta_sum(elastic, ActionKind::SliceAdjust, "vm_fleet.slices_adjusted"),
+        ),
+        (
+            ids::PROACTIVE_DEPLOY,
+            delta_sum(
+                elastic,
+                ActionKind::ProactiveDeploy,
+                "vm_fleet.clones_started",
+            ),
+        ),
+        (
+            ids::PROACTIVE_RETIRE,
+            delta_sum(
+                elastic,
+                ActionKind::ProactiveRetire,
+                "vm_fleet.retires_queued",
+            ),
+        ),
+    ];
+    for (id, total) in expected {
+        let spec = &obs::metrics::METRICS[id];
+        let name = (spec.name, spec.labels);
+        assert!(total > 0, "{name:?}: the run never exercised it");
+        assert_eq!(r.counter(id), total, "{name:?} disagrees with its events");
+    }
 }

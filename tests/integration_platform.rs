@@ -4,6 +4,7 @@
 
 use dcsim::SimDuration;
 use megadc::{AppId, Platform, PlatformConfig};
+use obs::metrics::ids;
 
 #[test]
 fn full_lifecycle_build_run_verify() {
@@ -21,9 +22,8 @@ fn full_lifecycle_build_run_verify() {
     let report = platform.run_epochs(50);
     assert_eq!(report.epochs, 50);
     platform.state.assert_invariants();
-    // Metrics recorded every epoch.
-    assert_eq!(platform.metrics.served_fraction.len(), 50);
-    assert_eq!(platform.metrics.link_util_max.len(), 50);
+    // Metrics scraped every epoch.
+    assert_eq!(platform.registry.counter(ids::EPOCHS), 50);
 }
 
 #[test]
@@ -79,9 +79,13 @@ fn diurnal_cycle_keeps_platform_stable() {
     platform.state.assert_invariants();
     // Elasticity: the platform actually resized things over the cycle.
     assert!(
-        platform.metrics.slice_adjustments.get() > 0
-            || platform.metrics.instance_starts.get() > 0
-            || platform.metrics.instance_stops.get() > 0,
+        [
+            ids::SLICE_ADJUSTMENTS,
+            ids::INSTANCE_STARTS,
+            ids::INSTANCE_STOPS
+        ]
+        .iter()
+        .any(|&id| platform.registry.counter(id) > 0),
         "no elastic action over two diurnal cycles"
     );
 }
