@@ -30,7 +30,7 @@ use crate::ids::vip_prefix;
 use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
 use dcsim::metrics::{jains_fairness, max_mean_ratio};
-use dcsim::SimTime;
+use dcsim::{DenseId, SimTime};
 use lbswitch::VipAddr;
 use std::collections::BTreeMap;
 use vmm::VmId;
@@ -53,10 +53,15 @@ pub struct LoadSnapshot {
     pub link_load_bps: Vec<f64>,
     /// Offered load at each LB switch (bits/s), indexed by switch id.
     pub switch_offered_bps: Vec<f64>,
-    /// CPU demand offered to each VM (capacity units).
-    pub vm_cpu_offered: BTreeMap<VmId, f64>,
-    /// CPU actually served by each VM (≤ its slice).
-    pub vm_cpu_served: BTreeMap<VmId, f64>,
+    /// CPU demand offered to each VM (capacity units), indexed by VM id
+    /// and sized to the fleet's VM id bound at propagation time. 0.0
+    /// means no load: the VM served no RIP share, is booting, or is gone.
+    /// Read it through [`LoadSnapshot::vm_offered`], which also covers VMs
+    /// created after the snapshot.
+    pub vm_cpu_offered: Vec<f64>,
+    /// CPU actually served by each VM (≤ its slice), indexed like
+    /// `vm_cpu_offered`.
+    pub vm_cpu_served: Vec<f64>,
     /// Served CPU load per server, indexed by server id.
     pub server_cpu_load: Vec<f64>,
     /// Demand lost per app (bits/s): unreachable VIPs + switch overflow +
@@ -65,6 +70,12 @@ pub struct LoadSnapshot {
 }
 
 impl LoadSnapshot {
+    /// CPU demand offered to `vm` (0.0 for a VM with no load or one the
+    /// snapshot predates).
+    pub fn vm_offered(&self, vm: VmId) -> f64 {
+        self.vm_cpu_offered.get(vm.index()).copied().unwrap_or(0.0)
+    }
+
     /// Total offered demand, bits/s.
     pub fn total_demand_bps(&self) -> f64 {
         self.app_demand_bps.iter().sum()
@@ -197,10 +208,10 @@ pub fn propagate_into(
     fill_zeroed(switch_offered_bps, state.switches.len());
     fill_zeroed(server_cpu_load, state.fleet.num_servers());
     fill_zeroed(unserved_bps_by_app, state.num_apps());
+    fill_zeroed(vm_cpu_offered, state.fleet.vm_id_bound());
+    fill_zeroed(vm_cpu_served, state.fleet.vm_id_bound());
     vip_demand_bps.clear();
     vip_served_bps.clear();
-    vm_cpu_offered.clear();
-    vm_cpu_served.clear();
 
     // --- 1+2: DNS split and routing (phase demand-route) -----------------
     let mut timing = PropagateTiming::default();
@@ -275,7 +286,10 @@ pub fn propagate_into(
                     continue;
                 }
             };
-            let vm = state.fleet.vm(vm_id).expect("RIP references live VM");
+            let (srv, vm) = state
+                .fleet
+                .locate_vm(vm_id)
+                .expect("RIP references live VM");
             if !vm.state.serves_traffic() {
                 unserved_bps_by_app[app_idx] += bps;
                 continue;
@@ -288,9 +302,8 @@ pub fn propagate_into(
             }
             let served_rps = served_cpu / profile.cpu_per_req;
             *served_bps.get_or_insert(0.0) += profile.bandwidth_bps(served_rps);
-            *vm_cpu_offered.entry(vm_id).or_insert(0.0) += cpu;
-            *vm_cpu_served.entry(vm_id).or_insert(0.0) += served_cpu;
-            let srv = state.fleet.locate(vm_id).expect("live VM");
+            vm_cpu_offered[vm_id.index()] += cpu;
+            vm_cpu_served[vm_id.index()] += served_cpu;
             server_cpu_load[srv.0 as usize] += served_cpu;
         }
         if let Some(bps) = served_bps {
@@ -307,7 +320,7 @@ mod tests {
     use crate::config::PlatformConfig;
     use crate::ids::AppId;
     use dcnet::access::AccessRouterId;
-    use lbswitch::SwitchId;
+    use lbswitch::{RipAddr, SwitchId};
     use vmm::ServerId;
 
     /// Build a tiny live platform: 1 app, 2 VIPs on 2 switches, each with
@@ -361,8 +374,11 @@ mod tests {
         // 2 Gbps → 1 Gbps per VIP → rps = 1e9/(60000×8) ≈ 2083 rps →
         // cpu ≈ 10.4 units, far over the 0.4 slice.
         let snap = propagate(&mut st, &[2e9], now);
-        for (&vm, &served) in &snap.vm_cpu_served {
-            assert!(served <= st.fleet.vm(vm).unwrap().cpu_slice + 1e-9);
+        for (vm, &served) in snap.vm_cpu_served.iter().enumerate() {
+            if served > 0.0 {
+                let slice = st.fleet.vm(VmId(vm as u32)).unwrap().cpu_slice;
+                assert!(served <= slice + 1e-9);
+            }
         }
         assert!(snap.total_unserved_bps() > 0.0);
         assert!(snap.served_fraction() < 1.0);
@@ -410,7 +426,8 @@ mod tests {
             .unwrap();
         st.bind_rip(vip, vm, 1.0).unwrap();
         let snap = propagate(&mut st, &[2e9], now);
-        assert_eq!(snap.vm_cpu_served.get(&vm), None);
+        assert_eq!(snap.vm_cpu_served[vm.index()], 0.0);
+        assert_eq!(snap.vm_offered(vm), 0.0);
         assert!(snap.total_unserved_bps() > 0.0);
     }
 
@@ -478,22 +495,27 @@ mod tests {
         }
 
         let mut load_by_server = vec![0.0; state.fleet.num_servers()];
-        for (&vm, &cpu) in &snap.vm_cpu_served {
-            load_by_server[state.fleet.locate(vm).expect("serving VM").0 as usize] += cpu;
+        for (vm, &cpu) in snap.vm_cpu_served.iter().enumerate() {
+            if cpu > 0.0 {
+                let srv = state.fleet.locate(VmId(vm as u32)).expect("serving VM");
+                load_by_server[srv.0 as usize] += cpu;
+            }
         }
         for (s, (&got, &want)) in snap.server_cpu_load.iter().zip(&load_by_server).enumerate() {
             assert!(close(got, want), "server {s}: load {got} != VM sum {want}");
         }
 
-        assert_eq!(
-            snap.vm_cpu_served.keys().collect::<Vec<_>>(),
-            snap.vm_cpu_offered.keys().collect::<Vec<_>>()
-        );
-        for (vm, &served) in &snap.vm_cpu_served {
-            let offered = snap.vm_cpu_offered[vm];
+        assert_eq!(snap.vm_cpu_served.len(), state.fleet.vm_id_bound());
+        assert_eq!(snap.vm_cpu_offered.len(), state.fleet.vm_id_bound());
+        for (vm, (&served, &offered)) in snap
+            .vm_cpu_served
+            .iter()
+            .zip(&snap.vm_cpu_offered)
+            .enumerate()
+        {
             assert!(
                 served <= offered,
-                "{vm}: served {served} > offered {offered}"
+                "vm{vm}: served {served} > offered {offered}"
             );
         }
     }
@@ -561,6 +583,28 @@ mod tests {
             }
         }
         assert!(unserved_epochs > 0, "no epoch lost demand");
+    }
+
+    #[test]
+    fn dead_rip_demand_is_unserved_and_conserved() {
+        let mut st = live_state();
+        let now = t_live(&st);
+        let vip = st.app(AppId(0)).unwrap().vips[0];
+        let sw = st.vip(vip).unwrap().switch.0 as usize;
+        // A switch entry with no RIP record behind it, past the end of
+        // the RIP table.
+        let dead = RipAddr(1_000);
+        st.switches[sw].add_rip(vip, dead, 1.0).unwrap();
+        assert!(st.rip(dead).is_err());
+        // 1 Mbps fits every VM slice, so the dead entry's share is the
+        // only loss.
+        let snap = propagate(&mut st, &[1e6], now);
+        let dist = st.switches[sw].distribute_vip(vip).unwrap();
+        let dead_bps = dist.iter().find(|&&(r, _)| r == dead).unwrap().1;
+        assert!(dead_bps > 0.0);
+        assert_eq!(snap.unserved_bps_by_app[0], dead_bps);
+        assert!(snap.vip_served_bps[&vip] < snap.vip_demand_bps[&vip]);
+        assert_conserved(&st, &snap);
     }
 
     #[test]

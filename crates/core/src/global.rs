@@ -1149,7 +1149,7 @@ impl GlobalManager {
         for &srv in state.pod_servers(hot) {
             let server = state.fleet.server(srv).expect("valid");
             for vm in server.vms() {
-                let offered = snap.vm_cpu_offered.get(&vm.id).copied().unwrap_or(0.0);
+                let offered = snap.vm_offered(vm.id);
                 *app_load.entry(AppId(vm.app)).or_insert(0.0) += offered;
                 if matches!(vm.state, VmState::Running) {
                     app_src_vm.entry(AppId(vm.app)).or_insert(vm.id);

@@ -133,7 +133,7 @@ impl PodManager {
                 .map(|vms| {
                     let mut demand = 0.0f64;
                     for r in *vms {
-                        demand += snapshot.vm_cpu_offered.get(&r.vm).copied().unwrap_or(0.0);
+                        demand += snapshot.vm_offered(r.vm);
                     }
                     AppReq {
                         demand_cpu: (demand * cfg.headroom).max(cfg.vm_cpu_slice),
@@ -313,7 +313,7 @@ mod tests {
         for (&app, vms) in &app_vms {
             let idx = app_index[&app];
             for &vm in vms {
-                demand[idx] += snapshot.vm_cpu_offered.get(&vm).copied().unwrap_or(0.0);
+                demand[idx] += snapshot.vm_offered(vm);
             }
             demand[idx] *= cfg.headroom;
             // Availability floor: an app covering the pod always keeps at

@@ -11,9 +11,8 @@ use crate::ids::{vip_prefix, AppId, PodId, RipPool, VipPool};
 use dcdns::DnsSystem;
 use dcnet::access::{AccessNetwork, AccessRouterId};
 use dcnet::routing::RouteTable;
-use dcsim::SimTime;
+use dcsim::{IdTable, SimTime};
 use lbswitch::{LbSwitch, RipAddr, SwitchError, SwitchId, VipAddr};
-use std::collections::BTreeMap;
 use vmm::{Fleet, ServerId, VmError, VmId};
 
 /// Per-application record.
@@ -29,7 +28,7 @@ pub struct AppRecord {
 }
 
 /// Per-VIP record.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VipRecord {
     /// Owning application.
     pub app: AppId,
@@ -41,7 +40,7 @@ pub struct VipRecord {
 }
 
 /// Per-RIP record: a RIP is the address of one VM under one VIP.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RipRecord {
     /// The VIP this RIP serves.
     pub vip: VipAddr,
@@ -108,10 +107,12 @@ pub struct PlatformState {
     pub access: AccessNetwork,
 
     apps: Vec<AppRecord>,
-    vips: BTreeMap<VipAddr, VipRecord>,
-    rips: BTreeMap<RipAddr, RipRecord>,
+    /// Indexed by address: VIPs and RIPs come from free-list pools, so
+    /// the addresses in use are dense.
+    vips: IdTable<VipAddr, VipRecord>,
+    rips: IdTable<RipAddr, RipRecord>,
     /// Reverse index: VM → its RIP (each VM instance has exactly one RIP).
-    vm_rip: BTreeMap<VmId, RipAddr>,
+    vm_rip: IdTable<VmId, RipAddr>,
 
     /// Logical pod of each server (indexed by server id).
     pod_of_server: Vec<PodId>,
@@ -162,9 +163,9 @@ impl PlatformState {
             routes: RouteTable::new(config.route_convergence),
             access,
             apps: Vec::new(),
-            vips: BTreeMap::new(),
-            rips: BTreeMap::new(),
-            vm_rip: BTreeMap::new(),
+            vips: IdTable::new(),
+            rips: IdTable::new(),
+            vm_rip: IdTable::new(),
             pod_of_server,
             pod_servers,
             vip_pool: VipPool::new(),
@@ -227,12 +228,12 @@ impl PlatformState {
 
     /// Record of one VIP.
     pub fn vip(&self, vip: VipAddr) -> Result<&VipRecord, StateError> {
-        self.vips.get(&vip).ok_or(StateError::UnknownVip(vip))
+        self.vips.get(vip).ok_or(StateError::UnknownVip(vip))
     }
 
     /// All VIPs (with records).
     pub fn vips(&self) -> impl Iterator<Item = (VipAddr, &VipRecord)> {
-        self.vips.iter().map(|(&v, r)| (v, r))
+        self.vips.iter()
     }
 
     /// Advertise a VIP's prefix at an access router (BGP side of selective
@@ -243,7 +244,7 @@ impl PlatformState {
         router: AccessRouterId,
         now: SimTime,
     ) -> Result<(), StateError> {
-        let rec = self.vips.get_mut(&vip).ok_or(StateError::UnknownVip(vip))?;
+        let rec = self.vips.get_mut(vip).ok_or(StateError::UnknownVip(vip))?;
         if let Some(old) = rec.router {
             if old != router {
                 self.routes.withdraw(vip_prefix(vip), old, now);
@@ -296,7 +297,7 @@ impl PlatformState {
                 }
             }
         }
-        self.vips.get_mut(&vip).expect("checked").switch = to;
+        self.vips.get_mut(vip).expect("checked").switch = to;
         Ok(())
     }
 
@@ -350,9 +351,9 @@ impl PlatformState {
     pub fn remove_instance(&mut self, vm: VmId) -> Result<u64, StateError> {
         let rip = self
             .vm_rip
-            .remove(&vm)
+            .remove(vm)
             .ok_or(StateError::Vm(VmError::UnknownVm(vm)))?;
-        let rec = self.rips.remove(&rip).expect("vm_rip and rips in sync");
+        let rec = self.rips.remove(rip).expect("vm_rip and rips in sync");
         let switch = self.vip(rec.vip)?.switch;
         let dropped = self.switches[switch.0 as usize].remove_rip(rec.vip, rip)?;
         self.rip_pool.release(rip);
@@ -362,12 +363,12 @@ impl PlatformState {
 
     /// The RIP of a VM, if bound.
     pub fn rip_of_vm(&self, vm: VmId) -> Option<RipAddr> {
-        self.vm_rip.get(&vm).copied()
+        self.vm_rip.get(vm).copied()
     }
 
     /// Record of one RIP.
     pub fn rip(&self, rip: RipAddr) -> Result<&RipRecord, StateError> {
-        self.rips.get(&rip).ok_or(StateError::UnknownRip(rip))
+        self.rips.get(rip).ok_or(StateError::UnknownRip(rip))
     }
 
     /// Total RIPs bound.
@@ -399,12 +400,11 @@ impl PlatformState {
         cfg.rips
             .iter()
             .filter_map(|entry| {
-                let rr = self.rips.get(&entry.rip)?;
-                let vm = self.fleet.vm(rr.vm).ok()?;
+                let rr = self.rips.get(entry.rip)?;
+                let (srv, vm) = self.fleet.locate_vm(rr.vm).ok()?;
                 if !vm.state.serves_traffic() {
                     return None;
                 }
-                let srv = self.fleet.locate(rr.vm).ok()?;
                 Some((rr.vm, self.pod_of(srv), entry.weight, vm.cpu_slice))
             })
             .collect()
@@ -495,7 +495,7 @@ impl PlatformState {
         let mut pods: Vec<u32> = cfg
             .rips
             .iter()
-            .filter_map(|r| self.rips.get(&r.rip))
+            .filter_map(|r| self.rips.get(r.rip))
             .filter_map(|rr| self.fleet.locate(rr.vm).ok())
             .map(|srv| self.pod_of(srv).0)
             .collect();
@@ -568,18 +568,18 @@ impl PlatformState {
                     for r in &rips {
                         dst.add_rip(vip, r.rip, r.weight).expect("capacity checked");
                     }
-                    self.vips.get_mut(&vip).expect("recorded").switch = t;
+                    self.vips.get_mut(vip).expect("recorded").switch = t;
                     rehomed += 1;
                 }
                 None => {
                     // Catastrophic: drop the VIP and its instances' RIPs.
                     for r in &rips {
-                        if let Some(rec) = self.rips.remove(&r.rip) {
-                            self.vm_rip.remove(&rec.vm);
+                        if let Some(rec) = self.rips.remove(r.rip) {
+                            self.vm_rip.remove(rec.vm);
                             self.rip_pool.release(r.rip);
                         }
                     }
-                    let rec = self.vips.remove(&vip).expect("recorded");
+                    let rec = self.vips.remove(vip).expect("recorded");
                     let app_vips = &mut self.apps[rec.app.0 as usize].vips;
                     app_vips.retain(|&v| v != vip);
                     self.vip_pool.release(vip);
@@ -620,7 +620,7 @@ impl PlatformState {
     /// the first violation. O(everything) — tests and E12 only.
     pub fn assert_invariants(&self) {
         // Every recorded VIP is configured on exactly the recorded switch.
-        for (&vip, rec) in &self.vips {
+        for (vip, rec) in self.vips.iter() {
             for sw in &self.switches {
                 let has = sw.has_vip(vip);
                 assert_eq!(
@@ -650,8 +650,8 @@ impl PlatformState {
         }
         // Every RIP record matches a switch entry and a live VM of the
         // right app.
-        for (&rip, rec) in &self.rips {
-            let vrec = self.vips.get(&rec.vip).expect("RIP references live VIP");
+        for (rip, rec) in self.rips.iter() {
+            let vrec = self.vips.get(rec.vip).expect("RIP references live VIP");
             let sw = &self.switches[vrec.switch.0 as usize];
             let cfg = sw.vip(rec.vip).expect("VIP configured");
             assert!(
@@ -660,7 +660,7 @@ impl PlatformState {
             );
             let vm = self.fleet.vm(rec.vm).expect("RIP references live VM");
             assert_eq!(AppId(vm.app), vrec.app, "{rip}: VM app != VIP app");
-            assert_eq!(self.vm_rip.get(&rec.vm), Some(&rip), "vm_rip out of sync");
+            assert_eq!(self.vm_rip.get(rec.vm), Some(&rip), "vm_rip out of sync");
         }
         // Failed components hold nothing.
         for (i, sw) in self.switches.iter().enumerate() {
@@ -691,6 +691,8 @@ impl PlatformState {
 mod tests {
     use super::*;
     use dcnet::access::AccessRouterId;
+    use rand::Rng;
+    use std::collections::BTreeMap;
 
     fn state() -> PlatformState {
         let mut st = PlatformState::new(PlatformConfig::small_test());
@@ -920,5 +922,320 @@ mod tests {
         let mut st = state();
         let vip = st.allocate_vip(AppId(0), SwitchId(0)).unwrap();
         assert!(st.bind_rip(vip, VmId(999), 1.0).is_err());
+    }
+
+    #[test]
+    fn lookups_past_each_table_end_are_unknown() {
+        let mut st = state();
+        let vip = st.allocate_vip(AppId(0), SwitchId(0)).unwrap();
+        let (vm, rip) = st
+            .add_instance_running(AppId(0), ServerId(0), vip, 1.0)
+            .unwrap();
+        assert_eq!(st.rip_of_vm(vm), Some(rip));
+        let far_rip = RipAddr(u32::MAX);
+        assert_eq!(
+            st.rip(far_rip).unwrap_err(),
+            StateError::UnknownRip(far_rip)
+        );
+        assert_eq!(
+            st.rip(RipAddr(rip.0 + 1)).unwrap_err(),
+            StateError::UnknownRip(RipAddr(rip.0 + 1))
+        );
+        let far_vip = VipAddr(u32::MAX);
+        assert_eq!(
+            st.vip(far_vip).unwrap_err(),
+            StateError::UnknownVip(far_vip)
+        );
+        assert_eq!(st.vip_rip_count(far_vip), 0);
+        assert!(st.vip_serving_entries(far_vip).is_empty());
+        assert!(st.pods_covered_by_vip(far_vip).is_empty());
+        let far_vm = VmId(st.fleet.vm_id_bound() as u32 + 1000);
+        assert_eq!(st.fleet.locate(far_vm), Err(VmError::UnknownVm(far_vm)));
+        assert_eq!(st.fleet.vm(far_vm), Err(VmError::UnknownVm(far_vm)));
+        assert_eq!(st.rip_of_vm(far_vm), None);
+        assert_eq!(st.rip_of_vm(VmId(u32::MAX)), None);
+        assert_eq!(
+            st.remove_instance(far_vm),
+            Err(StateError::Vm(VmError::UnknownVm(far_vm)))
+        );
+        st.assert_invariants();
+    }
+
+    /// The four id-keyed tables (`Fleet`'s VM locations and the state's
+    /// VIP, RIP and VM → RIP records) as `BTreeMap`s, updated from each
+    /// operation's documented effect: the reference the dense tables are
+    /// checked against.
+    #[derive(Default)]
+    struct TableModel {
+        locations: BTreeMap<VmId, ServerId>,
+        vips: BTreeMap<VipAddr, VipRecord>,
+        rips: BTreeMap<RipAddr, RipRecord>,
+        vm_rip: BTreeMap<VmId, RipAddr>,
+        /// App of every VM ever created (ids are never reused).
+        app_of: BTreeMap<VmId, u32>,
+        /// In-flight migrations: VM → destination server.
+        migrating: BTreeMap<VmId, ServerId>,
+    }
+
+    impl TableModel {
+        fn add_vm(&mut self, vm: VmId, server: ServerId, app: u32) {
+            self.locations.insert(vm, server);
+            self.app_of.insert(vm, app);
+        }
+
+        fn bind(&mut self, rip: RipAddr, vip: VipAddr, vm: VmId) {
+            self.rips.insert(rip, RipRecord { vip, vm });
+            self.vm_rip.insert(vm, rip);
+        }
+
+        fn remove_vm(&mut self, vm: VmId) {
+            self.locations.remove(&vm);
+            self.migrating.remove(&vm);
+            if let Some(rip) = self.vm_rip.remove(&vm) {
+                self.rips.remove(&rip);
+            }
+        }
+
+        /// Lookups over every id up to past each table's end, lengths,
+        /// and id-order iteration all equal the model's.
+        fn assert_matches(&self, st: &PlatformState, step: usize) {
+            for v in 0..st.fleet.vm_id_bound() as u32 + 4 {
+                let vm = VmId(v);
+                assert_eq!(
+                    st.fleet.locate(vm).ok(),
+                    self.locations.get(&vm).copied(),
+                    "step {step}: locate({vm})"
+                );
+                assert_eq!(
+                    st.rip_of_vm(vm),
+                    self.vm_rip.get(&vm).copied(),
+                    "step {step}: rip_of_vm({vm})"
+                );
+            }
+            let addr_bound = st.vips.bound().max(st.rips.bound()) as u32 + 4;
+            for a in 0..addr_bound {
+                assert_eq!(
+                    st.vip(VipAddr(a)).ok(),
+                    self.vips.get(&VipAddr(a)),
+                    "step {step}: vip({a})"
+                );
+                assert_eq!(
+                    st.rip(RipAddr(a)).ok(),
+                    self.rips.get(&RipAddr(a)),
+                    "step {step}: rip({a})"
+                );
+            }
+            assert_eq!(st.fleet.num_vms(), self.locations.len(), "step {step}");
+            assert_eq!(st.num_rips(), self.rips.len(), "step {step}");
+            assert_eq!(st.vm_rip.len(), self.vm_rip.len(), "step {step}");
+            assert_eq!(st.vips.len(), self.vips.len(), "step {step}");
+            let vips: Vec<(VipAddr, VipRecord)> = st.vips().map(|(v, r)| (v, *r)).collect();
+            let want: Vec<(VipAddr, VipRecord)> = self.vips.iter().map(|(&v, &r)| (v, r)).collect();
+            assert_eq!(vips, want, "step {step}: vips() order");
+            let rips: Vec<(RipAddr, RipRecord)> =
+                st.rips.iter().map(|(r, &rec)| (r, rec)).collect();
+            let want: Vec<(RipAddr, RipRecord)> =
+                self.rips.iter().map(|(&r, &rec)| (r, rec)).collect();
+            assert_eq!(rips, want, "step {step}: rips order");
+            let vm_rip: Vec<(VmId, RipAddr)> = st.vm_rip.iter().map(|(v, &r)| (v, r)).collect();
+            let want: Vec<(VmId, RipAddr)> = self.vm_rip.iter().map(|(&v, &r)| (v, r)).collect();
+            assert_eq!(vm_rip, want, "step {step}: vm_rip order");
+            for app in 0..st.num_apps() as u32 {
+                let want: Vec<VmId> = self
+                    .locations
+                    .keys()
+                    .copied()
+                    .filter(|vm| self.app_of[vm] == app)
+                    .collect();
+                assert_eq!(st.fleet.vms_of_app(app), want, "step {step}: app {app}");
+            }
+        }
+    }
+
+    fn pick<T: Copy>(rng: &mut impl rand::Rng, items: &[T]) -> Option<T> {
+        (!items.is_empty()).then(|| items[rng.gen_range(0..items.len())])
+    }
+
+    /// Seeded random operation sequences — create, clone, migrate,
+    /// destroy, server and switch failures (including VIPs lost for want
+    /// of capacity), RIP binds and instance removals — leave the dense
+    /// tables equal to the `BTreeMap` model after every step.
+    #[test]
+    fn dense_tables_match_btreemap_model() {
+        const OPS: usize = 12;
+        let mut done = [0usize; OPS];
+        let mut vips_lost = 0;
+        for seed in 1..=4u64 {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.num_switches = 4;
+            cfg.switch_limits.max_vips = 5;
+            let mut st = PlatformState::new(cfg);
+            for rank in 0..st.config.num_apps {
+                st.register_app(rank);
+            }
+            let mut model = TableModel::default();
+            let mut rng = dcsim::rng::component_rng(seed, "dense-table-model", 0);
+            let mut now = SimTime::ZERO;
+            let (slice, mem) = (st.config.vm_cpu_slice, st.config.vm_mem_mb);
+            for step in 0..400 {
+                let servers: Vec<ServerId> = (0..st.fleet.num_servers() as u32)
+                    .map(ServerId)
+                    .filter(|&s| st.server_healthy(s))
+                    .collect();
+                let switches: Vec<SwitchId> = (0..st.switches.len() as u32)
+                    .map(SwitchId)
+                    .filter(|&s| st.switch_healthy(s))
+                    .collect();
+                let vms: Vec<VmId> = model.locations.keys().copied().collect();
+                let vips: Vec<VipAddr> = model.vips.keys().copied().collect();
+                let server = pick(&mut rng, &servers).expect("healthy server");
+                let op = rng.gen_range(0..OPS);
+                let ok = match op {
+                    0 => {
+                        let app = AppId(rng.gen_range(0..st.num_apps() as u32));
+                        let switch = pick(&mut rng, &switches).expect("healthy switch");
+                        st.allocate_vip(app, switch)
+                            .map(|vip| {
+                                let rec = VipRecord {
+                                    app,
+                                    switch,
+                                    router: None,
+                                };
+                                model.vips.insert(vip, rec);
+                            })
+                            .is_ok()
+                    }
+                    1 => pick(&mut rng, &vips).is_some_and(|vip| {
+                        let app = model.vips[&vip].app;
+                        st.add_instance_running(app, server, vip, 1.0)
+                            .map(|(vm, rip)| {
+                                model.add_vm(vm, server, app.0);
+                                model.bind(rip, vip, vm);
+                            })
+                            .is_ok()
+                    }),
+                    2 => {
+                        let app = rng.gen_range(0..st.num_apps() as u32);
+                        st.fleet
+                            .create_vm(server, app, slice, mem, now)
+                            .map(|vm| model.add_vm(vm, server, app))
+                            .is_ok()
+                    }
+                    3 => pick(&mut rng, &vms).is_some_and(|src| {
+                        st.fleet
+                            .clone_vm(src, server, now)
+                            .map(|vm| model.add_vm(vm, server, model.app_of[&src]))
+                            .is_ok()
+                    }),
+                    4 => pick(&mut rng, &vms).is_some_and(|vm| {
+                        st.fleet
+                            .migrate_vm(vm, server, now)
+                            .map(|_| model.migrating.insert(vm, server))
+                            .is_ok()
+                    }),
+                    5 => {
+                        now += dcsim::SimDuration::from_secs(rng.gen_range(0..200u64));
+                        for vm in st.fleet.complete_transitions(now) {
+                            if let Some(dst) = model.migrating.remove(&vm) {
+                                model.locations.insert(vm, dst);
+                            }
+                        }
+                        true
+                    }
+                    6 => pick(&mut rng, &vms).is_some_and(|vm| {
+                        let removed = if model.vm_rip.contains_key(&vm) {
+                            st.remove_instance(vm).is_ok()
+                        } else {
+                            st.fleet.destroy_vm(vm).is_ok()
+                        };
+                        assert!(removed, "step {step}: removing live {vm}");
+                        model.remove_vm(vm);
+                        true
+                    }),
+                    7 => {
+                        let vm = pick(&mut rng, &vms).filter(|vm| !model.vm_rip.contains_key(vm));
+                        vm.is_some_and(|vm| {
+                            let app = AppId(model.app_of[&vm]);
+                            let of_app: Vec<VipAddr> = vips
+                                .iter()
+                                .copied()
+                                .filter(|v| model.vips[v].app == app)
+                                .collect();
+                            pick(&mut rng, &of_app).is_some_and(|vip| {
+                                st.bind_rip(vip, vm, 1.0)
+                                    .map(|rip| model.bind(rip, vip, vm))
+                                    .is_ok()
+                            })
+                        })
+                    }
+                    8 => {
+                        // Servers receiving a migration stay up: a failed
+                        // server must not gain a VM.
+                        let inbound = model.migrating.values().any(|&d| d == server);
+                        (servers.len() > 8 && !inbound) && {
+                            let lost = st.fail_server(server);
+                            let resident: Vec<VmId> = model
+                                .locations
+                                .iter()
+                                .filter(|&(_, &s)| s == server)
+                                .map(|(&vm, _)| vm)
+                                .collect();
+                            assert_eq!(lost, resident.len(), "step {step}");
+                            resident.into_iter().for_each(|vm| model.remove_vm(vm));
+                            true
+                        }
+                    }
+                    9 => {
+                        let switch = pick(&mut rng, &switches).expect("healthy switch");
+                        // Late enough that the survivors' VIP tables
+                        // fill up and some VIP has nowhere to go.
+                        (switches.len() > 1 && step >= 150) && {
+                            let homed: Vec<VipAddr> = vips
+                                .iter()
+                                .copied()
+                                .filter(|v| model.vips[v].switch == switch)
+                                .collect();
+                            let (rehomed, lost, _) = st.fail_switch(switch);
+                            assert_eq!(rehomed + lost, homed.len(), "step {step}");
+                            for vip in homed {
+                                match st.switches.iter().find(|sw| sw.has_vip(vip)) {
+                                    Some(sw) => {
+                                        model.vips.get_mut(&vip).expect("homed").switch = sw.id()
+                                    }
+                                    None => {
+                                        model.vips.remove(&vip);
+                                        model.rips.retain(|_, r| r.vip != vip);
+                                        let rips = &model.rips;
+                                        model.vm_rip.retain(|_, r| rips.contains_key(r));
+                                    }
+                                }
+                            }
+                            vips_lost += lost;
+                            true
+                        }
+                    }
+                    10 => pick(&mut rng, &vips).is_some_and(|vip| {
+                        let to = pick(&mut rng, &switches).expect("healthy switch");
+                        st.transfer_vip(vip, to)
+                            .map(|()| model.vips.get_mut(&vip).expect("live").switch = to)
+                            .is_ok()
+                    }),
+                    _ => pick(&mut rng, &vips).is_some_and(|vip| {
+                        let router = AccessRouterId(rng.gen_range(0..3));
+                        st.advertise_vip(vip, router, now)
+                            .map(|()| model.vips.get_mut(&vip).expect("live").router = Some(router))
+                            .is_ok()
+                    }),
+                };
+                done[op] += usize::from(ok);
+                model.assert_matches(&st, step);
+                st.assert_invariants();
+            }
+        }
+        assert!(
+            done.iter().all(|&n| n > 0),
+            "some operation never succeeded: {done:?}"
+        );
+        assert!(vips_lost > 0, "no switch failure lost a VIP");
     }
 }

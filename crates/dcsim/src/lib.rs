@@ -10,6 +10,8 @@
 //! * [`rng`] — deterministic derivation of per-component random streams
 //!   from a single experiment seed, so simulations are reproducible
 //!   bit-for-bit regardless of component iteration order.
+//! * [`idtable`] — vectors indexed by dense ids ([`IdTable`]), the
+//!   simulator's entity tables.
 //! * [`metrics`] — the balance metrics (Jain's fairness, max/mean ratio)
 //!   the experiment harness reports. Run counters and gauges live in the
 //!   `obs` metrics registry.
@@ -21,11 +23,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod idtable;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod table;
 pub mod time;
 
+pub use idtable::{DenseId, IdTable};
 pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

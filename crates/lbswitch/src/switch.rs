@@ -2,6 +2,7 @@
 
 use crate::limits::SwitchLimits;
 use crate::policy::{pick_least_connections, pick_source_hash, split_by_weight, Policy, WrrState};
+use dcsim::DenseId;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,6 +19,23 @@ pub struct VipAddr(pub u32);
 /// be taken from a private address space such as the 10.0.0.0/8 block").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RipAddr(pub u32);
+
+impl DenseId for VipAddr {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+    fn from_index(i: usize) -> Self {
+        VipAddr(i as u32)
+    }
+}
+impl DenseId for RipAddr {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+    fn from_index(i: usize) -> Self {
+        RipAddr(i as u32)
+    }
+}
 
 impl fmt::Display for SwitchId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

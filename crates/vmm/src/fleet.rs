@@ -3,8 +3,7 @@
 
 use crate::cost::CostModel;
 use crate::server::{PlaceError, Server, ServerId, ServerSpec, Vm, VmId, VmState};
-use dcsim::SimTime;
-use std::collections::BTreeMap;
+use dcsim::{IdTable, SimTime};
 use std::fmt;
 
 /// Errors from fleet-level VM operations.
@@ -40,9 +39,9 @@ impl std::error::Error for VmError {}
 pub struct Fleet {
     servers: Vec<Server>,
     /// VM → hosting server. For a migrating VM: the *source* (it serves
-    /// there until the migration completes).
-    locations: BTreeMap<VmId, ServerId>,
-    next_vm: u32,
+    /// there until the migration completes). VM ids are issued in slot
+    /// order and never reused, so the table's bound is the next id.
+    locations: IdTable<VmId, ServerId>,
     cost: CostModel,
 }
 
@@ -52,8 +51,7 @@ impl Fleet {
         cost.validate();
         Fleet {
             servers: Vec::new(),
-            locations: BTreeMap::new(),
-            next_vm: 0,
+            locations: IdTable::new(),
             cost,
         }
     }
@@ -105,20 +103,32 @@ impl Fleet {
     /// Where a VM currently lives.
     pub fn locate(&self, vm: VmId) -> Result<ServerId, VmError> {
         self.locations
-            .get(&vm)
+            .get(vm)
             .copied()
             .ok_or(VmError::UnknownVm(vm))
     }
 
+    /// A VM together with the server it lives on.
+    pub fn locate_vm(&self, id: VmId) -> Result<(ServerId, &Vm), VmError> {
+        let srv = self.locate(id)?;
+        let vm = self.server(srv)?.vm(id).ok_or(VmError::UnknownVm(id))?;
+        Ok((srv, vm))
+    }
+
     /// Look up a VM.
     pub fn vm(&self, id: VmId) -> Result<&Vm, VmError> {
-        let srv = self.locate(id)?;
-        self.server(srv)?.vm(id).ok_or(VmError::UnknownVm(id))
+        Ok(self.locate_vm(id)?.1)
     }
 
     /// Total VMs in the fleet.
     pub fn num_vms(&self) -> usize {
         self.locations.len()
+    }
+
+    /// One past the largest VM id ever issued: a vector of this length
+    /// has a slot for every VM, live or destroyed.
+    pub fn vm_id_bound(&self) -> usize {
+        self.locations.bound()
     }
 
     /// Boot a brand-new VM on `server`. Returns the VM id; it becomes
@@ -175,7 +185,7 @@ impl Fleet {
         mem_mb: u64,
         state: VmState,
     ) -> Result<VmId, VmError> {
-        let id = VmId(self.next_vm);
+        let id = VmId(self.locations.bound() as u32);
         let vm = Vm {
             id,
             app,
@@ -186,7 +196,6 @@ impl Fleet {
         self.server_mut(server)?
             .place(vm)
             .map_err(|e| VmError::Placement(server, e))?;
-        self.next_vm += 1;
         self.locations.insert(id, server);
         Ok(id)
     }
@@ -206,7 +215,7 @@ impl Fleet {
                 dst.release_inbound(cpu, mem);
             }
         }
-        self.locations.remove(&id);
+        self.locations.remove(id);
         Ok(vm)
     }
 
@@ -256,30 +265,26 @@ impl Fleet {
     /// `Running`; finished migrations move the VM to its destination.
     /// Returns the ids of VMs whose state changed.
     pub fn complete_transitions(&mut self, now: SimTime) -> Vec<VmId> {
+        let Fleet {
+            servers, locations, ..
+        } = self;
         let mut changed = Vec::new();
-        let ids: Vec<VmId> = self.locations.keys().copied().collect();
-        for id in ids {
-            let srv = self.locations[&id];
-            let state = self.servers[srv.0 as usize]
-                .vm(id)
-                .expect("registry consistent")
-                .state;
-            match state {
+        for (id, srv) in locations.iter_mut() {
+            let host = &mut servers[srv.0 as usize];
+            let vm = host.vm_mut(id).expect("registry consistent");
+            match vm.state {
                 VmState::Booting { ready_at } if ready_at <= now => {
-                    self.servers[srv.0 as usize]
-                        .vm_mut(id)
-                        .expect("resident")
-                        .state = VmState::Running;
+                    vm.state = VmState::Running;
                     changed.push(id);
                 }
                 VmState::Migrating { done_at, to } if done_at <= now => {
-                    let mut vm = self.servers[srv.0 as usize].evict(id).expect("resident");
+                    let mut vm = host.evict(id).expect("resident");
                     let (cpu, mem) = (vm.cpu_slice, vm.mem_mb);
                     vm.state = VmState::Running;
-                    let dst = &mut self.servers[to.0 as usize];
+                    let dst = &mut servers[to.0 as usize];
                     dst.release_inbound(cpu, mem);
                     dst.place(vm).expect("reservation guaranteed capacity");
-                    self.locations.insert(id, to);
+                    *srv = to;
                     changed.push(id);
                 }
                 _ => {}
@@ -288,17 +293,16 @@ impl Fleet {
         changed
     }
 
-    /// Ids of all VMs of an application.
+    /// Ids of all VMs of an application, in id order.
     pub fn vms_of_app(&self, app: u32) -> Vec<VmId> {
         self.locations
             .iter()
-            .filter(|&(&id, &srv)| {
+            .filter(|&(id, &srv)| {
                 self.servers[srv.0 as usize]
                     .vm(id)
-                    .map(|v| v.app == app)
-                    .unwrap_or(false)
+                    .is_some_and(|v| v.app == app)
             })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect()
     }
 }
@@ -459,6 +463,37 @@ mod tests {
         let mut of1 = f.vms_of_app(1);
         of1.sort();
         assert_eq!(of1, vec![a, c]);
+    }
+
+    #[test]
+    fn vm_ids_are_never_reused() {
+        let mut f = fleet(1);
+        let a = f
+            .create_vm(ServerId(0), 1, 1.0, 512, SimTime::ZERO)
+            .unwrap();
+        let b = f
+            .create_vm(ServerId(0), 1, 1.0, 512, SimTime::ZERO)
+            .unwrap();
+        f.destroy_vm(b).unwrap();
+        // A failed placement issues no id.
+        assert!(f
+            .create_vm(ServerId(0), 1, 99.0, 512, SimTime::ZERO)
+            .is_err());
+        let c = f
+            .create_vm(ServerId(0), 1, 1.0, 512, SimTime::ZERO)
+            .unwrap();
+        assert_eq!((a, b, c), (VmId(0), VmId(1), VmId(2)));
+        assert_eq!(f.vm_id_bound(), 3);
+        assert_eq!(f.num_vms(), 2);
+        assert_eq!(f.locate(b), Err(VmError::UnknownVm(b)));
+        let far = VmId(f.vm_id_bound() as u32 + 1000);
+        assert_eq!(f.locate(far), Err(VmError::UnknownVm(far)));
+        assert_eq!(f.locate_vm(far), Err(VmError::UnknownVm(far)));
+        assert_eq!(f.destroy_vm(far), Err(VmError::UnknownVm(far)));
+        assert_eq!(
+            f.locate(VmId(u32::MAX)),
+            Err(VmError::UnknownVm(VmId(u32::MAX)))
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Physical servers and the VMs placed on them.
 
-use dcsim::SimTime;
+use dcsim::{DenseId, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -11,6 +11,15 @@ pub struct ServerId(pub u32);
 /// Identifier of a virtual machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
+
+impl DenseId for VmId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+    fn from_index(i: usize) -> Self {
+        VmId(i as u32)
+    }
+}
 
 impl fmt::Display for ServerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

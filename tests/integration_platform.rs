@@ -35,7 +35,7 @@ fn demand_is_conserved_through_the_stack() {
     let total = snap.total_demand_bps();
     // Demand = served + unserved, where served shows up as VM CPU load.
     let profile = platform.state.config.request_profile;
-    let served_cpu: f64 = snap.vm_cpu_served.values().sum();
+    let served_cpu: f64 = snap.vm_cpu_served.iter().sum();
     let served_bps = profile.bandwidth_bps(served_cpu / profile.cpu_per_req);
     let accounted = served_bps + snap.total_unserved_bps();
     assert!(
