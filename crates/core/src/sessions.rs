@@ -164,7 +164,7 @@ impl SessionSimulator {
         }
         let rec = *state.vip(vip).expect("resolved VIP exists");
         let sw = rec.switch.0 as usize;
-        match state.switches[sw].open_session(vip, client_key) {
+        match state.switches[sw].open_session(vip) {
             Ok(rip) => {
                 self.stats.opened += 1;
                 let dur = log_normal(

@@ -825,7 +825,7 @@ mod tests {
         st.add_instance_running(AppId(1), ServerId(1), vip_b, 2.0)
             .unwrap();
         // Live sessions on vip_a.
-        st.switches[0].open_session(vip_a, 7).unwrap();
+        st.switches[0].open_session(vip_a).unwrap();
         let (rehomed, lost, dropped) = st.fail_switch(SwitchId(0));
         assert_eq!(rehomed, 2);
         assert_eq!(lost, 0);
@@ -854,7 +854,7 @@ mod tests {
         for sw in &mut st.switches {
             sw.set_offered_loads(|v| [3e-3, 1e9, 7.5e6][v.0 as usize % 3] * f64::from(v.0 + 1));
         }
-        st.switches[0].open_session(vips[0], 1).unwrap();
+        st.switches[0].open_session(vips[0]).unwrap();
         let assert_fresh = |st: &PlatformState, when: &str| {
             for sw in &st.switches {
                 let fresh: f64 = sw.vips().map(|(_, c)| c.offered_bps).sum();

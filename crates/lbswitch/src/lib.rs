@@ -13,8 +13,8 @@
 //! (refs \[20\],\[28\]).
 //!
 //! [`limits::SwitchLimits`] encodes those numbers, [`switch::LbSwitch`]
-//! enforces them, and [`policy`] implements the RIP-selection disciplines
-//! (weighted round-robin, weighted least-connections, source hashing).
+//! enforces them, and [`policy`] implements RIP selection: smooth weighted
+//! round-robin per session and a proportional weight-split for fluid demand.
 //! Connection tracking supports the *quiescence* precondition of dynamic
 //! VIP transfer (§IV.B): a VIP may move between switches only while it has
 //! no live sessions, because only the original switch knows the

@@ -1,29 +1,13 @@
-//! RIP-selection policies.
+//! RIP selection.
 //!
 //! §IV.F: switches "allow programmatic change to the weights they use in
 //! their load-balancing algorithms when they distribute the traffic coming
-//! to a VIP among the corresponding RIPs". This module provides the three
-//! disciplines real CSM-class switches offer, plus the fluid weight-split
-//! used by the aggregate demand model.
-
-use dcsim::rng::splitmix64;
-
-/// Which discipline a VIP uses to pick a RIP for a new session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Policy {
-    /// Smooth weighted round-robin (deterministic, proportional).
-    #[default]
-    WeightedRoundRobin,
-    /// Weighted least-connections: pick the RIP minimizing
-    /// `active_conns / weight`.
-    WeightedLeastConnections,
-    /// Hash of the client source: sticky per client, weight-proportional
-    /// in aggregate.
-    SourceHash,
-}
+//! to a VIP among the corresponding RIPs". This module provides the
+//! per-session discipline (smooth weighted round-robin) and the fluid
+//! weight-split used by the aggregate demand model.
 
 /// Split an aggregate demand proportionally to weights (the fluid-model
-/// counterpart of all three per-session disciplines). Zero or negative
+/// counterpart of per-session weighted round-robin). Zero or negative
 /// weights receive nothing; if all weights are zero the split is empty
 /// (all-zero), mirroring a switch with all RIPs drained.
 pub fn split_by_weight(weights: &[f64], demand: f64) -> Vec<f64> {
@@ -80,47 +64,6 @@ impl WrrState {
         self.current[b] -= total;
         Some(b)
     }
-}
-
-/// Weighted least-connections: index minimizing `conns / weight` (ties by
-/// lowest index). Entries with weight `<= 0` are skipped.
-pub fn pick_least_connections(weights: &[f64], conns: &[u64]) -> Option<usize> {
-    assert_eq!(weights.len(), conns.len());
-    weights
-        .iter()
-        .zip(conns)
-        .enumerate()
-        .filter(|(_, (&w, _))| w > 0.0)
-        .min_by(|(_, (wa, ca)), (_, (wb, cb))| {
-            let ra = **ca as f64 / **wa;
-            let rb = **cb as f64 / **wb;
-            ra.partial_cmp(&rb).expect("finite ratios")
-        })
-        .map(|(i, _)| i)
-}
-
-/// Source-hash selection: deterministic per client key, weight-proportional
-/// across keys. Implemented as a weighted pick driven by a hash of the key.
-pub fn pick_source_hash(weights: &[f64], client_key: u64) -> Option<usize> {
-    let total: f64 = weights.iter().filter(|&&w| w > 0.0).sum();
-    if total <= 0.0 {
-        return None;
-    }
-    let mut s = client_key;
-    let h = splitmix64(&mut s);
-    let point = (h as f64 / u64::MAX as f64) * total;
-    let mut acc = 0.0;
-    for (i, &w) in weights.iter().enumerate() {
-        if w <= 0.0 {
-            continue;
-        }
-        acc += w;
-        if point < acc {
-            return Some(i);
-        }
-    }
-    // Floating-point edge: fall back to the last pickable entry.
-    weights.iter().rposition(|&w| w > 0.0)
 }
 
 #[cfg(test)]
@@ -186,36 +129,6 @@ mod tests {
         assert_eq!(wrr.pick(&[0.0, 0.0, 0.0]), None);
     }
 
-    #[test]
-    fn least_conn_balances_by_ratio() {
-        // conns/weight: 10/1=10 vs 15/2=7.5 → pick index 1.
-        assert_eq!(pick_least_connections(&[1.0, 2.0], &[10, 15]), Some(1));
-        // Zero-weight entries skipped even when empty.
-        assert_eq!(pick_least_connections(&[0.0, 1.0], &[0, 100]), Some(1));
-        assert_eq!(pick_least_connections(&[0.0], &[0]), None);
-    }
-
-    #[test]
-    fn source_hash_is_sticky() {
-        let w = [1.0, 2.0, 3.0];
-        for key in [0u64, 17, 123456789] {
-            let a = pick_source_hash(&w, key).unwrap();
-            let b = pick_source_hash(&w, key).unwrap();
-            assert_eq!(a, b, "key {key} not sticky");
-        }
-    }
-
-    #[test]
-    fn source_hash_is_weight_proportional_in_aggregate() {
-        let w = [1.0, 3.0];
-        let mut counts = [0u32; 2];
-        for key in 0..10_000u64 {
-            counts[pick_source_hash(&w, key).unwrap()] += 1;
-        }
-        let frac = counts[1] as f64 / 10_000.0;
-        assert!((frac - 0.75).abs() < 0.03, "got {frac}");
-    }
-
     proptest! {
         #[test]
         fn prop_split_conserves_demand(
@@ -245,19 +158,6 @@ mod tests {
             }
             for (i, &c) in counts.iter().enumerate() {
                 prop_assert_eq!(c, weights[i] * cycles, "index {}", i);
-            }
-        }
-
-        #[test]
-        fn prop_source_hash_in_range(
-            weights in proptest::collection::vec(0.0f64..10.0, 1..8),
-            key in any::<u64>(),
-        ) {
-            if let Some(i) = pick_source_hash(&weights, key) {
-                prop_assert!(i < weights.len());
-                prop_assert!(weights[i] > 0.0);
-            } else {
-                prop_assert!(weights.iter().all(|&w| w <= 0.0));
             }
         }
     }

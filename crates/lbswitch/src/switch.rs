@@ -1,7 +1,7 @@
 //! The LB switch: VIP/RIP tables, connection tracking and capacity.
 
 use crate::limits::SwitchLimits;
-use crate::policy::{pick_least_connections, pick_source_hash, split_by_weight, Policy, WrrState};
+use crate::policy::{split_by_weight, WrrState};
 use dcsim::DenseId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -108,8 +108,6 @@ pub struct RipEntry {
 pub struct VipConfig {
     /// RIP entries in configuration order.
     pub rips: Vec<RipEntry>,
-    /// Selection discipline for new sessions.
-    pub policy: Policy,
     /// Offered external load for this VIP, bits/s (set by the fluid model
     /// each epoch).
     pub offered_bps: f64,
@@ -177,7 +175,7 @@ impl LbSwitch {
     }
 
     /// Number of successful configuration-plane changes (VIP/RIP
-    /// add/remove, weight or policy updates) applied to this switch so
+    /// add/remove, weight updates) applied to this switch so
     /// far. Each is one serialized reconfiguration in §III.C terms; the
     /// platform's per-epoch health event sums this across the fabric.
     pub fn reconfigurations(&self) -> u64 {
@@ -342,17 +340,6 @@ impl LbSwitch {
         Ok(())
     }
 
-    /// Set the selection policy for a VIP.
-    pub fn set_policy(&mut self, vip: VipAddr, policy: Policy) -> Result<(), SwitchError> {
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
-        cfg.policy = policy;
-        self.reconfigs += 1;
-        Ok(())
-    }
-
     // ---- session plane --------------------------------------------------
 
     /// `true` if the VIP has no live sessions — the §IV.B precondition for
@@ -366,9 +353,9 @@ impl LbSwitch {
         self.total_conns
     }
 
-    /// Select a RIP for a new session on `vip` per the VIP's policy and
-    /// open the session. `client_key` seeds source-hash selection.
-    pub fn open_session(&mut self, vip: VipAddr, client_key: u64) -> Result<RipAddr, SwitchError> {
+    /// Select a RIP for a new session on `vip` by smooth weighted
+    /// round-robin and open the session.
+    pub fn open_session(&mut self, vip: VipAddr) -> Result<RipAddr, SwitchError> {
         if self.total_conns >= self.limits.max_connections {
             return Err(SwitchError::ConnectionLimitExceeded);
         }
@@ -376,16 +363,10 @@ impl LbSwitch {
             .vips
             .get_mut(&vip)
             .ok_or(SwitchError::UnknownVip(vip))?;
-        let weights = cfg.weights();
-        let idx = match cfg.policy {
-            Policy::WeightedRoundRobin => cfg.wrr.pick(&weights),
-            Policy::WeightedLeastConnections => {
-                let conns: Vec<u64> = cfg.rips.iter().map(|r| r.active_conns).collect();
-                pick_least_connections(&weights, &conns)
-            }
-            Policy::SourceHash => pick_source_hash(&weights, client_key),
-        };
-        let idx = idx.ok_or(SwitchError::UnknownRip(vip, RipAddr(u32::MAX)))?;
+        let idx = cfg
+            .wrr
+            .pick(&cfg.weights())
+            .ok_or(SwitchError::UnknownRip(vip, RipAddr(u32::MAX)))?;
         cfg.rips[idx].active_conns += 1;
         self.total_conns += 1;
         Ok(cfg.rips[idx].rip)
@@ -532,7 +513,7 @@ mod tests {
         let mut sw = small_switch();
         sw.add_vip(VipAddr(0)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
-        let rip = sw.open_session(VipAddr(0), 7).unwrap();
+        let rip = sw.open_session(VipAddr(0)).unwrap();
         assert_eq!(rip, RipAddr(1));
         assert_eq!(
             sw.remove_vip(VipAddr(0)),
@@ -549,8 +530,8 @@ mod tests {
         let mut sw = small_switch();
         sw.add_vip(VipAddr(0)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
-        sw.open_session(VipAddr(0), 1).unwrap();
-        sw.open_session(VipAddr(0), 2).unwrap();
+        sw.open_session(VipAddr(0)).unwrap();
+        sw.open_session(VipAddr(0)).unwrap();
         let (rips, dropped) = sw.force_remove_vip(VipAddr(0)).unwrap();
         assert_eq!(dropped, 2);
         assert_eq!(sw.total_conns(), 0);
@@ -562,11 +543,11 @@ mod tests {
         let mut sw = small_switch();
         sw.add_vip(VipAddr(0)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
-        for k in 0..4 {
-            sw.open_session(VipAddr(0), k).unwrap();
+        for _ in 0..4 {
+            sw.open_session(VipAddr(0)).unwrap();
         }
         assert_eq!(
-            sw.open_session(VipAddr(0), 9),
+            sw.open_session(VipAddr(0)),
             Err(SwitchError::ConnectionLimitExceeded)
         );
     }
@@ -578,28 +559,14 @@ mod tests {
         sw.add_rip(VipAddr(0), RipAddr(1), 3.0).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(2), 1.0).unwrap();
         let mut counts = (0u32, 0u32);
-        for k in 0..400 {
-            match sw.open_session(VipAddr(0), k).unwrap() {
+        for _ in 0..400 {
+            match sw.open_session(VipAddr(0)).unwrap() {
                 RipAddr(1) => counts.0 += 1,
                 RipAddr(2) => counts.1 += 1,
                 _ => unreachable!(),
             }
         }
         assert_eq!(counts, (300, 100), "WRR should be exactly proportional");
-    }
-
-    #[test]
-    fn least_connections_policy_fills_unloaded_rip() {
-        let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
-        sw.add_vip(VipAddr(0)).unwrap();
-        sw.set_policy(VipAddr(0), Policy::WeightedLeastConnections)
-            .unwrap();
-        sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
-        sw.add_rip(VipAddr(0), RipAddr(2), 1.0).unwrap();
-        // Preload rip1 with sessions via WRR-independent path.
-        assert_eq!(sw.open_session(VipAddr(0), 0).unwrap(), RipAddr(1));
-        assert_eq!(sw.open_session(VipAddr(0), 0).unwrap(), RipAddr(2));
-        assert_eq!(sw.open_session(VipAddr(0), 0).unwrap(), RipAddr(1));
     }
 
     #[test]
@@ -663,7 +630,7 @@ mod tests {
                             && rng.gen_bool(0.3)
                             && sw.add_rip(vip, RipAddr(vip.0), 1.0).is_ok()
                         {
-                            sw.open_session(vip, 0).unwrap();
+                            sw.open_session(vip).unwrap();
                         }
                         let _ = sw.remove_vip(vip);
                     }
@@ -708,7 +675,7 @@ mod tests {
         let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
         sw.add_vip(VipAddr(0)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
-        sw.open_session(VipAddr(0), 0).unwrap();
+        sw.open_session(VipAddr(0)).unwrap();
         assert_eq!(sw.remove_rip(VipAddr(0), RipAddr(1)).unwrap(), 1);
         assert_eq!(sw.total_conns(), 0);
     }

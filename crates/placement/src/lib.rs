@@ -19,7 +19,7 @@
 //! * [`tang`] — [`tang::TangController`], a faithful-in-structure
 //!   implementation of the \[23\]-style controller (max-flow load
 //!   distribution alternating with incremental placement changes);
-//! * [`greedy`] — first-fit / best-fit / worst-fit baselines.
+//! * [`greedy`] — the first-fit baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +29,6 @@ pub mod maxflow;
 pub mod problem;
 pub mod tang;
 
-pub use greedy::{BestFit, FirstFit, WorstFit};
+pub use greedy::FirstFit;
 pub use problem::{AppReq, Placement, PlacementAlgorithm, PlacementProblem, ServerCap};
 pub use tang::TangController;

@@ -67,7 +67,7 @@ fn server_failures_trigger_reprovisioning() {
 
     // Pod managers replace the lost capacity within a few epochs —
     // either with new instances or by growing the survivors' slices;
-    // served demand is the recovery criterion.
+    // served demand is the measure of recovery.
     p.run_epochs(30);
     assert!(
         p.registry.counter(ids::INSTANCE_STARTS) > starts_before,
