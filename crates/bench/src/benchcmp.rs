@@ -2,20 +2,21 @@
 //!
 //! [`compare`] takes two parsed `BENCH_scale.json` documents and
 //! produces a [`CompareReport`]: every measurement present on both
-//! sides — the per-thread wall times (`t1`…`t8`), the demand route +
-//! serve stages (`demand`), and the per-phase profiler columns
-//! (`phase:<id>`) — is checked against the tolerance band, and every
+//! sides — the per-thread wall times (`t1`…`t8`), the platform build
+//! (`build`), the demand route + serve stages (`demand`), and the
+//! per-phase profiler columns (`phase:<id>`) — is checked against the
+//! tolerance band, and every
 //! key present on only one side is *named* in the report — a key
 //! mismatch is never a panic and never a silent skip. Because the
 //! per-phase columns ride the same row machinery, a regression report
 //! names exactly which epoch phase slowed down.
 //!
-//! Phase and demand measurements below [`MIN_GATED_S`] are skipped
-//! (not errors): sub-millisecond spans are dominated by timer jitter
-//! and would gate on noise. Above the floor they gate at
+//! Build, phase and demand measurements below [`MIN_GATED_S`] are
+//! skipped (not errors): sub-millisecond spans are dominated by timer
+//! jitter and would gate on noise. Above the floor they gate at
 //! [`FINE_GRAINED_TOLERANCE_FACTOR`]× the wall tolerance — they are
-//! sampled from far fewer epochs than the whole-epoch walls, so their
-//! run-to-run variance is higher.
+//! sampled from far fewer runs than the whole-epoch walls (one build per
+//! tier), so their run-to-run variance is higher.
 //!
 //! Schema problems (missing `tiers`, a tier without a `label`, an empty
 //! or non-numeric `wall_per_epoch_s` map, duplicate keys) are `Err`s
@@ -29,14 +30,15 @@
 use obs::json::Json;
 use std::fmt::Write as _;
 
-/// Optional measurements (demand stages, per-phase spans) shorter than
+/// Optional measurements (build, demand stages, per-phase spans) shorter than
 /// this are not gated — relative tolerance on sub-millisecond spans
 /// compares timer jitter, not controller cost.
 pub const MIN_GATED_S: f64 = 1e-3;
 
 /// Tolerance multiplier for the fine-grained optional columns
-/// (`demand`, `phase:<id>`). Those are measured at t=1 steps only over
-/// a handful of rounds, so a single scheduler hiccup moves them far
+/// (`build`, `demand`, `phase:<id>`). Those are measured once per tier
+/// or at t=1 steps only over a handful of rounds, so a single scheduler
+/// hiccup moves them far
 /// more than the multi-second whole-epoch walls; gating them at the
 /// wall tolerance makes the gate trip on host jitter between identical
 /// binaries. Twice the band keeps real phase regressions (a slowed
@@ -45,7 +47,7 @@ pub const FINE_GRAINED_TOLERANCE_FACTOR: f64 = 2.0;
 
 /// The tolerance band applied to one measurement key.
 fn key_tolerance(key: &str, tolerance: f64) -> f64 {
-    if key == "demand" || key.starts_with("phase:") {
+    if key == "build" || key == "demand" || key.starts_with("phase:") {
         tolerance * FINE_GRAINED_TOLERANCE_FACTOR
     } else {
         tolerance
@@ -99,7 +101,7 @@ impl CompareReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "benchcmp: tolerance +{:.0}% (+{:.0}% for demand/phase columns)",
+            "benchcmp: tolerance +{:.0}% (+{:.0}% for build/demand/phase columns)",
             self.tolerance * 100.0,
             self.tolerance * FINE_GRAINED_TOLERANCE_FACTOR * 100.0
         );
@@ -146,10 +148,11 @@ impl CompareReport {
 
 /// Extract the `(tier, measurement-key, seconds)` triples of one
 /// document, validating the schema as it goes. Measurement keys are the
-/// thread counts of `wall_per_epoch_s` (`"t1"`…), `"demand"` for
-/// `demand_s_per_epoch`, and `"phase:<id>"` for each entry of
-/// `phase_s_per_epoch`; the latter two are optional (older baselines
-/// predate them) and values below [`MIN_GATED_S`] are skipped. `side`
+/// thread counts of `wall_per_epoch_s` (`"t1"`…), `"build"` for
+/// `build_s`, `"demand"` for `demand_s_per_epoch`, and `"phase:<id>"`
+/// for each entry of `phase_s_per_epoch`; the latter three are optional
+/// (older baselines predate them) and values below [`MIN_GATED_S`] are
+/// skipped. `side`
 /// names the document in error messages (`"baseline"` / `"candidate"`).
 pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, String> {
     let Some(tiers) = doc.get("tiers") else {
@@ -214,6 +217,9 @@ pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, Str
             }
             Ok(())
         };
+        if let Some(build) = tier.get("build_s") {
+            push_optional("build".to_string(), build)?;
+        }
         if let Some(demand) = tier.get("demand_s_per_epoch") {
             push_optional("demand".to_string(), demand)?;
         }
@@ -442,6 +448,31 @@ mod tests {
             "demand_s_per_epoch within tolerance must compare clean"
         );
         assert!(rep.render().contains("phase:pod-planning"));
+    }
+
+    #[test]
+    fn build_time_is_gated_at_the_fine_grained_band() {
+        let b = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":0.10}"#);
+        // +25% is inside the widened band.
+        let c = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":0.125}"#);
+        let rep = compare(&b, &c, 0.15).expect("comparable");
+        assert!(rep.passed(), "{}", rep.render());
+        assert!(rep.rows.iter().any(|r| r.threads == "build"));
+        // A superlinear build (+3x) fails and is named.
+        let c = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":0.30}"#);
+        let rep = compare(&b, &c, 0.15).expect("comparable");
+        let regressed: Vec<&str> = rep
+            .rows
+            .iter()
+            .filter(|r| r.regression)
+            .map(|r| r.threads.as_str())
+            .collect();
+        assert_eq!(regressed, vec!["build"]);
+        assert!(rep.render().contains("build"));
+        // A non-numeric build time is a schema error naming the key.
+        let bad = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":"slow"}"#);
+        let err = compare(&b, &bad, 0.15).expect_err("schema");
+        assert!(err.contains("\"build\""), "{err}");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! For every tier present in *both* documents and every thread count in
 //! both `wall_per_epoch_s` maps, the candidate must satisfy
 //! `candidate <= baseline * (1 + tolerance)` (default 0.15, i.e. a >15%
-//! per-epoch wall-time regression fails). Keys present on only one side
+//! per-epoch wall-time regression fails). The optional `build_s`,
+//! demand and per-phase columns gate at twice that band (see
+//! `megadc_bench::benchcmp`). Keys present on only one side
 //! are *named* in the output and excluded from the verdict — a baseline
 //! regenerated at `--quick` (30k tier only) still gates a full
 //! candidate run — and zero overlap is a hard error spelling out both

@@ -8,7 +8,9 @@
 //! *full* control plane — demand propagation, threaded pod planning,
 //! the global knobs, the serialized VIP/RIP queue — at 30k/100k/300k
 //! applications (1 server per app, ~500-server pods) and records
-//! wall-time-per-epoch at 1/2/4/8 worker threads.
+//! wall-time-per-epoch at 1/2/4/8 worker threads. A `30k-mix` tier runs
+//! the paper's entity mix (§II: 20 instances and 3+ VIPs per app, so
+//! 600k VMs at 30k apps, in 5k-VM pods).
 //!
 //! Thread counts are swept in **interleaved rounds** (t=1,2,4,8,
 //! 1,2,4,8, …) over one warmed-up platform, so slow drift in control
@@ -136,9 +138,26 @@ fn tier_config(apps: usize) -> PlatformConfig {
     cfg
 }
 
-fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
+/// The paper-mix tier platform (megabench's `paper-mix` shape): the
+/// paper-scale entity mix of 20 instances and 3+ VIPs per app, 2
+/// servers per app (10 VMs each), 250 apps (5k VMs) per pod, 0.2 Mb/s
+/// per instance.
+fn mix_tier_config(apps: usize) -> PlatformConfig {
+    let mut cfg = PlatformConfig::paper_scale();
+    cfg.seed = 1900;
+    cfg.num_apps = apps;
+    cfg.num_servers = 2 * apps;
+    cfg.initial_pods = apps.div_ceil(250);
+    cfg.total_demand_bps = (apps * cfg.initial_instances_per_app) as f64 * 0.2e6;
+    cfg.diurnal_amplitude = 0.0;
+    cfg.threads = 1;
+    cfg
+}
+
+fn run_tier(label: &str, config: PlatformConfig, rounds: usize) -> TierResult {
+    let apps = config.num_apps;
     let t0 = Instant::now();
-    let mut p = Platform::build(tier_config(apps)).expect("tier config builds");
+    let mut p = Platform::build(config).expect("tier config builds");
     let build_s = t0.elapsed().as_secs_f64();
 
     // Warm-up: let the initial scale-out burst decay before timing.
@@ -261,14 +280,15 @@ fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Run the scale trajectory. `--quick` runs the 30k tier only (the CI
-/// regression gate); the full run adds 100k and 300k apps.
+/// Run the scale trajectory. `--quick` runs the 30k and 30k-mix tiers
+/// (the CI regression gate); the full run adds 100k and 300k apps.
 pub fn report(quick: bool, bench: Option<&Path>) -> Report {
-    let tiers_spec: &[(&str, usize)] = if quick {
-        &[("30k", 30_000)]
-    } else {
-        &[("30k", 30_000), ("100k", 100_000), ("300k", 300_000)]
-    };
+    let mut tiers_spec = vec![("30k", tier_config(30_000))];
+    if !quick {
+        tiers_spec.push(("100k", tier_config(100_000)));
+        tiers_spec.push(("300k", tier_config(300_000)));
+    }
+    tiers_spec.push(("30k-mix", mix_tier_config(30_000)));
     let rounds = if quick { 2 } else { 3 };
     let mut t = Table::new([
         "tier",
@@ -285,8 +305,8 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
         "critical path",
     ]);
     let mut tiers = Vec::new();
-    for &(label, apps) in tiers_spec {
-        let tier = run_tier(label, apps, rounds);
+    for (label, config) in tiers_spec {
+        let tier = run_tier(label, config, rounds);
         t.row([
             tier.label.clone(),
             tier.pods.to_string(),
@@ -314,8 +334,9 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
     }
     let text = format!(
         "E19 — paper-scale bench trajectory: full-control-plane wall-time per epoch\n\
-         (1 server/app, ~500-server pods; thread counts interleaved per round so\n\
-         control-activity drift cancels; host parallelism = {host})\n\n{}\n\
+         (1 server/app, ~500-server pods; 30k-mix: 20 instances/app, 5k-VM pods;\n\
+         thread counts interleaved per round so control-activity drift cancels;\n\
+         host parallelism = {host})\n\n{}\n\
          expected shape: per-epoch wall time grows with the tier while per-pod\n\
          planning stays bounded (the §III.A argument); on a multi-core host the\n\
          t=4 column approaches the Amdahl prediction from the parallel fraction,\n\
@@ -346,7 +367,7 @@ mod tests {
     /// warm-up, interleaved thread rounds, JSON rendering) in test time.
     #[test]
     fn miniature_tier_measures_and_serializes() {
-        let tier = run_tier("mini", 600, 1);
+        let tier = run_tier("mini", tier_config(600), 1);
         assert_eq!(tier.apps, 600);
         assert!(tier.pods >= 1 && tier.vms >= 600);
         assert!(tier.wall_per_epoch_s.iter().all(|&w| w > 0.0));

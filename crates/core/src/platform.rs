@@ -165,12 +165,12 @@ impl Platform {
                 let router = (0..n_routers)
                     .filter(|r| !used.contains(r) || used.len() >= n_routers)
                     .min_by_key(|&r| adverts_per_router[r])
-                    .expect("at least one router");
+                    .ok_or("no access router to advertise VIPs at")?;
                 adverts_per_router[router] += 1;
                 used.push(router);
                 state
                     .advertise_vip(vip, dcnet::access::AccessRouterId(router as u32), t0)
-                    .expect("fresh VIP");
+                    .map_err(|e| format!("advertising {vip} failed: {e}"))?;
             }
         }
 
@@ -182,19 +182,19 @@ impl Platform {
         for (i, (app, _)) in app_vips.iter().enumerate() {
             for inst in 0..config.initial_instances_per_app {
                 let pod = PodId(((i + inst) % num_pods) as u32);
+                // The first server that fits, or the first lookup error.
                 let server = state
                     .pod_servers(pod)
                     .iter()
-                    .copied()
-                    .find(|&s| {
-                        state
-                            .fleet
-                            .server(s)
-                            .expect("valid")
-                            .fits(config.vm_cpu_slice, config.vm_mem_mb)
-                            .is_ok()
+                    .map(|&s| state.fleet.server(s))
+                    .find(|srv| {
+                        srv.as_ref().map_or(true, |srv| {
+                            srv.fits(config.vm_cpu_slice, config.vm_mem_mb).is_ok()
+                        })
                     })
-                    .ok_or_else(|| format!("no capacity in {pod} for initial instance of {app}"))?;
+                    .ok_or_else(|| format!("no capacity in {pod} for initial instance of {app}"))?
+                    .map_err(|e| format!("initial placement failed: {e}"))?
+                    .id();
                 let vm = state
                     .fleet
                     .create_vm_running(server, app.0, config.vm_cpu_slice, config.vm_mem_mb)

@@ -22,8 +22,8 @@
 
 use crate::ids::{AppId, PodId};
 use crate::state::{PlatformState, StateError};
-use lbswitch::{RipAddr, SwitchId, VipAddr};
-use std::collections::BinaryHeap;
+use lbswitch::{LbSwitch, RipAddr, SwitchId, VipAddr};
+use std::collections::{BTreeSet, BinaryHeap};
 use vmm::VmId;
 
 /// Request priority: lower value = processed first.
@@ -132,6 +132,45 @@ impl PartialOrd for Queued {
     }
 }
 
+/// §III.C new-VIP score: fewest configured VIPs + lowest throughput.
+/// Never negative (`+0.0` at the least), so `to_bits` order is numeric
+/// order.
+fn vip_switch_score(sw: &LbSwitch) -> f64 {
+    sw.vip_count() as f64 / sw.limits().max_vips as f64 + sw.utilization()
+}
+
+/// The switches a `NewVip` may land on — healthy, with a free VIP slot —
+/// ordered by `(score bits, id)`, so the first entry is the full scan's
+/// first minimum in id order. Valid for one drain only: within a drain
+/// only `NewVip` changes a switch's VIP count, offered total or health,
+/// and it re-indexes the switch it chose.
+struct VipSwitchIndex(BTreeSet<(u64, SwitchId)>);
+
+impl VipSwitchIndex {
+    fn new(state: &PlatformState) -> Self {
+        let mut index = VipSwitchIndex(BTreeSet::new());
+        for sw in &state.switches {
+            index.insert(state, sw.id());
+        }
+        index
+    }
+
+    /// Index `id` under its current score, if it can take a VIP.
+    fn insert(&mut self, state: &PlatformState, id: SwitchId) {
+        let sw = &state.switches[id.0 as usize];
+        if state.switch_healthy(id) && sw.vip_slots_free() > 0 {
+            let score = vip_switch_score(sw);
+            debug_assert!(score.is_sign_positive() && !score.is_nan(), "{score}");
+            self.0.insert((score.to_bits(), id));
+        }
+    }
+
+    /// Take the lowest-scoring switch out of the index.
+    fn pop_min(&mut self) -> Option<SwitchId> {
+        self.0.pop_first().map(|(_, id)| id)
+    }
+}
+
 /// The serialized VIP/RIP configuration mediator.
 #[derive(Debug, Default)]
 pub struct VipRipManager {
@@ -178,8 +217,10 @@ impl VipRipManager {
     /// processing order.
     pub fn process_all(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
         let mut out = Vec::with_capacity(self.queue.len());
+        // Built at the drain's first `NewVip`; dropped with the drain.
+        let mut vip_switches = None;
         while let Some(q) = self.queue.pop() {
-            let resp = self.apply(state, &q.request);
+            let resp = Self::apply(state, &q.request, &mut vip_switches);
             self.processed += 1;
             if matches!(resp, Response::Failed(_)) {
                 self.failed += 1;
@@ -189,15 +230,24 @@ impl VipRipManager {
         out
     }
 
-    fn apply(&self, state: &mut PlatformState, req: &Request) -> Response {
+    fn apply(
+        state: &mut PlatformState,
+        req: &Request,
+        vip_switches: &mut Option<VipSwitchIndex>,
+    ) -> Response {
         match req {
-            Request::NewVip { app } => match Self::pick_vip_switch(state) {
-                Some(sw) => match state.allocate_vip(*app, sw) {
+            Request::NewVip { app } => {
+                let index = vip_switches.get_or_insert_with(|| VipSwitchIndex::new(state));
+                let Some(sw) = index.pop_min() else {
+                    return Response::Failed("no switch with free VIP capacity".into());
+                };
+                let resp = match state.allocate_vip(*app, sw) {
                     Ok(vip) => Response::VipAllocated(vip, sw),
                     Err(e) => Response::Failed(e.to_string()),
-                },
-                None => Response::Failed("no switch with free VIP capacity".into()),
-            },
+                };
+                index.insert(state, sw);
+                resp
+            }
             Request::NewRip { app, vm, weight } => match Self::pick_rip_vip(state, *app) {
                 Some(vip) => match state.bind_rip(vip, *vm, *weight) {
                     Ok(rip) => Response::RipBound(rip, vip),
@@ -224,18 +274,18 @@ impl VipRipManager {
         }
     }
 
-    /// §III.C new-VIP policy: fewest configured VIPs + lowest throughput
-    /// (healthy switches only).
+    /// Reference for [`VipSwitchIndex`]: the full scan over every switch,
+    /// first minimum in id order.
+    #[cfg(test)]
     fn pick_vip_switch(state: &PlatformState) -> Option<SwitchId> {
         state
             .switches
             .iter()
             .filter(|sw| state.switch_healthy(sw.id()) && sw.vip_slots_free() > 0)
             .min_by(|a, b| {
-                let score = |sw: &lbswitch::LbSwitch| {
-                    sw.vip_count() as f64 / sw.limits().max_vips as f64 + sw.utilization()
-                };
-                score(a).partial_cmp(&score(b)).expect("finite scores")
+                vip_switch_score(a)
+                    .partial_cmp(&vip_switch_score(b))
+                    .expect("finite scores")
             })
             .map(|sw| sw.id())
     }
@@ -532,5 +582,142 @@ mod tests {
         assert_eq!(st.switches[0].rip_count(), 2);
         assert_eq!(st.switches[1].rip_count(), 2);
         st.assert_invariants();
+    }
+
+    impl VipRipManager {
+        /// [`VipRipManager::process_all`] with the full scan choosing
+        /// every `NewVip`'s switch.
+        fn process_all_full_scan(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
+            let mut out = Vec::new();
+            while let Some(q) = self.queue.pop() {
+                let resp = match q.request {
+                    Request::NewVip { app } => match Self::pick_vip_switch(state) {
+                        Some(sw) => match state.allocate_vip(app, sw) {
+                            Ok(vip) => Response::VipAllocated(vip, sw),
+                            Err(e) => Response::Failed(e.to_string()),
+                        },
+                        None => Response::Failed("no switch with free VIP capacity".into()),
+                    },
+                    ref req => Self::apply(state, req, &mut None),
+                };
+                out.push((q.request, resp));
+            }
+            out
+        }
+    }
+
+    /// Seeded drains of `NewVip` mixed with `NewRip`/`DeleteRip`, with
+    /// offered loads, switch failures and VIP transfers between drains,
+    /// run on two identical states: the drain-local index must choose
+    /// the full scan's switch for every `NewVip`, so both drains return
+    /// the same responses.
+    #[test]
+    fn vip_switch_index_matches_the_full_scan() {
+        use rand::Rng;
+        let mut allocated = 0;
+        let mut full = 0;
+        for seed in 1..=8u64 {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.num_switches = 6;
+            cfg.switch_limits.max_vips = 5;
+            let build = || {
+                let mut st = PlatformState::new(cfg);
+                for rank in 0..st.config.num_apps {
+                    st.register_app(rank);
+                }
+                st
+            };
+            let (mut fast, mut reference) = (build(), build());
+            let (mut fast_mgr, mut ref_mgr) = (VipRipManager::new(), VipRipManager::new());
+            let mut rng = dcsim::rng::component_rng(seed, "vip-switch-index", 0);
+            let mut vms = Vec::new();
+            for drain in 0..30u64 {
+                let healthy: Vec<SwitchId> = (0..cfg.num_switches as u32)
+                    .map(SwitchId)
+                    .filter(|&s| fast.switch_healthy(s))
+                    .collect();
+                match rng.gen_range(0..5) {
+                    0 | 1 => {
+                        // Zero loads tie scores, so the id tie-break shows.
+                        let levels = [0.0, 0.0, 2e8, 1e9, 3e9];
+                        let load = |vip: VipAddr| {
+                            let mut h = seed ^ (drain << 32) ^ u64::from(vip.0);
+                            levels[(dcsim::rng::splitmix64(&mut h) % 5) as usize]
+                        };
+                        for st in [&mut fast, &mut reference] {
+                            for sw in &mut st.switches {
+                                sw.set_offered_loads(load);
+                            }
+                        }
+                    }
+                    2 if healthy.len() > 2 => {
+                        let id = healthy[rng.gen_range(0..healthy.len())];
+                        assert_eq!(fast.fail_switch(id), reference.fail_switch(id));
+                    }
+                    3 => {
+                        let vips: Vec<VipAddr> = fast.vips().map(|(v, _)| v).collect();
+                        if !vips.is_empty() {
+                            let vip = vips[rng.gen_range(0..vips.len())];
+                            let to = healthy[rng.gen_range(0..healthy.len())];
+                            assert_eq!(
+                                fast.transfer_vip(vip, to).is_ok(),
+                                reference.transfer_vip(vip, to).is_ok()
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+                for _ in 0..rng.gen_range(1..10) {
+                    let app = AppId(rng.gen_range(0..cfg.num_apps as u32));
+                    let req = match rng.gen_range(0..4) {
+                        0 | 1 => Request::NewVip { app },
+                        2 => {
+                            let server = ServerId(rng.gen_range(0..cfg.num_servers as u32));
+                            let create = |st: &mut PlatformState| {
+                                st.fleet
+                                    .create_vm_running(
+                                        server,
+                                        app.0,
+                                        cfg.vm_cpu_slice,
+                                        cfg.vm_mem_mb,
+                                    )
+                                    .ok()
+                            };
+                            let vm = create(&mut fast);
+                            assert_eq!(vm, create(&mut reference));
+                            let Some(vm) = vm else { continue };
+                            vms.push(vm);
+                            Request::NewRip {
+                                app,
+                                vm,
+                                weight: 1.0,
+                            }
+                        }
+                        _ if !vms.is_empty() => Request::DeleteRip {
+                            vm: vms.swap_remove(rng.gen_range(0..vms.len())),
+                        },
+                        _ => continue,
+                    };
+                    fast_mgr.submit(Priority::Normal, req.clone());
+                    ref_mgr.submit(Priority::Normal, req);
+                }
+                let got = fast_mgr.process_all(&mut fast);
+                let want = ref_mgr.process_all_full_scan(&mut reference);
+                assert_eq!(got, want, "seed {seed} drain {drain}");
+                for (req, resp) in &got {
+                    match (req, resp) {
+                        (Request::NewVip { .. }, Response::VipAllocated(..)) => allocated += 1,
+                        (Request::NewVip { .. }, Response::Failed(_)) => full += 1,
+                        _ => {}
+                    }
+                }
+            }
+            fast.assert_invariants();
+        }
+        // The sequences must reach both outcomes to test anything.
+        assert!(
+            allocated > 100 && full > 0,
+            "{allocated} allocated, {full} full"
+        );
     }
 }

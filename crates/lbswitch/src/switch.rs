@@ -141,8 +141,9 @@ pub struct LbSwitch {
     total_conns: u64,
     reconfigs: u64,
     /// Invariant: `vips.values().map(|c| c.offered_bps).sum()`, re-summed
-    /// in BTreeMap order after every change to the VIP set or to offered
-    /// loads, so it is bit-identical to a fresh sum.
+    /// in BTreeMap order after every VIP removal and every change to
+    /// offered loads (and incremented by a new VIP's +0.0), so it is
+    /// bit-identical to a fresh sum.
     offered_total: f64,
 }
 
@@ -232,8 +233,12 @@ impl LbSwitch {
         if self.vips.len() >= self.limits.max_vips {
             return Err(SwitchError::VipLimitExceeded);
         }
-        self.vips.insert(vip, VipConfig::default());
-        self.resum_offered();
+        let cfg = VipConfig::default();
+        // A fresh VIP offers +0.0, and adding +0.0 equals the in-order
+        // re-sum bit for bit (it only turns an empty sum's -0.0 into
+        // +0.0, as the re-sum does), so no walk over the VIPs is needed.
+        self.offered_total += cfg.offered_bps;
+        self.vips.insert(vip, cfg);
         self.reconfigs += 1;
         Ok(())
     }
@@ -619,7 +624,7 @@ mod tests {
             assert_eq!(sw.offered_bps().to_bits(), fresh(&sw).to_bits());
             for step in 0..200 {
                 let vip = VipAddr(rng.gen_range(0..24));
-                match rng.gen_range(0..5) {
+                match rng.gen_range(0..6) {
                     0 | 1 => {
                         let _ = sw.add_vip(vip);
                     }
@@ -636,6 +641,25 @@ mod tests {
                     }
                     3 => {
                         let _ = sw.force_remove_vip(vip);
+                    }
+                    4 => {
+                        // Signed-zero loads, then a new VIP: the total is
+                        // -0.0 only when every load is -0.0, and adding
+                        // the fresh VIP's +0.0 must turn it into +0.0.
+                        let all_negative = rng.gen_bool(0.5);
+                        sw.set_offered_loads(|_| {
+                            if all_negative || rng.gen_bool(0.5) {
+                                -0.0
+                            } else {
+                                0.0
+                            }
+                        });
+                        assert_eq!(
+                            sw.offered_bps().to_bits(),
+                            fresh(&sw).to_bits(),
+                            "seed {seed} step {step} (zero loads)"
+                        );
+                        let _ = sw.add_vip(vip);
                     }
                     _ => {
                         // Magnitudes far apart, so summation order shows.

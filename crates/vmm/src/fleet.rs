@@ -242,12 +242,12 @@ impl Fleet {
             .reserve_inbound(cpu, mem)
             .map_err(|e| VmError::Placement(dst, e))?;
         let done_at = now + self.cost.migration_time(mem);
-        let vm = self
+        let state = self
             .server_mut(src)
             .expect("source exists")
-            .vm_mut(id)
+            .vm_state_mut(id)
             .expect("vm located on source");
-        vm.state = VmState::Migrating { done_at, to: dst };
+        *state = VmState::Migrating { done_at, to: dst };
         Ok(done_at)
     }
 
@@ -271,10 +271,10 @@ impl Fleet {
         let mut changed = Vec::new();
         for (id, srv) in locations.iter_mut() {
             let host = &mut servers[srv.0 as usize];
-            let vm = host.vm_mut(id).expect("registry consistent");
-            match vm.state {
+            let state = host.vm_state_mut(id).expect("registry consistent");
+            match *state {
                 VmState::Booting { ready_at } if ready_at <= now => {
-                    vm.state = VmState::Running;
+                    *state = VmState::Running;
                     changed.push(id);
                 }
                 VmState::Migrating { done_at, to } if done_at <= now => {

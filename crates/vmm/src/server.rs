@@ -133,6 +133,13 @@ pub struct Server {
     id: ServerId,
     spec: ServerSpec,
     vms: BTreeMap<VmId, Vm>,
+    /// Invariant: `vms.values().map(|v| v.cpu_slice).sum()`, re-summed in
+    /// BTreeMap order after every change to the VM set or to a slice, so
+    /// it is bit-identical to a fresh sum.
+    vm_cpu: f64,
+    /// Invariant: `vms.values().map(|v| v.mem_mb).sum()`. An integer sum
+    /// does not depend on order, so it is kept by exact add/subtract.
+    vm_mem: u64,
     /// CPU reserved for inbound migrations (destination-side reservation).
     inbound_cpu: f64,
     inbound_mem: u64,
@@ -142,13 +149,23 @@ impl Server {
     /// Create a server.
     pub fn new(id: ServerId, spec: ServerSpec) -> Self {
         spec.validate();
-        Server {
+        let mut srv = Server {
             id,
             spec,
             vms: BTreeMap::new(),
+            vm_cpu: 0.0,
+            vm_mem: 0,
             inbound_cpu: 0.0,
             inbound_mem: 0,
-        }
+        };
+        // An empty f64 sum is -0.0, not the 0.0 literal above.
+        srv.resum_cpu();
+        srv
+    }
+
+    /// Re-establish the `vm_cpu` invariant.
+    fn resum_cpu(&mut self) {
+        self.vm_cpu = self.vms.values().map(|v| v.cpu_slice).sum();
     }
 
     /// This server's id.
@@ -178,7 +195,7 @@ impl Server {
 
     /// CPU units committed to resident VM slices plus inbound reservations.
     pub fn cpu_used(&self) -> f64 {
-        self.vms.values().map(|v| v.cpu_slice).sum::<f64>() + self.inbound_cpu
+        self.vm_cpu + self.inbound_cpu
     }
 
     /// Free CPU units.
@@ -188,7 +205,7 @@ impl Server {
 
     /// Memory committed, MB.
     pub fn mem_used(&self) -> u64 {
-        self.vms.values().map(|v| v.mem_mb).sum::<u64>() + self.inbound_mem
+        self.vm_mem + self.inbound_mem
     }
 
     /// Free memory, MB.
@@ -222,14 +239,20 @@ impl Server {
     pub(crate) fn place(&mut self, vm: Vm) -> Result<(), PlaceError> {
         assert!(vm.cpu_slice > 0.0, "VM CPU slice must be positive");
         self.fits(vm.cpu_slice, vm.mem_mb)?;
+        let mem_mb = vm.mem_mb;
         let prev = self.vms.insert(vm.id, vm);
         assert!(prev.is_none(), "VM already resident");
+        self.vm_mem += mem_mb;
+        self.resum_cpu();
         Ok(())
     }
 
     /// Remove a resident VM.
     pub(crate) fn evict(&mut self, id: VmId) -> Result<Vm, PlaceError> {
-        self.vms.remove(&id).ok_or(PlaceError::UnknownVm(id))
+        let vm = self.vms.remove(&id).ok_or(PlaceError::UnknownVm(id))?;
+        self.vm_mem -= vm.mem_mb;
+        self.resum_cpu();
+        Ok(vm)
     }
 
     /// Reserve capacity for an inbound migration.
@@ -260,12 +283,14 @@ impl Server {
             return Err(PlaceError::InsufficientCpu);
         }
         self.vms.get_mut(&id).expect("checked").cpu_slice = new_cpu;
+        self.resum_cpu();
         Ok(())
     }
 
-    /// Mutable access to a resident VM's state (fleet-internal).
-    pub(crate) fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(&id)
+    /// Mutable access to a resident VM's lifecycle state (fleet-internal).
+    /// Only the state is exposed, so the committed totals cannot go stale.
+    pub(crate) fn vm_state_mut(&mut self, id: VmId) -> Option<&mut VmState> {
+        self.vms.get_mut(&id).map(|v| &mut v.state)
     }
 }
 
@@ -358,6 +383,54 @@ mod tests {
         assert_eq!(s.place(vm(1, 1.0, 100)), Err(PlaceError::InsufficientCpu));
         s.release_inbound(1.5, 300);
         s.place(vm(1, 1.0, 100)).unwrap();
+    }
+
+    #[test]
+    fn committed_totals_match_a_fresh_sum_after_every_step() {
+        use dcsim::rng::splitmix64;
+        let fresh_cpu = |s: &Server| s.vms().map(|v| v.cpu_slice).sum::<f64>() + s.inbound_cpu;
+        let fresh_mem = |s: &Server| s.vms().map(|v| v.mem_mb).sum::<u64>() + s.inbound_mem;
+        // Magnitudes far apart, so summation order shows.
+        let slices = [1e-9, 3e-4, 0.1, 0.4, 1.0, 1.7];
+        for seed in 0..32 {
+            let mut rng = seed;
+            let mut pick = |n: usize| (splitmix64(&mut rng) % n as u64) as usize;
+            let mut s = Server::new(ServerId(0), ServerSpec::COMMODITY);
+            let mut reserved = Vec::new();
+            for step in 0..300 {
+                let id = VmId(pick(24) as u32);
+                let cpu = slices[pick(slices.len())];
+                let mem = 512 * (1 + pick(8)) as u64;
+                match pick(6) {
+                    0 | 1 if s.vm(id).is_none() => {
+                        let _ = s.place(vm(id.0, cpu, mem));
+                    }
+                    2 => {
+                        let _ = s.evict(id);
+                    }
+                    3 => {
+                        let _ = s.adjust_slice(id, cpu);
+                    }
+                    4 => {
+                        let ok = s.reserve_inbound(cpu, mem).is_ok();
+                        if ok {
+                            reserved.push((cpu, mem));
+                        }
+                    }
+                    5 => {
+                        let (cpu, mem) = reserved.pop().unwrap_or((0.0, 0));
+                        s.release_inbound(cpu, mem);
+                    }
+                    _ => {}
+                }
+                assert_eq!(
+                    s.cpu_used().to_bits(),
+                    fresh_cpu(&s).to_bits(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(s.mem_used(), fresh_mem(&s), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]
