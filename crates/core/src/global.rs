@@ -126,6 +126,42 @@ pub struct GlobalManager {
     max_exposure_apps_per_link: usize,
 }
 
+/// The note of each [`ActionKind::QueueApply`] event, `"<Request> ->
+/// <Response>"`, indexed by request variant then response variant (in
+/// declaration order).
+const QUEUE_APPLY_NOTES: [[&str; 4]; 5] = [
+    [
+        "NewVip -> VipAllocated",
+        "NewVip -> RipBound",
+        "NewVip -> Done",
+        "NewVip -> Failed",
+    ],
+    [
+        "NewRip -> VipAllocated",
+        "NewRip -> RipBound",
+        "NewRip -> Done",
+        "NewRip -> Failed",
+    ],
+    [
+        "DeleteRip -> VipAllocated",
+        "DeleteRip -> RipBound",
+        "DeleteRip -> Done",
+        "DeleteRip -> Failed",
+    ],
+    [
+        "SetWeight -> VipAllocated",
+        "SetWeight -> RipBound",
+        "SetWeight -> Done",
+        "SetWeight -> Failed",
+    ],
+    [
+        "AdjustPodWeights -> VipAllocated",
+        "AdjustPodWeights -> RipBound",
+        "AdjustPodWeights -> Done",
+        "AdjustPodWeights -> Failed",
+    ],
+];
+
 impl GlobalManager {
     /// New manager with default per-epoch actuation caps.
     pub fn new() -> Self {
@@ -207,25 +243,23 @@ impl GlobalManager {
     /// (actor [`Actor::Queue`] — apply-time ordering is exactly what the
     /// §III.C safety argument rests on, so the audit trail keeps it).
     pub(crate) fn record_queue_apply(&mut self, req: &Request, resp: &Response) {
-        let (req_name, app, vm, vip, pod) = match req {
-            Request::NewVip { app } => ("NewVip", Some(app.0), None, None, None),
-            Request::NewRip { app, vm, .. } => ("NewRip", Some(app.0), Some(vm.0), None, None),
-            Request::DeleteRip { vm } => ("DeleteRip", None, Some(vm.0), None, None),
-            Request::SetWeight { vm, .. } => ("SetWeight", None, Some(vm.0), None, None),
-            Request::AdjustPodWeights { pod, vip, .. } => {
-                ("AdjustPodWeights", None, None, Some(vip.0), Some(pod.0))
-            }
+        let (req_kind, app, vm, vip, pod) = match req {
+            Request::NewVip { app } => (0, Some(app.0), None, None, None),
+            Request::NewRip { app, vm, .. } => (1, Some(app.0), Some(vm.0), None, None),
+            Request::DeleteRip { vm } => (2, None, Some(vm.0), None, None),
+            Request::SetWeight { vm, .. } => (3, None, Some(vm.0), None, None),
+            Request::AdjustPodWeights { pod, vip, .. } => (4, None, None, Some(vip.0), Some(pod.0)),
         };
-        let (resp_name, resp_vip, switch) = match resp {
-            Response::VipAllocated(v, sw) => ("VipAllocated", Some(v.0), Some(sw.0)),
-            Response::RipBound(_, v) => ("RipBound", Some(v.0), None),
-            Response::Done => ("Done", None, None),
-            Response::Failed(_) => ("Failed", None, None),
+        let (resp_kind, resp_vip, switch) = match resp {
+            Response::VipAllocated(v, sw) => (0, Some(v.0), Some(sw.0)),
+            Response::RipBound(_, v) => (1, Some(v.0), None),
+            Response::Done => (2, None, None),
+            Response::Failed(_) => (3, None, None),
         };
         let mut b = self
             .recorder
             .event(Actor::Queue, ActionKind::QueueApply)
-            .note(&format!("{req_name} -> {resp_name}"));
+            .note(QUEUE_APPLY_NOTES[req_kind][resp_kind]);
         if let Some(a) = app {
             b = b.app(a);
         }
@@ -1375,6 +1409,53 @@ mod tests {
 
     fn t0(st: &PlatformState) -> SimTime {
         SimTime::ZERO + st.routes.convergence()
+    }
+
+    /// Each queue-apply note is `"<Request> -> <Response>"` with the
+    /// variant names as `Debug` prints them, for every variant pair.
+    #[test]
+    fn queue_apply_notes_name_both_variants() {
+        let requests = [
+            Request::NewVip { app: AppId(1) },
+            Request::NewRip {
+                app: AppId(1),
+                vm: VmId(2),
+                weight: 1.0,
+            },
+            Request::DeleteRip { vm: VmId(2) },
+            Request::SetWeight {
+                vm: VmId(2),
+                weight: 1.0,
+            },
+            Request::AdjustPodWeights {
+                pod: PodId(0),
+                vip: VipAddr(3),
+                weights: Vec::new(),
+            },
+        ];
+        let responses = [
+            Response::VipAllocated(VipAddr(3), SwitchId(0)),
+            Response::RipBound(lbswitch::RipAddr(4), VipAddr(3)),
+            Response::Done,
+            Response::Failed("refused".into()),
+        ];
+        let variant = |debug: String| {
+            let end = debug.find(|c: char| !c.is_alphanumeric());
+            debug[..end.unwrap_or(debug.len())].to_string()
+        };
+        let mut gm = GlobalManager::new();
+        for req in &requests {
+            for resp in &responses {
+                gm.record_queue_apply(req, resp);
+                let ev = gm.recorder.take_events().pop().unwrap();
+                let want = format!(
+                    "{} -> {}",
+                    variant(format!("{req:?}")),
+                    variant(format!("{resp:?}"))
+                );
+                assert_eq!(ev.note, want);
+            }
+        }
     }
 
     #[test]

@@ -662,6 +662,21 @@ impl PlatformState {
             assert_eq!(AppId(vm.app), vrec.app, "{rip}: VM app != VIP app");
             assert_eq!(self.vm_rip.get(rec.vm), Some(&rip), "vm_rip out of sync");
         }
+        // And back: every switch entry is a RIP record of the VIP it is
+        // listed under, so a record's VIP locates its entry.
+        for sw in &self.switches {
+            for (vip, cfg) in sw.vips() {
+                for entry in &cfg.rips {
+                    assert_eq!(
+                        self.rips.get(entry.rip).map(|rec| rec.vip),
+                        Some(vip),
+                        "{} under {vip} on {} has no record of that VIP",
+                        entry.rip,
+                        sw.id()
+                    );
+                }
+            }
+        }
         // Failed components hold nothing.
         for (i, sw) in self.switches.iter().enumerate() {
             if !self.switch_ok[i] {

@@ -23,7 +23,7 @@
 use crate::ids::{AppId, PodId};
 use crate::state::{PlatformState, StateError};
 use lbswitch::{LbSwitch, RipAddr, SwitchId, VipAddr};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 use vmm::VmId;
 
 /// Request priority: lower value = processed first.
@@ -38,7 +38,8 @@ pub enum Priority {
 }
 
 impl Priority {
-    fn rank(self) -> u8 {
+    /// Drain position: `High` is 0, `Low` is 2.
+    fn rank(self) -> usize {
         match self {
             Priority::High => 0,
             Priority::Normal => 1,
@@ -104,34 +105,6 @@ pub enum Response {
     Failed(String),
 }
 
-#[derive(Debug)]
-struct Queued {
-    priority: u8,
-    seq: u64,
-    request: Request,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: invert so lowest (priority, seq) pops first.
-        other
-            .priority
-            .cmp(&self.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// §III.C new-VIP score: fewest configured VIPs + lowest throughput.
 /// Never negative (`+0.0` at the least), so `to_bits` order is numeric
 /// order.
@@ -174,8 +147,8 @@ impl VipSwitchIndex {
 /// The serialized VIP/RIP configuration mediator.
 #[derive(Debug, Default)]
 pub struct VipRipManager {
-    queue: BinaryHeap<Queued>,
-    next_seq: u64,
+    /// One FIFO per priority, indexed by [`Priority::rank`].
+    queues: [Vec<Request>; 3],
     processed: u64,
     failed: u64,
 }
@@ -188,18 +161,12 @@ impl VipRipManager {
 
     /// Enqueue a request.
     pub fn submit(&mut self, priority: Priority, request: Request) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Queued {
-            priority: priority.rank(),
-            seq,
-            request,
-        });
+        self.queues[priority.rank()].push(request);
     }
 
     /// Pending request count.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queues.iter().map(Vec::len).sum()
     }
 
     /// Requests processed so far.
@@ -216,16 +183,20 @@ impl VipRipManager {
     /// the platform state. Returns `(request, response)` pairs in
     /// processing order.
     pub fn process_all(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
-        let mut out = Vec::with_capacity(self.queue.len());
+        let mut out = Vec::with_capacity(self.pending());
         // Built at the drain's first `NewVip`; dropped with the drain.
         let mut vip_switches = None;
-        while let Some(q) = self.queue.pop() {
-            let resp = Self::apply(state, &q.request, &mut vip_switches);
-            self.processed += 1;
-            if matches!(resp, Response::Failed(_)) {
-                self.failed += 1;
+        // `&mut self` holds off `submit` until the drain ends, so draining
+        // the FIFOs one after another is (priority, FIFO) order.
+        for queue in &mut self.queues {
+            for request in queue.drain(..) {
+                let resp = Self::apply(state, &request, &mut vip_switches);
+                self.processed += 1;
+                if matches!(resp, Response::Failed(_)) {
+                    self.failed += 1;
+                }
+                out.push((request, resp));
             }
-            out.push((q.request, resp));
         }
         out
     }
@@ -336,22 +307,18 @@ impl VipRipManager {
     ) -> Result<(), StateError> {
         let switch = state.vip(vip)?.switch;
         // Current total pod weight under this VIP.
-        let cfg = state.switches[switch.0 as usize].vip(vip)?.clone();
+        let cfg = state.switches[switch.0 as usize].vip(vip)?;
         let mut pod_total = 0.0;
-        let mut pod_rips = Vec::new();
         for entry in &cfg.rips {
-            let rec = *state.rip(entry.rip)?;
+            let rec = state.rip(entry.rip)?;
             let srv = state.fleet.locate(rec.vm)?;
             if state.pod_of(srv) == pod {
                 pod_total += entry.weight;
-                pod_rips.push((rec.vm, entry.rip));
             }
         }
-        // Validate the request covers exactly the pod's VMs under the VIP.
+        // Validate the request covers only the pod's VMs under the VIP.
         for &(vm, _) in weights {
-            if !pod_rips.iter().any(|&(v, _)| v == vm) {
-                return Err(StateError::Vm(vmm::VmError::UnknownVm(vm)));
-            }
+            Self::pod_rip(state, pod, vip, vm)?;
         }
         let requested_total: f64 = weights.iter().map(|&(_, w)| w.max(0.0)).sum();
         if requested_total <= 0.0 || pod_total <= 0.0 {
@@ -359,14 +326,32 @@ impl VipRipManager {
         }
         let scale = pod_total / requested_total;
         for &(vm, w) in weights {
-            let rip = pod_rips
-                .iter()
-                .find(|&&(v, _)| v == vm)
-                .expect("validated")
-                .1;
+            let rip = Self::pod_rip(state, pod, vip, vm)?;
             state.switches[switch.0 as usize].set_rip_weight(vip, rip, w.max(0.0) * scale)?;
         }
         Ok(())
+    }
+
+    /// The RIP of `vm` if it is bound under `vip` and runs in `pod`. A RIP
+    /// record's VIP is the VIP whose switch entry lists it
+    /// ([`PlatformState::assert_invariants`]), so this finds exactly the
+    /// `vip` entries the pod owns.
+    fn pod_rip(
+        state: &PlatformState,
+        pod: PodId,
+        vip: VipAddr,
+        vm: VmId,
+    ) -> Result<RipAddr, StateError> {
+        state
+            .rip_of_vm(vm)
+            .filter(|&rip| {
+                state.rip(rip).is_ok_and(|rec| rec.vip == vip)
+                    && state
+                        .fleet
+                        .locate(vm)
+                        .is_ok_and(|srv| state.pod_of(srv) == pod)
+            })
+            .ok_or(StateError::Vm(vmm::VmError::UnknownVm(vm)))
     }
 }
 
@@ -435,8 +420,13 @@ mod tests {
         st.assert_invariants();
     }
 
+    /// A hand-made drain, then seeded rounds of mixed priorities and
+    /// request kinds: each drain returns its requests in the stable sort
+    /// of submission order by priority, and the counters account for
+    /// every one.
     #[test]
     fn priority_order_then_fifo() {
+        use rand::Rng;
         let mut st = state();
         let mut mgr = VipRipManager::new();
         mgr.submit(Priority::Low, Request::NewVip { app: AppId(0) });
@@ -452,6 +442,60 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![AppId(2), AppId(3), AppId(1), AppId(0)]);
+
+        let mut rng = dcsim::rng::component_rng(5, "queue-order", 0);
+        let priorities = [Priority::Low, Priority::Normal, Priority::High];
+        let (mut processed, mut failed, mut next_app) = (mgr.processed(), mgr.failed(), 4);
+        for round in 0..20u32 {
+            let mut submitted = Vec::new();
+            for i in 0..rng.gen_range(0..40u32) {
+                // Every request is distinct, so the order is fully checked.
+                let tag = round * 100 + i;
+                let request = match rng.gen_range(0..5) {
+                    0 if next_app < st.config.num_apps as u32 => {
+                        next_app += 1;
+                        Request::NewVip {
+                            app: AppId(next_app - 1),
+                        }
+                    }
+                    0 | 1 => Request::NewRip {
+                        app: AppId(0),
+                        vm: VmId(10_000 + tag),
+                        weight: 1.0,
+                    },
+                    2 => Request::DeleteRip {
+                        vm: VmId(10_000 + tag),
+                    },
+                    3 => Request::SetWeight {
+                        vm: VmId(10_000 + tag),
+                        weight: 2.0,
+                    },
+                    _ => Request::AdjustPodWeights {
+                        pod: PodId(0),
+                        vip: VipAddr(tag),
+                        weights: Vec::new(),
+                    },
+                };
+                let priority = priorities[rng.gen_range(0..3usize)];
+                mgr.submit(priority, request.clone());
+                submitted.push((priority, request));
+            }
+            assert_eq!(mgr.pending(), submitted.len());
+            assert_eq!((mgr.processed(), mgr.failed()), (processed, failed));
+            submitted.sort_by_key(|&(priority, _)| priority);
+            let out = mgr.process_all(&mut st);
+            let order: Vec<&Request> = out.iter().map(|(req, _)| req).collect();
+            let want: Vec<&Request> = submitted.iter().map(|(_, req)| req).collect();
+            assert_eq!(order, want, "round {round}");
+            processed += out.len() as u64;
+            failed += out
+                .iter()
+                .filter(|(_, resp)| matches!(resp, Response::Failed(_)))
+                .count() as u64;
+            assert_eq!(mgr.pending(), 0);
+            assert_eq!((mgr.processed(), mgr.failed()), (processed, failed));
+        }
+        assert!(processed > 300 && failed > 0 && failed < processed);
     }
 
     #[test]
@@ -589,21 +633,242 @@ mod tests {
         /// every `NewVip`'s switch.
         fn process_all_full_scan(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
             let mut out = Vec::new();
-            while let Some(q) = self.queue.pop() {
-                let resp = match q.request {
-                    Request::NewVip { app } => match Self::pick_vip_switch(state) {
-                        Some(sw) => match state.allocate_vip(app, sw) {
-                            Ok(vip) => Response::VipAllocated(vip, sw),
-                            Err(e) => Response::Failed(e.to_string()),
+            for queue in &mut self.queues {
+                for request in queue.drain(..) {
+                    let resp = match request {
+                        Request::NewVip { app } => match Self::pick_vip_switch(state) {
+                            Some(sw) => match state.allocate_vip(app, sw) {
+                                Ok(vip) => Response::VipAllocated(vip, sw),
+                                Err(e) => Response::Failed(e.to_string()),
+                            },
+                            None => Response::Failed("no switch with free VIP capacity".into()),
                         },
-                        None => Response::Failed("no switch with free VIP capacity".into()),
-                    },
-                    ref req => Self::apply(state, req, &mut None),
-                };
-                out.push((q.request, resp));
+                        ref req => Self::apply(state, req, &mut None),
+                    };
+                    out.push((request, resp));
+                }
             }
             out
         }
+
+        /// Reference for [`VipRipManager::adjust_pod_weights`]: clone the
+        /// VIP's config and scan it for the pod's `(vm, rip)` pairs.
+        fn adjust_pod_weights_scan(
+            state: &mut PlatformState,
+            pod: PodId,
+            vip: VipAddr,
+            weights: &[(VmId, f64)],
+        ) -> Result<(), StateError> {
+            let switch = state.vip(vip)?.switch;
+            let cfg = state.switches[switch.0 as usize].vip(vip)?.clone();
+            let mut pod_total = 0.0;
+            let mut pod_rips = Vec::new();
+            for entry in &cfg.rips {
+                let rec = *state.rip(entry.rip)?;
+                let srv = state.fleet.locate(rec.vm)?;
+                if state.pod_of(srv) == pod {
+                    pod_total += entry.weight;
+                    pod_rips.push((rec.vm, entry.rip));
+                }
+            }
+            for &(vm, _) in weights {
+                if !pod_rips.iter().any(|&(v, _)| v == vm) {
+                    return Err(StateError::Vm(vmm::VmError::UnknownVm(vm)));
+                }
+            }
+            let requested_total: f64 = weights.iter().map(|&(_, w)| w.max(0.0)).sum();
+            if requested_total <= 0.0 || pod_total <= 0.0 {
+                return Ok(());
+            }
+            let scale = pod_total / requested_total;
+            for &(vm, w) in weights {
+                let rip = pod_rips
+                    .iter()
+                    .find(|&&(v, _)| v == vm)
+                    .expect("validated")
+                    .1;
+                state.switches[switch.0 as usize].set_rip_weight(vip, rip, w.max(0.0) * scale)?;
+            }
+            Ok(())
+        }
+    }
+
+    /// Every `(vip, rip, weight bits)` on every switch, in switch order.
+    fn rip_weights(st: &PlatformState) -> Vec<(VipAddr, RipAddr, u64)> {
+        st.switches
+            .iter()
+            .flat_map(|sw| sw.vips())
+            .flat_map(|(vip, cfg)| {
+                cfg.rips
+                    .iter()
+                    .map(move |e| (vip, e.rip, e.weight.to_bits()))
+            })
+            .collect()
+    }
+
+    /// Seeded `AdjustPodWeights` sequences, interleaved with instance
+    /// adds and removals, VIP transfers and server moves between pods,
+    /// run on two identical states: one drains through the manager, the
+    /// other applies the clone-and-scan reference. Every response and
+    /// every RIP weight bit must agree. The requests mix the pod's own
+    /// VMs with VMs of another pod, VMs under another VIP of the same
+    /// app, unbound VMs and duplicates, and zero, negative and empty
+    /// weight lists.
+    #[test]
+    fn adjust_pod_weights_matches_the_clone_and_scan() {
+        use rand::Rng;
+        // Requests by outcome: accepted with a positive weight, accepted
+        // with none, failed.
+        let mut outcomes = [0usize; 3];
+        // Foreign VMs sent: other pod, other VIP of the app, unbound.
+        let mut foreign = [0usize; 3];
+        for seed in 1..=12u64 {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.num_switches = 3;
+            let build = || {
+                let mut st = PlatformState::new(cfg);
+                for rank in 0..cfg.num_apps {
+                    let app = st.register_app(rank);
+                    for k in 0..3 {
+                        st.allocate_vip(app, SwitchId(k)).unwrap();
+                    }
+                }
+                st
+            };
+            let (mut fast, mut reference) = (build(), build());
+            let mut mgr = VipRipManager::new();
+            let mut rng = dcsim::rng::component_rng(seed, "adjust-pod-weights", 0);
+            let (mut bound, mut unbound): (Vec<VmId>, Vec<VmId>) = (Vec::new(), Vec::new());
+            let levels = [0.0, -1.0, 0.25, 1.0, 2.5];
+            for step in 0..120 {
+                let app = AppId(rng.gen_range(0..cfg.num_apps as u32));
+                let vips = fast.app(app).unwrap().vips.clone();
+                let server = ServerId(rng.gen_range(0..cfg.num_servers as u32));
+                match rng.gen_range(0..8) {
+                    0..=2 => {
+                        let vip = vips[rng.gen_range(0..vips.len())];
+                        let w = levels[rng.gen_range(2..5usize)];
+                        let got = fast.add_instance_running(app, server, vip, w);
+                        assert_eq!(got, reference.add_instance_running(app, server, vip, w));
+                        if let Ok((vm, _)) = got {
+                            bound.push(vm);
+                        }
+                    }
+                    3 => {
+                        let (slice, mem) = (cfg.vm_cpu_slice, cfg.vm_mem_mb);
+                        let got = fast.fleet.create_vm_running(server, app.0, slice, mem);
+                        let want = reference.fleet.create_vm_running(server, app.0, slice, mem);
+                        assert_eq!(got, want);
+                        unbound.extend(got.ok());
+                    }
+                    4 if !bound.is_empty() => {
+                        let vm = bound.swap_remove(rng.gen_range(0..bound.len()));
+                        assert_eq!(fast.remove_instance(vm), reference.remove_instance(vm));
+                    }
+                    5 => {
+                        let vip = vips[rng.gen_range(0..vips.len())];
+                        let to = SwitchId(rng.gen_range(0..cfg.num_switches as u32));
+                        assert_eq!(fast.transfer_vip(vip, to), reference.transfer_vip(vip, to));
+                    }
+                    6 => {
+                        let pod = PodId(rng.gen_range(0..fast.num_pods() as u32));
+                        fast.move_server_to_pod(server, pod);
+                        reference.move_server_to_pod(server, pod);
+                    }
+                    _ => {}
+                }
+                let mut want = Vec::new();
+                for _ in 0..rng.gen_range(1..5) {
+                    // Mostly a bound VM's (VIP, pod), so the pod has RIPs
+                    // to rescale; otherwise any VIP and pod.
+                    let (vip, pod) = if !bound.is_empty() && rng.gen_range(0..4) > 0 {
+                        let vm = bound[rng.gen_range(0..bound.len())];
+                        let rec = fast.rip(fast.rip_of_vm(vm).unwrap()).unwrap();
+                        (rec.vip, fast.pod_of(fast.fleet.locate(vm).unwrap()))
+                    } else {
+                        let vips = &fast
+                            .app(AppId(rng.gen_range(0..cfg.num_apps as u32)))
+                            .unwrap()
+                            .vips;
+                        let pod = PodId(rng.gen_range(0..fast.num_pods() as u32));
+                        (vips[rng.gen_range(0..vips.len())], pod)
+                    };
+                    let app = fast.vip(vip).unwrap().app;
+                    // The app's bound VMs, split by (under `vip`, in `pod`).
+                    let (mut own, mut other_pod, mut other_vip) =
+                        (Vec::new(), Vec::new(), Vec::new());
+                    for &vm in &bound {
+                        let rec = *fast.rip(fast.rip_of_vm(vm).unwrap()).unwrap();
+                        if fast.vip(rec.vip).unwrap().app != app {
+                            continue;
+                        }
+                        let in_pod = fast.pod_of(fast.fleet.locate(vm).unwrap()) == pod;
+                        match (rec.vip == vip, in_pod) {
+                            (true, true) => own.push(vm),
+                            (true, false) => other_pod.push(vm),
+                            (false, _) => other_vip.push(vm),
+                        }
+                    }
+                    let mut weights: Vec<(VmId, f64)> = Vec::new();
+                    if rng.gen_range(0..8) > 0 {
+                        let w = |rng: &mut rand::rngs::SmallRng| match rng.gen_range(0..7) {
+                            0..=4 => levels[rng.gen_range(0..5usize)],
+                            _ => rng.gen_range(0.0..4.0),
+                        };
+                        for &vm in &own {
+                            if rng.gen_range(0..4) > 0 {
+                                weights.push((vm, w(&mut rng)));
+                            }
+                        }
+                        if !weights.is_empty() && rng.gen_range(0..4) == 0 {
+                            let dup = weights[rng.gen_range(0..weights.len())].0;
+                            weights.push((dup, w(&mut rng)));
+                        }
+                        if rng.gen_range(0..3) == 0 {
+                            let kind = rng.gen_range(0..3usize);
+                            let pool = [&other_pod, &other_vip, &unbound][kind];
+                            if !pool.is_empty() {
+                                foreign[kind] += 1;
+                                let at = rng.gen_range(0..=weights.len());
+                                weights
+                                    .insert(at, (pool[rng.gen_range(0..pool.len())], w(&mut rng)));
+                            }
+                        }
+                    }
+                    let result =
+                        VipRipManager::adjust_pod_weights_scan(&mut reference, pod, vip, &weights);
+                    outcomes[match &result {
+                        Ok(()) if weights.iter().any(|&(_, w)| w > 0.0) => 0,
+                        Ok(()) => 1,
+                        Err(_) => 2,
+                    }] += 1;
+                    want.push(match result {
+                        Ok(()) => Response::Done,
+                        Err(e) => Response::Failed(e.to_string()),
+                    });
+                    mgr.submit(
+                        Priority::Normal,
+                        Request::AdjustPodWeights { pod, vip, weights },
+                    );
+                }
+                let got: Vec<Response> = mgr
+                    .process_all(&mut fast)
+                    .into_iter()
+                    .map(|(_, r)| r)
+                    .collect();
+                assert_eq!(got, want, "seed {seed} step {step}");
+                assert_eq!(
+                    rip_weights(&fast),
+                    rip_weights(&reference),
+                    "seed {seed} step {step}"
+                );
+            }
+            fast.assert_invariants();
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 300) && foreign.iter().all(|&n| n > 40),
+            "outcomes {outcomes:?}, foreign {foreign:?}"
+        );
     }
 
     /// Seeded drains of `NewVip` mixed with `NewRip`/`DeleteRip`, with

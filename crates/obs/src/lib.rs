@@ -42,6 +42,7 @@ pub mod profile;
 pub mod report;
 
 use footprint::GlobalAction;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -236,7 +237,9 @@ pub struct Event {
     /// Server id, if the action targets one.
     pub server: Option<u32>,
     /// Free-form qualifier (phase of a multi-step action, abort reason).
-    pub note: String,
+    /// Recorded notes are `&'static str`s, so recording allocates no
+    /// note; only a parsed event owns its note.
+    pub note: Cow<'static, str>,
     /// Decision inputs: `(key, value)` in emission order.
     pub inputs: Vec<(String, f64)>,
     /// State deltas: `(key, before, after)` in emission order.
@@ -258,7 +261,7 @@ impl Event {
             link: None,
             switch: None,
             server: None,
-            note: String::new(),
+            note: Cow::Borrowed(""),
             inputs: Vec::new(),
             delta: Vec::new(),
         }
@@ -364,7 +367,7 @@ impl Event {
         ev.switch = opt_u32("switch")?;
         ev.server = opt_u32("server")?;
         if let Some(note) = doc.get("note") {
-            ev.note = note.as_str().ok_or("note is not a string")?.to_string();
+            ev.note = Cow::Owned(note.as_str().ok_or("note is not a string")?.to_string());
         }
         if let Some(inputs) = doc.get("inputs") {
             for (k, v) in inputs.as_obj().ok_or("inputs is not an object")? {
@@ -600,8 +603,8 @@ impl EventBuilder<'_> {
     }
 
     /// Attach a free-form qualifier (drain phase, abort reason, …).
-    pub fn note(mut self, note: &str) -> Self {
-        self.ev.note = note.to_string();
+    pub fn note(mut self, note: &'static str) -> Self {
+        self.ev.note = Cow::Borrowed(note);
         self
     }
 
@@ -650,6 +653,23 @@ mod tests {
         let back = Event::from_json(&line).unwrap();
         assert_eq!(ev, back);
         // And the re-serialization is byte-identical.
+        assert_eq!(back.to_json_line(), line);
+    }
+
+    #[test]
+    fn borrowed_note_roundtrips_as_owned() {
+        let mut rec = Recorder::default();
+        rec.begin_epoch(3, SimTime::from_secs(90));
+        rec.event(Actor::Queue, ActionKind::QueueApply)
+            .vip(9)
+            .note("AdjustPodWeights -> Failed")
+            .commit();
+        let ev = rec.take_events().remove(0);
+        assert!(matches!(ev.note, Cow::Borrowed(_)));
+        let line = ev.to_json_line();
+        let back = Event::from_json(&line).unwrap();
+        assert!(matches!(back.note, Cow::Owned(_)));
+        assert_eq!(ev, back);
         assert_eq!(back.to_json_line(), line);
     }
 
