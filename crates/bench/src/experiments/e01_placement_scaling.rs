@@ -17,9 +17,7 @@
 
 use dcsim::rng::component_rng;
 use dcsim::table::{fnum, Table};
-use placement::{
-    AppReq, FirstFit, PlacementAlgorithm, PlacementProblem, ServerCap, TangController,
-};
+use placement::{greedy, tang, AppReq, Placement, PlacementProblem, ServerCap};
 use rand::Rng;
 
 /// Build a placement problem with `servers` machines and 2.5× apps with
@@ -68,7 +66,7 @@ pub fn run(quick: bool) -> String {
         &[250, 500, 1000, 2000, 4000, 8000]
     };
     let pod_size = 500usize;
-    let tang = TangController::default();
+    let cold = |prob: &PlacementProblem| tang::solve(prob, Placement::empty(prob.apps.len()));
 
     let mut t = Table::new([
         "servers",
@@ -85,10 +83,10 @@ pub fn run(quick: bool) -> String {
     for &servers in sizes {
         let prob = problem(servers, 2014);
         // Flat: one controller over everything.
-        let (flat_s, flat_sat) = time_it(|| tang.compute(&prob, None).total_satisfied());
+        let (flat_s, flat_sat) = time_it(|| cold(&prob).total_satisfied());
         flat_times.push((servers as f64, flat_s));
         // First-fit baseline.
-        let (ff_s, _) = time_it(|| FirstFit.compute(&prob, None).total_satisfied());
+        let (ff_s, _) = time_it(|| greedy::first_fit(&prob).total_satisfied());
         // Hierarchical: servers dealt into pods of `pod_size`, each pod
         // gets a proportional slice of the apps; each pod solved alone.
         let pods = servers.div_ceil(pod_size);
@@ -102,7 +100,7 @@ pub fn run(quick: bool) -> String {
                     servers: prob.servers[lo_s..hi_s].to_vec(),
                     apps: prob.apps[lo_a..hi_a].to_vec(),
                 };
-                time_it(|| tang.compute(&sub, None).total_satisfied())
+                time_it(|| cold(&sub).total_satisfied())
             })
             .collect();
         let hier_wall = results.iter().map(|&(s, _)| s).fold(0.0, f64::max);

@@ -757,8 +757,11 @@ impl Platform {
 
     fn apply_pod_plan(&mut self, plan: PodPlan, now: SimTime) {
         let knobs = self.state.config.knobs;
+        // A placement change is an instance start or stop the controller
+        // decided on, applied or not.
+        let placement_changes = plan.new_instances.len() + plan.remove_instances.len();
         self.registry
-            .add(mid::PLACEMENT_CHANGES, plan.placement_changes as u64);
+            .add(mid::PLACEMENT_CHANGES, placement_changes as u64);
         if !knobs.pod_slices && !knobs.pod_instances {
             return; // static provisioning baseline
         }
@@ -856,12 +859,12 @@ impl Platform {
         // One summary event per pod round that decided anything, so the
         // audit trail shows each pod manager's actuation mix alongside the
         // Tang-controller problem size it solved.
-        if plan.placement_changes > 0 || slices + starts + stops + weight_requests > 0 {
+        if placement_changes > 0 || slices + starts + stops + weight_requests > 0 {
             self.global
                 .recorder
                 .event(Actor::Pod(plan.pod.0), ActionKind::PodPlan)
                 .pod(plan.pod.0)
-                .input("ctl.placement_changes", plan.placement_changes as f64)
+                .input("ctl.placement_changes", placement_changes as f64)
                 .input("ctl.problem_servers", plan.problem_size.0 as f64)
                 .input("ctl.problem_vms", plan.problem_size.1 as f64)
                 .input("ctl.weight_requests", weight_requests as f64)

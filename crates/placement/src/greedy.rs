@@ -5,45 +5,37 @@
 //! pays maximal placement-change cost — the trade-off the Tang controller
 //! exists to avoid.
 
-use crate::problem::{Placement, PlacementAlgorithm, PlacementProblem};
+use crate::problem::{Placement, PlacementProblem};
 
 /// First-fit: place each app's demand on the lowest-indexed servers with
 /// room.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FirstFit;
+pub fn first_fit(problem: &PlacementProblem) -> Placement {
+    problem.validate();
+    let n = problem.servers.len();
+    let mut loads = vec![0.0f64; n];
+    let mut vm_counts = vec![0usize; n];
+    let mut placement = Placement::empty(problem.apps.len());
 
-impl PlacementAlgorithm for FirstFit {
-    fn name(&self) -> &'static str {
-        "first-fit"
-    }
-    fn compute(&self, problem: &PlacementProblem, _prev: Option<&Placement>) -> Placement {
-        problem.validate();
-        let n = problem.servers.len();
-        let mut loads = vec![0.0f64; n];
-        let mut vm_counts = vec![0usize; n];
-        let mut placement = Placement::empty(problem.apps.len());
-
-        for (a, req) in problem.apps.iter().enumerate() {
-            let mut residual = req.demand_cpu;
-            // Each (app, server) pair can hold one instance; keep trying
-            // servers until demand is met or no server fits another chunk.
-            while residual > 1e-9 {
-                let candidate = (0..n).find(|&s| {
-                    vm_counts[s] < problem.servers[s].max_vms
-                        && placement.get(a, s) == 0.0
-                        && problem.servers[s].cpu - loads[s] > 1e-9
-                });
-                let Some(srv) = candidate else { break };
-                let room = problem.servers[srv].cpu - loads[srv];
-                let grant = residual.min(req.vm_cap).min(room);
-                placement.set(a, srv, grant);
-                loads[srv] += grant;
-                vm_counts[srv] += 1;
-                residual -= grant;
-            }
+    for (a, req) in problem.apps.iter().enumerate() {
+        let mut residual = req.demand_cpu;
+        // Each (app, server) pair can hold one instance; keep trying
+        // servers until demand is met or no server fits another chunk.
+        while residual > 1e-9 {
+            let candidate = (0..n).find(|&s| {
+                vm_counts[s] < problem.servers[s].max_vms
+                    && placement.get(a, s) == 0.0
+                    && problem.servers[s].cpu - loads[s] > 1e-9
+            });
+            let Some(srv) = candidate else { break };
+            let room = problem.servers[srv].cpu - loads[srv];
+            let grant = residual.min(req.vm_cap).min(room);
+            placement.set(a, srv, grant);
+            loads[srv] += grant;
+            vm_counts[srv] += 1;
+            residual -= grant;
         }
-        placement
     }
+    placement
 }
 
 #[cfg(test)]
@@ -72,7 +64,7 @@ mod tests {
 
     #[test]
     fn first_fit_packs_low_indices() {
-        let p = FirstFit.compute(&problem(), None);
+        let p = first_fit(&problem());
         p.assert_feasible(&problem());
         let loads = p.server_loads(4);
         assert!((loads[0] - 4.0).abs() < 1e-9);
@@ -95,7 +87,7 @@ mod tests {
                 vm_cap: 2.0,
             }],
         };
-        let p = FirstFit.compute(&problem, None);
+        let p = first_fit(&problem);
         p.assert_feasible(&problem);
         // 5.0 demand in ≤2.0 chunks, one instance per server → 3 servers.
         assert_eq!(p.instance_count(0), 3);
@@ -112,7 +104,7 @@ mod tests {
                 servers: server_cpus.iter().map(|&c| ServerCap { cpu: c, max_vms: 4 }).collect(),
                 apps: demands.iter().map(|&d| AppReq { demand_cpu: d, vm_cap: 1.5 }).collect(),
             };
-            FirstFit.compute(&problem, None).assert_feasible(&problem);
+            first_fit(&problem).assert_feasible(&problem);
         }
     }
 }

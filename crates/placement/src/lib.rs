@@ -16,10 +16,10 @@
 //!   controller's load-distribution step;
 //! * [`problem`] — the placement problem and solution representation,
 //!   including the placement-change accounting the paper cares about;
-//! * [`tang`] — [`tang::TangController`], a faithful-in-structure
-//!   implementation of the \[23\]-style controller (max-flow load
-//!   distribution alternating with incremental placement changes);
-//! * [`greedy`] — the first-fit baseline.
+//! * [`tang`] — [`tang::solve`], a faithful-in-structure implementation
+//!   of the \[23\]-style controller (max-flow load distribution
+//!   alternating with incremental placement changes);
+//! * [`greedy`] — [`greedy::first_fit`], the cold-start baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +29,4 @@ pub mod maxflow;
 pub mod problem;
 pub mod tang;
 
-pub use greedy::FirstFit;
-pub use problem::{AppReq, Placement, PlacementAlgorithm, PlacementProblem, ServerCap};
-pub use tang::TangController;
+pub use problem::{AppReq, Placement, PlacementProblem, ServerCap};

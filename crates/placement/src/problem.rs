@@ -162,8 +162,7 @@ impl Placement {
     /// Check feasibility against a problem: server CPU and VM-count limits
     /// respected, per-instance allocation within `vm_cap`, satisfied
     /// demand within each app's demand. Panics with a description of the
-    /// first violation (tests) — use [`Placement::is_feasible`] for a
-    /// boolean check.
+    /// first violation.
     pub fn assert_feasible(&self, problem: &PlacementProblem) {
         const EPS: f64 = 1e-6;
         assert_eq!(self.allocs.len(), problem.apps.len());
@@ -200,31 +199,17 @@ impl Placement {
             }
         }
     }
-
-    /// Boolean feasibility check (same conditions as
-    /// [`Placement::assert_feasible`]).
-    pub fn is_feasible(&self, problem: &PlacementProblem) -> bool {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.assert_feasible(problem)
-        }))
-        .is_ok()
-    }
-}
-
-/// A placement algorithm: given a problem and the incumbent placement,
-/// produce a new placement.
-pub trait PlacementAlgorithm {
-    /// Algorithm name for reporting.
-    fn name(&self) -> &'static str;
-
-    /// Compute a placement. `prev` is the incumbent (placement changes are
-    /// measured against it); `None` means a cold start.
-    fn compute(&self, problem: &PlacementProblem, prev: Option<&Placement>) -> Placement;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether [`Placement::assert_feasible`] passes.
+    fn is_feasible(p: &Placement, problem: &PlacementProblem) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.assert_feasible(problem)))
+            .is_ok()
+    }
 
     fn problem() -> PlacementProblem {
         PlacementProblem {
@@ -289,16 +274,16 @@ mod tests {
         p.set(0, 1, 1.0);
         p.set(1, 0, 1.0);
         p.assert_feasible(&prob);
-        assert!(p.is_feasible(&prob));
+        assert!(is_feasible(&p, &prob));
         // Over vm_cap.
         let mut bad = p.clone();
         bad.set(1, 0, 1.5);
-        assert!(!bad.is_feasible(&prob));
+        assert!(!is_feasible(&bad, &prob));
         // Over server cpu.
         let mut bad2 = p.clone();
         bad2.set(1, 1, 1.0); // server1: 1 + 1 = 2 ok; push over:
         bad2.set(0, 1, 2.0); // server1: 2 + 1 = 3 > 2
-        assert!(!bad2.is_feasible(&prob));
+        assert!(!is_feasible(&bad2, &prob));
     }
 
     #[test]
@@ -322,7 +307,7 @@ mod tests {
         let mut p = Placement::empty(2);
         p.set(0, 0, 1.0);
         p.set(1, 0, 1.0);
-        assert!(!p.is_feasible(&prob));
+        assert!(!is_feasible(&p, &prob));
     }
 
     #[test]
