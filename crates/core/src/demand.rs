@@ -29,7 +29,7 @@
 use crate::ids::vip_prefix;
 use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
-use dcsim::metrics::{jains_fairness, max_mean_ratio};
+use dcsim::metrics::jains_fairness;
 use dcsim::{DenseId, SimTime};
 use lbswitch::VipAddr;
 use std::collections::BTreeMap;
@@ -132,11 +132,6 @@ impl LoadSnapshot {
     /// Jain's fairness of link utilizations (1.0 = perfectly balanced).
     pub fn link_fairness(&self, state: &PlatformState) -> f64 {
         jains_fairness(&self.link_utilizations(state))
-    }
-
-    /// Max/mean ratio of switch utilizations.
-    pub fn switch_imbalance(&self, state: &PlatformState) -> f64 {
-        max_mean_ratio(&self.switch_utilizations(state))
     }
 }
 

@@ -145,18 +145,6 @@ impl EpochPool {
             out.extend(part);
         }
     }
-
-    /// Map `f` over `items` into a fresh vector, in input order.
-    pub fn map<T, R, F>(&self, region: &str, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        self.map_into(region, items, &mut out, f);
-        out
-    }
 }
 
 impl Default for EpochPool {
@@ -219,8 +207,8 @@ mod tests {
         let items: Vec<u64> = (0..997).collect(); // prime: uneven chunks
         let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1, 2, 3, 4, 8, 64, 997, 2000] {
-            let pool = EpochPool::new(threads);
-            let par = pool.map(REGION_POD_PLANNING, &items, |&x| x * x + 1);
+            let mut par = Vec::new();
+            EpochPool::new(threads).map_into(REGION_POD_PLANNING, &items, &mut par, |&x| x * x + 1);
             assert_eq!(par, seq, "order broke at {threads} threads");
         }
     }
@@ -247,7 +235,7 @@ mod tests {
         let pool = EpochPool::new(4);
         let items: Vec<i32> = (0..100).collect();
         let caught = std::panic::catch_unwind(|| {
-            pool.map(REGION_POD_PLANNING, &items, |&x| {
+            pool.map_into(REGION_POD_PLANNING, &items, &mut Vec::new(), |&x| {
                 assert!(x != 57, "boom");
                 x
             })
@@ -258,16 +246,15 @@ mod tests {
     #[test]
     fn shuffle_permutes_spawn_order_but_never_results() {
         let items: Vec<u64> = (0..503).collect();
-        let baseline = EpochPool::with_shuffle(1, None).map(REGION_POD_PLANNING, &items, |&x| {
-            x.wrapping_mul(2654435761) ^ 0xABCD
-        });
+        let hash = |&x: &u64| x.wrapping_mul(2654435761) ^ 0xABCD;
+        let mut baseline = Vec::new();
+        EpochPool::with_shuffle(1, None).map_into(REGION_POD_PLANNING, &items, &mut baseline, hash);
         for threads in [1, 3, 8] {
             for seed in [0u64, 7, 41, u64::MAX] {
                 let pool = EpochPool::with_shuffle(threads, Some(seed));
                 assert_eq!(pool.shuffle_seed(), Some(seed));
-                let out = pool.map(REGION_POD_PLANNING, &items, |&x| {
-                    x.wrapping_mul(2654435761) ^ 0xABCD
-                });
+                let mut out = Vec::new();
+                pool.map_into(REGION_POD_PLANNING, &items, &mut out, hash);
                 assert_eq!(out, baseline, "shuffle seed {seed} at {threads} threads");
             }
         }

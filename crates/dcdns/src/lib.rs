@@ -219,14 +219,6 @@ impl DnsSystem {
         }
         shares.last().map(|&(v, _)| v)
     }
-
-    /// Apps with at least one published VIP.
-    pub fn app_count(&self) -> usize {
-        self.apps
-            .values()
-            .filter(|e| !normalize(&e.target).is_empty())
-            .count()
-    }
 }
 
 #[cfg(test)]

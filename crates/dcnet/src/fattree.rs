@@ -70,11 +70,6 @@ impl FatTree {
         self.k / 2
     }
 
-    /// Aggregation switches per fabric pod (`k/2`).
-    pub fn agg_per_pod(&self) -> usize {
-        self.k / 2
-    }
-
     /// Number of core switches (`(k/2)²`).
     pub fn num_core(&self) -> usize {
         (self.k / 2) * (self.k / 2)

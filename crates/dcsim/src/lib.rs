@@ -12,7 +12,7 @@
 //!   bit-for-bit regardless of component iteration order.
 //! * [`idtable`] — vectors indexed by dense ids ([`IdTable`]), the
 //!   simulator's entity tables.
-//! * [`metrics`] — the balance metrics (Jain's fairness, max/mean ratio)
+//! * [`metrics`] — the balance metric (Jain's fairness)
 //!   the experiment harness reports. Run counters and gauges live in the
 //!   `obs` metrics registry.
 //! * [`table`] — plain-text / CSV table rendering for experiment output.

@@ -1,7 +1,7 @@
 //! Balance metrics for experiment output.
 //!
 //! The paper's balancing claims (links, switches, pods) are reported as
-//! Jain's fairness index and the max/mean ratio of a set of loads.
+//! Jain's fairness index of a set of loads.
 
 /// Jain's fairness index over a set of loads: `(Σx)² / (n·Σx²)`.
 ///
@@ -18,20 +18,6 @@ pub fn jains_fairness(loads: &[f64]) -> f64 {
     (sum * sum) / (loads.len() as f64 * sumsq)
 }
 
-/// Max/mean ratio of a set of loads (1.0 = perfectly balanced). Returns
-/// 1.0 for empty or all-zero inputs.
-pub fn max_mean_ratio(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
-        return 1.0;
-    }
-    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-    if mean == 0.0 {
-        return 1.0;
-    }
-    let max = loads.iter().cloned().fold(f64::MIN, f64::max);
-    max / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,13 +32,6 @@ mod tests {
         assert_eq!(jains_fairness(&[0.0, 0.0]), 1.0);
     }
 
-    #[test]
-    fn max_mean_basics() {
-        assert!((max_mean_ratio(&[2.0, 2.0]) - 1.0).abs() < 1e-12);
-        assert!((max_mean_ratio(&[3.0, 1.0]) - 1.5).abs() < 1e-12);
-        assert_eq!(max_mean_ratio(&[]), 1.0);
-    }
-
     proptest! {
         #[test]
         fn prop_fairness_bounds(loads in proptest::collection::vec(0.0f64..1e6, 1..50)) {
@@ -60,11 +39,6 @@ mod tests {
             let n = loads.len() as f64;
             prop_assert!(f >= 1.0 / n - 1e-9);
             prop_assert!(f <= 1.0 + 1e-9);
-        }
-
-        #[test]
-        fn prop_max_mean_at_least_one(loads in proptest::collection::vec(0.0f64..1e6, 1..50)) {
-            prop_assert!(max_mean_ratio(&loads) >= 1.0 - 1e-9);
         }
     }
 }

@@ -157,11 +157,6 @@ impl ElasticController {
         self.stats
     }
 
-    /// Arbitration statistics.
-    pub fn arbiter_stats(&self) -> ArbiterStats {
-        self.arbiter.stats
-    }
-
     /// Mean absolute percentage error of the one-step forecasts so far.
     pub fn mape(&self) -> Option<f64> {
         self.mape.mape()
