@@ -204,12 +204,24 @@ mod tests {
 
     #[test]
     fn reduction_order_is_input_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..997).collect(); // prime: uneven chunks
-        let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for threads in [1, 2, 3, 4, 8, 64, 997, 2000] {
+        // 997 is prime: uneven chunks. The 5-item cases ask for more
+        // threads than items, so one worker runs per item.
+        let cases = [
+            (997, 1),
+            (997, 2),
+            (997, 3),
+            (997, 4),
+            (997, 8),
+            (997, 64),
+            (5, 8),
+            (5, 64),
+        ];
+        for (n, threads) in cases {
+            let items: Vec<u64> = (0..n).collect();
+            let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
             let mut par = Vec::new();
             EpochPool::new(threads).map_into(REGION_POD_PLANNING, &items, &mut par, |&x| x * x + 1);
-            assert_eq!(par, seq, "order broke at {threads} threads");
+            assert_eq!(par, seq, "order broke: {n} items at {threads} threads");
         }
     }
 

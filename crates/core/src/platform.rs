@@ -504,6 +504,9 @@ impl Platform {
             mid::QUEUE_APPLIES,
             rec.total_count(ActionKind::QueueApply.key()),
         );
+        let viprip = &self.global.viprip;
+        r.set_counter(mid::HELD_REQUESTS_SKIPPED, viprip.held_skipped());
+        r.set_counter(mid::HELD_REQUESTS_APPLIED, viprip.held_applied());
         r.add(mid::RIPS_BOUND, rips_bound);
         r.add(mid::EPOCHS, 1);
         r.set_counter(mid::SWITCH_RECONFIGS, reconfigs);
@@ -846,16 +849,23 @@ impl Platform {
         self.registry.add(mid::INSTANCE_STARTS, starts);
         self.registry.add(mid::INSTANCE_STOPS, stops);
         let weight_requests = plan.weight_requests.len() as u64;
-        for (vip, weights) in plan.weight_requests {
-            self.global.viprip.submit(
-                Priority::Normal,
-                Request::AdjustPodWeights {
-                    pod: plan.pod,
-                    vip,
-                    weights,
-                },
-            );
+        let mut held = 0u64;
+        let (pod, viprip) = (plan.pod, &mut self.global.viprip);
+        for req in plan.weight_requests {
+            let (vip, weights) = (req.vip, req.weights);
+            if req.held {
+                held += 1;
+                viprip.submit_held(pod, vip, weights, plan.server_moves);
+            } else {
+                viprip.submit(
+                    Priority::Normal,
+                    Request::AdjustPodWeights { pod, vip, weights },
+                );
+            }
         }
+        self.registry
+            .add(mid::WEIGHT_REQUESTS_EMITTED, weight_requests);
+        self.registry.add(mid::WEIGHT_REQUESTS_HELD, held);
         // One summary event per pod round that decided anything, so the
         // audit trail shows each pod manager's actuation mix alongside the
         // Tang-controller problem size it solved.

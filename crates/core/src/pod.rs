@@ -17,7 +17,9 @@
 //!   controller changed placement,
 //! * **RIP weight adjustment requests** (§IV.F) to the global manager's
 //!   VIP/RIP queue, so each VIP's in-pod weights track the new allocation
-//!   while the pod's total weight stays fixed.
+//!   while the pod's total weight stays fixed. A request that would
+//!   change no weight bit against the planned-from state is marked held,
+//!   and the queue skips it unless that state changed before its turn.
 //!
 //! The pod manager's **decision time** — the wall-clock cost of one full
 //! planning round (problem assembly plus the controller run) — is the
@@ -28,9 +30,9 @@
 use crate::demand::LoadSnapshot;
 use crate::ids::{AppId, PodId};
 use crate::state::PlatformState;
+use crate::viprip::VipRipManager;
 use lbswitch::VipAddr;
 use placement::{tang, AppReq, Placement, PlacementProblem, ServerCap};
-use std::collections::BTreeMap;
 use vmm::{ServerId, VmId};
 
 /// The actions a pod manager wants applied after one decision round.
@@ -45,10 +47,25 @@ pub struct PodPlan {
     /// Instances to stop.
     pub remove_instances: Vec<VmId>,
     /// Per-VIP intra-pod weight requests (to be submitted to the VIP/RIP
-    /// manager): `(vip, [(vm, relative weight)])` (§IV.F).
-    pub weight_requests: Vec<(VipAddr, Vec<(VmId, f64)>)>,
+    /// manager), in VIP order (§IV.F).
+    pub weight_requests: Vec<WeightRequest>,
+    /// [`PlatformState::server_moves`] at planning time: the stamp the
+    /// held weight requests are submitted with.
+    pub server_moves: u64,
     /// Servers and VMs the problem covered (decision-space size).
     pub problem_size: (usize, usize),
+}
+
+/// One VIP's intra-pod weight request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightRequest {
+    /// The VIP whose pod RIPs are reweighted.
+    pub vip: VipAddr,
+    /// `(vm, relative weight)`, in the pod's row order.
+    pub weights: Vec<(VmId, f64)>,
+    /// Applying the request to the planned-from state would succeed and
+    /// change no weight bit.
+    pub held: bool,
 }
 
 /// A pod manager. Stateless between rounds: the incumbent placement is
@@ -148,6 +165,7 @@ impl PodManager {
         // Diff the placement against the rows into actions.
         let mut plan = PodPlan {
             pod: self.id,
+            server_moves: state.server_moves(),
             problem_size: (servers.len(), state.pod_vm_count(self.id)),
             ..PodPlan::default()
         };
@@ -185,10 +203,14 @@ impl PodManager {
 
         // Weight requests: per VIP with pod-resident RIP-backed VMs, set
         // relative weights proportional to the planned allocation. A VIP's
-        // RIPs are VMs of its own app, so an app with a single VM here can
-        // only yield a single-VM list — moot, and skipped up front.
-        let mut per_vip: BTreeMap<VipAddr, Vec<(VmId, f64)>> = BTreeMap::new();
+        // RIPs are VMs of its own app, so each app's rows group into its
+        // own VIPs' requests, and an app with a single VM here can only
+        // yield a single-VM list — moot, and skipped up front. Each
+        // request is checked against the planned-from state as it is built.
+        let mut app_weights: Vec<(VipAddr, VmId, f64)> = Vec::new();
+        let mut writes = Vec::new();
         for (a, vms) in by_app.iter().enumerate().filter(|(_, vms)| vms.len() > 1) {
+            app_weights.clear();
             for r in *vms {
                 let Some(rip) = state.rip_of_vm(r.vm) else {
                     continue;
@@ -196,14 +218,30 @@ impl PodManager {
                 let vip = state.rip(rip).expect("bound").vip;
                 let alloc = next.get(a, r.server);
                 if alloc > 0.0 {
-                    per_vip.entry(vip).or_default().push((r.vm, alloc));
+                    app_weights.push((vip, r.vm, alloc));
                 }
             }
+            // Stable: each VIP's VMs stay in row order.
+            app_weights.sort_by_key(|&(vip, ..)| vip);
+            for group in app_weights.chunk_by(|x, y| x.0 == y.0) {
+                if group.len() < 2 {
+                    continue; // single-VM weights are moot
+                }
+                let vip = group[0].0;
+                let weights: Vec<(VmId, f64)> = group.iter().map(|&(_, vm, w)| (vm, w)).collect();
+                let held = VipRipManager::pod_weights_unchanged(
+                    state,
+                    self.id,
+                    vip,
+                    &weights,
+                    &mut writes,
+                );
+                plan.weight_requests
+                    .push(WeightRequest { vip, weights, held });
+            }
         }
-        plan.weight_requests = per_vip
-            .into_iter()
-            .filter(|(_, ws)| ws.len() > 1) // single-VM weights are moot
-            .collect();
+        // VIPs are unique across apps, so this is the VIP order.
+        plan.weight_requests.sort_unstable_by_key(|r| r.vip);
         plan
     }
 
@@ -241,7 +279,8 @@ mod tests {
     use crate::viprip::{Priority, Request, VipRipManager};
     use dcnet::access::AccessRouterId;
     use dcsim::SimTime;
-    use lbswitch::SwitchId;
+    use lbswitch::{RipAddr, SwitchId};
+    use std::collections::BTreeMap;
 
     /// One app with two instances in pod 0 (servers 0 and 2), demand
     /// driven through VIP 0 on switch 0.
@@ -266,7 +305,8 @@ mod tests {
 
     /// The map-based planner the row-based [`PodManager::plan`] replaced,
     /// kept verbatim as the differential reference, with its placement
-    /// changes counted against the incumbent.
+    /// changes counted against the incumbent. It leaves every weight
+    /// request un-held; [`held_by_reference`] decides that separately.
     fn plan_reference(
         mgr: &PodManager,
         state: &PlatformState,
@@ -351,6 +391,7 @@ mod tests {
         let placement_changes = next.changes_from(&incumbent);
         let mut plan = PodPlan {
             pod: mgr.id,
+            server_moves: state.server_moves(),
             problem_size: (servers.len(), state.pod_vm_count(mgr.id)),
             ..PodPlan::default()
         };
@@ -400,8 +441,33 @@ mod tests {
         plan.weight_requests = per_vip
             .into_iter()
             .filter(|(_, ws)| ws.len() > 1) // single-VM weights are moot
+            .map(|(vip, weights)| WeightRequest {
+                vip,
+                weights,
+                held: false,
+            })
             .collect();
         (plan, placement_changes)
+    }
+
+    /// Whether applying `req` through the clone-and-scan reference
+    /// succeeds and leaves every RIP weight bit under its VIP as it was.
+    /// The weights are restored afterwards.
+    fn held_by_reference(st: &mut PlatformState, pod: PodId, req: &WeightRequest) -> bool {
+        let switch = st.vip(req.vip).unwrap().switch.0 as usize;
+        let weights = |st: &PlatformState| -> Vec<(RipAddr, f64)> {
+            let cfg = st.switches[switch].vip(req.vip).unwrap();
+            cfg.rips.iter().map(|e| (e.rip, e.weight)).collect()
+        };
+        let before = weights(st);
+        let ok = VipRipManager::adjust_pod_weights_scan(st, pod, req.vip, &req.weights).is_ok();
+        let after = weights(st);
+        for &(rip, w) in &before {
+            st.switches[switch].set_rip_weight(req.vip, rip, w).unwrap();
+        }
+        let bits =
+            |ws: &[(RipAddr, f64)]| -> Vec<u64> { ws.iter().map(|e| e.1.to_bits()).collect() };
+        ok && bits(&before) == bits(&after)
     }
 
     /// Every `PodPlan` field, f64s as bits, and the placement changes.
@@ -410,7 +476,8 @@ mod tests {
         Vec<(VmId, u64)>,
         Vec<(AppId, ServerId, u64)>,
         Vec<VmId>,
-        Vec<(VipAddr, Vec<(VmId, u64)>)>,
+        Vec<(VipAddr, Vec<(VmId, u64)>, bool)>,
+        u64,
         usize,
         (usize, usize),
     );
@@ -429,21 +496,28 @@ mod tests {
             p.remove_instances.clone(),
             p.weight_requests
                 .iter()
-                .map(|(vip, ws)| (*vip, ws.iter().map(|&(vm, w)| (vm, w.to_bits())).collect()))
+                .map(|r| {
+                    let ws = r.weights.iter().map(|&(vm, w)| (vm, w.to_bits()));
+                    (r.vip, ws.collect(), r.held)
+                })
                 .collect(),
+            p.server_moves,
             placement_changes,
             p.problem_size,
         )
     }
 
-    /// Plan every pod with both planners and require identical plans.
-    /// Returns how many plans carried any action.
-    fn assert_matches_reference(st: &PlatformState, snap: &LoadSnapshot) -> usize {
+    /// Plan every pod with both planners and require identical plans,
+    /// held flags included. Returns how many plans carried any action.
+    fn assert_matches_reference(st: &mut PlatformState, snap: &LoadSnapshot) -> usize {
         let mut active = 0;
         for pod in 0..st.num_pods() {
             let mgr = PodManager::new(PodId(pod as u32));
             let new = mgr.plan(st, snap);
-            let (old, old_changes) = plan_reference(&mgr, st, snap);
+            let (mut old, old_changes) = plan_reference(&mgr, st, snap);
+            for req in &mut old.weight_requests {
+                req.held = held_by_reference(st, mgr.id, req);
+            }
             // A placement change is an instance start or stop.
             let new_changes = new.new_instances.len() + new.remove_instances.len();
             assert_eq!(
@@ -473,7 +547,7 @@ mod tests {
                 }
             }
             let snap = p.last_snapshot().unwrap().clone();
-            active += assert_matches_reference(&p.state, &snap);
+            active += assert_matches_reference(&mut p.state, &snap);
         }
         assert!(
             active > 0,
@@ -552,15 +626,15 @@ mod tests {
         let now = SimTime::ZERO + st.routes.convergence();
         let per_app = cfg.total_demand_bps / cfg.num_apps as f64;
         let snap = propagate(&mut st, &vec![per_app; cfg.num_apps], now);
-        assert_eq!(assert_matches_reference(&st, &snap), 1);
+        assert_eq!(assert_matches_reference(&mut st, &snap), 1);
     }
 
     #[test]
     fn plan_matches_reference_when_the_first_distribute_removes_an_instance() {
         // Demand fits the first of the two instances, so the controller's
         // first max-flow leaves the second idle and stops it.
-        let (st, snap) = state_with_load(1e6);
-        assert_eq!(assert_matches_reference(&st, &snap), 1);
+        let (mut st, snap) = state_with_load(1e6);
+        assert_eq!(assert_matches_reference(&mut st, &snap), 1);
         let plan = PodManager::new(PodId(0)).plan(&st, &snap);
         assert_eq!(plan.remove_instances.len(), 1, "plan {plan:?}");
         assert!(plan.new_instances.is_empty(), "plan {plan:?}");
@@ -582,7 +656,7 @@ mod tests {
         let now = SimTime::ZERO + st.routes.convergence();
         // Heavy load: both occupied servers stay loaded and their slices grow.
         let snap = propagate(&mut st, &[400e6], now);
-        assert_eq!(assert_matches_reference(&st, &snap), 1);
+        assert_eq!(assert_matches_reference(&mut st, &snap), 1);
         let plan = PodManager::new(PodId(0)).plan(&st, &snap);
         assert!(
             plan.slice_adjustments.iter().any(|&(vm, _)| vm == last),
@@ -645,7 +719,7 @@ mod tests {
         let plan = PodManager::new(PodId(0)).plan(&st, &snap);
         assert!(plan.remove_instances.is_empty(), "plan {plan:?}");
         assert_eq!(plan.weight_requests.len(), 1);
-        let (_, weights) = &plan.weight_requests[0];
+        let weights = &plan.weight_requests[0].weights;
         assert_eq!(weights.len(), 2);
         assert!(weights.iter().all(|&(_, w)| w > 0.0));
     }

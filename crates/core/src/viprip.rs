@@ -19,6 +19,14 @@
 //! It also implements the §IV.F constraint for pod-requested weight
 //! changes: "the total weight of the RIPs in the pod remains the same and
 //! therefore the load on other pods is not affected".
+//!
+//! A pod manager *holds* a weight request that would change no weight
+//! bit against the state it planned from (`VipRipManager::submit_held`).
+//! A held request keeps its Normal FIFO slot, and the drain skips it
+//! there, unless the state it was checked against has changed since:
+//! an earlier request in the same drain wrote, bound or removed a RIP of
+//! its pod under its VIP, or a server changed pods after planning. Then
+//! it is applied like any other request.
 
 use crate::ids::{AppId, PodId};
 use crate::state::{PlatformState, StateError};
@@ -144,13 +152,23 @@ impl VipSwitchIndex {
     }
 }
 
+/// One queued request. `held_at` is set on a held pod weight request:
+/// the [`PlatformState::server_moves`] count it was planned at.
+#[derive(Debug)]
+struct Queued {
+    request: Request,
+    held_at: Option<u64>,
+}
+
 /// The serialized VIP/RIP configuration mediator.
 #[derive(Debug, Default)]
 pub struct VipRipManager {
     /// One FIFO per priority, indexed by [`Priority::rank`].
-    queues: [Vec<Request>; 3],
+    queues: [Vec<Queued>; 3],
     processed: u64,
     failed: u64,
+    held_skipped: u64,
+    held_applied: u64,
 }
 
 impl VipRipManager {
@@ -161,15 +179,37 @@ impl VipRipManager {
 
     /// Enqueue a request.
     pub fn submit(&mut self, priority: Priority, request: Request) {
-        self.queues[priority.rank()].push(request);
+        self.queues[priority.rank()].push(Queued {
+            request,
+            held_at: None,
+        });
     }
 
-    /// Pending request count.
+    /// Enqueue, at `Normal` priority, a pod weight request that
+    /// [`VipRipManager::pod_weights_unchanged`] found to change no weight
+    /// bit against a state with `server_moves` server moves. The drain
+    /// skips it unless that check may no longer hold (see the module
+    /// docs).
+    pub(crate) fn submit_held(
+        &mut self,
+        pod: PodId,
+        vip: VipAddr,
+        weights: Vec<(VmId, f64)>,
+        server_moves: u64,
+    ) {
+        self.queues[Priority::Normal.rank()].push(Queued {
+            request: Request::AdjustPodWeights { pod, vip, weights },
+            held_at: Some(server_moves),
+        });
+    }
+
+    /// Pending request count (held requests included).
     pub fn pending(&self) -> usize {
         self.queues.iter().map(Vec::len).sum()
     }
 
-    /// Requests processed so far.
+    /// Requests processed so far. A skipped held request is not
+    /// processed.
     pub fn processed(&self) -> u64 {
         self.processed
     }
@@ -179,18 +219,58 @@ impl VipRipManager {
         self.failed
     }
 
+    /// Held requests the drain skipped so far.
+    pub(crate) fn held_skipped(&self) -> u64 {
+        self.held_skipped
+    }
+
+    /// Held requests the drain applied so far, because an earlier write
+    /// or a server move could have changed their outcome.
+    pub(crate) fn held_applied(&self) -> u64 {
+        self.held_applied
+    }
+
     /// Drain the queue in (priority, FIFO) order, applying each request to
     /// the platform state. Returns `(request, response)` pairs in
-    /// processing order.
+    /// processing order; a skipped held request has no pair.
     pub fn process_all(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
         let mut out = Vec::with_capacity(self.pending());
         // Built at the drain's first `NewVip`; dropped with the drain.
         let mut vip_switches = None;
+        // The (VIP, pod) pairs whose RIP entries this drain has written,
+        // bound or removed so far, recorded while a held request (always
+        // `Normal`) is still to come.
+        let mut touched = BTreeSet::new();
+        let mut held_left = self.queues[Priority::Normal.rank()]
+            .iter()
+            .filter(|q| q.held_at.is_some())
+            .count();
+        let mut writes = Vec::new();
         // `&mut self` holds off `submit` until the drain ends, so draining
         // the FIFOs one after another is (priority, FIFO) order.
         for queue in &mut self.queues {
-            for request in queue.drain(..) {
-                let resp = Self::apply(state, &request, &mut vip_switches);
+            for Queued { request, held_at } in queue.drain(..) {
+                if let (Some(moves), Request::AdjustPodWeights { pod, vip, weights }) =
+                    (held_at, &request)
+                {
+                    held_left -= 1;
+                    if moves == state.server_moves() && !touched.contains(&(*vip, *pod)) {
+                        debug_assert!(
+                            Self::pod_weights_unchanged(state, *pod, *vip, weights, &mut writes),
+                            "held request for {vip} in {pod} would change a weight"
+                        );
+                        self.held_skipped += 1;
+                        continue;
+                    }
+                    self.held_applied += 1;
+                }
+                let resp = Self::apply(
+                    state,
+                    &request,
+                    &mut vip_switches,
+                    (held_left > 0).then_some(&mut touched),
+                    &mut writes,
+                );
                 self.processed += 1;
                 if matches!(resp, Response::Failed(_)) {
                     self.failed += 1;
@@ -201,10 +281,15 @@ impl VipRipManager {
         out
     }
 
+    /// Apply one request. Records in `touched`, if given, the (VIP, pod)
+    /// of every RIP entry it writes, binds or removes; `writes` is
+    /// scratch.
     fn apply(
         state: &mut PlatformState,
         req: &Request,
         vip_switches: &mut Option<VipSwitchIndex>,
+        touched: Option<&mut BTreeSet<(VipAddr, PodId)>>,
+        writes: &mut Vec<(RipAddr, f64)>,
     ) -> Response {
         match req {
             Request::NewVip { app } => {
@@ -221,26 +306,61 @@ impl VipRipManager {
             }
             Request::NewRip { app, vm, weight } => match Self::pick_rip_vip(state, *app) {
                 Some(vip) => match state.bind_rip(vip, *vm, *weight) {
-                    Ok(rip) => Response::RipBound(rip, vip),
+                    Ok(rip) => {
+                        Self::touch(state, touched, vip, *vm);
+                        Response::RipBound(rip, vip)
+                    }
                     Err(e) => Response::Failed(e.to_string()),
                 },
                 None => Response::Failed(format!(
                     "no VIP of {app} on a switch with spare RIP capacity"
                 )),
             },
-            Request::DeleteRip { vm } => match state.remove_instance(*vm) {
-                Ok(_) => Response::Done,
-                Err(e) => Response::Failed(e.to_string()),
-            },
+            Request::DeleteRip { vm } => {
+                // The RIP's VIP and pod, read before the removal.
+                let rec = touched
+                    .is_some()
+                    .then(|| state.rip_of_vm(*vm).and_then(|rip| state.rip(rip).ok()))
+                    .flatten();
+                if let Some(rec) = rec {
+                    Self::touch(state, touched, rec.vip, *vm);
+                }
+                match state.remove_instance(*vm) {
+                    Ok(_) => Response::Done,
+                    Err(e) => Response::Failed(e.to_string()),
+                }
+            }
             Request::SetWeight { vm, weight } => match Self::set_vm_weight(state, *vm, *weight) {
-                Ok(()) => Response::Done,
+                Ok(vip) => {
+                    Self::touch(state, touched, vip, *vm);
+                    Response::Done
+                }
                 Err(e) => Response::Failed(e.to_string()),
             },
             Request::AdjustPodWeights { pod, vip, weights } => {
-                match Self::adjust_pod_weights(state, *pod, *vip, weights) {
-                    Ok(()) => Response::Done,
+                match Self::adjust_pod_weights(state, *pod, *vip, weights, writes) {
+                    Ok(()) => {
+                        if let Some(touched) = touched {
+                            touched.insert((*vip, *pod));
+                        }
+                        Response::Done
+                    }
                     Err(e) => Response::Failed(e.to_string()),
                 }
+            }
+        }
+    }
+
+    /// Record that a request changed the RIP entry of `vm` under `vip`.
+    fn touch(
+        state: &PlatformState,
+        touched: Option<&mut BTreeSet<(VipAddr, PodId)>>,
+        vip: VipAddr,
+        vm: VmId,
+    ) {
+        if let Some(touched) = touched {
+            if let Ok(srv) = state.fleet.locate(vm) {
+                touched.insert((vip, state.pod_of(srv)));
             }
         }
     }
@@ -287,14 +407,19 @@ impl VipRipManager {
             .map(|(vip, _)| vip)
     }
 
-    fn set_vm_weight(state: &mut PlatformState, vm: VmId, weight: f64) -> Result<(), StateError> {
+    /// Set the weight of `vm`'s RIP; returns the RIP's VIP.
+    fn set_vm_weight(
+        state: &mut PlatformState,
+        vm: VmId,
+        weight: f64,
+    ) -> Result<VipAddr, StateError> {
         let rip = state
             .rip_of_vm(vm)
             .ok_or(StateError::Vm(vmm::VmError::UnknownVm(vm)))?;
         let rec = *state.rip(rip)?;
         let switch = state.vip(rec.vip)?.switch;
         state.switches[switch.0 as usize].set_rip_weight(rec.vip, rip, weight)?;
-        Ok(())
+        Ok(rec.vip)
     }
 
     /// §IV.F: apply pod-relative weights under `vip`, rescaled so the
@@ -304,7 +429,31 @@ impl VipRipManager {
         pod: PodId,
         vip: VipAddr,
         weights: &[(VmId, f64)],
+        writes: &mut Vec<(RipAddr, f64)>,
     ) -> Result<(), StateError> {
+        let switch = Self::pod_weight_writes(state, pod, vip, weights, writes)?;
+        for &(rip, w) in writes.iter() {
+            state.switches[switch.0 as usize].set_rip_weight(vip, rip, w)?;
+        }
+        Ok(())
+    }
+
+    /// The §IV.F arithmetic of `AdjustPodWeights { pod, vip, weights }`,
+    /// shared by the drain and the planner's no-op check: fills `writes`
+    /// with one `(rip, weight)` per requested VM, in request order, and
+    /// returns the VIP's switch. The pod's current total under the VIP is
+    /// summed in switch-entry order; each write is `w.max(0.0) * scale`,
+    /// `scale` being that total over the requested total. `writes` is
+    /// empty when there is nothing to rescale (no positive request, or a
+    /// zero pod total), and meaningless on `Err`.
+    fn pod_weight_writes(
+        state: &PlatformState,
+        pod: PodId,
+        vip: VipAddr,
+        weights: &[(VmId, f64)],
+        writes: &mut Vec<(RipAddr, f64)>,
+    ) -> Result<SwitchId, StateError> {
+        writes.clear();
         let switch = state.vip(vip)?.switch;
         // Current total pod weight under this VIP.
         let cfg = state.switches[switch.0 as usize].vip(vip)?;
@@ -317,19 +466,41 @@ impl VipRipManager {
             }
         }
         // Validate the request covers only the pod's VMs under the VIP.
-        for &(vm, _) in weights {
-            Self::pod_rip(state, pod, vip, vm)?;
+        for &(vm, w) in weights {
+            writes.push((Self::pod_rip(state, pod, vip, vm)?, w.max(0.0)));
         }
-        let requested_total: f64 = weights.iter().map(|&(_, w)| w.max(0.0)).sum();
+        let requested_total: f64 = writes.iter().map(|&(_, w)| w).sum();
         if requested_total <= 0.0 || pod_total <= 0.0 {
-            return Ok(()); // nothing meaningful to rescale
+            writes.clear(); // nothing meaningful to rescale
+            return Ok(switch);
         }
         let scale = pod_total / requested_total;
-        for &(vm, w) in weights {
-            let rip = Self::pod_rip(state, pod, vip, vm)?;
-            state.switches[switch.0 as usize].set_rip_weight(vip, rip, w.max(0.0) * scale)?;
+        for (_, w) in writes.iter_mut() {
+            *w *= scale;
         }
-        Ok(())
+        Ok(switch)
+    }
+
+    /// Whether `AdjustPodWeights { pod, vip, weights }` would succeed
+    /// against `state` and leave every weight bit as it is. `writes` is
+    /// scratch.
+    pub(crate) fn pod_weights_unchanged(
+        state: &PlatformState,
+        pod: PodId,
+        vip: VipAddr,
+        weights: &[(VmId, f64)],
+        writes: &mut Vec<(RipAddr, f64)>,
+    ) -> bool {
+        let Ok(switch) = Self::pod_weight_writes(state, pod, vip, weights, writes) else {
+            return false;
+        };
+        state.switches[switch.0 as usize].vip(vip).is_ok_and(|cfg| {
+            writes.iter().all(|&(rip, w)| {
+                cfg.rips
+                    .iter()
+                    .any(|e| e.rip == rip && e.weight.to_bits() == w.to_bits())
+            })
+        })
     }
 
     /// The RIP of `vm` if it is bound under `vip` and runs in `pod`. A RIP
@@ -629,12 +800,14 @@ mod tests {
     }
 
     impl VipRipManager {
-        /// [`VipRipManager::process_all`] with the full scan choosing
-        /// every `NewVip`'s switch.
+        /// [`VipRipManager::process_all`] applying every request, held
+        /// ones included, with the full scan choosing every `NewVip`'s
+        /// switch and the clone-and-scan applying every pod weight
+        /// request.
         fn process_all_full_scan(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
             let mut out = Vec::new();
             for queue in &mut self.queues {
-                for request in queue.drain(..) {
+                for Queued { request, .. } in queue.drain(..) {
                     let resp = match request {
                         Request::NewVip { app } => match Self::pick_vip_switch(state) {
                             Some(sw) => match state.allocate_vip(app, sw) {
@@ -643,7 +816,15 @@ mod tests {
                             },
                             None => Response::Failed("no switch with free VIP capacity".into()),
                         },
-                        ref req => Self::apply(state, req, &mut None),
+                        Request::AdjustPodWeights {
+                            pod,
+                            vip,
+                            ref weights,
+                        } => match Self::adjust_pod_weights_scan(state, pod, vip, weights) {
+                            Ok(()) => Response::Done,
+                            Err(e) => Response::Failed(e.to_string()),
+                        },
+                        ref req => Self::apply(state, req, &mut None, None, &mut Vec::new()),
                     };
                     out.push((request, resp));
                 }
@@ -653,7 +834,7 @@ mod tests {
 
         /// Reference for [`VipRipManager::adjust_pod_weights`]: clone the
         /// VIP's config and scan it for the pod's `(vm, rip)` pairs.
-        fn adjust_pod_weights_scan(
+        pub(crate) fn adjust_pod_weights_scan(
             state: &mut PlatformState,
             pod: PodId,
             vip: VipAddr,
@@ -869,6 +1050,208 @@ mod tests {
             outcomes.iter().all(|&n| n > 300) && foreign.iter().all(|&n| n > 40),
             "outcomes {outcomes:?}, foreign {foreign:?}"
         );
+    }
+
+    /// Seeded drains that interleave High `SetWeight`s and `DeleteRip`s,
+    /// held and un-held pod weight requests, `NewRip`s queued before and
+    /// after them and Low `DeleteRip`s, with server moves between
+    /// planning and some drains. Two identical states: one drains
+    /// through the manager; the other applies every request, held ones
+    /// included, through the reference drain. Every RIP weight bit must
+    /// agree after every drain, and the manager's responses must be the
+    /// reference's without exactly the skipped held requests.
+    #[test]
+    fn held_requests_match_applying_every_request() {
+        use rand::Rng;
+        // Held requests: skipped, applied after an earlier write in the
+        // drain, applied after a server move; un-held pod requests.
+        let (mut skipped, mut after_write, mut after_move, mut unheld) = (0, 0, 0, 0);
+        for seed in 1..=10u64 {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.num_apps = 4;
+            cfg.num_switches = 3;
+            let build = || {
+                let mut st = PlatformState::new(cfg);
+                for rank in 0..cfg.num_apps {
+                    let app = st.register_app(rank);
+                    for k in 0..2 {
+                        let vip = st.allocate_vip(app, SwitchId(k)).unwrap();
+                        for i in 0..5 {
+                            let server = ServerId((rank as u32 * 7 + k * 5 + i * 3) % 16);
+                            let w = [0.5, 1.0, 1.25, 3.0][(i as usize + rank) % 4];
+                            st.add_instance_running(app, server, vip, w).unwrap();
+                        }
+                    }
+                }
+                st
+            };
+            let (mut fast, mut reference) = (build(), build());
+            let (mut mgr, mut ref_mgr) = (VipRipManager::new(), VipRipManager::new());
+            let mut rng = dcsim::rng::component_rng(seed, "held-requests", 0);
+            let mut bound: Vec<VmId> = fast
+                .vips()
+                .flat_map(|(vip, _)| vm_list(&fast, vip))
+                .collect();
+            for drain in 0..60 {
+                // Plan: pod weight requests against the state as it is now.
+                let mut planned = Vec::new();
+                for _ in 0..rng.gen_range(1..6) {
+                    let vm = bound[rng.gen_range(0..bound.len())];
+                    let vip = fast.rip(fast.rip_of_vm(vm).unwrap()).unwrap().vip;
+                    let pod = fast.pod_of(fast.fleet.locate(vm).unwrap());
+                    let sw = fast.vip(vip).unwrap().switch.0 as usize;
+                    // The pod's RIPs under the VIP with their weights, in
+                    // switch-entry order.
+                    let mut own: Vec<(VmId, f64)> = fast.switches[sw]
+                        .vip(vip)
+                        .unwrap()
+                        .rips
+                        .iter()
+                        .map(|e| (fast.rip(e.rip).unwrap().vm, e.weight))
+                        .filter(|&(vm, _)| fast.pod_of(fast.fleet.locate(vm).unwrap()) == pod)
+                        .collect();
+                    match rng.gen_range(0..4) {
+                        // As they are, or doubled: a no-op.
+                        0 => {}
+                        1 => own.iter_mut().for_each(|(_, w)| *w *= 2.0),
+                        // Reversed: the requested total may round apart.
+                        2 => own.reverse(),
+                        _ => {
+                            for (_, w) in &mut own {
+                                *w = [0.0, 0.5, 1.0, 2.0][rng.gen_range(0..4usize)];
+                            }
+                        }
+                    }
+                    planned.push((pod, vip, own));
+                }
+                let moves = fast.server_moves();
+                let held: Vec<bool> = planned
+                    .iter()
+                    .map(|(pod, vip, ws)| {
+                        VipRipManager::pod_weights_unchanged(&fast, *pod, *vip, ws, &mut Vec::new())
+                    })
+                    .collect();
+                let moved = rng.gen_range(0..8) == 0;
+                if moved {
+                    let server = ServerId(rng.gen_range(0..16));
+                    let to = PodId(1 - fast.pod_of(server).0);
+                    fast.move_server_to_pod(server, to);
+                    reference.move_server_to_pod(server, to);
+                }
+                // Held pod requests go to the manager held; the reference
+                // gets every request as it is.
+                let mut submit = |held: bool, priority: Priority, request: Request| {
+                    match (held, &request) {
+                        (true, Request::AdjustPodWeights { pod, vip, weights }) => {
+                            mgr.submit_held(*pod, *vip, weights.clone(), moves)
+                        }
+                        _ => mgr.submit(priority, request.clone()),
+                    }
+                    ref_mgr.submit(priority, request);
+                };
+                // High: reweights, often of a planned VIP's RIPs, and a
+                // rare removal.
+                for _ in 0..rng.gen_range(0..4) {
+                    let vm = if rng.gen_range(0..2) == 0 {
+                        let (_, _, ws) = &planned[rng.gen_range(0..planned.len())];
+                        ws[rng.gen_range(0..ws.len())].0
+                    } else {
+                        bound[rng.gen_range(0..bound.len())]
+                    };
+                    let weight = [0.0, 0.5, 1.0, 2.0, 3.0][rng.gen_range(0..5usize)];
+                    submit(false, Priority::High, Request::SetWeight { vm, weight });
+                }
+                if rng.gen_range(0..6) == 0 && bound.len() > 20 {
+                    let vm = bound.swap_remove(rng.gen_range(0..bound.len()));
+                    submit(false, Priority::High, Request::DeleteRip { vm });
+                }
+                // Normal: a new RIP ahead of the pod requests, sometimes.
+                let mut new_rip = |rng: &mut rand::rngs::SmallRng, bound: &mut Vec<VmId>| {
+                    let app = AppId(rng.gen_range(0..cfg.num_apps as u32));
+                    let server = ServerId(rng.gen_range(0..16));
+                    let (slice, mem) = (cfg.vm_cpu_slice, cfg.vm_mem_mb);
+                    let vm = fast.fleet.create_vm_running(server, app.0, slice, mem);
+                    assert_eq!(
+                        vm,
+                        reference.fleet.create_vm_running(server, app.0, slice, mem)
+                    );
+                    let vm = vm.ok()?;
+                    bound.push(vm);
+                    Some(Request::NewRip {
+                        app,
+                        vm,
+                        weight: 1.0,
+                    })
+                };
+                let mut normal = Vec::new();
+                if rng.gen_range(0..3) == 0 {
+                    normal.extend(new_rip(&mut rng, &mut bound));
+                }
+                for ((pod, vip, weights), held) in planned.into_iter().zip(held) {
+                    unheld += usize::from(!held);
+                    let request = Request::AdjustPodWeights { pod, vip, weights };
+                    submit(held, Priority::Normal, request);
+                }
+                for request in normal {
+                    submit(false, Priority::Normal, request);
+                }
+                if rng.gen_range(0..3) == 0 {
+                    if let Some(request) = new_rip(&mut rng, &mut bound) {
+                        submit(false, Priority::Normal, request);
+                    }
+                }
+                if rng.gen_range(0..3) == 0 && bound.len() > 20 {
+                    let vm = bound.swap_remove(rng.gen_range(0..bound.len()));
+                    submit(false, Priority::Low, Request::DeleteRip { vm });
+                }
+                let before = (mgr.held_skipped(), mgr.held_applied());
+                let got = mgr.process_all(&mut fast);
+                let want = ref_mgr.process_all_full_scan(&mut reference);
+                let mut rest = got.iter().peekable();
+                let mut missing = 0;
+                for pair in &want {
+                    if rest.peek() == Some(&pair) {
+                        rest.next();
+                    } else {
+                        let (req, resp) = pair;
+                        assert!(
+                            matches!(req, Request::AdjustPodWeights { .. }),
+                            "seed {seed} drain {drain}: {req:?} missing"
+                        );
+                        assert_eq!(resp, &Response::Done, "seed {seed} drain {drain}");
+                        missing += 1;
+                    }
+                }
+                assert!(rest.next().is_none(), "seed {seed} drain {drain}");
+                assert_eq!(mgr.held_skipped() - before.0, missing);
+                assert_eq!(
+                    rip_weights(&fast),
+                    rip_weights(&reference),
+                    "seed {seed} drain {drain}"
+                );
+                skipped += missing;
+                let applied = mgr.held_applied() - before.1;
+                if moved {
+                    after_move += applied;
+                } else {
+                    after_write += applied;
+                }
+                // A NewRip may have failed: keep only bound VMs.
+                bound.retain(|&vm| fast.rip_of_vm(vm).is_some());
+            }
+            fast.assert_invariants();
+        }
+        assert!(
+            skipped > 500 && after_write > 200 && after_move > 100 && unheld > 300,
+            "skipped {skipped}, after a write {after_write}, after a move {after_move}, un-held {unheld}"
+        );
+    }
+
+    /// The VMs whose RIPs are listed under `vip`.
+    fn vm_list(st: &PlatformState, vip: VipAddr) -> Vec<VmId> {
+        let sw = st.vip(vip).unwrap().switch.0 as usize;
+        let cfg = st.switches[sw].vip(vip).unwrap();
+        cfg.rips.iter().map(|e| st.rip(e.rip).unwrap().vm).collect()
     }
 
     /// Seeded drains of `NewVip` mixed with `NewRip`/`DeleteRip`, with

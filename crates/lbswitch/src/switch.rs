@@ -175,10 +175,12 @@ impl LbSwitch {
         self.id
     }
 
-    /// Number of successful configuration-plane changes (VIP/RIP
-    /// add/remove, weight updates) applied to this switch so
-    /// far. Each is one serialized reconfiguration in §III.C terms; the
-    /// platform's per-epoch health event sums this across the fabric.
+    /// Number of configuration-plane changes applied to this switch so
+    /// far: every successful VIP/RIP add or remove, and every weight
+    /// update that changed the stored weight's bits (rewriting a weight
+    /// with its own value reconfigures nothing). Each is one serialized
+    /// reconfiguration in §III.C terms; the platform's per-epoch health
+    /// event sums this across the fabric.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigs
     }
@@ -340,8 +342,10 @@ impl LbSwitch {
             .iter_mut()
             .find(|r| r.rip == rip)
             .ok_or(SwitchError::UnknownRip(vip, rip))?;
-        entry.weight = weight;
-        self.reconfigs += 1;
+        if entry.weight.to_bits() != weight.to_bits() {
+            entry.weight = weight;
+            self.reconfigs += 1;
+        }
         Ok(())
     }
 
@@ -600,6 +604,26 @@ mod tests {
         let d = sw.distribute_vip(VipAddr(0)).unwrap();
         assert!((d[0].1 - 0.5e9).abs() < 1.0);
         assert!((d[1].1 - 1.5e9).abs() < 1.0);
+    }
+
+    #[test]
+    fn only_a_weight_change_counts_as_a_reconfiguration() {
+        let mut sw = small_switch();
+        sw.add_vip(VipAddr(0)).unwrap();
+        sw.add_rip(VipAddr(0), RipAddr(1), 1.5).unwrap();
+        let base = sw.reconfigurations();
+        sw.set_rip_weight(VipAddr(0), RipAddr(1), 1.5).unwrap();
+        assert_eq!(sw.reconfigurations(), base, "same bits");
+        sw.set_rip_weight(VipAddr(0), RipAddr(1), 2.0).unwrap();
+        assert_eq!(sw.reconfigurations(), base + 1);
+        // +0.0 and -0.0 compare equal but are different bits.
+        sw.set_rip_weight(VipAddr(0), RipAddr(1), 0.0).unwrap();
+        sw.set_rip_weight(VipAddr(0), RipAddr(1), -0.0).unwrap();
+        assert_eq!(sw.reconfigurations(), base + 3);
+        assert_eq!(
+            sw.vip(VipAddr(0)).unwrap().rips[0].weight.to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]

@@ -211,7 +211,14 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     PhaseDecl {
         id: "pod-planning",
         parallel: true,
-        reads: &[Snapshot, VmFleet, PodMembership, VipRipTables, Config],
+        reads: &[
+            Snapshot,
+            VmFleet,
+            PodMembership,
+            VipRipTables,
+            Switches,
+            Config,
+        ],
         writes: &[],
         reduces: &[ReduceDecl {
             resource: PlanVec,
