@@ -852,11 +852,12 @@ impl Platform {
         let mut held = 0u64;
         let (pod, viprip) = (plan.pod, &mut self.global.viprip);
         for req in plan.weight_requests {
-            let (vip, weights) = (req.vip, req.weights);
+            let (vip, weights) = (req.vip, &plan.weights[req.weights]);
             if req.held {
                 held += 1;
                 viprip.submit_held(pod, vip, weights, plan.server_moves);
             } else {
+                let weights = weights.to_vec();
                 viprip.submit(
                     Priority::Normal,
                     Request::AdjustPodWeights { pod, vip, weights },

@@ -30,9 +30,10 @@
 use crate::demand::LoadSnapshot;
 use crate::ids::{AppId, PodId};
 use crate::state::PlatformState;
-use crate::viprip::VipRipManager;
+use crate::viprip::{PodWeightScratch, VipRipManager};
 use lbswitch::VipAddr;
 use placement::{tang, AppReq, Placement, PlacementProblem, ServerCap};
+use std::ops::Range;
 use vmm::{ServerId, VmId};
 
 /// The actions a pod manager wants applied after one decision round.
@@ -49,6 +50,8 @@ pub struct PodPlan {
     /// Per-VIP intra-pod weight requests (to be submitted to the VIP/RIP
     /// manager), in VIP order (§IV.F).
     pub weight_requests: Vec<WeightRequest>,
+    /// The weight requests' `(vm, relative weight)` lists, back to back.
+    pub weights: Vec<(VmId, f64)>,
     /// [`PlatformState::server_moves`] at planning time: the stamp the
     /// held weight requests are submitted with.
     pub server_moves: u64,
@@ -61,8 +64,9 @@ pub struct PodPlan {
 pub struct WeightRequest {
     /// The VIP whose pod RIPs are reweighted.
     pub vip: VipAddr,
-    /// `(vm, relative weight)`, in the pod's row order.
-    pub weights: Vec<(VmId, f64)>,
+    /// Its `(vm, relative weight)` list, in the pod's row order: a range
+    /// of [`PodPlan::weights`].
+    pub weights: Range<usize>,
     /// Applying the request to the planned-from state would succeed and
     /// change no weight bit.
     pub held: bool,
@@ -151,14 +155,16 @@ impl PodManager {
                 .collect(),
         };
 
-        // Incumbent: current instances with their slices (a later VM of
-        // the same app on the same server overwrites an earlier one).
-        let mut incumbent = Placement::empty(by_app.len());
-        for (a, vms) in by_app.iter().enumerate() {
-            for r in *vms {
-                incumbent.set(a, r.server, r.cpu_slice);
-            }
-        }
+        // Incumbent: current instances with their slices, built from the
+        // sorted rows in one pass (a later VM of the same app on the same
+        // server overwrites an earlier one).
+        let incumbent = Placement::from_sorted(
+            by_app.len(),
+            by_app
+                .iter()
+                .enumerate()
+                .flat_map(|(a, vms)| vms.iter().map(move |r| (a, r.server, r.cpu_slice))),
+        );
 
         let next = tang::solve(&problem, incumbent);
 
@@ -208,7 +214,7 @@ impl PodManager {
         // yield a single-VM list — moot, and skipped up front. Each
         // request is checked against the planned-from state as it is built.
         let mut app_weights: Vec<(VipAddr, VmId, f64)> = Vec::new();
-        let mut writes = Vec::new();
+        let mut scratch = PodWeightScratch::default();
         for (a, vms) in by_app.iter().enumerate().filter(|(_, vms)| vms.len() > 1) {
             app_weights.clear();
             for r in *vms {
@@ -228,13 +234,15 @@ impl PodManager {
                     continue; // single-VM weights are moot
                 }
                 let vip = group[0].0;
-                let weights: Vec<(VmId, f64)> = group.iter().map(|&(_, vm, w)| (vm, w)).collect();
+                let start = plan.weights.len();
+                plan.weights.extend(group.iter().map(|&(_, vm, w)| (vm, w)));
+                let weights = start..plan.weights.len();
                 let held = VipRipManager::pod_weights_unchanged(
                     state,
                     self.id,
                     vip,
-                    &weights,
-                    &mut writes,
+                    &plan.weights[weights.clone()],
+                    &mut scratch,
                 );
                 plan.weight_requests
                     .push(WeightRequest { vip, weights, held });
@@ -438,32 +446,41 @@ mod tests {
                 }
             }
         }
-        plan.weight_requests = per_vip
-            .into_iter()
-            .filter(|(_, ws)| ws.len() > 1) // single-VM weights are moot
-            .map(|(vip, weights)| WeightRequest {
-                vip,
-                weights,
-                held: false,
-            })
-            .collect();
+        for (vip, weights) in per_vip {
+            if weights.len() > 1 {
+                // single-VM weights are moot
+                let start = plan.weights.len();
+                plan.weights.extend(weights);
+                plan.weight_requests.push(WeightRequest {
+                    vip,
+                    weights: start..plan.weights.len(),
+                    held: false,
+                });
+            }
+        }
         (plan, placement_changes)
     }
 
-    /// Whether applying `req` through the clone-and-scan reference
-    /// succeeds and leaves every RIP weight bit under its VIP as it was.
+    /// Whether applying `AdjustPodWeights { pod, vip, weights }` through
+    /// the clone-and-scan reference succeeds and leaves every RIP weight
+    /// bit under `vip` as it was.
     /// The weights are restored afterwards.
-    fn held_by_reference(st: &mut PlatformState, pod: PodId, req: &WeightRequest) -> bool {
-        let switch = st.vip(req.vip).unwrap().switch.0 as usize;
-        let weights = |st: &PlatformState| -> Vec<(RipAddr, f64)> {
-            let cfg = st.switches[switch].vip(req.vip).unwrap();
+    fn held_by_reference(
+        st: &mut PlatformState,
+        pod: PodId,
+        vip: VipAddr,
+        weights: &[(VmId, f64)],
+    ) -> bool {
+        let switch = st.vip(vip).unwrap().switch.0 as usize;
+        let rip_weights = |st: &PlatformState| -> Vec<(RipAddr, f64)> {
+            let cfg = st.switches[switch].vip(vip).unwrap();
             cfg.rips.iter().map(|e| (e.rip, e.weight)).collect()
         };
-        let before = weights(st);
-        let ok = VipRipManager::adjust_pod_weights_scan(st, pod, req.vip, &req.weights).is_ok();
-        let after = weights(st);
+        let before = rip_weights(st);
+        let ok = VipRipManager::adjust_pod_weights_scan(st, pod, vip, weights).is_ok();
+        let after = rip_weights(st);
         for &(rip, w) in &before {
-            st.switches[switch].set_rip_weight(req.vip, rip, w).unwrap();
+            st.switches[switch].set_rip_weight(vip, rip, w).unwrap();
         }
         let bits =
             |ws: &[(RipAddr, f64)]| -> Vec<u64> { ws.iter().map(|e| e.1.to_bits()).collect() };
@@ -497,7 +514,8 @@ mod tests {
             p.weight_requests
                 .iter()
                 .map(|r| {
-                    let ws = r.weights.iter().map(|&(vm, w)| (vm, w.to_bits()));
+                    let ws = p.weights[r.weights.clone()].iter();
+                    let ws = ws.map(|&(vm, w)| (vm, w.to_bits()));
                     (r.vip, ws.collect(), r.held)
                 })
                 .collect(),
@@ -516,7 +534,8 @@ mod tests {
             let new = mgr.plan(st, snap);
             let (mut old, old_changes) = plan_reference(&mgr, st, snap);
             for req in &mut old.weight_requests {
-                req.held = held_by_reference(st, mgr.id, req);
+                let weights = &old.weights[req.weights.clone()];
+                req.held = held_by_reference(st, mgr.id, req.vip, weights);
             }
             // A placement change is an instance start or stop.
             let new_changes = new.new_instances.len() + new.remove_instances.len();
@@ -719,7 +738,7 @@ mod tests {
         let plan = PodManager::new(PodId(0)).plan(&st, &snap);
         assert!(plan.remove_instances.is_empty(), "plan {plan:?}");
         assert_eq!(plan.weight_requests.len(), 1);
-        let weights = &plan.weight_requests[0].weights;
+        let weights = &plan.weights[plan.weight_requests[0].weights.clone()];
         assert_eq!(weights.len(), 2);
         assert!(weights.iter().all(|&(_, w)| w > 0.0));
     }

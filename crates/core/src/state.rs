@@ -673,6 +673,16 @@ impl PlatformState {
             assert_eq!(AppId(vm.app), vrec.app, "{rip}: VM app != VIP app");
             assert_eq!(self.vm_rip.get(rec.vm), Some(&rip), "vm_rip out of sync");
         }
+        // And the index back: every VM → RIP entry names a record of that
+        // VM, so a VM's RIP identifies it (the one-pass §IV.F check in
+        // `crate::viprip` finds requested VMs by their RIP).
+        for (vm, &rip) in self.vm_rip.iter() {
+            assert_eq!(
+                self.rips.get(rip).map(|rec| rec.vm),
+                Some(vm),
+                "vm_rip maps {vm} to {rip}, which is not its RIP"
+            );
+        }
         // And back: every switch entry is a RIP record of the VIP it is
         // listed under, so a record's VIP locates its entry.
         for sw in &self.switches {
@@ -726,6 +736,26 @@ mod tests {
             st.register_app(rank);
         }
         st
+    }
+
+    /// A VM → RIP entry that names another VM's RIP passes every other
+    /// check (that RIP's own record still indexes back to its VM) but
+    /// would let the one-pass §IV.F check accept the stray VM.
+    #[test]
+    #[should_panic(expected = "which is not its RIP")]
+    fn invariants_catch_a_vm_rip_entry_naming_another_vms_rip() {
+        let mut st = state();
+        let vip = st.allocate_vip(AppId(0), SwitchId(0)).unwrap();
+        let (_, rip) = st
+            .add_instance_running(AppId(0), ServerId(0), vip, 1.0)
+            .unwrap();
+        let stray = st
+            .fleet
+            .create_vm_running(ServerId(2), 0, st.config.vm_cpu_slice, st.config.vm_mem_mb)
+            .unwrap();
+        st.assert_invariants();
+        st.vm_rip.insert(stray, rip);
+        st.assert_invariants();
     }
 
     #[test]

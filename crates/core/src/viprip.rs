@@ -26,12 +26,15 @@
 //! there, unless the state it was checked against has changed since:
 //! an earlier request in the same drain wrote, bound or removed a RIP of
 //! its pod under its VIP, or a server changed pods after planning. Then
-//! it is applied like any other request.
+//! it is applied like any other request. A held request's weights wait
+//! in one arena the manager owns and clears after each drain; only an
+//! applied one becomes a [`Request`] with its own weight list.
 
 use crate::ids::{AppId, PodId};
 use crate::state::{PlatformState, StateError};
 use lbswitch::{LbSwitch, RipAddr, SwitchId, VipAddr};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use vmm::VmId;
 
 /// Request priority: lower value = processed first.
@@ -152,12 +155,32 @@ impl VipSwitchIndex {
     }
 }
 
-/// One queued request. `held_at` is set on a held pod weight request:
-/// the [`PlatformState::server_moves`] count it was planned at.
+/// One queued request.
 #[derive(Debug)]
-struct Queued {
-    request: Request,
-    held_at: Option<u64>,
+enum Queued {
+    /// A request as submitted.
+    Request(Request),
+    /// A held `AdjustPodWeights` ([`VipRipManager::submit_held`]).
+    Held {
+        pod: PodId,
+        vip: VipAddr,
+        /// Its weights: a range of [`VipRipManager::held_weights`].
+        weights: Range<usize>,
+        /// The [`PlatformState::server_moves`] count it was planned at.
+        server_moves: u64,
+    },
+}
+
+/// Scratch for the §IV.F arithmetic of one pod weight request
+/// ([`VipRipManager::pod_weight_writes`]).
+#[derive(Debug, Default)]
+pub(crate) struct PodWeightScratch {
+    /// The pod's entries under the VIP, `(rip, current weight)`, sorted by
+    /// RIP.
+    pod: Vec<(RipAddr, f64)>,
+    /// One `(rip, new weight, current weight)` per requested VM, in
+    /// request order.
+    writes: Vec<(RipAddr, f64, f64)>,
 }
 
 /// The serialized VIP/RIP configuration mediator.
@@ -165,6 +188,9 @@ struct Queued {
 pub struct VipRipManager {
     /// One FIFO per priority, indexed by [`Priority::rank`].
     queues: [Vec<Queued>; 3],
+    /// The weight lists of the queued held requests, back to back;
+    /// cleared after each drain.
+    held_weights: Vec<(VmId, f64)>,
     processed: u64,
     failed: u64,
     held_skipped: u64,
@@ -179,10 +205,7 @@ impl VipRipManager {
 
     /// Enqueue a request.
     pub fn submit(&mut self, priority: Priority, request: Request) {
-        self.queues[priority.rank()].push(Queued {
-            request,
-            held_at: None,
-        });
+        self.queues[priority.rank()].push(Queued::Request(request));
     }
 
     /// Enqueue, at `Normal` priority, a pod weight request that
@@ -194,12 +217,16 @@ impl VipRipManager {
         &mut self,
         pod: PodId,
         vip: VipAddr,
-        weights: Vec<(VmId, f64)>,
+        weights: &[(VmId, f64)],
         server_moves: u64,
     ) {
-        self.queues[Priority::Normal.rank()].push(Queued {
-            request: Request::AdjustPodWeights { pod, vip, weights },
-            held_at: Some(server_moves),
+        let start = self.held_weights.len();
+        self.held_weights.extend_from_slice(weights);
+        self.queues[Priority::Normal.rank()].push(Queued::Held {
+            pod,
+            vip,
+            weights: start..self.held_weights.len(),
+            server_moves,
         });
     }
 
@@ -234,42 +261,51 @@ impl VipRipManager {
     /// the platform state. Returns `(request, response)` pairs in
     /// processing order; a skipped held request has no pair.
     pub fn process_all(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
-        let mut out = Vec::with_capacity(self.pending());
+        let mut held_left = self.queues[Priority::Normal.rank()]
+            .iter()
+            .filter(|q| matches!(q, Queued::Held { .. }))
+            .count();
+        let mut out = Vec::with_capacity(self.pending() - held_left);
         // Built at the drain's first `NewVip`; dropped with the drain.
         let mut vip_switches = None;
         // The (VIP, pod) pairs whose RIP entries this drain has written,
         // bound or removed so far, recorded while a held request (always
         // `Normal`) is still to come.
         let mut touched = BTreeSet::new();
-        let mut held_left = self.queues[Priority::Normal.rank()]
-            .iter()
-            .filter(|q| q.held_at.is_some())
-            .count();
-        let mut writes = Vec::new();
+        let mut scratch = PodWeightScratch::default();
         // `&mut self` holds off `submit` until the drain ends, so draining
         // the FIFOs one after another is (priority, FIFO) order.
         for queue in &mut self.queues {
-            for Queued { request, held_at } in queue.drain(..) {
-                if let (Some(moves), Request::AdjustPodWeights { pod, vip, weights }) =
-                    (held_at, &request)
-                {
-                    held_left -= 1;
-                    if moves == state.server_moves() && !touched.contains(&(*vip, *pod)) {
-                        debug_assert!(
-                            Self::pod_weights_unchanged(state, *pod, *vip, weights, &mut writes),
-                            "held request for {vip} in {pod} would change a weight"
-                        );
-                        self.held_skipped += 1;
-                        continue;
+            for queued in queue.drain(..) {
+                let request = match queued {
+                    Queued::Request(request) => request,
+                    Queued::Held {
+                        pod,
+                        vip,
+                        weights,
+                        server_moves,
+                    } => {
+                        held_left -= 1;
+                        let weights = &self.held_weights[weights];
+                        if server_moves == state.server_moves() && !touched.contains(&(vip, pod)) {
+                            debug_assert!(
+                                Self::pod_weights_unchanged(state, pod, vip, weights, &mut scratch),
+                                "held request for {vip} in {pod} would change a weight"
+                            );
+                            self.held_skipped += 1;
+                            continue;
+                        }
+                        self.held_applied += 1;
+                        let weights = weights.to_vec();
+                        Request::AdjustPodWeights { pod, vip, weights }
                     }
-                    self.held_applied += 1;
-                }
+                };
                 let resp = Self::apply(
                     state,
                     &request,
                     &mut vip_switches,
                     (held_left > 0).then_some(&mut touched),
-                    &mut writes,
+                    &mut scratch,
                 );
                 self.processed += 1;
                 if matches!(resp, Response::Failed(_)) {
@@ -278,18 +314,18 @@ impl VipRipManager {
                 out.push((request, resp));
             }
         }
+        self.held_weights.clear();
         out
     }
 
     /// Apply one request. Records in `touched`, if given, the (VIP, pod)
-    /// of every RIP entry it writes, binds or removes; `writes` is
-    /// scratch.
+    /// of every RIP entry it writes, binds or removes.
     fn apply(
         state: &mut PlatformState,
         req: &Request,
         vip_switches: &mut Option<VipSwitchIndex>,
         touched: Option<&mut BTreeSet<(VipAddr, PodId)>>,
-        writes: &mut Vec<(RipAddr, f64)>,
+        scratch: &mut PodWeightScratch,
     ) -> Response {
         match req {
             Request::NewVip { app } => {
@@ -338,7 +374,7 @@ impl VipRipManager {
                 Err(e) => Response::Failed(e.to_string()),
             },
             Request::AdjustPodWeights { pod, vip, weights } => {
-                match Self::adjust_pod_weights(state, *pod, *vip, weights, writes) {
+                match Self::adjust_pod_weights(state, *pod, *vip, weights, scratch) {
                     Ok(()) => {
                         if let Some(touched) = touched {
                             touched.insert((*vip, *pod));
@@ -429,33 +465,41 @@ impl VipRipManager {
         pod: PodId,
         vip: VipAddr,
         weights: &[(VmId, f64)],
-        writes: &mut Vec<(RipAddr, f64)>,
+        scratch: &mut PodWeightScratch,
     ) -> Result<(), StateError> {
-        let switch = Self::pod_weight_writes(state, pod, vip, weights, writes)?;
-        for &(rip, w) in writes.iter() {
+        let switch = Self::pod_weight_writes(state, pod, vip, weights, scratch)?;
+        for &(rip, w, _) in &scratch.writes {
             state.switches[switch.0 as usize].set_rip_weight(vip, rip, w)?;
         }
         Ok(())
     }
 
     /// The §IV.F arithmetic of `AdjustPodWeights { pod, vip, weights }`,
-    /// shared by the drain and the planner's no-op check: fills `writes`
-    /// with one `(rip, weight)` per requested VM, in request order, and
-    /// returns the VIP's switch. The pod's current total under the VIP is
-    /// summed in switch-entry order; each write is `w.max(0.0) * scale`,
-    /// `scale` being that total over the requested total. `writes` is
-    /// empty when there is nothing to rescale (no positive request, or a
-    /// zero pod total), and meaningless on `Err`.
+    /// shared by the drain and the planner's no-op check: fills
+    /// `scratch.writes` with one `(rip, new weight, current weight)` per
+    /// requested VM, in request order, and returns the VIP's switch.
+    ///
+    /// One walk over the VIP's switch entries records the pod's entries
+    /// and sums their weights, in entry order, into the pod's current
+    /// total. Each requested VM must then be one of those entries, found
+    /// through its RIP ([`PlatformState::rip_of_vm`]); the VM → RIP index
+    /// names a record of that same VM ([`PlatformState::assert_invariants`]),
+    /// so this accepts exactly the pod's VMs under the VIP. Each new weight
+    /// is `w.max(0.0) * scale`, `scale` being the pod total over the
+    /// requested total. `writes` is empty when there is nothing to rescale
+    /// (no positive request, or a zero pod total), and meaningless on
+    /// `Err`.
     fn pod_weight_writes(
         state: &PlatformState,
         pod: PodId,
         vip: VipAddr,
         weights: &[(VmId, f64)],
-        writes: &mut Vec<(RipAddr, f64)>,
+        scratch: &mut PodWeightScratch,
     ) -> Result<SwitchId, StateError> {
+        let PodWeightScratch { pod: own, writes } = scratch;
+        own.clear();
         writes.clear();
         let switch = state.vip(vip)?.switch;
-        // Current total pod weight under this VIP.
         let cfg = state.switches[switch.0 as usize].vip(vip)?;
         let mut pod_total = 0.0;
         for entry in &cfg.rips {
@@ -463,66 +507,46 @@ impl VipRipManager {
             let srv = state.fleet.locate(rec.vm)?;
             if state.pod_of(srv) == pod {
                 pod_total += entry.weight;
+                own.push((entry.rip, entry.weight));
             }
         }
-        // Validate the request covers only the pod's VMs under the VIP.
+        own.sort_unstable_by_key(|&(rip, _)| rip);
         for &(vm, w) in weights {
-            writes.push((Self::pod_rip(state, pod, vip, vm)?, w.max(0.0)));
+            let (rip, current) = state
+                .rip_of_vm(vm)
+                .and_then(|rip| {
+                    let at = own.binary_search_by_key(&rip, |&(r, _)| r).ok()?;
+                    Some(own[at])
+                })
+                .ok_or(StateError::Vm(vmm::VmError::UnknownVm(vm)))?;
+            writes.push((rip, w.max(0.0), current));
         }
-        let requested_total: f64 = writes.iter().map(|&(_, w)| w).sum();
+        let requested_total: f64 = writes.iter().map(|&(_, w, _)| w).sum();
         if requested_total <= 0.0 || pod_total <= 0.0 {
             writes.clear(); // nothing meaningful to rescale
             return Ok(switch);
         }
         let scale = pod_total / requested_total;
-        for (_, w) in writes.iter_mut() {
+        for (_, w, _) in writes.iter_mut() {
             *w *= scale;
         }
         Ok(switch)
     }
 
     /// Whether `AdjustPodWeights { pod, vip, weights }` would succeed
-    /// against `state` and leave every weight bit as it is. `writes` is
-    /// scratch.
+    /// against `state` and leave every weight bit as it is.
     pub(crate) fn pod_weights_unchanged(
         state: &PlatformState,
         pod: PodId,
         vip: VipAddr,
         weights: &[(VmId, f64)],
-        writes: &mut Vec<(RipAddr, f64)>,
+        scratch: &mut PodWeightScratch,
     ) -> bool {
-        let Ok(switch) = Self::pod_weight_writes(state, pod, vip, weights, writes) else {
-            return false;
-        };
-        state.switches[switch.0 as usize].vip(vip).is_ok_and(|cfg| {
-            writes.iter().all(|&(rip, w)| {
-                cfg.rips
-                    .iter()
-                    .any(|e| e.rip == rip && e.weight.to_bits() == w.to_bits())
-            })
-        })
-    }
-
-    /// The RIP of `vm` if it is bound under `vip` and runs in `pod`. A RIP
-    /// record's VIP is the VIP whose switch entry lists it
-    /// ([`PlatformState::assert_invariants`]), so this finds exactly the
-    /// `vip` entries the pod owns.
-    fn pod_rip(
-        state: &PlatformState,
-        pod: PodId,
-        vip: VipAddr,
-        vm: VmId,
-    ) -> Result<RipAddr, StateError> {
-        state
-            .rip_of_vm(vm)
-            .filter(|&rip| {
-                state.rip(rip).is_ok_and(|rec| rec.vip == vip)
-                    && state
-                        .fleet
-                        .locate(vm)
-                        .is_ok_and(|srv| state.pod_of(srv) == pod)
-            })
-            .ok_or(StateError::Vm(vmm::VmError::UnknownVm(vm)))
+        Self::pod_weight_writes(state, pod, vip, weights, scratch).is_ok()
+            && scratch
+                .writes
+                .iter()
+                .all(|&(_, new, current)| new.to_bits() == current.to_bits())
     }
 }
 
@@ -807,7 +831,17 @@ mod tests {
         fn process_all_full_scan(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
             let mut out = Vec::new();
             for queue in &mut self.queues {
-                for Queued { request, .. } in queue.drain(..) {
+                for queued in queue.drain(..) {
+                    let request = match queued {
+                        Queued::Request(request) => request,
+                        Queued::Held {
+                            pod, vip, weights, ..
+                        } => Request::AdjustPodWeights {
+                            pod,
+                            vip,
+                            weights: self.held_weights[weights].to_vec(),
+                        },
+                    };
                     let resp = match request {
                         Request::NewVip { app } => match Self::pick_vip_switch(state) {
                             Some(sw) => match state.allocate_vip(app, sw) {
@@ -824,12 +858,101 @@ mod tests {
                             Ok(()) => Response::Done,
                             Err(e) => Response::Failed(e.to_string()),
                         },
-                        ref req => Self::apply(state, req, &mut None, None, &mut Vec::new()),
+                        ref req => Self::apply(
+                            state,
+                            req,
+                            &mut None,
+                            None,
+                            &mut PodWeightScratch::default(),
+                        ),
                     };
                     out.push((request, resp));
                 }
             }
+            self.held_weights.clear();
             out
+        }
+
+        /// Reference for [`VipRipManager::pod_weight_writes`]: the
+        /// three-pass body it replaced, kept verbatim. It walks the VIP's
+        /// entries for the pod total, then finds each requested VM's RIP
+        /// through its record, and leaves `(rip, new weight)` writes.
+        fn pod_weight_writes_three_pass(
+            state: &PlatformState,
+            pod: PodId,
+            vip: VipAddr,
+            weights: &[(VmId, f64)],
+            writes: &mut Vec<(RipAddr, f64)>,
+        ) -> Result<SwitchId, StateError> {
+            writes.clear();
+            let switch = state.vip(vip)?.switch;
+            // Current total pod weight under this VIP.
+            let cfg = state.switches[switch.0 as usize].vip(vip)?;
+            let mut pod_total = 0.0;
+            for entry in &cfg.rips {
+                let rec = state.rip(entry.rip)?;
+                let srv = state.fleet.locate(rec.vm)?;
+                if state.pod_of(srv) == pod {
+                    pod_total += entry.weight;
+                }
+            }
+            // Validate the request covers only the pod's VMs under the VIP.
+            for &(vm, w) in weights {
+                writes.push((Self::pod_rip(state, pod, vip, vm)?, w.max(0.0)));
+            }
+            let requested_total: f64 = writes.iter().map(|&(_, w)| w).sum();
+            if requested_total <= 0.0 || pod_total <= 0.0 {
+                writes.clear(); // nothing meaningful to rescale
+                return Ok(switch);
+            }
+            let scale = pod_total / requested_total;
+            for (_, w) in writes.iter_mut() {
+                *w *= scale;
+            }
+            Ok(switch)
+        }
+
+        /// Reference for [`VipRipManager::pod_weights_unchanged`]: a
+        /// second switch lookup and a rescan of the VIP's entries per
+        /// write.
+        fn pod_weights_unchanged_three_pass(
+            state: &PlatformState,
+            pod: PodId,
+            vip: VipAddr,
+            weights: &[(VmId, f64)],
+        ) -> bool {
+            let mut writes = Vec::new();
+            let Ok(switch) =
+                Self::pod_weight_writes_three_pass(state, pod, vip, weights, &mut writes)
+            else {
+                return false;
+            };
+            state.switches[switch.0 as usize].vip(vip).is_ok_and(|cfg| {
+                writes.iter().all(|&(rip, w)| {
+                    cfg.rips
+                        .iter()
+                        .any(|e| e.rip == rip && e.weight.to_bits() == w.to_bits())
+                })
+            })
+        }
+
+        /// The RIP of `vm` if it is bound under `vip` and runs in `pod`.
+        fn pod_rip(
+            state: &PlatformState,
+            pod: PodId,
+            vip: VipAddr,
+            vm: VmId,
+        ) -> Result<RipAddr, StateError> {
+            state
+                .rip_of_vm(vm)
+                .filter(|&rip| {
+                    state.rip(rip).is_ok_and(|rec| rec.vip == vip)
+                        && state
+                            .fleet
+                            .locate(vm)
+                            .is_ok_and(|srv| state.pod_of(srv) == pod)
+                })
+                .ok_or(StateError::Vm(vmm::VmError::UnknownVm(vm)))
         }
 
         /// Reference for [`VipRipManager::adjust_pod_weights`]: clone the
@@ -894,13 +1017,19 @@ mod tests {
     /// every RIP weight bit must agree. The requests mix the pod's own
     /// VMs with VMs of another pod, VMs under another VIP of the same
     /// app, unbound VMs and duplicates, and zero, negative and empty
-    /// weight lists.
+    /// weight lists. Each request is also checked against the state it
+    /// was generated on by the one-pass `pod_weight_writes` and the
+    /// three-pass reference: the same result, the same weight bits, the
+    /// same held verdict.
     #[test]
     fn adjust_pod_weights_matches_the_clone_and_scan() {
         use rand::Rng;
         // Requests by outcome: accepted with a positive weight, accepted
         // with none, failed.
         let mut outcomes = [0usize; 3];
+        // Held verdicts: unchanged, changed.
+        let mut verdicts = [0usize; 2];
+        let mut scratch = PodWeightScratch::default();
         // Foreign VMs sent: other pod, other VIP of the app, unbound.
         let mut foreign = [0usize; 3];
         for seed in 1..=12u64 {
@@ -1016,6 +1145,38 @@ mod tests {
                             }
                         }
                     }
+                    let one =
+                        VipRipManager::pod_weight_writes(&fast, pod, vip, &weights, &mut scratch)
+                            .map(|sw| {
+                                let ws = scratch.writes.iter().map(|&(r, w, _)| (r, w.to_bits()));
+                                (sw, ws.collect::<Vec<_>>())
+                            });
+                    let mut writes = Vec::new();
+                    let three = VipRipManager::pod_weight_writes_three_pass(
+                        &fast,
+                        pod,
+                        vip,
+                        &weights,
+                        &mut writes,
+                    )
+                    .map(|sw| {
+                        let ws = writes.iter().map(|&(r, w)| (r, w.to_bits()));
+                        (sw, ws.collect::<Vec<_>>())
+                    });
+                    assert_eq!(one, three, "seed {seed} step {step}");
+                    let held = VipRipManager::pod_weights_unchanged(
+                        &fast,
+                        pod,
+                        vip,
+                        &weights,
+                        &mut scratch,
+                    );
+                    assert_eq!(
+                        held,
+                        VipRipManager::pod_weights_unchanged_three_pass(&fast, pod, vip, &weights),
+                        "seed {seed} step {step}"
+                    );
+                    verdicts[usize::from(!held)] += 1;
                     let result =
                         VipRipManager::adjust_pod_weights_scan(&mut reference, pod, vip, &weights);
                     outcomes[match &result {
@@ -1047,8 +1208,10 @@ mod tests {
             fast.assert_invariants();
         }
         assert!(
-            outcomes.iter().all(|&n| n > 300) && foreign.iter().all(|&n| n > 40),
-            "outcomes {outcomes:?}, foreign {foreign:?}"
+            outcomes.iter().all(|&n| n > 300)
+                && foreign.iter().all(|&n| n > 40)
+                && verdicts.iter().all(|&n| n > 300),
+            "outcomes {outcomes:?}, foreign {foreign:?}, verdicts {verdicts:?}"
         );
     }
 
@@ -1059,7 +1222,10 @@ mod tests {
     /// through the manager; the other applies every request, held ones
     /// included, through the reference drain. Every RIP weight bit must
     /// agree after every drain, and the manager's responses must be the
-    /// reference's without exactly the skipped held requests.
+    /// reference's without exactly the skipped held requests: a held
+    /// request applied after a guard hit yields the very `(Request,
+    /// Response)` pair of the un-held path. The held-weight arena is empty
+    /// after every drain.
     #[test]
     fn held_requests_match_applying_every_request() {
         use rand::Rng;
@@ -1128,7 +1294,13 @@ mod tests {
                 let held: Vec<bool> = planned
                     .iter()
                     .map(|(pod, vip, ws)| {
-                        VipRipManager::pod_weights_unchanged(&fast, *pod, *vip, ws, &mut Vec::new())
+                        VipRipManager::pod_weights_unchanged(
+                            &fast,
+                            *pod,
+                            *vip,
+                            ws,
+                            &mut PodWeightScratch::default(),
+                        )
                     })
                     .collect();
                 let moved = rng.gen_range(0..8) == 0;
@@ -1139,14 +1311,17 @@ mod tests {
                     reference.move_server_to_pod(server, to);
                 }
                 // Held pod requests go to the manager held; the reference
-                // gets every request as it is.
+                // gets every request as it is. `held_at` flags each
+                // request per priority, so in the reference's drain order.
+                let mut held_at: [Vec<bool>; 3] = Default::default();
                 let mut submit = |held: bool, priority: Priority, request: Request| {
                     match (held, &request) {
                         (true, Request::AdjustPodWeights { pod, vip, weights }) => {
-                            mgr.submit_held(*pod, *vip, weights.clone(), moves)
+                            mgr.submit_held(*pod, *vip, weights, moves)
                         }
                         _ => mgr.submit(priority, request.clone()),
                     }
+                    held_at[priority.rank()].push(held);
                     ref_mgr.submit(priority, request);
                 };
                 // High: reweights, often of a planned VIP's RIPs, and a
@@ -1206,13 +1381,14 @@ mod tests {
                 }
                 let before = (mgr.held_skipped(), mgr.held_applied());
                 let got = mgr.process_all(&mut fast);
+                assert!(mgr.held_weights.is_empty(), "seed {seed} drain {drain}");
                 let want = ref_mgr.process_all_full_scan(&mut reference);
+                let held_at = held_at.concat();
+                assert_eq!(held_at.len(), want.len());
                 let mut rest = got.iter().peekable();
-                let mut missing = 0;
-                for pair in &want {
-                    if rest.peek() == Some(&pair) {
-                        rest.next();
-                    } else {
+                let (mut missing, mut held_pairs) = (0, 0);
+                for (pair, &held) in want.iter().zip(&held_at) {
+                    if held && rest.peek() != Some(&pair) {
                         let (req, resp) = pair;
                         assert!(
                             matches!(req, Request::AdjustPodWeights { .. }),
@@ -1220,10 +1396,15 @@ mod tests {
                         );
                         assert_eq!(resp, &Response::Done, "seed {seed} drain {drain}");
                         missing += 1;
+                    } else {
+                        // Un-held, or held and applied: the same pair.
+                        assert_eq!(rest.next(), Some(pair), "seed {seed} drain {drain}");
+                        held_pairs += usize::from(held);
                     }
                 }
                 assert!(rest.next().is_none(), "seed {seed} drain {drain}");
                 assert_eq!(mgr.held_skipped() - before.0, missing);
+                assert_eq!(mgr.held_applied() - before.1, held_pairs as u64);
                 assert_eq!(
                     rip_weights(&fast),
                     rip_weights(&reference),

@@ -87,12 +87,12 @@ fn distribute(problem: &PlacementProblem, placement: &mut Placement) -> bool {
     for (a, req) in problem.apps.iter().enumerate() {
         net.add_edge(s, app_node(a), q(req.demand_cpu));
     }
-    let mut instance_edges = Vec::new();
+    // One edge per instance, in the placement's (app, server) order.
+    let mut instance_edges = Vec::with_capacity(placement.total_instances());
     for a in 0..num_apps {
+        let cap = q(problem.apps[a].vm_cap);
         for (srv, _) in placement.instances(a) {
-            let cap = q(problem.apps[a].vm_cap);
-            let id = net.add_edge(app_node(a), srv_node(srv), cap);
-            instance_edges.push((a, srv, id));
+            instance_edges.push(net.add_edge(app_node(a), srv_node(srv), cap));
         }
     }
     for (v, cap) in problem.servers.iter().enumerate() {
@@ -101,11 +101,11 @@ fn distribute(problem: &PlacementProblem, placement: &mut Placement) -> bool {
     net.max_flow(s, t);
 
     let mut removed = false;
-    for (a, srv, id) in instance_edges {
-        let flow = net.flow(id);
+    placement.rewrite(|i| {
+        let flow = net.flow(instance_edges[i]);
         removed |= flow == 0;
-        placement.set(a, srv, flow as f64 * QUANTUM); // zero flow removes the instance
-    }
+        flow as f64 * QUANTUM // zero flow removes the instance
+    });
     removed
 }
 
@@ -133,7 +133,9 @@ fn place_instances(problem: &PlacementProblem, placement: &mut Placement) -> usi
         ry.total_cmp(&rx)
     });
 
-    let mut added = 0;
+    // Each (app, server) pair is visited once, so `placement.get` never
+    // needs to see this call's own starts: they are merged in at the end.
+    let mut starts = Vec::new();
     for (a, mut residual) in residuals {
         for &srv in &order {
             if residual <= QUANTUM {
@@ -150,14 +152,14 @@ fn place_instances(problem: &PlacementProblem, placement: &mut Placement) -> usi
             if grant <= QUANTUM {
                 continue;
             }
-            placement.set(a, srv, grant);
+            starts.push((a, srv, grant));
             loads[srv] += grant;
             vm_counts[srv] += 1;
             residual -= grant;
-            added += 1;
         }
     }
-    added
+    placement.set_all(&mut starts);
+    starts.len()
 }
 
 #[cfg(test)]
@@ -349,9 +351,79 @@ mod tests {
         assert_eq!(p.total_instances(), 0);
     }
 
-    /// The `compute` body [`solve`] replaced, kept verbatim as the
-    /// differential reference: it clones the incumbent and always runs
-    /// the closing `distribute`.
+    /// [`distribute`] as it was before the one-pass rewrite: one `set`
+    /// per instance.
+    fn distribute_by_set(problem: &PlacementProblem, placement: &mut Placement) {
+        let num_apps = problem.apps.len();
+        let num_servers = problem.servers.len();
+        let app_node = |a: usize| 1 + a;
+        let srv_node = |v: usize| 1 + num_apps + v;
+        let t = 1 + num_apps + num_servers;
+        let mut net = FlowNetwork::new(t + 1);
+        for (a, req) in problem.apps.iter().enumerate() {
+            net.add_edge(0, app_node(a), q(req.demand_cpu));
+        }
+        let mut instance_edges = Vec::new();
+        for a in 0..num_apps {
+            for (srv, _) in placement.instances(a) {
+                let cap = q(problem.apps[a].vm_cap);
+                let id = net.add_edge(app_node(a), srv_node(srv), cap);
+                instance_edges.push((a, srv, id));
+            }
+        }
+        for (v, cap) in problem.servers.iter().enumerate() {
+            net.add_edge(srv_node(v), t, q(cap.cpu));
+        }
+        net.max_flow(0, t);
+        for (a, srv, id) in instance_edges {
+            placement.set(a, srv, net.flow(id) as f64 * QUANTUM);
+        }
+    }
+
+    /// [`place_instances`] as it was before starts were merged in once:
+    /// one `set` per start, seen by the later `get`s.
+    fn place_instances_by_set(problem: &PlacementProblem, placement: &mut Placement) -> usize {
+        let num_servers = problem.servers.len();
+        let mut loads = placement.server_loads(num_servers);
+        let mut vm_counts = placement.server_vm_counts(num_servers);
+        let mut residuals: Vec<(usize, f64)> = (0..problem.apps.len())
+            .map(|a| (a, problem.apps[a].demand_cpu - placement.satisfied(a)))
+            .filter(|&(_, r)| r > QUANTUM)
+            .collect();
+        residuals.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut order: Vec<usize> = (0..num_servers).collect();
+        order.sort_by(|&x, &y| {
+            let rx = problem.servers[x].cpu - loads[x];
+            let ry = problem.servers[y].cpu - loads[y];
+            ry.total_cmp(&rx)
+        });
+        let mut added = 0;
+        for (a, mut residual) in residuals {
+            for &srv in &order {
+                if residual <= QUANTUM {
+                    break;
+                }
+                if vm_counts[srv] >= problem.servers[srv].max_vms || placement.get(a, srv) > 0.0 {
+                    continue;
+                }
+                let room = problem.servers[srv].cpu - loads[srv];
+                let grant = residual.min(problem.apps[a].vm_cap).min(room);
+                if grant <= QUANTUM {
+                    continue;
+                }
+                placement.set(a, srv, grant);
+                loads[srv] += grant;
+                vm_counts[srv] += 1;
+                residual -= grant;
+                added += 1;
+            }
+        }
+        added
+    }
+
+    /// The `compute` body [`solve`] replaced, kept as the differential
+    /// reference: it clones the incumbent, always runs the closing
+    /// `distribute`, and changes the placement one `set` at a time.
     fn compute_reference(problem: &PlacementProblem, prev: Option<&Placement>) -> Placement {
         problem.validate();
         let mut placement = prev
@@ -364,19 +436,19 @@ mod tests {
         );
 
         for _round in 0..MAX_ROUNDS {
-            distribute(problem, &mut placement);
+            distribute_by_set(problem, &mut placement);
             let residual: f64 = (0..problem.apps.len())
                 .map(|a| problem.apps[a].demand_cpu - placement.satisfied(a))
                 .sum();
             if residual <= QUANTUM * problem.apps.len() as f64 {
                 break;
             }
-            if place_instances(problem, &mut placement) == 0 {
+            if place_instances_by_set(problem, &mut placement) == 0 {
                 break; // no server can take more instances: stuck
             }
         }
         // Final apportioning over the final instance set.
-        distribute(problem, &mut placement);
+        distribute_by_set(problem, &mut placement);
         placement
     }
 
