@@ -11,9 +11,11 @@
 //! per-phase columns ride the same row machinery, a regression report
 //! names exactly which epoch phase slowed down.
 //!
-//! Build, phase and demand measurements below [`MIN_GATED_S`] are
-//! skipped (not errors): sub-millisecond spans are dominated by timer
-//! jitter and would gate on noise. Above the floor they gate at
+//! Build, phase and demand measurements below [`MIN_GATED_S`] are not
+//! gated (not errors): sub-millisecond spans are dominated by timer
+//! jitter and would gate on noise. A key below the floor on either side
+//! is listed with both values; one present on one side only is skipped.
+//! Above the floor they gate at
 //! [`FINE_GRAINED_TOLERANCE_FACTOR`]× the wall tolerance — they are
 //! sampled from far fewer runs than the whole-epoch walls (one build per
 //! tier), so their run-to-run variance is higher.
@@ -45,13 +47,25 @@ pub const MIN_GATED_S: f64 = 1e-3;
 /// algorithm is typically 2×+, not +20%) while absorbing the noise.
 pub const FINE_GRAINED_TOLERANCE_FACTOR: f64 = 2.0;
 
+/// `true` for the optional fine-grained columns (`build`, `demand`,
+/// `phase:<id>`), which gate at the wider band and only above
+/// [`MIN_GATED_S`].
+fn is_fine_grained(key: &str) -> bool {
+    key == "build" || key == "demand" || key.starts_with("phase:")
+}
+
 /// The tolerance band applied to one measurement key.
 fn key_tolerance(key: &str, tolerance: f64) -> f64 {
-    if key == "build" || key == "demand" || key.starts_with("phase:") {
+    if is_fine_grained(key) {
         tolerance * FINE_GRAINED_TOLERANCE_FACTOR
     } else {
         tolerance
     }
+}
+
+/// `true` if `seconds` of `key` is long enough to gate.
+fn gated(key: &str, seconds: f64) -> bool {
+    !is_fine_grained(key) || seconds >= MIN_GATED_S
 }
 
 /// One `(tier, thread-key)` wall-time compared across both documents.
@@ -78,6 +92,9 @@ pub struct CompareReport {
     /// `(tier, thread)` keys only the candidate has (e.g. a new tier
     /// not yet in the committed baseline).
     pub only_candidate: Vec<(String, String)>,
+    /// `(tier, key, baseline s, candidate s)` of fine-grained keys both
+    /// sides have but at least one holds below [`MIN_GATED_S`].
+    pub below_floor: Vec<(String, String, f64, f64)>,
 }
 
 impl CompareReport {
@@ -122,6 +139,13 @@ impl CompareReport {
                 r.delta_frac * 100.0
             );
         }
+        for (tier, key, b, c) in &self.below_floor {
+            let _ = writeln!(
+                out,
+                "{tier:<8} {key:<24} {b:>12.4} {c:>12.4}            below the {:.0} ms floor — not gated",
+                MIN_GATED_S * 1e3
+            );
+        }
         for (tier, threads) in &self.only_baseline {
             let _ = writeln!(
                 out,
@@ -136,9 +160,10 @@ impl CompareReport {
         }
         let _ = writeln!(
             out,
-            "benchcmp: {} compared, {} regressed, {} baseline-only, {} candidate-only",
+            "benchcmp: {} compared, {} regressed, {} below floor, {} baseline-only, {} candidate-only",
             self.compared(),
             self.regressions(),
+            self.below_floor.len(),
             self.only_baseline.len(),
             self.only_candidate.len()
         );
@@ -151,8 +176,8 @@ impl CompareReport {
 /// thread counts of `wall_per_epoch_s` (`"t1"`…), `"build"` for
 /// `build_s`, `"demand"` for `demand_s_per_epoch`, and `"phase:<id>"`
 /// for each entry of `phase_s_per_epoch`; the latter three are optional
-/// (older baselines predate them) and values below [`MIN_GATED_S`] are
-/// skipped. `side`
+/// (older baselines predate them) and kept at any value, so [`compare`]
+/// can report a key below [`MIN_GATED_S`] with both values. `side`
 /// names the document in error messages (`"baseline"` / `"candidate"`).
 pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, String> {
     let Some(tiers) = doc.get("tiers") else {
@@ -212,7 +237,7 @@ pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, Str
                      non-negative finite wall time"
                 ));
             }
-            if s >= MIN_GATED_S && !out.iter().any(|(l, k, _)| l == label && *k == key) {
+            if !out.iter().any(|(l, k, _)| l == label && *k == key) {
                 out.push((label.to_string(), key, s));
             }
             Ok(())
@@ -291,9 +316,10 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Comp
     check_served_final(baseline, candidate)?;
     let mut rows = Vec::new();
     let mut only_baseline = Vec::new();
+    let mut below_floor = Vec::new();
     for (tier, threads, b) in &base {
         match cand.iter().find(|(t, k, _)| t == tier && k == threads) {
-            Some((_, _, c)) => rows.push(Row {
+            Some((_, _, c)) if gated(threads, *b) && gated(threads, *c) => rows.push(Row {
                 tier: tier.clone(),
                 threads: threads.clone(),
                 baseline_s: *b,
@@ -301,12 +327,14 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Comp
                 delta_frac: c / b - 1.0,
                 regression: *c > b * (1.0 + key_tolerance(threads, tolerance)),
             }),
-            None => only_baseline.push((tier.clone(), threads.clone())),
+            Some((_, _, c)) => below_floor.push((tier.clone(), threads.clone(), *b, *c)),
+            None if gated(threads, *b) => only_baseline.push((tier.clone(), threads.clone())),
+            None => {}
         }
     }
     let only_candidate: Vec<(String, String)> = cand
         .iter()
-        .filter(|(t, k, _)| !base.iter().any(|(bt, bk, _)| bt == t && bk == k))
+        .filter(|(t, k, c)| gated(k, *c) && !base.iter().any(|(bt, bk, _)| bt == t && bk == k))
         .map(|(t, k, _)| (t.clone(), k.clone()))
         .collect();
     if rows.is_empty() {
@@ -328,6 +356,7 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Comp
         rows,
         only_baseline,
         only_candidate,
+        below_floor,
     })
 }
 
@@ -498,6 +527,46 @@ mod tests {
         );
         let err = compare(&b, &bad, 0.15).expect_err("schema");
         assert!(err.contains("phase:rip-bind"), "{err}");
+    }
+
+    #[test]
+    fn a_pair_below_the_floor_is_reported_with_both_values() {
+        let b = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},
+                "phase_s_per_epoch":{"demand-switch-reset":0.0063,"epoch-close":0.0004,
+                                     "queue-drain":0.0002}}"#,
+        );
+        let c = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},
+                "phase_s_per_epoch":{"demand-switch-reset":0.0011,"epoch-close":0.0012,
+                                     "queue-drain":0.0003}}"#,
+        );
+        let rep = compare(&b, &c, 0.15).expect("comparable");
+        // Gated exactly as before: the pair with both sides at or above
+        // the floor, and the walls.
+        let gated: Vec<&str> = rep.rows.iter().map(|r| r.threads.as_str()).collect();
+        assert_eq!(gated, vec!["t1", "phase:demand-switch-reset"]);
+        assert!(rep.passed());
+        assert!(rep.only_baseline.is_empty() && rep.only_candidate.is_empty());
+        assert_eq!(
+            rep.below_floor,
+            vec![
+                ("30k".into(), "phase:epoch-close".into(), 0.0004, 0.0012),
+                ("30k".into(), "phase:queue-drain".into(), 0.0002, 0.0003),
+            ]
+        );
+        let rendered = rep.render();
+        assert!(!rendered.contains("lacks this key"), "{rendered}");
+        let line = rendered
+            .lines()
+            .find(|l| l.contains("phase:epoch-close"))
+            .expect("named");
+        assert!(
+            line.contains("0.0004")
+                && line.contains("0.0012")
+                && line.contains("below the 1 ms floor"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! We sweep problem sizes at the paper's 2.5 apps-per-server ratio and
 //! measure: the flat controller's wall time, a first-fit baseline, and
-//! the hierarchical scheme's wall time and total CPU time. The pods of
+//! the hierarchical scheme's wall time and total CPU time, each the
+//! median of eleven runs of the same cold-start solve (the flat solves
+//! in rounds over every size). The pods of
 //! 500 servers are solved one after another; the hierarchical wall time
 //! is the slowest pod's, which is what a host with one core per pod
 //! sees. The *shape* is the claim: flat grows super-linearly;
@@ -52,10 +54,28 @@ fn problem(servers: usize, seed: u64) -> PlacementProblem {
     }
 }
 
-fn time_it<F: FnOnce() -> f64>(f: F) -> (f64, f64) {
+/// Solves timed per measurement. The median is reported, so one
+/// scheduler hiccup cannot swing a column or the scaling exponent.
+const REPEATS: usize = 11;
+
+fn median(times: impl Iterator<Item = f64>) -> f64 {
+    let mut times: Vec<f64> = times.collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Wall seconds of one run of `f`, and what `f` returned.
+fn time_once(f: impl FnOnce() -> f64) -> (f64, f64) {
     let started = std::time::Instant::now();
     let satisfied = f();
     (started.elapsed().as_secs_f64(), satisfied)
+}
+
+/// Median wall seconds of [`REPEATS`] runs of `f`, and what `f` returned
+/// (every run solves the same problem, so the same value).
+fn time_it(mut f: impl FnMut() -> f64) -> (f64, f64) {
+    let runs: Vec<(f64, f64)> = (0..REPEATS).map(|_| time_once(&mut f)).collect();
+    (median(runs.iter().map(|r| r.0)), runs[0].1)
 }
 
 /// Run the scaling sweep.
@@ -79,14 +99,24 @@ pub fn run(quick: bool) -> String {
         "flat satisfied",
         "hier satisfied",
     ]);
+    let problems: Vec<PlacementProblem> = sizes.iter().map(|&s| problem(s, 2014)).collect();
+    // Flat: one controller over everything. Each round solves every size
+    // once, so a slow spell of the host slows all sizes alike and the
+    // exponent below compares like with like.
+    let rounds: Vec<Vec<(f64, f64)>> = (0..REPEATS)
+        .map(|_| {
+            problems
+                .iter()
+                .map(|prob| time_once(|| cold(prob).total_satisfied()))
+                .collect()
+        })
+        .collect();
     let mut flat_times = Vec::new();
-    for &servers in sizes {
-        let prob = problem(servers, 2014);
-        // Flat: one controller over everything.
-        let (flat_s, flat_sat) = time_it(|| cold(&prob).total_satisfied());
+    for (i, (&servers, prob)) in sizes.iter().zip(&problems).enumerate() {
+        let (flat_s, flat_sat) = (median(rounds.iter().map(|r| r[i].0)), rounds[0][i].1);
         flat_times.push((servers as f64, flat_s));
         // First-fit baseline.
-        let (ff_s, _) = time_it(|| greedy::first_fit(&prob).total_satisfied());
+        let (ff_s, _) = time_it(|| greedy::first_fit(prob).total_satisfied());
         // Hierarchical: servers dealt into pods of `pod_size`, each pod
         // gets a proportional slice of the apps; each pod solved alone.
         let pods = servers.div_ceil(pod_size);

@@ -124,7 +124,7 @@ fn run_mode(mode: &str, epochs: u64) -> Outcome {
                 .state
                 .vips()
                 .filter(|(_, rec)| rec.router.map(|r| r.index() == hot).unwrap_or(false))
-                .map(|(v, _)| (v, snap.vip_demand_bps.get(&v).copied().unwrap_or(0.0)))
+                .map(|(v, _)| (v, snap.vip_demand_bps.get(v).copied().unwrap_or(0.0)))
                 .collect();
             vips.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
             let now = p.now();

@@ -121,7 +121,7 @@ impl TierResult {
 /// The scale-tier platform: 1 server and 1 initial instance per app,
 /// ~500-server pods, moderate per-app demand (popular apps still force
 /// real scale-out work), diurnal flattened so epochs are comparable.
-fn tier_config(apps: usize) -> PlatformConfig {
+pub(crate) fn tier_config(apps: usize) -> PlatformConfig {
     let mut cfg = PlatformConfig::paper_scale();
     cfg.seed = 1900;
     cfg.num_apps = apps;
@@ -142,7 +142,7 @@ fn tier_config(apps: usize) -> PlatformConfig {
 /// paper-scale entity mix of 20 instances and 3+ VIPs per app, 2
 /// servers per app (10 VMs each), 250 apps (5k VMs) per pod, 0.2 Mb/s
 /// per instance.
-fn mix_tier_config(apps: usize) -> PlatformConfig {
+pub(crate) fn mix_tier_config(apps: usize) -> PlatformConfig {
     let mut cfg = PlatformConfig::paper_scale();
     cfg.seed = 1900;
     cfg.num_apps = apps;

@@ -18,6 +18,8 @@
 
 pub mod benchcmp;
 pub mod experiments;
+#[cfg(test)]
+mod propagate_reference;
 
 pub use experiments::run_experiment;
 

@@ -120,8 +120,9 @@ pub fn run_scenario(
 
 /// Apply one op. `Ok(true)` = injected, `Ok(false)` = refused by a
 /// platform guard (expected under composition: double failures, last
-/// healthy switch). `Err` = generator bug (unknown id).
-fn apply_op(platform: &mut Platform, op: &Op, base_caps: &[f64]) -> Result<bool, String> {
+/// healthy switch). `Err` = generator bug (unknown id). `base_caps` are
+/// the access-link capacities the platform was built with.
+pub fn apply_op(platform: &mut Platform, op: &Op, base_caps: &[f64]) -> Result<bool, String> {
     match *op {
         Op::FailPod(pod) => match platform.inject_pod_failure(PodId(pod)) {
             Ok(_) => Ok(true),

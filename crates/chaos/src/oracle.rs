@@ -408,13 +408,13 @@ impl Oracles {
                 .sum();
             app_has_spare.insert(app.id.0, capacity_cpu > demand_cpu);
         }
-        for (&vip, &demand) in &snap.vip_demand_bps {
+        for (vip, &demand) in snap.vip_demand_bps.iter() {
             if demand < self.cfg.demand_floor_bps {
                 self.blackhole_streak.remove(&vip.0);
                 self.starvation_streak.remove(&vip.0);
                 continue;
             }
-            let served = snap.vip_served_bps.get(&vip).copied().unwrap_or(0.0);
+            let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
             let published_share = published.get(&vip.0).copied().unwrap_or(0.0);
             let app = state.vip(vip).ok().map(|rec| rec.app.0);
             let under_repair = app.map(|a| repairing.contains(&a)).unwrap_or(false);

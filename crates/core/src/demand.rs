@@ -29,10 +29,11 @@
 use crate::ids::vip_prefix;
 use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
+use dcnet::access::AccessRouterId;
+use dcnet::routing::ActiveRoute;
 use dcsim::metrics::jains_fairness;
-use dcsim::{DenseId, SimTime};
+use dcsim::{DenseId, IdTable, SimTime};
 use lbswitch::VipAddr;
-use std::collections::BTreeMap;
 use vmm::VmId;
 
 /// Everything observed during one propagation epoch.
@@ -42,13 +43,15 @@ pub struct LoadSnapshot {
     pub time: SimTime,
     /// Offered external demand per app (bits/s), indexed by app id.
     pub app_demand_bps: Vec<f64>,
-    /// Demand arriving at each VIP (bits/s).
-    pub vip_demand_bps: BTreeMap<VipAddr, f64>,
+    /// Demand arriving at each VIP (bits/s); a VIP has an entry iff some
+    /// routed demand reached it.
+    pub vip_demand_bps: IdTable<VipAddr, f64>,
     /// Demand actually served through each VIP (bits/s) after switch
     /// overflow, dead/booting RIPs and VM slice saturation. The
     /// served/offered ratio per VIP is the misrouting-equilibrium signal
     /// (a starved VIP can hide inside a healthy-looking app aggregate).
-    pub vip_served_bps: BTreeMap<VipAddr, f64>,
+    /// A VIP has an entry iff some RIP served it.
+    pub vip_served_bps: IdTable<VipAddr, f64>,
     /// Load on each access link (bits/s), indexed by link id.
     pub link_load_bps: Vec<f64>,
     /// Offered load at each LB switch (bits/s), indexed by switch id.
@@ -154,8 +157,23 @@ pub struct PropagateTiming {
 /// everything else is read-only.
 pub fn propagate(state: &mut PlatformState, app_demand_bps: &[f64], now: SimTime) -> LoadSnapshot {
     let mut snap = LoadSnapshot::default();
-    propagate_into(state, app_demand_bps, now, &mut snap);
+    propagate_into(
+        state,
+        app_demand_bps,
+        now,
+        &mut snap,
+        &mut PropagateScratch::default(),
+    );
     snap
+}
+
+/// Lookup buffers [`propagate_into`] refills for every app and VIP, kept
+/// by the caller so a propagation allocates only when an app exposes, or
+/// a VIP is routed through, more entries than any before it.
+#[derive(Debug, Default)]
+pub struct PropagateScratch {
+    shares: Vec<(VipAddr, f64)>,
+    routes: Vec<ActiveRoute>,
 }
 
 /// Clear and refill a zeroed `f64` buffer (allocation reused when the
@@ -165,10 +183,12 @@ fn fill_zeroed(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// [`propagate`] into a caller-owned snapshot: every vector and map in
+/// [`propagate`] into a caller-owned snapshot: every vector and table in
 /// `snap` is cleared and refilled, so the platform reuses one snapshot's
 /// allocations across epochs instead of paying a fresh `LoadSnapshot`
-/// each tick.
+/// each tick. The DNS, route and switch lookups fill `scratch`'s buffers
+/// or borrow the switch's tables, so the per-app and per-VIP path
+/// allocates nothing.
 ///
 /// Returns per-stage wall-clock timings, which the platform feeds to the
 /// phase profiler.
@@ -177,6 +197,7 @@ pub fn propagate_into(
     app_demand_bps: &[f64],
     now: SimTime,
     snap: &mut LoadSnapshot,
+    scratch: &mut PropagateScratch,
 ) -> PropagateTiming {
     assert_eq!(
         app_demand_bps.len(),
@@ -207,6 +228,7 @@ pub fn propagate_into(
     fill_zeroed(vm_cpu_served, state.fleet.vm_id_bound());
     vip_demand_bps.clear();
     vip_served_bps.clear();
+    let PropagateScratch { shares, routes } = scratch;
 
     // --- 1+2: DNS split and routing (phase demand-route) -----------------
     let mut timing = PropagateTiming::default();
@@ -217,24 +239,28 @@ pub fn propagate_into(
         if demand <= 0.0 {
             continue;
         }
-        let shares = state.dns.effective_shares(app.id.dns_key(), now);
+        state
+            .dns
+            .effective_shares_into(app.id.dns_key(), now, shares);
         if shares.is_empty() {
             unserved_bps_by_app[app_idx] += demand;
             continue;
         }
-        for (vip, share) in shares {
+        for &(vip, share) in shares.iter() {
             let vd = demand * share;
             if vd <= 0.0 {
                 continue;
             }
-            let routes = state.routes.preferred_routes(vip_prefix(vip), now);
+            state
+                .routes
+                .preferred_routes_into(vip_prefix(vip), now, routes);
             if routes.is_empty() {
                 unserved_bps_by_app[app_idx] += vd;
                 continue;
             }
-            *vip_demand_bps.entry(vip).or_insert(0.0) += vd;
+            *vip_demand_bps.get_or_insert(vip, 0.0) += vd;
             let per_router = vd / routes.len() as f64;
-            for r in routes {
+            for r in routes.iter() {
                 let links = state.access.links_at_router(r.router).count();
                 if links == 0 {
                     continue;
@@ -251,44 +277,43 @@ pub fn propagate_into(
     // --- 3: switches (phase demand-switch-reset) -------------------------
     // Every configured VIP takes its routed demand (0 when none arrived).
     for (i, sw) in state.switches.iter_mut().enumerate() {
-        sw.set_offered_loads(|vip| vip_demand_bps.get(&vip).copied().unwrap_or(0.0));
+        sw.set_offered_loads(|vip| vip_demand_bps.get(vip).copied().unwrap_or(0.0));
         switch_offered_bps[i] = sw.offered_bps();
     }
     timing.switch_reset_s = clock.lap();
 
     // --- 4: RIPs → VMs → servers (phase demand-serve) --------------------
-    for (&vip, &offered) in vip_demand_bps.iter() {
-        let rec = *state.vip(vip).expect("listed");
+    // Each VIP's record and switch entry are resolved once; demand for a
+    // VIP its switch no longer configures is unserved.
+    for (vip, &offered) in vip_demand_bps.iter() {
+        let rec = state.vip(vip).expect("routed VIPs have records");
         let app_idx = rec.app.0 as usize;
-        let sw = &state.switches[rec.switch.0 as usize];
+        let Ok(split) = state.switches[rec.switch.0 as usize].vip_split(vip) else {
+            unserved_bps_by_app[app_idx] += offered;
+            continue;
+        };
         // Switch-capacity overflow for this VIP (uniform scaling).
-        let dist = sw.distribute_vip(vip).expect("configured");
-        let distributed: f64 = dist.iter().map(|&(_, b)| b).sum();
+        let distributed: f64 = split.iter().map(|(_, b)| b).sum();
         if offered > distributed {
             unserved_bps_by_app[app_idx] += offered - distributed;
         }
         // Summed locally and stored once: the VIP gets an entry only when
         // some RIP served it, and the adds run in the same order.
         let mut served_bps: Option<f64> = None;
-        for (rip, bps) in dist {
+        for (rip, bps) in split.iter() {
             if bps <= 0.0 {
                 continue;
             }
-            let vm_id = match state.rip(rip) {
-                Ok(r) => r.vm,
-                Err(_) => {
-                    unserved_bps_by_app[app_idx] += bps;
-                    continue;
-                }
-            };
-            let (srv, vm) = state
-                .fleet
-                .locate_vm(vm_id)
-                .expect("RIP references live VM");
-            if !vm.state.serves_traffic() {
+            // A RIP with no record, or whose VM is gone or not serving
+            // (booting), loses its share.
+            let serving = state.rip(rip).ok().and_then(|r| {
+                let (srv, vm) = state.fleet.locate_vm(r.vm).ok()?;
+                vm.state.serves_traffic().then_some((r.vm, srv, vm))
+            });
+            let Some((vm_id, srv, vm)) = serving else {
                 unserved_bps_by_app[app_idx] += bps;
                 continue;
-            }
+            };
             let cpu = profile.cpu_demand(profile.rps_for_bandwidth(bps));
             let served_cpu = cpu.min(vm.cpu_slice);
             if cpu > served_cpu {
@@ -306,7 +331,44 @@ pub fn propagate_into(
         }
     }
     timing.serve_s = clock.lap();
+    debug_assert_eq!(conservation_violation(state, snap), None);
     timing
+}
+
+/// Relative closeness at 1e-9 (exact for two zeros).
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
+/// The first conservation law `snap` breaks, if any: per app, offered
+/// demand = unserved + served through its VIPs; and, when every access
+/// router has a link to carry its share, the link loads sum to the
+/// routed VIP demand.
+fn conservation_violation(state: &PlatformState, snap: &LoadSnapshot) -> Option<String> {
+    let mut served_by_app = vec![0.0; state.num_apps()];
+    for (vip, &bps) in snap.vip_served_bps.iter() {
+        let Ok(rec) = state.vip(vip) else {
+            return Some(format!("served {vip} has no record"));
+        };
+        served_by_app[rec.app.0 as usize] += bps;
+    }
+    for (app, (&offered, &served)) in snap.app_demand_bps.iter().zip(&served_by_app).enumerate() {
+        let accounted = snap.unserved_bps_by_app[app] + served;
+        if !close(offered, accounted) {
+            return Some(format!(
+                "app {app}: offered {offered} != unserved + served {accounted}"
+            ));
+        }
+    }
+    let access = &state.access;
+    let every_router_linked = (0..access.num_access_routers() as u32)
+        .all(|r| access.links_at_router(AccessRouterId(r)).next().is_some());
+    let links: f64 = snap.link_load_bps.iter().sum();
+    let routed: f64 = snap.vip_demand_bps.values().sum();
+    if every_router_linked && !close(links, routed) {
+        return Some(format!("link loads {links} != routed VIP demand {routed}"));
+    }
+    None
 }
 
 #[cfg(test)]
@@ -450,31 +512,17 @@ mod tests {
         assert!(pods[0] > 0.0 && pods[1] > 0.0);
     }
 
-    /// Relative closeness at 1e-9 (exact for two zeros).
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
-    }
-
     /// The propagation identities of `snap` against the `state` it was
-    /// computed from: per app, offered demand = unserved + served through
-    /// its VIPs; each switch is offered exactly the demand of the VIPs
-    /// homed on it; each server carries exactly the CPU its VMs serve;
-    /// no VM serves more CPU than it is offered.
+    /// computed from: the conservation laws `propagate_into` checks in
+    /// debug builds (per app, and the link-load sum); each switch is
+    /// offered exactly the demand of the VIPs homed on it; each server
+    /// carries exactly the CPU its VMs serve; no VM serves more CPU than
+    /// it is offered.
     fn assert_conserved(state: &PlatformState, snap: &LoadSnapshot) {
-        let mut served_by_app = vec![0.0; state.num_apps()];
-        for (&vip, &bps) in &snap.vip_served_bps {
-            served_by_app[state.vip(vip).expect("served VIP").app.0 as usize] += bps;
-        }
-        for (app, &demand) in snap.app_demand_bps.iter().enumerate() {
-            let accounted = snap.unserved_bps_by_app[app] + served_by_app[app];
-            assert!(
-                close(demand, accounted),
-                "app {app}: demand {demand} != unserved + served {accounted}"
-            );
-        }
+        assert_eq!(conservation_violation(state, snap), None);
 
         let mut offered_by_switch = vec![0.0; state.switches.len()];
-        for (&vip, &bps) in &snap.vip_demand_bps {
+        for (vip, &bps) in snap.vip_demand_bps.iter() {
             offered_by_switch[state.vip(vip).expect("routed VIP").switch.0 as usize] += bps;
         }
         for (i, (&got, &want)) in snap
@@ -566,18 +614,25 @@ mod tests {
             let snap = propagate(&mut p.state, &demand, now);
             assert!(snap.total_demand_bps() > 0.0);
             assert_conserved(&p.state, &snap);
-            // Link loads carry exactly the reachable (routed) demand.
-            let links: f64 = snap.link_load_bps.iter().sum();
-            let routed: f64 = snap.vip_demand_bps.values().sum();
-            assert!(
-                close(links, routed),
-                "epoch {epoch}: link loads {links} != routed VIP demand {routed}"
-            );
             if snap.total_unserved_bps() > 0.0 {
                 unserved_epochs += 1;
             }
         }
         assert!(unserved_epochs > 0, "no epoch lost demand");
+    }
+
+    #[test]
+    fn conservation_violation_names_the_broken_law() {
+        let mut st = live_state();
+        let now = t_live(&st);
+        let mut snap = propagate(&mut st, &[2e9], now);
+        assert_eq!(conservation_violation(&st, &snap), None);
+        snap.link_load_bps[0] += 1e3;
+        let found = conservation_violation(&st, &snap).expect("link loads broken");
+        assert!(found.starts_with("link loads"), "{found}");
+        snap.unserved_bps_by_app[0] += 1e3;
+        let found = conservation_violation(&st, &snap).expect("app 0 broken");
+        assert!(found.starts_with("app 0"), "{found}");
     }
 
     #[test]
@@ -598,7 +653,7 @@ mod tests {
         let dead_bps = dist.iter().find(|&&(r, _)| r == dead).unwrap().1;
         assert!(dead_bps > 0.0);
         assert_eq!(snap.unserved_bps_by_app[0], dead_bps);
-        assert!(snap.vip_served_bps[&vip] < snap.vip_demand_bps[&vip]);
+        assert!(snap.vip_served_bps.get(vip) < snap.vip_demand_bps.get(vip));
         assert_conserved(&st, &snap);
     }
 

@@ -394,9 +394,7 @@ impl GlobalManager {
                 let frac = snap.unserved_bps_by_app[a.id.0 as usize] / demand;
                 let dead_exposure = state
                     .dns
-                    .published_shares(a.id.dns_key())
-                    .iter()
-                    .any(|&(v, share)| share > 0.0 && state.vip_rip_count(v) == 0);
+                    .publishes_any(a.id.dns_key(), |v| state.vip_rip_count(v) == 0);
                 (frac > UNSERVED_TRIGGER || dead_exposure).then_some((a.id, frac))
             })
             .collect();
@@ -532,7 +530,7 @@ impl GlobalManager {
             };
             link_of_vip.insert(vip, link);
             if link == hot_link {
-                if let Some(&d) = snap.vip_demand_bps.get(&vip) {
+                if let Some(&d) = snap.vip_demand_bps.get(vip) {
                     *app_on_hot.entry(rec.app).or_insert(0.0) += d;
                 }
             }
@@ -579,7 +577,7 @@ impl GlobalManager {
                     .map(|(i, _)| i)
                     .expect("checked non-empty");
                 let unused = vips.iter().copied().find(|&v| {
-                    snap.vip_demand_bps.get(&v).copied().unwrap_or(0.0)
+                    snap.vip_demand_bps.get(v).copied().unwrap_or(0.0)
                         < 0.01 * snap.app_demand_bps[app.0 as usize].max(1.0)
                 });
                 if let Some(v) = unused {
@@ -854,11 +852,11 @@ impl GlobalManager {
         let cfg = state.config;
         // Update starvation streaks from this epoch's snapshot.
         let mut triggered: Vec<VipAddr> = Vec::new();
-        for (&vip, &offered) in &snap.vip_demand_bps {
+        for (vip, &offered) in snap.vip_demand_bps.iter() {
             if offered <= 0.0 {
                 continue;
             }
-            let served = snap.vip_served_bps.get(&vip).copied().unwrap_or(0.0);
+            let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
             if served / offered < cfg.vip_starvation_ratio {
                 let streak = self.starved_epochs.entry(vip).or_insert(0);
                 *streak += 1;
@@ -871,7 +869,7 @@ impl GlobalManager {
         }
         // VIPs with no demand this epoch are not starved, just idle.
         self.starved_epochs
-            .retain(|v, _| snap.vip_demand_bps.contains_key(v));
+            .retain(|&v, _| snap.vip_demand_bps.get(v).is_some());
 
         let pod_utils = self
             .predicted_pod_utils(1)
@@ -924,8 +922,8 @@ impl GlobalManager {
             if acted {
                 self.counters.misrouting_escapes += 1;
                 let streak = self.starved_epochs.get(&vip).copied().unwrap_or(0);
-                let offered = snap.vip_demand_bps.get(&vip).copied().unwrap_or(0.0);
-                let served = snap.vip_served_bps.get(&vip).copied().unwrap_or(0.0);
+                let offered = snap.vip_demand_bps.get(vip).copied().unwrap_or(0.0);
+                let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
                 self.recorder
                     .event(
                         Actor::Global,
@@ -1100,7 +1098,7 @@ impl GlobalManager {
         pod_utils: &[f64],
     ) {
         let step = state.config.reweight_step;
-        let vips: Vec<VipAddr> = snap.vip_demand_bps.keys().copied().collect();
+        let vips: Vec<VipAddr> = snap.vip_demand_bps.iter().map(|(v, _)| v).collect();
         for vip in vips {
             let pods = state.pods_covered_by_vip(vip);
             if !pods.contains(&hot) || pods.len() < 2 {

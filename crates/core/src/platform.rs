@@ -21,12 +21,13 @@
 //! 5. bind RIPs for newly running instances and scrape the metrics
 //!    registry.
 //!
-//! Per-epoch scratch (the demand vector, the snapshot buffers, the plan
-//! vector) lives in [`Platform`] and is reused across epochs, so the
+//! Per-epoch scratch (the demand vector, the snapshot buffers,
+//! propagation's lookup buffers, the plan vector) lives in [`Platform`]
+//! and is reused across epochs, so the
 //! fluid step allocates only when the platform itself grows.
 
 use crate::config::PlatformConfig;
-use crate::demand::{propagate_into, LoadSnapshot};
+use crate::demand::{propagate_into, LoadSnapshot, PropagateScratch};
 use crate::global::GlobalManager;
 use crate::ids::{AppId, PodId};
 use crate::parallel::EpochPool;
@@ -65,11 +66,13 @@ pub struct RunReport {
 
 /// Per-epoch scratch reused across [`Platform::step`] calls: the demand
 /// vector, the snapshot being filled (swapped with `last_snapshot` at
-/// epoch end), and the pod-plan vector the epoch pool reduces into.
+/// epoch end), propagation's lookup buffers, and the pod-plan vector the
+/// epoch pool reduces into.
 #[derive(Debug, Default)]
 struct EpochScratch {
     demands: Vec<f64>,
     snap: LoadSnapshot,
+    propagate: PropagateScratch,
     plans: Vec<PodPlan>,
 }
 
@@ -346,7 +349,13 @@ impl Platform {
         demands.extend((0..num_apps).map(|a| workload.demand_bps(a, now)));
         self.profiler.record(span("demand-fill"), clock.lap());
         let mut snap = std::mem::take(&mut self.scratch.snap);
-        let timing = propagate_into(&mut self.state, &self.scratch.demands, now, &mut snap);
+        let timing = propagate_into(
+            &mut self.state,
+            &self.scratch.demands,
+            now,
+            &mut snap,
+            &mut self.scratch.propagate,
+        );
         self.profiler.record(span("demand-route"), timing.route_s);
         self.profiler
             .record(span("demand-switch-reset"), timing.switch_reset_s);

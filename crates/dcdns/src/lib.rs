@@ -31,7 +31,6 @@
 use dcsim::rng::splitmix64;
 use dcsim::{SimDuration, SimTime};
 use lbswitch::VipAddr;
-use std::collections::BTreeMap;
 
 /// Application key (the `megadc` crate maps its `AppId`s onto these).
 pub type AppKey = u32;
@@ -84,8 +83,9 @@ impl DnsConfig {
     }
 }
 
-/// Exposure state of one application.
-#[derive(Debug, Clone)]
+/// Exposure state of one application. The default (no weights, no
+/// baseline) is an app never exposed: it publishes and resolves nothing.
+#[derive(Debug, Clone, Default)]
 struct AppExposure {
     /// Target (currently published) weights.
     target: Vec<(VipAddr, f64)>,
@@ -99,32 +99,40 @@ struct AppExposure {
 #[derive(Debug, Clone)]
 pub struct DnsSystem {
     config: DnsConfig,
-    apps: BTreeMap<AppKey, AppExposure>,
+    /// Exposure per app, indexed by [`AppKey`] (app keys are dense).
+    apps: Vec<AppExposure>,
     reconfigurations: u64,
 }
 
-fn normalize(weights: &[(VipAddr, f64)]) -> Vec<(VipAddr, f64)> {
+/// The positive weights of `weights` divided by their total, in order
+/// (nothing when the total is not positive).
+fn normalized(weights: &[(VipAddr, f64)]) -> impl Iterator<Item = (VipAddr, f64)> + '_ {
     let total: f64 = weights.iter().map(|&(_, w)| w.max(0.0)).sum();
-    if total <= 0.0 {
-        return Vec::new();
-    }
     weights
         .iter()
-        .filter(|&&(_, w)| w > 0.0)
-        .map(|&(v, w)| (v, w / total))
-        .collect()
+        .filter(move |&&(_, w)| total > 0.0 && w > 0.0)
+        .map(move |&(v, w)| (v, w / total))
 }
 
-/// Merge two share vectors as `old·(1−f) + new·f`.
-fn blend(old: &[(VipAddr, f64)], new: &[(VipAddr, f64)], f: f64) -> Vec<(VipAddr, f64)> {
-    let mut acc: BTreeMap<VipAddr, f64> = BTreeMap::new();
-    for &(v, s) in old {
-        *acc.entry(v).or_insert(0.0) += s * (1.0 - f);
+/// Merge the blend terms in `terms` per VIP, in place: a stable sort by
+/// VIP keeps each VIP's terms in push order, and each VIP's share is
+/// summed from 0.0 in that order. Shares at or below 1e-15 are dropped.
+fn merge_by_vip(terms: &mut Vec<(VipAddr, f64)>) {
+    terms.sort_by_key(|&(v, _)| v);
+    let (mut read, mut write) = (0, 0);
+    while read < terms.len() {
+        let vip = terms[read].0;
+        let mut share = 0.0;
+        while read < terms.len() && terms[read].0 == vip {
+            share += terms[read].1;
+            read += 1;
+        }
+        if share > 1e-15 {
+            terms[write] = (vip, share);
+            write += 1;
+        }
     }
-    for &(v, s) in new {
-        *acc.entry(v).or_insert(0.0) += s * f;
-    }
-    acc.into_iter().filter(|&(_, s)| s > 1e-15).collect()
+    terms.truncate(write);
 }
 
 impl DnsSystem {
@@ -133,7 +141,7 @@ impl DnsSystem {
         config.validate();
         DnsSystem {
             config,
-            apps: BTreeMap::new(),
+            apps: Vec::new(),
             reconfigurations: 0,
         }
     }
@@ -154,14 +162,15 @@ impl DnsSystem {
     /// shares to the new weights per [`DnsConfig::shifted_fraction`].
     pub fn set_exposure(&mut self, app: AppKey, weights: Vec<(VipAddr, f64)>, now: SimTime) {
         let baseline = self.effective_shares(app, now);
-        self.apps.insert(
-            app,
-            AppExposure {
-                target: weights,
-                baseline,
-                changed_at: now,
-            },
-        );
+        let i = app as usize;
+        if i >= self.apps.len() {
+            self.apps.resize_with(i + 1, AppExposure::default);
+        }
+        self.apps[i] = AppExposure {
+            target: weights,
+            baseline,
+            changed_at: now,
+        };
         self.reconfigurations += 1;
     }
 
@@ -169,25 +178,48 @@ impl DnsSystem {
     /// normalized). New clients resolve to these.
     pub fn published_shares(&self, app: AppKey) -> Vec<(VipAddr, f64)> {
         self.apps
-            .get(&app)
-            .map(|e| normalize(&e.target))
+            .get(app as usize)
+            .map(|e| normalized(&e.target).collect())
             .unwrap_or_default()
+    }
+
+    /// `true` if some VIP with a positive published share for `app`
+    /// satisfies `pred`: [`DnsSystem::published_shares`] asked without
+    /// building it.
+    pub fn publishes_any(&self, app: AppKey, mut pred: impl FnMut(VipAddr) -> bool) -> bool {
+        self.apps
+            .get(app as usize)
+            .is_some_and(|e| normalized(&e.target).any(|(v, share)| share > 0.0 && pred(v)))
     }
 
     /// The *effective* demand shares at `now`, accounting for TTL-bound
     /// cache inertia and TTL violators. Shares sum to 1 (or the vector is
     /// empty if the app has never been exposed).
     pub fn effective_shares(&self, app: AppKey, now: SimTime) -> Vec<(VipAddr, f64)> {
-        let Some(e) = self.apps.get(&app) else {
-            return Vec::new();
+        let mut out = Vec::new();
+        self.effective_shares_into(app, now, &mut out);
+        out
+    }
+
+    /// [`DnsSystem::effective_shares`] into a caller-owned buffer, which
+    /// is cleared first. After a first exposure the buffer holds the
+    /// published shares in target order; after a change it holds
+    /// `baseline·(1−f) + published·f` per VIP in VIP order, each VIP's
+    /// baseline terms added before its published ones.
+    pub fn effective_shares_into(&self, app: AppKey, now: SimTime, out: &mut Vec<(VipAddr, f64)>) {
+        out.clear();
+        let Some(e) = self.apps.get(app as usize) else {
+            return;
         };
-        let new = normalize(&e.target);
         if e.baseline.is_empty() {
             // First exposure: nothing cached anywhere, shift is immediate.
-            return new;
+            out.extend(normalized(&e.target));
+            return;
         }
         let f = self.config.shifted_fraction(now.since(e.changed_at));
-        blend(&e.baseline, &new, f)
+        out.extend(e.baseline.iter().map(|&(v, s)| (v, s * (1.0 - f))));
+        out.extend(normalized(&e.target).map(|(v, s)| (v, s * f)));
+        merge_by_vip(out);
     }
 
     /// Demand fraction an app still sends to `vip` at `now` (0 if none).
@@ -358,6 +390,136 @@ mod tests {
             assert!((0.0..=1.0).contains(&f));
             prev = f;
         }
+    }
+
+    /// The exposure model as it was before the app-indexed table and the
+    /// buffer-filling blend: apps in a `BTreeMap`, shares merged through
+    /// a `BTreeMap` per lookup.
+    struct MapDns {
+        config: DnsConfig,
+        apps: std::collections::BTreeMap<AppKey, AppExposure>,
+    }
+
+    impl MapDns {
+        fn normalize(weights: &[(VipAddr, f64)]) -> Vec<(VipAddr, f64)> {
+            let total: f64 = weights.iter().map(|&(_, w)| w.max(0.0)).sum();
+            if total <= 0.0 {
+                return Vec::new();
+            }
+            weights
+                .iter()
+                .filter(|&&(_, w)| w > 0.0)
+                .map(|&(v, w)| (v, w / total))
+                .collect()
+        }
+
+        fn blend(old: &[(VipAddr, f64)], new: &[(VipAddr, f64)], f: f64) -> Vec<(VipAddr, f64)> {
+            let mut acc: std::collections::BTreeMap<VipAddr, f64> = Default::default();
+            for &(v, s) in old {
+                *acc.entry(v).or_insert(0.0) += s * (1.0 - f);
+            }
+            for &(v, s) in new {
+                *acc.entry(v).or_insert(0.0) += s * f;
+            }
+            acc.into_iter().filter(|&(_, s)| s > 1e-15).collect()
+        }
+
+        fn set_exposure(&mut self, app: AppKey, weights: Vec<(VipAddr, f64)>, now: SimTime) {
+            let baseline = self.effective_shares(app, now);
+            let e = AppExposure {
+                target: weights,
+                baseline,
+                changed_at: now,
+            };
+            self.apps.insert(app, e);
+        }
+
+        fn published_shares(&self, app: AppKey) -> Vec<(VipAddr, f64)> {
+            self.apps
+                .get(&app)
+                .map(|e| Self::normalize(&e.target))
+                .unwrap_or_default()
+        }
+
+        fn effective_shares(&self, app: AppKey, now: SimTime) -> Vec<(VipAddr, f64)> {
+            let Some(e) = self.apps.get(&app) else {
+                return Vec::new();
+            };
+            let new = Self::normalize(&e.target);
+            if e.baseline.is_empty() {
+                return new;
+            }
+            let f = self.config.shifted_fraction(now.since(e.changed_at));
+            Self::blend(&e.baseline, &new, f)
+        }
+    }
+
+    fn bits(shares: &[(VipAddr, f64)]) -> Vec<(VipAddr, u64)> {
+        shares.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+    }
+
+    #[test]
+    fn shares_match_the_map_reference_bit_for_bit() {
+        // Duplicates, zero and negative weights, and pairs whose ratio
+        // puts blended shares on both sides of the 1e-15 cut.
+        const WEIGHTS: [f64; 9] = [1.0, 2.0, 0.0, -1.0, 0.5, 1e-15, 2e-15, 3.0e-16, 7.0];
+        let (mut near_cut, mut f_half, mut f_one, mut f_zero, mut first) = (0, 0, 0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = seed;
+            let mut next = move || splitmix64(&mut rng);
+            // A TTL-only config makes f exactly 0, 1/2 and 1 reachable.
+            let config = DnsConfig {
+                stale_fraction: [0.0, 0.2, 1.0][(seed % 3) as usize],
+                ..DnsConfig::default()
+            };
+            let mut d = DnsSystem::new(config);
+            let mut m = MapDns {
+                config,
+                apps: Default::default(),
+            };
+            let mut buf = vec![(VipAddr(99), 0.25)];
+            let mut now = SimTime::ZERO;
+            for _ in 0..12 {
+                let app = (next() % 3) as AppKey;
+                let weights: Vec<(VipAddr, f64)> = (0..next() % 5)
+                    .map(|_| {
+                        let w = WEIGHTS[(next() % WEIGHTS.len() as u64) as usize];
+                        (VipAddr((next() % 4) as u32), w)
+                    })
+                    .collect();
+                first += usize::from(m.effective_shares(app, now).is_empty());
+                d.set_exposure(app, weights.clone(), now);
+                m.set_exposure(app, weights, now);
+                let changed = now;
+                // f = 0 at the change, 1/2 at half a TTL, 1 past a TTL.
+                for dt in [0, 30, 60, 90, next() % 4000] {
+                    let t = changed + SimDuration::from_secs(dt);
+                    for a in 0..4 {
+                        let want = m.effective_shares(a, t);
+                        d.effective_shares_into(a, t, &mut buf);
+                        assert_eq!(bits(&buf), bits(&want), "seed {seed} app {a} t {t:?}");
+                        assert_eq!(bits(&d.effective_shares(a, t)), bits(&want));
+                        let published = m.published_shares(a);
+                        assert_eq!(bits(&d.published_shares(a)), bits(&published));
+                        for odd in [false, true] {
+                            let pred = |v: VipAddr| (v.0 % 2 == 1) == odd;
+                            let want_any = published.iter().any(|&(v, s)| s > 0.0 && pred(v));
+                            assert_eq!(d.publishes_any(a, pred), want_any, "seed {seed} app {a}");
+                        }
+                        near_cut += want.iter().filter(|&&(_, s)| s < 1e-14).count();
+                    }
+                    let f = config.shifted_fraction(t.since(changed));
+                    f_zero += usize::from(f == 0.0);
+                    f_half += usize::from(f == 0.5);
+                    f_one += usize::from(f == 1.0);
+                }
+                now += SimDuration::from_secs(next() % 200);
+            }
+        }
+        assert!(
+            near_cut > 0 && f_zero > 0 && f_half > 0 && f_one > 0 && first > 0,
+            "{near_cut} {f_zero} {f_half} {f_one} {first}"
+        );
     }
 
     proptest! {

@@ -165,14 +165,31 @@ impl RouteTable {
     /// New connections land only on these; padded routes keep carrying
     /// existing sessions (which is what makes padded drain graceful).
     pub fn preferred_routes(&self, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
-        let usable = self.usable_routes(prefix, now);
-        let Some(min_pad) = usable.iter().map(|r| r.padding).min() else {
-            return Vec::new();
-        };
-        usable
-            .into_iter()
-            .filter(|r| r.padding == min_pad)
-            .collect()
+        let mut out = Vec::new();
+        self.preferred_routes_into(prefix, now, &mut out);
+        out
+    }
+
+    /// [`RouteTable::preferred_routes`] into a caller-owned buffer: `out`
+    /// is cleared and refilled in router order by one walk over the
+    /// prefix's routes, keeping only those at the least padding seen so
+    /// far (a smaller padding restarts the buffer).
+    pub fn preferred_routes_into(&self, prefix: Prefix, now: SimTime, out: &mut Vec<ActiveRoute>) {
+        out.clear();
+        for (router, s) in self.prefix_routes(prefix) {
+            if !self.is_usable(s, now) {
+                continue;
+            }
+            match out.first().map(|r| r.padding) {
+                Some(min_pad) if s.padding > min_pad => continue,
+                Some(min_pad) if s.padding < min_pad => out.clear(),
+                _ => {}
+            }
+            out.push(ActiveRoute {
+                router,
+                padding: s.padding,
+            });
+        }
     }
 
     /// `true` if `prefix` is reachable (has any usable route) at `now`.
@@ -366,6 +383,12 @@ mod tests {
             AccessRouterId(u32::MAX),
         ];
         let mut padded_preferred_split = 0;
+        // One buffer for every lookup, starting dirty: each call must
+        // clear what the previous one left.
+        let mut buf = vec![ActiveRoute {
+            router: AccessRouterId(7),
+            padding: 9,
+        }];
         for seed in 0..64u64 {
             let mut rng = SplitMix(seed);
             let mut rt = table();
@@ -394,6 +417,8 @@ mod tests {
                         preferred,
                         "seed {seed} prefix {p}"
                     );
+                    rt.preferred_routes_into(p, now, &mut buf);
+                    assert_eq!(buf, preferred, "seed {seed} prefix {p} (buffer)");
                     assert_eq!(rt.is_reachable(p, now), !want.is_empty());
                     if preferred.len() < want.len() {
                         padded_preferred_split += 1;

@@ -110,6 +110,19 @@ impl<K: DenseId, V> IdTable<K, V> {
         old
     }
 
+    /// The entry for `key`, inserting `value` first if it is absent.
+    pub fn get_or_insert(&mut self, key: K, value: V) -> &mut V {
+        let i = key.index();
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.slots[i];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert(value)
+    }
+
     /// Remove and return the entry for `key`, if present.
     pub fn remove(&mut self, key: K) -> Option<V> {
         let old = self.slots.get_mut(key.index())?.take();
@@ -119,12 +132,24 @@ impl<K: DenseId, V> IdTable<K, V> {
         old
     }
 
+    /// Remove every entry, keeping the slot vector's allocation and
+    /// bound.
+    pub fn clear(&mut self) {
+        self.slots.iter_mut().for_each(|s| *s = None);
+        self.len = 0;
+    }
+
     /// Present entries in id order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(i, v)| Some((K::from_index(i), v.as_ref()?)))
+    }
+
+    /// Present values in id order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().filter_map(Option::as_ref)
     }
 
     /// Present entries in id order, with mutable values.
@@ -189,7 +214,7 @@ mod tests {
         /// `BTreeMap` given the same operations: lookups, length and
         /// iteration order.
         #[test]
-        fn matches_btreemap(ops in proptest::collection::vec((0u8..3, 0u32..64, any::<u16>()), 0..200)) {
+        fn matches_btreemap(ops in proptest::collection::vec((0u8..6, 0u32..64, any::<u16>()), 0..200)) {
             let mut t: IdTable<Id, u16> = IdTable::new();
             let mut m: BTreeMap<Id, u16> = BTreeMap::new();
             for (op, k, v) in ops {
@@ -197,6 +222,19 @@ mod tests {
                 match op {
                     0 => prop_assert_eq!(t.insert(k, v), m.insert(k, v)),
                     1 => prop_assert_eq!(t.remove(k), m.remove(&k)),
+                    2 => {
+                        let x = t.get_or_insert(k, v);
+                        *x = x.wrapping_add(1);
+                        let y = m.entry(k).or_insert(v);
+                        *y = y.wrapping_add(1);
+                        prop_assert_eq!(*x, *y);
+                    }
+                    3 if v % 8 == 0 => {
+                        let bound = t.bound();
+                        t.clear();
+                        m.clear();
+                        prop_assert_eq!(t.bound(), bound);
+                    }
                     _ => {
                         if let Some(x) = t.get_mut(k) {
                             *x = x.wrapping_add(v);
@@ -213,6 +251,9 @@ mod tests {
                 let got: Vec<(Id, u16)> = t.iter().map(|(k, &v)| (k, v)).collect();
                 let want: Vec<(Id, u16)> = m.iter().map(|(&k, &v)| (k, v)).collect();
                 prop_assert_eq!(got, want);
+                let vals: Vec<u16> = t.values().copied().collect();
+                let want_vals: Vec<u16> = m.values().copied().collect();
+                prop_assert_eq!(vals, want_vals);
             }
         }
     }

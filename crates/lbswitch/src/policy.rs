@@ -11,14 +11,28 @@
 /// weights receive nothing; if all weights are zero the split is empty
 /// (all-zero), mirroring a switch with all RIPs drained.
 pub fn split_by_weight(weights: &[f64], demand: f64) -> Vec<f64> {
-    let total: f64 = weights.iter().filter(|&&w| w > 0.0).sum();
-    if total <= 0.0 {
-        return vec![0.0; weights.len()];
-    }
+    let total = positive_total(weights.iter().copied());
     weights
         .iter()
-        .map(|&w| if w > 0.0 { demand * w / total } else { 0.0 })
+        .map(|&w| weight_share(w, demand, total))
         .collect()
+}
+
+/// The sum of the positive weights, in order: the denominator of a
+/// weight split.
+pub(crate) fn positive_total(weights: impl Iterator<Item = f64>) -> f64 {
+    weights.filter(|&w| w > 0.0).sum()
+}
+
+/// The part of `demand` that weight `w` receives out of `total` (see
+/// [`positive_total`]). A non-positive weight receives 0; when every
+/// weight is non-positive, so does every entry.
+pub(crate) fn weight_share(w: f64, demand: f64, total: f64) -> f64 {
+    if w > 0.0 {
+        demand * w / total
+    } else {
+        0.0
+    }
 }
 
 /// State for smooth weighted round-robin (the nginx algorithm): on each

@@ -1,7 +1,7 @@
 //! The LB switch: VIP/RIP tables, connection tracking and capacity.
 
 use crate::limits::SwitchLimits;
-use crate::policy::{split_by_weight, WrrState};
+use crate::policy::{positive_total, weight_share, WrrState};
 use dcsim::DenseId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -442,19 +442,44 @@ impl LbSwitch {
     /// switch is over capacity, every VIP is scaled down proportionally
     /// (the switch drops uniformly).
     pub fn distribute_vip(&self, vip: VipAddr) -> Result<Vec<(RipAddr, f64)>, SwitchError> {
+        Ok(self.vip_split(vip)?.iter().collect())
+    }
+
+    /// [`LbSwitch::distribute_vip`] without building it: the VIP's served
+    /// demand and weight total, from which [`VipSplit::iter`] yields each
+    /// RIP's share.
+    pub fn vip_split(&self, vip: VipAddr) -> Result<VipSplit<'_>, SwitchError> {
         let cfg = self.vip(vip)?;
         let scale = if self.offered_bps() > self.limits.capacity_bps {
             self.limits.capacity_bps / self.offered_bps()
         } else {
             1.0
         };
-        let shares = split_by_weight(&cfg.weights(), cfg.offered_bps * scale);
-        Ok(cfg
-            .rips
+        Ok(VipSplit {
+            rips: &cfg.rips,
+            demand: cfg.offered_bps * scale,
+            total: positive_total(cfg.rips.iter().map(|r| r.weight)),
+        })
+    }
+}
+
+/// One VIP's served demand split across its RIPs by weight (the switch's
+/// side of [`crate::policy::split_by_weight`]), borrowed from the switch
+/// so the split allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct VipSplit<'a> {
+    rips: &'a [RipEntry],
+    demand: f64,
+    total: f64,
+}
+
+impl<'a> VipSplit<'a> {
+    /// `(rip, bits/s)` for every RIP entry, in configuration order.
+    pub fn iter(&self) -> impl Iterator<Item = (RipAddr, f64)> + 'a {
+        let (demand, total) = (self.demand, self.total);
+        self.rips
             .iter()
-            .zip(shares)
-            .map(|(r, s)| (r.rip, s))
-            .collect())
+            .map(move |r| (r.rip, weight_share(r.weight, demand, total)))
     }
 }
 
@@ -744,5 +769,83 @@ mod tests {
             sw.set_rip_weight(VipAddr(9), RipAddr(0), 1.0),
             Err(SwitchError::UnknownRip(_, _))
         ));
+    }
+
+    /// The fluid split as it was before [`VipSplit`]: the weights and
+    /// their shares in vectors of their own, zipped back onto the RIPs.
+    fn distribute_reference(
+        sw: &LbSwitch,
+        vip: VipAddr,
+    ) -> Result<Vec<(RipAddr, f64)>, SwitchError> {
+        fn split_by_weight(weights: &[f64], demand: f64) -> Vec<f64> {
+            let total: f64 = weights.iter().filter(|&&w| w > 0.0).sum();
+            if total <= 0.0 {
+                return vec![0.0; weights.len()];
+            }
+            weights
+                .iter()
+                .map(|&w| if w > 0.0 { demand * w / total } else { 0.0 })
+                .collect()
+        }
+        let cfg = sw.vip(vip)?;
+        let scale = if sw.offered_bps() > sw.limits.capacity_bps {
+            sw.limits.capacity_bps / sw.offered_bps()
+        } else {
+            1.0
+        };
+        let weights: Vec<f64> = cfg.rips.iter().map(|r| r.weight).collect();
+        let shares = split_by_weight(&weights, cfg.offered_bps * scale);
+        Ok(cfg
+            .rips
+            .iter()
+            .zip(shares)
+            .map(|(r, s)| (r.rip, s))
+            .collect())
+    }
+
+    fn bits(d: &[(RipAddr, f64)]) -> Vec<(RipAddr, u64)> {
+        d.iter().map(|&(r, b)| (r, b.to_bits())).collect()
+    }
+
+    #[test]
+    fn split_matches_the_allocating_reference() {
+        const WEIGHTS: [f64; 8] = [0.0, -0.0, 1e-300, 0.5, 1.0, 3.0, 7.25, 1e6];
+        let (mut over, mut all_zero, mut empty) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let mut rng = seed;
+            let mut next = move || dcsim::rng::splitmix64(&mut rng);
+            let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
+            let vips = 1 + next() % 6;
+            for v in 0..vips as u32 {
+                sw.add_vip(VipAddr(v)).unwrap();
+                for r in 0..next() % 5 {
+                    let w = WEIGHTS[(next() % WEIGHTS.len() as u64) as usize];
+                    sw.add_rip(VipAddr(v), RipAddr(v * 8 + r as u32), w)
+                        .unwrap();
+                }
+            }
+            // Loads from idle to ~3x the 4 Gbps capacity in total.
+            let loads: Vec<f64> = (0..vips).map(|_| (next() % 2_000) as f64 * 1e6).collect();
+            sw.set_offered_loads(|v| loads[v.0 as usize]);
+            over += usize::from(sw.offered_bps() > sw.limits.capacity_bps);
+            for v in (0..vips as u32 + 1).map(VipAddr) {
+                let want = distribute_reference(&sw, v);
+                let got = sw.distribute_vip(v);
+                match (&want, &got) {
+                    (Ok(w), Ok(g)) => {
+                        assert_eq!(bits(g), bits(w), "seed {seed} {v}");
+                        let split: Vec<_> = sw.vip_split(v).unwrap().iter().collect();
+                        assert_eq!(bits(&split), bits(w), "seed {seed} {v}");
+                        empty += usize::from(w.is_empty());
+                        all_zero += usize::from(!w.is_empty() && w.iter().all(|&(_, b)| b == 0.0));
+                    }
+                    _ => assert_eq!(got, want, "seed {seed} {v}"),
+                }
+            }
+        }
+        assert!(
+            over > 0 && all_zero > 0 && empty > 0,
+            "{over} {all_zero} {empty}"
+        );
     }
 }
