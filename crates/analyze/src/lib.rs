@@ -8,21 +8,18 @@
 //!   for hazard classes that silently break bit-identical reruns or
 //!   panic control paths: hash containers, direct float-literal
 //!   equality, `unwrap()`/`expect()`/`panic!` in control-plane crates
-//!   (ratcheted), wall-clock reads, missing `#![forbid(unsafe_code)]`,
-//!   and undocumented `PlatformConfig`/`KnobFlags` fields.
+//!   (ratcheted), raw threads in control-plane crates, wall-clock
+//!   reads, missing `#![forbid(unsafe_code)]`, and undocumented
+//!   `PlatformConfig`/`KnobFlags` fields.
 //! * **Pass 2 (conflicts, [`conflict`])** — computes the pairwise
 //!   read/write conflict matrix of the global-manager actions from the
 //!   declarations in [`megadc::footprint`] and asserts every conflicting
 //!   pair is ordered by the serialized VIP/RIP queue or explicitly
 //!   guarded. The generated matrix is embedded in DESIGN.md and kept in
 //!   sync by the same gate.
-//! * **Pass 3 (phases, [`phase`])** — validates the epoch-phase effect
-//!   declarations in [`megadc::phases`] (parallel phases publish only
-//!   through ordered reductions; non-commutative merges declare their
-//!   order), lints every `EpochPool` region closure in `crates/core`
-//!   against its declaration (no undeclared shared writes, no interior
-//!   mutability, no raw threading outside the pool), and keeps the
-//!   generated parallel safety matrix in DESIGN.md in sync.
+//! * **Pass 3 (phases, [`phase`])** — checks the epoch-phase effect
+//!   declarations in [`megadc::phases`] for duplicate ids and keeps the
+//!   generated phase effects matrix in DESIGN.md in sync.
 //!
 //! See DESIGN.md §"Static analysis & conflict matrix" for the allowlist
 //! and ratchet workflow.
@@ -47,11 +44,11 @@ pub const MATRIX_BEGIN: &str =
     "<!-- BEGIN GENERATED conflict-matrix (edit crates/obs/src/footprint.rs, then run `cargo run -p analyze -- --write`) -->";
 /// Marker closing the generated conflict-matrix block in DESIGN.md.
 pub const MATRIX_END: &str = "<!-- END GENERATED conflict-matrix -->";
-/// Marker opening the generated parallel-safety-matrix block in DESIGN.md.
+/// Marker opening the generated phase-effects-matrix block in DESIGN.md.
 pub const PHASES_BEGIN: &str =
-    "<!-- BEGIN GENERATED parallel-safety-matrix (edit crates/obs/src/phases.rs, then run `cargo run -p analyze -- --write`) -->";
-/// Marker closing the generated parallel-safety-matrix block in DESIGN.md.
-pub const PHASES_END: &str = "<!-- END GENERATED parallel-safety-matrix -->";
+    "<!-- BEGIN GENERATED phase-effects-matrix (edit crates/obs/src/phases.rs, then run `cargo run -p analyze -- --write`) -->";
+/// Marker closing the generated phase-effects-matrix block in DESIGN.md.
+pub const PHASES_END: &str = "<!-- END GENERATED phase-effects-matrix -->";
 
 /// Everything one analysis run produced.
 #[derive(Debug, Default)]
@@ -69,7 +66,7 @@ impl Report {
     }
 }
 
-/// Run both passes over the workspace at `root`.
+/// Run every pass over the workspace at `root`.
 pub fn analyze_workspace(root: &Path) -> Report {
     let mut report = Report::default();
 
@@ -117,7 +114,7 @@ pub fn analyze_workspace(root: &Path) -> Report {
     report.errors.extend(conflict::production_check());
 
     // ---- pass 3: phases ------------------------------------------------------
-    report.errors.extend(phase::production_check(root));
+    report.errors.extend(phase::production_check());
 
     // ---- generated block sync ------------------------------------------------
     match fs::read_to_string(&design_path) {
@@ -130,7 +127,7 @@ pub fn analyze_workspace(root: &Path) -> Report {
                     conflict::production_matrix(),
                 ),
                 (
-                    "parallel-safety-matrix",
+                    "phase-effects-matrix",
                     PHASES_BEGIN,
                     PHASES_END,
                     phase::production_matrix(),

@@ -14,6 +14,10 @@
 //! * `panicking` — `unwrap()`/`expect(`/`panic!`/`unreachable!` in
 //!   non-test control-plane code ([`CONTROL_PLANE_CRATES`]), counted
 //!   per crate against a ratcheting baseline that can only go down.
+//! * `raw-thread` — `thread::spawn`/`thread::scope`/`thread::Builder`
+//!   in non-test control-plane code. The epoch runs its phases one
+//!   after another; a thread started inside it would make results
+//!   depend on scheduling.
 //! * `wall-clock` — `Instant::now`/`SystemTime` outside `dcsim::time`
 //!   and the `bench` crate (which measures real CPU time by design).
 //! * `unsafe-forbid` — every workspace crate root must carry
@@ -39,11 +43,16 @@ pub const CONTROL_PLANE_CRATES: &[&str] = &[
     "placement",
 ];
 
+/// Thread entry points the `raw-thread` rule rejects. A bare `.spawn(`
+/// is not among them: it would also match `vmm::Fleet::spawn`.
+const RAW_THREAD_TOKENS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule identifier (`hash-container`, `float-cmp`, `panicking`,
-    /// `wall-clock`, `unsafe-forbid`, `knob-doc`, `emit-coverage`).
+    /// `raw-thread`, `wall-clock`, `unsafe-forbid`, `knob-doc`,
+    /// `emit-coverage`, `metric-doc`).
     pub rule: &'static str,
     /// Crate directory name under `crates/` (e.g. `core`).
     pub krate: String,
@@ -290,6 +299,21 @@ pub fn lint_sources(root: &Path) -> Vec<Finding> {
                             ),
                         });
                     }
+                    for tok in RAW_THREAD_TOKENS {
+                        if line.contains(tok) {
+                            findings.push(Finding {
+                                rule: "raw-thread",
+                                krate: krate.clone(),
+                                file: relpath.clone(),
+                                line: lineno,
+                                message: format!(
+                                    "`{tok}` in control-plane code; epoch phases run \
+                                     serially, so a thread here makes results depend \
+                                     on scheduling"
+                                ),
+                            });
+                        }
+                    }
                 }
                 if !wallclock_exempt
                     && (line.contains("Instant::now") || find_token(line, "SystemTime").is_some())
@@ -513,33 +537,6 @@ fn rel(root: &Path, p: &Path) -> String {
         .unwrap_or(p)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-// ---- shared helpers for the phase pass (crate::phase) -------------------
-
-/// Public alias of [`rust_files`] for sibling passes.
-pub fn rust_files_in(dir: &Path) -> Vec<PathBuf> {
-    rust_files(dir)
-}
-
-/// Public alias of [`rel`] for sibling passes.
-pub fn rel_path(root: &Path, p: &Path) -> String {
-    rel(root, p)
-}
-
-/// Word-boundary token presence check over arbitrary text.
-pub fn has_token(text: &str, word: &str) -> bool {
-    mentions_word(text, word)
-}
-
-/// First word-boundary occurrence of `word` in `line`.
-pub fn token_at(line: &str, word: &str) -> Option<usize> {
-    find_token(line, word)
-}
-
-/// All word-boundary occurrences of `needle` in `line`.
-pub fn token_positions_in(line: &str, needle: &str) -> Vec<usize> {
-    token_positions(line, needle)
 }
 
 #[cfg(test)]

@@ -166,155 +166,24 @@ fn full_pipeline_fails_a_seeded_workspace_and_names_the_rules() {
     }
 }
 
-/// A fixture region declaration matching the fixture workspaces below.
-fn fixture_regions() -> Vec<megadc::obs::phases::RegionDecl> {
-    vec![megadc::obs::phases::RegionDecl {
-        id: "pod-planning",
-        konst: "REGION_POD_PLANNING",
-        phase: "pod-planning",
-        file: "crates/core/src/planner.rs",
-        shared_reads: &["state"],
-        thread_local: &[],
-    }]
-}
-
 #[test]
-fn undeclared_write_inside_a_parallel_region_is_caught() {
-    use analyze::phase::lint_regions;
-    let root = fixture_root("fx-phase-write");
-    // The closure pushes into a captured Vec — a shared-mutable write
-    // that is neither closure-local nor declared thread_local.
-    write(
-        &root,
-        "crates/core/src/planner.rs",
-        "#![forbid(unsafe_code)]\n\
-         pub fn plan(pool: &EpochPool, state: &State, log: &mut Vec<u32>) {\n\
-             let mut out = Vec::new();\n\
-             pool.map_into(REGION_POD_PLANNING, &state.pods, &mut out, |pod| {\n\
-                 log.push(pod.id);\n\
-                 state.score(pod)\n\
-             });\n\
-         }\n",
+fn raw_thread_in_control_plane_is_flagged() {
+    let root = fixture_root("fx-thread");
+    let body = format!(
+        "{CLEAN_HEADER}pub fn f() {{ std::thread::spawn(|| ()); }}\n\
+         pub fn g(fleet: &mut Fleet) {{ fleet.spawn(1); }}\n\
+         #[cfg(test)]\nmod tests {{\n    fn t() {{ std::thread::scope(|_| ()); }}\n}}\n"
     );
-    let errors = lint_regions(&root, &fixture_regions());
-    assert!(
-        errors.iter().any(|e| e.starts_with("[phase-region]")
-            && e.contains("planner.rs")
-            && e.contains("log")),
-        "undeclared write not caught: {errors:#?}"
-    );
-}
-
-#[test]
-fn switch_offered_load_setter_inside_a_region_is_caught() {
-    use analyze::phase::lint_regions;
-    let root = fixture_root("fx-phase-offered");
-    // Setting a switch's offered loads mutates shared state through a
-    // method call on a shared-read capture; nothing else in the closure
-    // writes, so the method list alone must catch it.
-    write(
-        &root,
-        "crates/core/src/planner.rs",
-        "#![forbid(unsafe_code)]\n\
-         pub fn plan(pool: &EpochPool, state: &State) {\n\
-             let mut out = Vec::new();\n\
-             pool.map_into(REGION_POD_PLANNING, &state.pods, &mut out, |pod| {\n\
-                 state.switches[pod.switch].set_offered_loads(|_| 0.0);\n\
-                 state.score(pod)\n\
-             });\n\
-         }\n",
-    );
-    let errors = lint_regions(&root, &fixture_regions());
-    assert!(
-        errors
-            .iter()
-            .any(|e| e.starts_with("[phase-region]")
-                && e.contains("calls a mutating method on `state`")),
-        "set_offered_loads in region not caught: {errors:#?}"
-    );
-}
-
-#[test]
-fn declared_thread_local_write_is_accepted() {
-    use analyze::phase::lint_regions;
-    let root = fixture_root("fx-phase-clean");
-    // Same shape, but the only writes are to closure-locals.
-    write(
-        &root,
-        "crates/core/src/planner.rs",
-        "#![forbid(unsafe_code)]\n\
-         pub fn plan(pool: &EpochPool, state: &State) -> Vec<u32> {\n\
-             let mut out = Vec::new();\n\
-             pool.map_into(REGION_POD_PLANNING, &state.pods, &mut out, |pod| {\n\
-                 let mut acc = 0;\n\
-                 acc += state.score(pod);\n\
-                 acc\n\
-             });\n\
-             out\n\
-         }\n",
-    );
-    let errors = lint_regions(&root, &fixture_regions());
-    assert!(errors.is_empty(), "clean fixture flagged: {errors:#?}");
-}
-
-#[test]
-fn unlabeled_region_and_raw_threading_are_caught() {
-    use analyze::phase::lint_regions;
-    let root = fixture_root("fx-phase-raw");
-    write(
-        &root,
-        "crates/core/src/planner.rs",
-        "#![forbid(unsafe_code)]\n\
-         pub fn plan(pool: &EpochPool, state: &State) {\n\
-             let mut out = Vec::new();\n\
-             pool.map_into(\"mystery\", &state.pods, &mut out, |pod| state.score(pod));\n\
-             std::thread::scope(|s| { s.spawn(|| state.audit()); });\n\
-         }\n",
-    );
-    let errors = lint_regions(&root, &fixture_regions());
-    assert!(
-        errors
-            .iter()
-            .any(|e| e.contains("no declared REGION_* label")),
-        "unlabeled call site not caught: {errors:#?}"
-    );
-    assert!(
-        errors.iter().any(|e| e.contains("thread::scope")),
-        "raw thread::scope not caught: {errors:#?}"
-    );
-    // The declared region has no call site in this workspace → stale.
-    assert!(
-        errors.iter().any(|e| e.contains("stale declarations")),
-        "stale region not caught: {errors:#?}"
-    );
-}
-
-#[test]
-fn interior_mutability_inside_a_region_is_caught() {
-    use analyze::phase::lint_regions;
-    let root = fixture_root("fx-phase-mutex");
-    write(
-        &root,
-        "crates/core/src/planner.rs",
-        "#![forbid(unsafe_code)]\n\
-         pub fn plan(pool: &EpochPool, state: &State, shared: &std::sync::Mutex<u32>) {\n\
-             let mut out = Vec::new();\n\
-             pool.map_into(REGION_POD_PLANNING, &state.pods, &mut out, |pod| {\n\
-                 let slot: &Mutex<u32> = shared;\n\
-                 *slot.lock().unwrap() += 1;\n\
-                 state.score(pod)\n\
-             });\n\
-         }\n",
-    );
-    let errors = lint_regions(&root, &fixture_regions());
-    // The synchronization token itself is banned — a locked write is
-    // scheduler-ordered, which is exactly what the engine forbids.
-    assert!(
-        errors
-            .iter()
-            .any(|e| e.starts_with("[phase-region]") && e.contains("`Mutex`")),
-        "Mutex in region not caught: {errors:#?}"
-    );
+    write(&root, "crates/core/src/lib.rs", &body);
+    write(&root, "crates/bench/src/lib.rs", &body); // not a control-plane crate
+    let findings = lint_sources(&root);
+    let t: Vec<_> = findings.iter().filter(|f| f.rule == "raw-thread").collect();
+    // Exactly one: the spawn in core's non-test code. A method named
+    // `spawn`, the test module and the bench crate are exempt.
+    assert_eq!(t.len(), 1, "{findings:#?}");
+    assert_eq!(t[0].file, "crates/core/src/lib.rs");
+    assert_eq!(t[0].line, 2);
+    assert!(t[0].message.contains("thread::spawn"));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`compare`] takes two parsed `BENCH_scale.json` documents and
 //! produces a [`CompareReport`]: every measurement present on both
-//! sides — the per-thread wall times (`t1`…`t8`), the platform build
+//! sides — the epoch wall time (`t1`), the platform build
 //! (`build`), the demand route + serve stages (`demand`), and the
 //! per-phase profiler columns (`phase:<id>`) — is checked against the
 //! tolerance band, and every
@@ -38,10 +38,10 @@ use std::fmt::Write as _;
 pub const MIN_GATED_S: f64 = 1e-3;
 
 /// Tolerance multiplier for the fine-grained optional columns
-/// (`build`, `demand`, `phase:<id>`). Those are measured once per tier
-/// or at t=1 steps only over a handful of rounds, so a single scheduler
-/// hiccup moves them far
-/// more than the multi-second whole-epoch walls; gating them at the
+/// (`build`, `demand`, `phase:<id>`). Those are one build per tier or
+/// means over a handful of epochs (the wall is their median), so a
+/// single scheduler hiccup moves them far
+/// more than the whole-epoch walls; gating them at the
 /// wall tolerance makes the gate trip on host jitter between identical
 /// binaries. Twice the band keeps real phase regressions (a slowed
 /// algorithm is typically 2×+, not +20%) while absorbing the noise.
@@ -68,11 +68,12 @@ fn gated(key: &str, seconds: f64) -> bool {
     !is_fine_grained(key) || seconds >= MIN_GATED_S
 }
 
-/// One `(tier, thread-key)` wall-time compared across both documents.
+/// One `(tier, key)` measurement compared across both documents; the
+/// key is `t1`, `build`, `demand` or `phase:<id>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     pub tier: String,
-    pub threads: String,
+    pub key: String,
     pub baseline_s: f64,
     pub candidate_s: f64,
     /// `candidate / baseline - 1` (positive = slower).
@@ -86,10 +87,10 @@ pub struct CompareReport {
     pub tolerance: f64,
     /// Measurements present on both sides, in baseline order.
     pub rows: Vec<Row>,
-    /// `(tier, thread)` keys only the baseline has (e.g. a full run
+    /// `(tier, key)` pairs only the baseline has (e.g. a full run
     /// gating a `--quick` candidate).
     pub only_baseline: Vec<(String, String)>,
-    /// `(tier, thread)` keys only the candidate has (e.g. a new tier
+    /// `(tier, key)` pairs only the candidate has (e.g. a new tier
     /// not yet in the committed baseline).
     pub only_candidate: Vec<(String, String)>,
     /// `(tier, key, baseline s, candidate s)` of fine-grained keys both
@@ -133,7 +134,7 @@ impl CompareReport {
                 out,
                 "{:<8} {:<24} {:>12.4} {:>12.4} {:>+8.1}%  {verdict}",
                 r.tier,
-                r.threads,
+                r.key,
                 r.baseline_s,
                 r.candidate_s,
                 r.delta_frac * 100.0
@@ -146,16 +147,16 @@ impl CompareReport {
                 MIN_GATED_S * 1e3
             );
         }
-        for (tier, threads) in &self.only_baseline {
+        for (tier, key) in &self.only_baseline {
             let _ = writeln!(
                 out,
-                "{tier:<8} {threads:<24} only in baseline — not compared (candidate lacks this key)"
+                "{tier:<8} {key:<24} only in baseline — not compared (candidate lacks this key)"
             );
         }
-        for (tier, threads) in &self.only_candidate {
+        for (tier, key) in &self.only_candidate {
             let _ = writeln!(
                 out,
-                "{tier:<8} {threads:<24} only in candidate — not compared (baseline lacks this key)"
+                "{tier:<8} {key:<24} only in candidate — not compared (baseline lacks this key)"
             );
         }
         let _ = writeln!(
@@ -173,7 +174,7 @@ impl CompareReport {
 
 /// Extract the `(tier, measurement-key, seconds)` triples of one
 /// document, validating the schema as it goes. Measurement keys are the
-/// thread counts of `wall_per_epoch_s` (`"t1"`…), `"build"` for
+/// keys of `wall_per_epoch_s` (`"t1"`), `"build"` for
 /// `build_s`, `"demand"` for `demand_s_per_epoch`, and `"phase:<id>"`
 /// for each entry of `phase_s_per_epoch`; the latter three are optional
 /// (older baselines predate them) and kept at any value, so [`compare`]
@@ -218,7 +219,7 @@ pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, Str
             }
             if out.iter().any(|(l, k, _)| l == label && k == key) {
                 return Err(format!(
-                    "{side}: duplicate measurement (tier {label:?}, threads {key:?})"
+                    "{side}: duplicate measurement (tier {label:?}, key {key:?})"
                 ));
             }
             out.push((label.to_string(), key.clone(), s));
@@ -317,18 +318,18 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Comp
     let mut rows = Vec::new();
     let mut only_baseline = Vec::new();
     let mut below_floor = Vec::new();
-    for (tier, threads, b) in &base {
-        match cand.iter().find(|(t, k, _)| t == tier && k == threads) {
-            Some((_, _, c)) if gated(threads, *b) && gated(threads, *c) => rows.push(Row {
+    for (tier, key, b) in &base {
+        match cand.iter().find(|(t, k, _)| t == tier && k == key) {
+            Some((_, _, c)) if gated(key, *b) && gated(key, *c) => rows.push(Row {
                 tier: tier.clone(),
-                threads: threads.clone(),
+                key: key.clone(),
                 baseline_s: *b,
                 candidate_s: *c,
                 delta_frac: c / b - 1.0,
-                regression: *c > b * (1.0 + key_tolerance(threads, tolerance)),
+                regression: *c > b * (1.0 + key_tolerance(key, tolerance)),
             }),
-            Some((_, _, c)) => below_floor.push((tier.clone(), threads.clone(), *b, *c)),
-            None if gated(threads, *b) => only_baseline.push((tier.clone(), threads.clone())),
+            Some((_, _, c)) => below_floor.push((tier.clone(), key.clone(), *b, *c)),
+            None if gated(key, *b) => only_baseline.push((tier.clone(), key.clone())),
             None => {}
         }
     }
@@ -345,8 +346,8 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Comp
                 .join(", ")
         };
         return Err(format!(
-            "no overlapping (tier, threads) measurements — baseline has [{}], \
-             candidate has [{}]; did the tier labels or thread keys change?",
+            "no overlapping (tier, key) measurements — baseline has [{}], \
+             candidate has [{}]; did the tier labels or keys change?",
             fmt(&only_baseline),
             fmt(&only_candidate)
         ));
@@ -416,7 +417,7 @@ mod tests {
         let err = compare(&b, &c, 0.15).expect_err("no overlap");
         assert!(err.contains("(30k, t1)"), "{err}");
         assert!(err.contains("(small, threads1)"), "{err}");
-        assert!(err.contains("did the tier labels or thread keys change?"));
+        assert!(err.contains("did the tier labels or keys change?"));
     }
 
     #[test]
@@ -462,7 +463,7 @@ mod tests {
             .rows
             .iter()
             .filter(|r| r.regression)
-            .map(|r| r.threads.as_str())
+            .map(|r| r.key.as_str())
             .collect();
         assert_eq!(
             regressed,
@@ -471,9 +472,7 @@ mod tests {
              is inside the widened fine-grained band"
         );
         assert!(
-            rep.rows
-                .iter()
-                .any(|r| r.threads == "demand" && !r.regression),
+            rep.rows.iter().any(|r| r.key == "demand" && !r.regression),
             "demand_s_per_epoch within tolerance must compare clean"
         );
         assert!(rep.render().contains("phase:pod-planning"));
@@ -486,7 +485,7 @@ mod tests {
         let c = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":0.125}"#);
         let rep = compare(&b, &c, 0.15).expect("comparable");
         assert!(rep.passed(), "{}", rep.render());
-        assert!(rep.rows.iter().any(|r| r.threads == "build"));
+        assert!(rep.rows.iter().any(|r| r.key == "build"));
         // A superlinear build (+3x) fails and is named.
         let c = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":0.30}"#);
         let rep = compare(&b, &c, 0.15).expect("comparable");
@@ -494,7 +493,7 @@ mod tests {
             .rows
             .iter()
             .filter(|r| r.regression)
-            .map(|r| r.threads.as_str())
+            .map(|r| r.key.as_str())
             .collect();
         assert_eq!(regressed, vec!["build"]);
         assert!(rep.render().contains("build"));
@@ -544,7 +543,7 @@ mod tests {
         let rep = compare(&b, &c, 0.15).expect("comparable");
         // Gated exactly as before: the pair with both sides at or above
         // the floor, and the walls.
-        let gated: Vec<&str> = rep.rows.iter().map(|r| r.threads.as_str()).collect();
+        let gated: Vec<&str> = rep.rows.iter().map(|r| r.key.as_str()).collect();
         assert_eq!(gated, vec!["t1", "phase:demand-switch-reset"]);
         assert!(rep.passed());
         assert!(rep.only_baseline.is_empty() && rep.only_candidate.is_empty());

@@ -6,8 +6,8 @@
 //!     BENCH_scale.json /tmp/BENCH_scale.json --tolerance 0.15
 //! ```
 //!
-//! For every tier present in *both* documents and every thread count in
-//! both `wall_per_epoch_s` maps, the candidate must satisfy
+//! For every tier present in *both* documents and every key in both
+//! `wall_per_epoch_s` maps (`t1`), the candidate must satisfy
 //! `candidate <= baseline * (1 + tolerance)` (default 0.15, i.e. a >15%
 //! per-epoch wall-time regression fails). The optional `build_s`,
 //! demand and per-phase columns gate at twice that band (see
@@ -15,7 +15,7 @@
 //! are *named* in the output and excluded from the verdict — a baseline
 //! regenerated at `--quick` (30k tier only) still gates a full
 //! candidate run — and zero overlap is a hard error spelling out both
-//! key sets, so a renamed tier or thread key can never pass vacuously.
+//! key sets, so a renamed tier or key can never pass vacuously.
 //! Malformed documents (missing `tiers`, unlabeled tiers, empty or
 //! non-numeric wall maps) are errors too, never panics or silent
 //! skips; the comparison itself lives in `megadc_bench::benchcmp`.

@@ -20,8 +20,7 @@
 //! truncates `path`, then appends each platform run's metrics-registry
 //! export in Prometheus-style text form (one `# run:` header per
 //! platform; currently E16/E17). Like the event log it is deterministic
-//! — byte-identical across reruns, worker-thread counts and shuffle
-//! seeds — which CI checks.
+//! — byte-identical across same-seed reruns — which CI checks.
 //!
 //! `--json` prints one machine-readable summary line per experiment
 //! (`{"experiment":...,"metrics":{...}}`, stable key order) instead of

@@ -1,33 +1,22 @@
-//! E19 — paper-scale bench trajectory: wall-time-per-epoch vs threads.
+//! E19 — paper-scale bench trajectory: wall time per epoch by tier.
 //!
-//! §III.A's scalability argument is that per-pod planning parallelizes:
-//! pods decide independently, so the control plane's epoch cost should
-//! drop with worker threads while everything observable stays
-//! bit-identical (the parallel epoch engine's determinism contract,
-//! DESIGN.md §5). This experiment makes that measurable: it runs the
-//! *full* control plane — demand propagation, threaded pod planning,
-//! the global knobs, the serialized VIP/RIP queue — at 30k/100k/300k
-//! applications (1 server per app, ~500-server pods) and records
-//! wall-time-per-epoch at 1/2/4/8 worker threads. A `30k-mix` tier runs
-//! the paper's entity mix (§II: 20 instances and 3+ VIPs per app, so
-//! 600k VMs at 30k apps, in 5k-VM pods).
+//! §III.A's scalability argument is that each pod manager decides over
+//! a bounded space — its own pod — so the control plane's per-pod cost
+//! stays flat as the platform grows. This experiment makes that
+//! measurable: it runs the *full* control plane — demand propagation,
+//! pod planning, the global knobs, the serialized VIP/RIP queue — at
+//! 30k/100k/300k applications (1 server per app, ~500-server pods) and
+//! records the median wall time per epoch, the per-phase profiler
+//! columns and the pod-planning cost per pod. A `30k-mix` tier runs the
+//! paper's entity mix (§II: 20 instances and 3+ VIPs per app, so 600k
+//! VMs at 30k apps, in 5k-VM pods).
 //!
-//! Thread counts are swept in **interleaved rounds** (t=1,2,4,8,
-//! 1,2,4,8, …) over one warmed-up platform, so slow drift in control
-//! activity (early scale-out churn decaying toward steady state) spreads
-//! evenly across thread counts instead of biasing the later ones.
-//!
-//! Besides the measured speedup the report derives the *parallel
-//! fraction* — the seconds per epoch spent in the one declared parallel
-//! region (pod planning) over the single-thread epoch wall time — and
-//! the Amdahl prediction for 4 threads. On hosts without real parallelism (CI
-//! containers pinned to one core report `available_parallelism = 1`)
-//! the measured speedup degenerates to ~1× while the parallel fraction
-//! still shows what the engine would buy; `host_parallelism` is
-//! recorded alongside so readers can tell the two situations apart.
+//! Each tier steps one warmed-up platform for [`epochs`] timed epochs.
+//! The wall column is their median, so one scheduler hiccup cannot move
+//! it; the phase columns are means over the same epochs.
 //!
 //! With `--bench <path>` the tier results are written as
-//! `BENCH_scale.json`; CI regenerates the small tier and compares
+//! `BENCH_scale.json`; CI regenerates the quick tiers and compares
 //! against the committed baseline with `benchcmp` (>15% wall-time
 //! regression fails).
 
@@ -37,8 +26,14 @@ use megadc::{Platform, PlatformConfig};
 use std::path::Path;
 use std::time::Instant;
 
-/// Worker-thread counts swept per tier.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Timed epochs per tier: 8 at `--quick`, 12 for the full ladder.
+fn epochs(quick: bool) -> usize {
+    if quick {
+        8
+    } else {
+        12
+    }
+}
 
 /// One tier's measurements.
 #[derive(Debug, Clone)]
@@ -48,33 +43,24 @@ pub(crate) struct TierResult {
     pods: usize,
     vms: usize,
     build_s: f64,
-    rounds: usize,
-    /// Mean wall seconds per epoch, parallel to [`THREADS`].
-    wall_per_epoch_s: Vec<f64>,
+    epochs: usize,
+    /// Median wall seconds per timed epoch.
+    wall_per_epoch_s: f64,
     /// Per-epoch seconds in the route and serve stages of demand
     /// propagation (the `demand-route` + `demand-serve` profiler
-    /// phases), t=1 epochs only.
+    /// phases).
     demand_s_per_epoch: f64,
     /// Per-epoch seconds per declared epoch phase (parallel to
-    /// `obs::phases::EPOCH_PHASES`), from the platform's span profiler,
-    /// t=1 epochs only — at higher thread counts on an oversubscribed
-    /// host the same phases take longer inside.
+    /// `obs::phases::EPOCH_PHASES`), from the platform's span profiler.
     phase_s_per_epoch: Vec<f64>,
+    /// Pod-planning wall milliseconds per pod round: §III.A's bounded
+    /// per-pod cost.
+    pod_planning_ms_per_pod: f64,
     served_final: f64,
 }
 
 impl TierResult {
-    fn wall(&self, threads: usize) -> f64 {
-        THREADS
-            .iter()
-            .position(|&t| t == threads)
-            .map(|i| self.wall_per_epoch_s[i])
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Per-epoch planning seconds: the `pod-planning` profiler span,
-    /// measured over the t=1 epochs only so it is commensurable with
-    /// `wall(1)`.
+    /// Per-epoch planning seconds: the `pod-planning` profiler span.
     fn plan_s_per_epoch(&self) -> f64 {
         obs::profile::phase_index("pod-planning")
             .and_then(|ph| self.phase_s_per_epoch.get(ph))
@@ -82,29 +68,8 @@ impl TierResult {
             .unwrap_or(0.0)
     }
 
-    /// Measured speedup of 4 threads over 1.
-    fn speedup_t4(&self) -> f64 {
-        self.wall(1) / self.wall(4)
-    }
-
-    /// Fraction of the single-thread epoch spent in the declared
-    /// parallel region, pod planning (its profiler span covers problem
-    /// assembly plus the controller solve). Everything else — demand
-    /// propagation, plan application, the global knobs and the VIP/RIP
-    /// queue — is serial.
-    fn parallel_fraction(&self) -> f64 {
-        (self.plan_s_per_epoch() / self.wall(1)).clamp(0.0, 1.0)
-    }
-
-    /// Amdahl's-law speedup prediction at 4 workers given the measured
-    /// parallel fraction (what the engine buys on a ≥4-core host).
-    fn amdahl_t4(&self) -> f64 {
-        let f = self.parallel_fraction();
-        1.0 / ((1.0 - f) + f / 4.0)
-    }
-
     /// Critical-path attribution over the per-phase columns: the phase
-    /// with the largest single-thread share, as `(id, share)`.
+    /// with the largest share, as `(id, share)`.
     fn dominant_phase(&self) -> Option<(&'static str, f64)> {
         let total: f64 = self.phase_s_per_epoch.iter().sum();
         if total <= 0.0 {
@@ -134,7 +99,6 @@ pub(crate) fn tier_config(apps: usize) -> PlatformConfig {
     cfg.popular_extra_vips = 1;
     cfg.total_demand_bps = apps as f64 * 0.2e6;
     cfg.diurnal_amplitude = 0.0;
-    cfg.threads = 1;
     cfg
 }
 
@@ -150,11 +114,10 @@ pub(crate) fn mix_tier_config(apps: usize) -> PlatformConfig {
     cfg.initial_pods = apps.div_ceil(250);
     cfg.total_demand_bps = (apps * cfg.initial_instances_per_app) as f64 * 0.2e6;
     cfg.diurnal_amplitude = 0.0;
-    cfg.threads = 1;
     cfg
 }
 
-fn run_tier(label: &str, config: PlatformConfig, rounds: usize) -> TierResult {
+fn run_tier(label: &str, config: PlatformConfig, epochs: usize) -> TierResult {
     let apps = config.num_apps;
     let t0 = Instant::now();
     let mut p = Platform::build(config).expect("tier config builds");
@@ -164,27 +127,25 @@ fn run_tier(label: &str, config: PlatformConfig, rounds: usize) -> TierResult {
     p.run_epochs(2);
 
     let num_phases = obs::phases::EPOCH_PHASES.len();
-    let mut wall_total = vec![0.0f64; THREADS.len()];
-    let mut phase_total = vec![0.0f64; num_phases];
-    for _round in 0..rounds {
-        for (i, &threads) in THREADS.iter().enumerate() {
-            p.set_threads(threads);
-            let phase0: Vec<f64> = (0..num_phases).map(|ph| p.profiler.total_s(ph)).collect();
-            let t0 = Instant::now();
-            p.step();
-            wall_total[i] += t0.elapsed().as_secs_f64();
-            if threads == 1 {
-                for (ph, total) in phase_total.iter_mut().enumerate() {
-                    *total += p.profiler.total_s(ph) - phase0[ph];
-                }
-            }
-        }
+    let phase0: Vec<f64> = (0..num_phases).map(|ph| p.profiler.total_s(ph)).collect();
+    let mut walls = Vec::with_capacity(epochs);
+    // Every pod plans once per epoch; pods only appear after planning.
+    let mut pod_rounds = 0;
+    for _ in 0..epochs {
+        pod_rounds += p.state.num_pods();
+        let t0 = Instant::now();
+        p.step();
+        walls.push(t0.elapsed().as_secs_f64());
     }
-    let demand_total: f64 = ["demand-route", "demand-serve"]
-        .iter()
-        .filter_map(|id| obs::profile::phase_index(id))
-        .map(|ph| phase_total[ph])
-        .sum();
+    let phase_s_per_epoch: Vec<f64> = (0..num_phases)
+        .map(|ph| (p.profiler.total_s(ph) - phase0[ph]) / epochs as f64)
+        .collect();
+    let phase = |id: &str| {
+        obs::profile::phase_index(id)
+            .map(|ph| phase_s_per_epoch[ph])
+            .unwrap_or(0.0)
+    };
+    walls.sort_by(f64::total_cmp);
     let served_final = p
         .last_snapshot()
         .map(|s| s.served_fraction())
@@ -195,10 +156,11 @@ fn run_tier(label: &str, config: PlatformConfig, rounds: usize) -> TierResult {
         pods: p.state.num_pods(),
         vms: p.state.fleet.num_vms(),
         build_s,
-        rounds,
-        wall_per_epoch_s: wall_total.iter().map(|w| w / rounds as f64).collect(),
-        demand_s_per_epoch: demand_total / rounds as f64,
-        phase_s_per_epoch: phase_total.iter().map(|s| s / rounds as f64).collect(),
+        epochs,
+        wall_per_epoch_s: walls[epochs / 2],
+        demand_s_per_epoch: phase("demand-route") + phase("demand-serve"),
+        pod_planning_ms_per_pod: phase("pod-planning") * epochs as f64 * 1e3 / pod_rounds as f64,
+        phase_s_per_epoch,
         served_final,
     }
 }
@@ -206,18 +168,11 @@ fn run_tier(label: &str, config: PlatformConfig, rounds: usize) -> TierResult {
 /// Serialize the tier results as the `BENCH_scale.json` document (stable
 /// key order; rerunning changes only the measured timings).
 fn bench_json(quick: bool, tiers: &[TierResult]) -> String {
-    let mut out = String::from("{\"bench\":\"scale\",\"schema\":1,\"host_parallelism\":");
+    let mut out = String::from("{\"bench\":\"scale\",\"schema\":2,\"host_parallelism\":");
     out.push_str(&host_parallelism().to_string());
     out.push_str(",\"quick\":");
     out.push_str(if quick { "true" } else { "false" });
-    out.push_str(",\"threads\":[");
-    for (i, t) in THREADS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_string());
-    }
-    out.push_str("],\"tiers\":[");
+    out.push_str(",\"tiers\":[");
     for (i, tier) in tiers.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -225,48 +180,38 @@ fn bench_json(quick: bool, tiers: &[TierResult]) -> String {
         out.push_str("{\"label\":");
         obs::json::write_str(&tier.label, &mut out);
         for (key, val) in [
-            ("apps", tier.apps as f64),
-            ("pods", tier.pods as f64),
-            ("vms", tier.vms as f64),
-            ("rounds", tier.rounds as f64),
+            ("apps", tier.apps),
+            ("pods", tier.pods),
+            ("vms", tier.vms),
+            ("epochs", tier.epochs),
         ] {
-            out.push_str(&format!(",\"{key}\":{}", val as u64));
+            out.push_str(&format!(",\"{key}\":{val}"));
         }
         out.push_str(",\"build_s\":");
         obs::json::write_f64(tier.build_s, &mut out);
-        out.push_str(",\"wall_per_epoch_s\":{");
-        for (i, &t) in THREADS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"t{t}\":"));
-            obs::json::write_f64(tier.wall_per_epoch_s[i], &mut out);
-        }
+        out.push_str(",\"wall_per_epoch_s\":{\"t1\":");
+        obs::json::write_f64(tier.wall_per_epoch_s, &mut out);
         out.push_str("},\"plan_s_per_epoch\":");
         obs::json::write_f64(tier.plan_s_per_epoch(), &mut out);
+        out.push_str(",\"pod_planning_ms_per_pod\":");
+        obs::json::write_f64(tier.pod_planning_ms_per_pod, &mut out);
         out.push_str(",\"demand_s_per_epoch\":");
         obs::json::write_f64(tier.demand_s_per_epoch, &mut out);
         out.push_str(",\"phase_s_per_epoch\":{");
-        for (i, phase) in obs::phases::EPOCH_PHASES.iter().enumerate() {
+        for (i, (phase, s)) in obs::phases::EPOCH_PHASES
+            .iter()
+            .zip(&tier.phase_s_per_epoch)
+            .enumerate()
+        {
             if i > 0 {
                 out.push(',');
             }
             out.push('"');
             out.push_str(phase.id);
             out.push_str("\":");
-            obs::json::write_f64(
-                tier.phase_s_per_epoch.get(i).copied().unwrap_or(0.0),
-                &mut out,
-            );
+            obs::json::write_f64(*s, &mut out);
         }
-        out.push('}');
-        out.push_str(",\"parallel_fraction\":");
-        obs::json::write_f64(tier.parallel_fraction(), &mut out);
-        out.push_str(",\"speedup_t4\":");
-        obs::json::write_f64(tier.speedup_t4(), &mut out);
-        out.push_str(",\"amdahl_t4\":");
-        obs::json::write_f64(tier.amdahl_t4(), &mut out);
-        out.push_str(",\"served_final\":");
+        out.push_str("},\"served_final\":");
         obs::json::write_f64(tier.served_final, &mut out);
         out.push('}');
     }
@@ -289,36 +234,25 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
         tiers_spec.push(("300k", tier_config(300_000)));
     }
     tiers_spec.push(("30k-mix", mix_tier_config(30_000)));
-    let rounds = if quick { 2 } else { 3 };
     let mut t = Table::new([
         "tier",
         "pods",
         "vms",
         "build s",
-        "s/epoch t=1",
-        "s/epoch t=2",
-        "s/epoch t=4",
-        "s/epoch t=8",
-        "speedup t=4",
-        "par frac",
-        "amdahl t=4",
+        "s/epoch",
+        "pod-planning ms/pod",
         "critical path",
     ]);
     let mut tiers = Vec::new();
     for (label, config) in tiers_spec {
-        let tier = run_tier(label, config, rounds);
+        let tier = run_tier(label, config, epochs(quick));
         t.row([
             tier.label.clone(),
             tier.pods.to_string(),
             tier.vms.to_string(),
             fnum(tier.build_s, 2),
-            fnum(tier.wall(1), 4),
-            fnum(tier.wall(2), 4),
-            fnum(tier.wall(4), 4),
-            fnum(tier.wall(8), 4),
-            fnum(tier.speedup_t4(), 2),
-            fnum(tier.parallel_fraction(), 2),
-            fnum(tier.amdahl_t4(), 2),
+            fnum(tier.wall_per_epoch_s, 4),
+            fnum(tier.pod_planning_ms_per_pod, 3),
             match tier.dominant_phase() {
                 Some((id, share)) => format!("{id} {:.0}%", share * 100.0),
                 None => "-".to_string(),
@@ -333,16 +267,14 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
         }
     }
     let text = format!(
-        "E19 — paper-scale bench trajectory: full-control-plane wall-time per epoch\n\
+        "E19 — paper-scale bench trajectory: full-control-plane wall time per epoch\n\
          (1 server/app, ~500-server pods; 30k-mix: 20 instances/app, 5k-VM pods;\n\
-         thread counts interleaved per round so control-activity drift cancels;\n\
-         host parallelism = {host})\n\n{}\n\
-         expected shape: per-epoch wall time grows with the tier while per-pod\n\
-         planning stays bounded (the §III.A argument); on a multi-core host the\n\
-         t=4 column approaches the Amdahl prediction from the parallel fraction,\n\
-         and on a single-core host (host parallelism = 1) the measured speedup\n\
-         degenerates to ~1x while results stay bit-identical either way.\n",
+         median of {epochs} timed epochs per tier; host parallelism = {host})\n\n{}\n\
+         expected shape: per-epoch wall time grows with the tier while the\n\
+         pod-planning cost per pod stays flat across the 1-server-per-app tiers\n\
+         (the §III.A bounded decision space).\n",
         t.render(),
+        epochs = epochs(quick),
         host = host_parallelism(),
     );
     let mut report =
@@ -350,10 +282,11 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
     for tier in &tiers {
         let l = &tier.label;
         report = report
-            .metric(&format!("{l}_wall_per_epoch_t1_s"), tier.wall(1))
-            .metric(&format!("{l}_wall_per_epoch_t4_s"), tier.wall(4))
-            .metric(&format!("{l}_speedup_t4"), tier.speedup_t4())
-            .metric(&format!("{l}_parallel_fraction"), tier.parallel_fraction())
+            .metric(&format!("{l}_wall_per_epoch_t1_s"), tier.wall_per_epoch_s)
+            .metric(
+                &format!("{l}_pod_planning_ms_per_pod"),
+                tier.pod_planning_ms_per_pod,
+            )
             .metric(&format!("{l}_served_final"), tier.served_final);
     }
     report
@@ -364,24 +297,19 @@ mod tests {
     use super::*;
 
     /// A miniature tier exercising the full measurement path (build,
-    /// warm-up, interleaved thread rounds, JSON rendering) in test time.
+    /// warm-up, timed epochs, JSON rendering) in test time.
     #[test]
     fn miniature_tier_measures_and_serializes() {
-        let tier = run_tier("mini", tier_config(600), 1);
+        let tier = run_tier("mini", tier_config(600), 3);
         assert_eq!(tier.apps, 600);
         assert!(tier.pods >= 1 && tier.vms >= 600);
-        assert!(tier.wall_per_epoch_s.iter().all(|&w| w > 0.0));
-        assert!(tier.plan_s_per_epoch() >= 0.0);
+        assert!(tier.wall_per_epoch_s > 0.0);
+        assert!(tier.plan_s_per_epoch() > 0.0);
+        assert!(tier.pod_planning_ms_per_pod > 0.0);
         assert!(tier.demand_s_per_epoch > 0.0);
-        assert!((0.0..=1.0).contains(&tier.parallel_fraction()));
-        assert!(tier.amdahl_t4() >= 1.0);
         assert_eq!(
             tier.phase_s_per_epoch.len(),
             obs::phases::EPOCH_PHASES.len()
-        );
-        assert!(
-            tier.phase_s_per_epoch.iter().sum::<f64>() > 0.0,
-            "span profiler recorded nothing"
         );
         assert!(tier.dominant_phase().is_some());
         let doc = bench_json(true, &[tier]);
@@ -392,13 +320,18 @@ mod tests {
         assert_eq!(first.get("label").and_then(|l| l.as_str()), Some("mini"));
         assert!(first
             .get("wall_per_epoch_s")
-            .and_then(|w| w.get("t4"))
+            .and_then(|w| w.get("t1"))
             .and_then(|v| v.as_f64())
             .is_some());
-        assert!(first
-            .get("demand_s_per_epoch")
-            .and_then(|v| v.as_f64())
-            .is_some_and(|d| d > 0.0));
+        for key in ["demand_s_per_epoch", "pod_planning_ms_per_pod"] {
+            assert!(
+                first
+                    .get(key)
+                    .and_then(|v| v.as_f64())
+                    .is_some_and(|d| d > 0.0),
+                "{key} missing from bench json"
+            );
+        }
         // Every declared phase serializes as a per-phase bench column.
         let phases = first
             .get("phase_s_per_epoch")

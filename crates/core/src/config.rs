@@ -186,12 +186,10 @@ pub struct PlatformConfig {
     /// start/retire/start flip-flops E17 measured. 0 disables the
     /// cooldown.
     pub scale_in_cooldown_epochs: u32,
-    /// Worker threads for the parallel epoch engine (per-pod planning,
-    /// [`crate::parallel::EpochPool`]). 0 = auto: the `MEGADC_THREADS`
-    /// environment variable when set, else the host's available
-    /// parallelism. Any value yields bit-identical results — the engine's
-    /// reduction order is fixed — so this knob trades wall-clock time
-    /// only.
+    /// Retired worker-thread count. Pod planning is serial, so only 0
+    /// and 1 are accepted ([`PlatformConfig::validate`] rejects more)
+    /// and neither changes anything. The field stays until its last
+    /// assignments (megabench's workload configs) are gone.
     pub threads: usize,
     /// Flight-recorder ring capacity in events; 0 uses
     /// `obs::DEFAULT_RING_CAPACITY`. Long chaos runs that inspect the
@@ -382,6 +380,9 @@ impl PlatformConfig {
         if !(self.reweight_step > 0.0 && self.reweight_step <= 1.0) {
             return Err("reweight_step must be in (0, 1]".into());
         }
+        if self.threads > 1 {
+            return Err("threads must be 0 or 1: pod planning is serial".into());
+        }
         self.switch_limits.validate();
         self.dns.validate();
         self.cost_model.validate();
@@ -463,6 +464,12 @@ mod tests {
         let mut cfg = PlatformConfig::small_test();
         cfg.reweight_step = 1.5;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = PlatformConfig::small_test();
+        cfg.threads = 2;
+        assert!(cfg.validate().unwrap_err().starts_with("threads"));
+        cfg.threads = 1;
+        cfg.validate().unwrap();
     }
 
     #[test]

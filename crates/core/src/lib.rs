@@ -57,7 +57,6 @@ pub mod demand;
 pub mod energy;
 pub mod global;
 pub mod ids;
-pub mod parallel;
 pub mod platform;
 pub mod pod;
 pub mod profclock;
@@ -74,9 +73,9 @@ pub mod viprip;
 /// here to keep the `megadc::footprint` path stable.
 pub use obs::footprint;
 
-/// The declared effect sets of the epoch phases and parallel regions
-/// (the `EpochPool` side of what [`footprint`] does for global actions),
-/// re-exported so `megadc::phases::REGION_*` is a stable path.
+/// The declared effect sets of the epoch phases (the `Platform::step`
+/// side of what [`footprint`] does for global actions), re-exported so
+/// `megadc::phases` is a stable path.
 pub use obs::phases;
 
 /// Re-export the whole `obs` crate so downstream tools that only depend

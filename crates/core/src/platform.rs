@@ -11,11 +11,10 @@
 //!
 //! 1. complete in-flight VM transitions (boots, clones, migrations);
 //! 2. propagate the workload's demand down the stack ([`crate::demand`]);
-//! 3. run every pod manager **in parallel** on the deterministic epoch
-//!    engine ([`crate::parallel::EpochPool`]) — the paper's
-//!    hierarchical-scalability argument made literal — and apply their
-//!    plans (slice adjustments, instance starts/stops, weight requests)
-//!    serially in pod-index order;
+//! 3. run every pod manager against the same state and snapshot — each
+//!    decides over its own pod only, the paper's hierarchical-scalability
+//!    argument (§III.A) — and then apply their plans (slice adjustments,
+//!    instance starts/stops, weight requests) in pod-index order;
 //! 4. run the global manager's knobs (§IV) and the serialized VIP/RIP
 //!    queue (§III.C);
 //! 5. bind RIPs for newly running instances and scrape the metrics
@@ -30,7 +29,6 @@ use crate::config::PlatformConfig;
 use crate::demand::{propagate_into, LoadSnapshot, PropagateScratch};
 use crate::global::GlobalManager;
 use crate::ids::{AppId, PodId};
-use crate::parallel::EpochPool;
 use crate::pod::{PodManager, PodPlan};
 use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
@@ -66,8 +64,7 @@ pub struct RunReport {
 
 /// Per-epoch scratch reused across [`Platform::step`] calls: the demand
 /// vector, the snapshot being filled (swapped with `last_snapshot` at
-/// epoch end), propagation's lookup buffers, and the pod-plan vector the
-/// epoch pool reduces into.
+/// epoch end), propagation's lookup buffers, and the pod-plan vector.
 #[derive(Debug, Default)]
 struct EpochScratch {
     demands: Vec<f64>,
@@ -99,8 +96,6 @@ pub struct Platform {
     pod_managers: Vec<PodManager>,
     now: SimTime,
     epochs: u64,
-    /// The deterministic parallel epoch engine for per-pod planning.
-    pool: EpochPool,
     /// Per-epoch scratch buffers, reused across epochs.
     scratch: EpochScratch,
     /// The most recent load snapshot (meaningful once `epochs > 0`;
@@ -270,7 +265,6 @@ impl Platform {
             pod_managers,
             now,
             epochs: 0,
-            pool: EpochPool::new(config.threads),
             scratch: EpochScratch::default(),
             last_snapshot: LoadSnapshot::default(),
             elastic,
@@ -291,27 +285,6 @@ impl Platform {
     /// The most recent load snapshot (None before the first step).
     pub fn last_snapshot(&self) -> Option<&LoadSnapshot> {
         (self.epochs > 0).then_some(&self.last_snapshot)
-    }
-
-    /// Worker threads of the parallel epoch engine.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Re-target the parallel epoch engine (0 = auto). Safe mid-run: the
-    /// engine's fixed reduction order makes results independent of the
-    /// thread count, so this only changes wall-clock behaviour.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = EpochPool::new(threads);
-    }
-
-    /// Arm (or disarm) the schedule-shuffle sanitizer on the live pool,
-    /// independent of the `MEGADC_SHUFFLE` environment variable — tests
-    /// use this to sweep seeds without `set_var` races. Like
-    /// [`Platform::set_threads`], this only perturbs scheduling; the
-    /// fixed reduction order keeps every observable byte-identical.
-    pub fn set_shuffle(&mut self, shuffle: Option<u64>) {
-        self.pool = EpochPool::with_shuffle(self.pool.threads(), shuffle);
     }
 
     /// Give every pod a manager (idempotent). Pods appear mid-epoch —
@@ -362,23 +335,17 @@ impl Platform {
         self.profiler.record(span("demand-serve"), timing.serve_s);
         let _ = clock.lap(); // propagation time is attributed above
 
-        // Pod managers decide in parallel — one Tang-controller run per
-        // pod, which is exactly the scalability mechanism of §III.A. The
-        // epoch pool collects the plans in pod-index order (the fixed
-        // reduction order), and they are applied serially below, so any
-        // thread count produces bit-identical state and event logs.
+        // Pod managers decide — one Tang-controller run per pod over its
+        // own servers, the bounded decision space of §III.A. Every plan
+        // is computed against the same state and snapshot before any is
+        // applied, in pod-index order below.
         self.sync_pod_managers();
         let mut plans = std::mem::take(&mut self.scratch.plans);
-        {
-            let state_ref = &self.state;
-            let snap_ref = &snap;
-            self.pool.map_into(
-                obs::phases::REGION_POD_PLANNING,
-                &self.pod_managers,
-                &mut plans,
-                |pm| pm.plan(state_ref, snap_ref),
-            );
-        }
+        plans.extend(
+            self.pod_managers
+                .iter()
+                .map(|pm| pm.plan(&self.state, &snap)),
+        );
         self.profiler.record(span("pod-planning"), clock.lap());
         for plan in plans.drain(..) {
             self.apply_pod_plan(plan, now);

@@ -586,7 +586,6 @@ mod tests {
         cfg.num_apps = 40;
         cfg.num_servers = 80;
         cfg.initial_pods = 2;
-        cfg.threads = 1;
         cfg.total_demand_bps = (40 * cfg.initial_instances_per_app) as f64 * 0.2e6;
         assert_eq!(cfg.initial_instances_per_app, 20);
         let p = Platform::build(cfg).unwrap();

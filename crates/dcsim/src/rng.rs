@@ -4,9 +4,8 @@
 //! (a pod manager, a workload generator, the DNS resolver, …) derives its
 //! own independent stream by hashing the experiment seed together with a
 //! stable component label. This makes simulations reproducible bit-for-bit
-//! and — crucially for the threaded pod-manager epochs (the parallel
-//! epoch engine in `megadc::parallel`) — independent of the order in
-//! which components happen to draw random numbers.
+//! and independent of the order in which components happen to draw
+//! random numbers.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

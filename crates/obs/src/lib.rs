@@ -21,10 +21,9 @@
 //! * [`explain`] — causal-chain reconstruction for a VIP/app/epoch and
 //!   the runtime-vs-declared footprint cross-check, exposed as
 //!   `cargo run -p obs -- explain`;
-//! * [`phases`] — the declared effect sets of every epoch phase and
-//!   every closure entering `megadc::parallel::EpochPool`, consumed by
-//!   the `analyze` phase checker and the generated parallel safety
-//!   matrix in DESIGN.md;
+//! * [`phases`] — the declared effect sets of every epoch phase,
+//!   consumed by the `analyze` phase pass and the generated phase
+//!   effects matrix in DESIGN.md;
 //! * [`json`] — the hand-rolled deterministic JSON writer/parser (the
 //!   workspace has no serialization framework).
 //!

@@ -7,9 +7,9 @@
 //! two runs produce instruments in the same order by construction.
 //! Every value is derived from simulation state (sim-clock, seeded
 //! demand, recorder counts) — never wall-clock — so a rendered export
-//! is byte-identical across reruns, worker-thread counts and
-//! `MEGADC_SHUFFLE` seeds. Wall-time lives in [`crate::profile`]
-//! instead, deliberately quarantined from these exports.
+//! is byte-identical across same-seed reruns. Wall-time lives in
+//! [`crate::profile`] instead, deliberately quarantined from these
+//! exports.
 //!
 //! The `analyze` `metric-doc` lint keeps this catalog honest: every
 //! metric name must be documented in DESIGN.md §"Metrics & profiling"
@@ -654,7 +654,7 @@ impl Registry {
     /// (plus the sim-clock stamp), then one `# HELP`/`# TYPE` pair per
     /// unique name followed by its samples in catalog order. The output
     /// is a pure function of the registry contents — byte-identical
-    /// across thread counts and shuffle seeds.
+    /// across same-seed reruns.
     pub fn render_text(&self, run: &str) -> String {
         let mut out = String::with_capacity(4096);
         let _ = writeln!(out, "# run: {run}");

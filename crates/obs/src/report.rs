@@ -207,7 +207,7 @@ pub fn bench_report(text: &str) -> Result<String, String> {
         let total: f64 = phases.iter().map(|(_, v)| v.as_f64().unwrap_or(0.0)).sum();
         let _ = writeln!(
             out,
-            "  phase wall-time at t=1 ({total:.4} s/epoch measured)"
+            "  phase wall-time per epoch ({total:.4} s/epoch measured)"
         );
         let _ = writeln!(out, "  {:<22} {:>12} {:>7}", "phase", "s/epoch", "share");
         let mut dominant: Option<(&str, f64)> = None;

@@ -2,11 +2,10 @@
 //!
 //! The registry scrape at epoch close reads only sim state and the sim
 //! clock, so its rendered exports are part of the platform's determinism
-//! contract: the E16/E17 scenario must produce byte-identical text and
-//! JSONL exports under every (worker-thread count × schedule-shuffle
-//! seed) combination. A divergence means wall time, thread count, or
-//! scheduling leaked into a metric value — exactly what the wall-clock
-//! quarantine (profiler vs registry) exists to prevent.
+//! contract: two same-seed runs of the E16/E17 scenario must produce
+//! byte-identical text and JSONL exports. A divergence means wall time
+//! or some other host state leaked into a metric value — exactly what
+//! the wall-clock quarantine (profiler vs registry) exists to prevent.
 
 use dcsim::SimDuration;
 use megadc::{Platform, PlatformConfig};
@@ -14,24 +13,20 @@ use workload::FlashCrowd;
 
 const WARMUP: u64 = 10;
 const EPOCHS: u64 = 120;
-const SHUFFLE_SEEDS: [u64; 2] = [7, 41];
-const THREADS: [usize; 3] = [1, 4, 8];
 
-fn e17_config(threads: usize) -> PlatformConfig {
+fn e17_config() -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
     cfg.seed = 1616;
     cfg.total_demand_bps = 0.5e9;
     cfg.diurnal_amplitude = 0.0;
     cfg.knobs.misrouting_escape = true;
     cfg.elastic = elastic::ElasticConfig::proactive();
-    cfg.threads = threads;
     cfg
 }
 
 /// Run the E17 flash-crowd scenario and return both export renderings.
-fn run_scenario(threads: usize, shuffle: Option<u64>) -> (String, String) {
-    let mut p = Platform::build(e17_config(threads)).expect("build");
-    p.set_shuffle(shuffle);
+fn run_scenario() -> (String, String) {
+    let mut p = Platform::build(e17_config()).expect("build");
     p.run_epochs(WARMUP);
     let victim = p.workload.apps_by_popularity()[0];
     p.workload.add_flash_crowd(FlashCrowd {
@@ -48,28 +43,17 @@ fn run_scenario(threads: usize, shuffle: Option<u64>) -> (String, String) {
     )
 }
 
-/// Every (shuffle seed × thread count) combination must reproduce the
-/// unshuffled single-thread exports byte-for-byte.
+/// A same-seed rerun reproduces both exports byte-for-byte.
 #[test]
-fn metrics_export_is_byte_identical_across_threads_and_shuffle() {
-    let (base_text, base_jsonl) = run_scenario(1, None);
+fn metrics_export_is_byte_identical_across_reruns() {
+    let (base_text, base_jsonl) = run_scenario();
     assert!(
         base_text.contains("megadc_served_fraction"),
         "export missing expected metric:\n{base_text}"
     );
-    for &seed in &SHUFFLE_SEEDS {
-        for &threads in &THREADS {
-            let (text, jsonl) = run_scenario(threads, Some(seed));
-            assert_eq!(
-                base_text, text,
-                "text export diverged under MEGADC_SHUFFLE={seed} at {threads} threads"
-            );
-            assert_eq!(
-                base_jsonl, jsonl,
-                "jsonl export diverged under MEGADC_SHUFFLE={seed} at {threads} threads"
-            );
-        }
-    }
+    let (text, jsonl) = run_scenario();
+    assert_eq!(base_text, text, "text export diverged between reruns");
+    assert_eq!(base_jsonl, jsonl, "jsonl export diverged between reruns");
 }
 
 /// The scrape produced real observations: counters
@@ -78,7 +62,7 @@ fn metrics_export_is_byte_identical_across_threads_and_shuffle() {
 #[test]
 fn scrape_populates_counters_histograms_and_slo() {
     use obs::metrics::ids;
-    let mut p = Platform::build(e17_config(1)).expect("build");
+    let mut p = Platform::build(e17_config()).expect("build");
     p.run_epochs(WARMUP);
     let victim = p.workload.apps_by_popularity()[0];
     p.workload.add_flash_crowd(FlashCrowd {
@@ -260,7 +244,6 @@ fn weight_request_counters_balance_every_epoch() {
     cfg.initial_instances_per_app = 2;
     cfg.num_switches = 3;
     cfg.initial_pods = 2;
-    cfg.threads = 1;
     cfg.total_demand_bps = 120.0 * 6.0e6;
     cfg.diurnal_amplitude = 0.4;
     cfg.diurnal_period = SimDuration::from_secs(1200);
@@ -322,7 +305,6 @@ fn paper_mix_miniature_holds_weight_requests() {
     cfg.num_apps = 40;
     cfg.num_servers = 80;
     cfg.initial_pods = 2;
-    cfg.threads = 1;
     cfg.total_demand_bps = (40 * cfg.initial_instances_per_app) as f64 * 0.2e6;
     let mut p = Platform::build(cfg).expect("build");
     let [emitted, held, skipped, applied] = weight_request_totals(&mut p, 8);
