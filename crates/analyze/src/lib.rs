@@ -370,7 +370,7 @@ mod tests {
                 .trim(),
             "PHASES"
         );
-        // Re-splicing one block leaves the other untouched.
+        // Re-splicing one block leaves the other as it was.
         let v3 = splice_block_between(&v2, MATRIX_BEGIN, MATRIX_END, "CONFLICTS2");
         assert_eq!(
             extract_block_between(&v3, PHASES_BEGIN, PHASES_END)

@@ -189,22 +189,13 @@ impl GlobalManager {
             .any(|&v| state.vip(v).map(|r| r.app == app).unwrap_or(false))
     }
 
-    /// Run one global-manager epoch. Mutates DNS, routes, switches and the
-    /// fleet through `state`; pod-level provisioning is the pod managers'
-    /// job and happens separately.
-    ///
-    /// Equivalent to [`GlobalManager::epoch_knobs`] followed by
-    /// [`GlobalManager::drain_queue`]; the platform calls the two halves
-    /// directly so the phase profiler can attribute knob time
-    /// (`global-knobs`) and queue time (`queue-drain`) separately.
-    pub fn epoch(&mut self, state: &mut PlatformState, snap: &LoadSnapshot, now: SimTime) {
-        self.epoch_knobs(state, snap, now);
-        self.drain_queue(state);
-    }
-
     /// The knob half of one global-manager epoch: forecast observation
-    /// and every enabled balancing/exposure/relief knob. Requests it
-    /// enqueues are not applied until [`GlobalManager::drain_queue`].
+    /// and every enabled balancing/exposure/relief knob. Mutates DNS,
+    /// routes, switches and the fleet through `state`; pod-level
+    /// provisioning is the pod managers' job and happens separately.
+    /// Requests it enqueues are not applied until
+    /// [`GlobalManager::drain_queue`]; the platform runs the two halves as
+    /// separate phases (`global-knobs`, `queue-drain`).
     pub fn epoch_knobs(&mut self, state: &mut PlatformState, snap: &LoadSnapshot, now: SimTime) {
         self.observe_forecasts(state, snap);
         let knobs = state.config.knobs;
@@ -982,7 +973,7 @@ impl GlobalManager {
             .collect();
         let pressure = headroom_pressure(&capacity, &utils);
         let target = waterfill_weights(&current, &pressure, step);
-        let mut touched = false;
+        let mut reweighted = false;
         let mut applied = current.clone();
         for (i, (&(vm, _, w, _), &nw)) in entries.iter().zip(&target).enumerate() {
             let nw = nw.max(0.01);
@@ -990,10 +981,10 @@ impl GlobalManager {
                 self.viprip
                     .submit(Priority::High, Request::SetWeight { vm, weight: nw });
                 applied[i] = nw;
-                touched = true;
+                reweighted = true;
             }
         }
-        if touched {
+        if reweighted {
             let before_max = current.iter().copied().fold(0.0, f64::max);
             let after_max = applied.iter().copied().fold(0.0, f64::max);
             self.recorder
@@ -1009,7 +1000,7 @@ impl GlobalManager {
                 .delta("rip_weights.max", before_max, after_max)
                 .commit();
         }
-        touched
+        reweighted
     }
 
     /// Water-fill every covered VIP of an app (the proactive `Reweight`
@@ -1025,13 +1016,13 @@ impl GlobalManager {
             return false;
         };
         let vips = rec.vips.clone();
-        let mut touched = false;
+        let mut reweighted = false;
         for vip in vips {
             if self.waterfill_vip(state, vip, pod_utils, step) {
-                touched = true;
+                reweighted = true;
             }
         }
-        touched
+        reweighted
     }
 
     // ---- knob 3: pod balancing (§IV.C/D/F) ---------------------------------
@@ -1379,6 +1370,12 @@ mod tests {
     use dcnet::access::AccessRouterId;
     use dcsim::SimDuration;
 
+    /// One global-manager epoch: the knobs, then the queue drain.
+    fn epoch(gm: &mut GlobalManager, st: &mut PlatformState, snap: &LoadSnapshot, now: SimTime) {
+        gm.epoch_knobs(st, snap, now);
+        gm.drain_queue(st);
+    }
+
     /// Two apps: app0 with VIPs on links 0 and 1 (instances in pod 0);
     /// app1 with one VIP on link 0.
     fn build() -> PlatformState {
@@ -1465,7 +1462,7 @@ mod tests {
         let snap = propagate(&mut st, &[7e9, 1e9], now);
         assert!(snap.link_utilizations(&st)[0] > 0.8);
         let mut gm = GlobalManager::new();
-        gm.epoch(&mut st, &snap, now);
+        epoch(&mut gm, &mut st, &snap, now);
         assert!(
             gm.counters.exposure_updates >= 1,
             "counters {:?}",
@@ -1493,7 +1490,7 @@ mod tests {
         let snap = propagate(&mut st, &[5e9, 1e9], now);
         assert!(snap.switch_utilizations(&st)[0] > 0.8);
         let mut gm = GlobalManager::new();
-        gm.epoch(&mut st, &snap, now);
+        epoch(&mut gm, &mut st, &snap, now);
         assert_eq!(gm.counters.vip_drains_started, 1);
         assert_eq!(gm.draining_vips().len(), 1);
         let vip = gm.draining_vips()[0];
@@ -1502,7 +1499,7 @@ mod tests {
         for _ in 0..2000 {
             t += st.config.epoch;
             let snap = propagate(&mut st, &[5e9, 1e9], t);
-            gm.epoch(&mut st, &snap, t);
+            epoch(&mut gm, &mut st, &snap, t);
             if gm.counters.vip_transfers_completed > 0 {
                 break;
             }
@@ -1574,7 +1571,7 @@ mod tests {
         }
         st.config = cfg;
         let mut gm = GlobalManager::new();
-        gm.epoch(&mut st, &snap, now);
+        epoch(&mut gm, &mut st, &snap, now);
         assert!(
             gm.counters.deployments_started > 0 || gm.counters.interpod_weight_adjustments > 0,
             "no pod relief action: {:?}",
@@ -1584,7 +1581,7 @@ mod tests {
         let t1 = now + SimDuration::from_secs(5);
         st.fleet.complete_transitions(t1);
         let snap2 = propagate(&mut st, &[6e9, 0.0], t1);
-        gm.epoch(&mut st, &snap2, t1);
+        epoch(&mut gm, &mut st, &snap2, t1);
         if gm.counters.deployments_started > 0 {
             assert!(gm.counters.deployments_completed > 0, "{:?}", gm.counters);
             assert!(st.num_rips() > 3, "new RIP bound for the deployment");
@@ -1666,7 +1663,7 @@ mod tests {
         st.fail_server(ServerId(2));
         let snap = propagate(&mut st, &[2e9, 0.0], now);
         let mut gm = GlobalManager::new();
-        gm.epoch(&mut st, &snap, now);
+        epoch(&mut gm, &mut st, &snap, now);
         assert!(
             gm.counters.exposure_updates >= 1,
             "no exposure reset: {:?}",
@@ -1682,7 +1679,7 @@ mod tests {
         let before = gm.counters.exposure_updates;
         let later = now + st.config.dns.ttl * 2;
         let snap2 = propagate(&mut st, &[2e9, 0.0], later);
-        gm.epoch(&mut st, &snap2, later);
+        epoch(&mut gm, &mut st, &snap2, later);
         assert_eq!(
             gm.counters.exposure_updates, before,
             "exposure churned while already pointing at the survivor"

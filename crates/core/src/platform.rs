@@ -359,9 +359,8 @@ impl Platform {
         self.proactive_phase(&snap, now);
         self.profiler.record(span("proactive-pass"), clock.lap());
 
-        // Global knobs, then the serialized VIP/RIP queue — the two
-        // halves of `GlobalManager::epoch`, called separately so knob
-        // time and queue time profile apart.
+        // Global knobs, then the serialized VIP/RIP queue, as two phases
+        // so knob time and queue time profile apart.
         self.global.epoch_knobs(&mut self.state, &snap, now);
         self.profiler.record(span("global-knobs"), clock.lap());
         self.global.drain_queue(&mut self.state);
@@ -480,9 +479,10 @@ impl Platform {
             mid::QUEUE_APPLIES,
             rec.total_count(ActionKind::QueueApply.key()),
         );
-        let viprip = &self.global.viprip;
-        r.set_counter(mid::HELD_REQUESTS_SKIPPED, viprip.held_skipped());
-        r.set_counter(mid::HELD_REQUESTS_APPLIED, viprip.held_applied());
+        r.set_counter(
+            mid::WEIGHT_REQUESTS_UNCHANGED,
+            self.global.viprip.unchanged(),
+        );
         r.add(mid::RIPS_BOUND, rips_bound);
         r.add(mid::EPOCHS, 1);
         r.set_counter(mid::SWITCH_RECONFIGS, reconfigs);
@@ -745,6 +745,7 @@ impl Platform {
             return; // static provisioning baseline
         }
         let mut slices = 0u64;
+        let mut refused = 0u64;
         let mut starts = 0u64;
         let mut stops = 0u64;
         for (vm, cpu) in if knobs.pod_slices {
@@ -752,10 +753,10 @@ impl Platform {
         } else {
             Vec::new()
         } {
-            // May fail transiently when a co-resident VM grew first; the
-            // next round replans around it.
             if self.state.fleet.adjust_slice(vm, cpu).is_ok() {
                 slices += 1;
+            } else {
+                refused += 1;
             }
         }
         for (app, server, cpu) in if knobs.pod_instances {
@@ -822,27 +823,18 @@ impl Platform {
             }
         }
         self.registry.add(mid::SLICE_ADJUSTMENTS, slices);
+        self.registry.add(mid::SLICE_ADJUSTMENTS_REFUSED, refused);
         self.registry.add(mid::INSTANCE_STARTS, starts);
         self.registry.add(mid::INSTANCE_STOPS, stops);
         let weight_requests = plan.weight_requests.len() as u64;
-        let mut held = 0u64;
-        let (pod, viprip) = (plan.pod, &mut self.global.viprip);
         for req in plan.weight_requests {
-            let (vip, weights) = (req.vip, &plan.weights[req.weights]);
-            if req.held {
-                held += 1;
-                viprip.submit_held(pod, vip, weights, plan.server_moves);
-            } else {
-                let weights = weights.to_vec();
-                viprip.submit(
-                    Priority::Normal,
-                    Request::AdjustPodWeights { pod, vip, weights },
-                );
-            }
+            let weights = &plan.weights[req.weights];
+            self.global
+                .viprip
+                .submit_pod_weights(plan.pod, req.vip, weights);
         }
         self.registry
             .add(mid::WEIGHT_REQUESTS_EMITTED, weight_requests);
-        self.registry.add(mid::WEIGHT_REQUESTS_HELD, held);
         // One summary event per pod round that decided anything, so the
         // audit trail shows each pod manager's actuation mix alongside the
         // Tang-controller problem size it solved.
@@ -1309,6 +1301,35 @@ mod tests {
     /// must get a manager and plan on the very next `step()`. Before the
     /// sync points were funnelled into `sync_pod_managers`, an
     /// externally-created pod silently skipped planning rounds.
+    /// A pod plan's grow that its full server has no CPU for is refused
+    /// by the fleet, and counted as refused, not applied.
+    #[test]
+    fn a_full_server_refuses_a_planned_grow() {
+        let mut p = Platform::build(PlatformConfig::small_test()).unwrap();
+        p.step();
+        let server = p.state.fleet.servers().iter().find(|s| s.vm_count() > 0);
+        let server = server.expect("a server with a VM");
+        let (srv, vm) = (server.id(), server.vms().next().unwrap());
+        let (vm, fill) = (vm.id, vm.cpu_slice + server.cpu_free());
+        let counters = |p: &Platform| {
+            let r = &p.registry;
+            let ids = [mid::SLICE_ADJUSTMENTS, mid::SLICE_ADJUSTMENTS_REFUSED];
+            ids.map(|id| r.counter(id))
+        };
+        let before = counters(&p);
+        let plan = PodPlan {
+            pod: p.state.pod_of(srv),
+            // Fill the server, then grow past it.
+            slice_adjustments: vec![(vm, fill), (vm, fill + 0.5)],
+            ..PodPlan::default()
+        };
+        let now = p.now();
+        p.apply_pod_plan(plan, now);
+        assert_eq!(counters(&p), [before[0] + 1, before[1] + 1]);
+        let vm = p.state.fleet.vm(vm).unwrap();
+        assert_eq!(vm.cpu_slice.to_bits(), fill.to_bits());
+    }
+
     #[test]
     fn externally_created_pod_plans_next_epoch() {
         let mut p = Platform::build(PlatformConfig::small_test()).unwrap();

@@ -17,9 +17,8 @@
 //!   controller changed placement,
 //! * **RIP weight adjustment requests** (§IV.F) to the global manager's
 //!   VIP/RIP queue, so each VIP's in-pod weights track the new allocation
-//!   while the pod's total weight stays fixed. A request that would
-//!   change no weight bit against the planned-from state is marked held,
-//!   and the queue skips it unless that state changed before its turn.
+//!   while the pod's total weight stays fixed. The queue skips a request
+//!   that would change no weight bit at its turn.
 //!
 //! The pod manager's **decision time** — the wall-clock cost of one full
 //! planning round (problem assembly plus the controller run) — is the
@@ -30,7 +29,6 @@
 use crate::demand::LoadSnapshot;
 use crate::ids::{AppId, PodId};
 use crate::state::PlatformState;
-use crate::viprip::{PodWeightScratch, VipRipManager};
 use lbswitch::VipAddr;
 use placement::{tang, AppReq, Placement, PlacementProblem, ServerCap};
 use std::ops::Range;
@@ -52,9 +50,6 @@ pub struct PodPlan {
     pub weight_requests: Vec<WeightRequest>,
     /// The weight requests' `(vm, relative weight)` lists, back to back.
     pub weights: Vec<(VmId, f64)>,
-    /// [`PlatformState::server_moves`] at planning time: the stamp the
-    /// held weight requests are submitted with.
-    pub server_moves: u64,
     /// Servers and VMs the problem covered (decision-space size).
     pub problem_size: (usize, usize),
 }
@@ -67,9 +62,6 @@ pub struct WeightRequest {
     /// Its `(vm, relative weight)` list, in the pod's row order: a range
     /// of [`PodPlan::weights`].
     pub weights: Range<usize>,
-    /// Applying the request to the planned-from state would succeed and
-    /// change no weight bit.
-    pub held: bool,
 }
 
 /// A pod manager. Stateless between rounds: the incumbent placement is
@@ -171,7 +163,6 @@ impl PodManager {
         // Diff the placement against the rows into actions.
         let mut plan = PodPlan {
             pod: self.id,
-            server_moves: state.server_moves(),
             problem_size: (servers.len(), state.pod_vm_count(self.id)),
             ..PodPlan::default()
         };
@@ -211,10 +202,8 @@ impl PodManager {
         // relative weights proportional to the planned allocation. A VIP's
         // RIPs are VMs of its own app, so each app's rows group into its
         // own VIPs' requests, and an app with a single VM here can only
-        // yield a single-VM list — moot, and skipped up front. Each
-        // request is checked against the planned-from state as it is built.
+        // yield a single-VM list — moot, and skipped up front.
         let mut app_weights: Vec<(VipAddr, VmId, f64)> = Vec::new();
-        let mut scratch = PodWeightScratch::default();
         for (a, vms) in by_app.iter().enumerate().filter(|(_, vms)| vms.len() > 1) {
             app_weights.clear();
             for r in *vms {
@@ -233,19 +222,12 @@ impl PodManager {
                 if group.len() < 2 {
                     continue; // single-VM weights are moot
                 }
-                let vip = group[0].0;
                 let start = plan.weights.len();
                 plan.weights.extend(group.iter().map(|&(_, vm, w)| (vm, w)));
-                let weights = start..plan.weights.len();
-                let held = VipRipManager::pod_weights_unchanged(
-                    state,
-                    self.id,
-                    vip,
-                    &plan.weights[weights.clone()],
-                    &mut scratch,
-                );
-                plan.weight_requests
-                    .push(WeightRequest { vip, weights, held });
+                plan.weight_requests.push(WeightRequest {
+                    vip: group[0].0,
+                    weights: start..plan.weights.len(),
+                });
             }
         }
         // VIPs are unique across apps, so this is the VIP order.
@@ -287,7 +269,7 @@ mod tests {
     use crate::viprip::{Priority, Request, VipRipManager};
     use dcnet::access::AccessRouterId;
     use dcsim::SimTime;
-    use lbswitch::{RipAddr, SwitchId};
+    use lbswitch::SwitchId;
     use std::collections::BTreeMap;
 
     /// One app with two instances in pod 0 (servers 0 and 2), demand
@@ -313,8 +295,7 @@ mod tests {
 
     /// The map-based planner the row-based [`PodManager::plan`] replaced,
     /// kept verbatim as the differential reference, with its placement
-    /// changes counted against the incumbent. It leaves every weight
-    /// request un-held; [`held_by_reference`] decides that separately.
+    /// changes counted against the incumbent.
     fn plan_reference(
         mgr: &PodManager,
         state: &PlatformState,
@@ -399,7 +380,6 @@ mod tests {
         let placement_changes = next.changes_from(&incumbent);
         let mut plan = PodPlan {
             pod: mgr.id,
-            server_moves: state.server_moves(),
             problem_size: (servers.len(), state.pod_vm_count(mgr.id)),
             ..PodPlan::default()
         };
@@ -454,37 +434,10 @@ mod tests {
                 plan.weight_requests.push(WeightRequest {
                     vip,
                     weights: start..plan.weights.len(),
-                    held: false,
                 });
             }
         }
         (plan, placement_changes)
-    }
-
-    /// Whether applying `AdjustPodWeights { pod, vip, weights }` through
-    /// the clone-and-scan reference succeeds and leaves every RIP weight
-    /// bit under `vip` as it was.
-    /// The weights are restored afterwards.
-    fn held_by_reference(
-        st: &mut PlatformState,
-        pod: PodId,
-        vip: VipAddr,
-        weights: &[(VmId, f64)],
-    ) -> bool {
-        let switch = st.vip(vip).unwrap().switch.0 as usize;
-        let rip_weights = |st: &PlatformState| -> Vec<(RipAddr, f64)> {
-            let cfg = st.switches[switch].vip(vip).unwrap();
-            cfg.rips.iter().map(|e| (e.rip, e.weight)).collect()
-        };
-        let before = rip_weights(st);
-        let ok = VipRipManager::adjust_pod_weights_scan(st, pod, vip, weights).is_ok();
-        let after = rip_weights(st);
-        for &(rip, w) in &before {
-            st.switches[switch].set_rip_weight(vip, rip, w).unwrap();
-        }
-        let bits =
-            |ws: &[(RipAddr, f64)]| -> Vec<u64> { ws.iter().map(|e| e.1.to_bits()).collect() };
-        ok && bits(&before) == bits(&after)
     }
 
     /// Every `PodPlan` field, f64s as bits, and the placement changes.
@@ -493,8 +446,7 @@ mod tests {
         Vec<(VmId, u64)>,
         Vec<(AppId, ServerId, u64)>,
         Vec<VmId>,
-        Vec<(VipAddr, Vec<(VmId, u64)>, bool)>,
-        u64,
+        Vec<(VipAddr, Vec<(VmId, u64)>)>,
         usize,
         (usize, usize),
     );
@@ -516,27 +468,22 @@ mod tests {
                 .map(|r| {
                     let ws = p.weights[r.weights.clone()].iter();
                     let ws = ws.map(|&(vm, w)| (vm, w.to_bits()));
-                    (r.vip, ws.collect(), r.held)
+                    (r.vip, ws.collect())
                 })
                 .collect(),
-            p.server_moves,
             placement_changes,
             p.problem_size,
         )
     }
 
-    /// Plan every pod with both planners and require identical plans,
-    /// held flags included. Returns how many plans carried any action.
-    fn assert_matches_reference(st: &mut PlatformState, snap: &LoadSnapshot) -> usize {
+    /// Plan every pod with both planners and require identical plans.
+    /// Returns how many plans carried any action.
+    fn assert_matches_reference(st: &PlatformState, snap: &LoadSnapshot) -> usize {
         let mut active = 0;
         for pod in 0..st.num_pods() {
             let mgr = PodManager::new(PodId(pod as u32));
             let new = mgr.plan(st, snap);
-            let (mut old, old_changes) = plan_reference(&mgr, st, snap);
-            for req in &mut old.weight_requests {
-                let weights = &old.weights[req.weights.clone()];
-                req.held = held_by_reference(st, mgr.id, req.vip, weights);
-            }
+            let (old, old_changes) = plan_reference(&mgr, st, snap);
             // A placement change is an instance start or stop.
             let new_changes = new.new_instances.len() + new.remove_instances.len();
             assert_eq!(
@@ -566,7 +513,7 @@ mod tests {
                 }
             }
             let snap = p.last_snapshot().unwrap().clone();
-            active += assert_matches_reference(&mut p.state, &snap);
+            active += assert_matches_reference(&p.state, &snap);
         }
         assert!(
             active > 0,
@@ -644,15 +591,15 @@ mod tests {
         let now = SimTime::ZERO + st.routes.convergence();
         let per_app = cfg.total_demand_bps / cfg.num_apps as f64;
         let snap = propagate(&mut st, &vec![per_app; cfg.num_apps], now);
-        assert_eq!(assert_matches_reference(&mut st, &snap), 1);
+        assert_eq!(assert_matches_reference(&st, &snap), 1);
     }
 
     #[test]
     fn plan_matches_reference_when_the_first_distribute_removes_an_instance() {
         // Demand fits the first of the two instances, so the controller's
         // first max-flow leaves the second idle and stops it.
-        let (mut st, snap) = state_with_load(1e6);
-        assert_eq!(assert_matches_reference(&mut st, &snap), 1);
+        let (st, snap) = state_with_load(1e6);
+        assert_eq!(assert_matches_reference(&st, &snap), 1);
         let plan = PodManager::new(PodId(0)).plan(&st, &snap);
         assert_eq!(plan.remove_instances.len(), 1, "plan {plan:?}");
         assert!(plan.new_instances.is_empty(), "plan {plan:?}");
@@ -674,7 +621,7 @@ mod tests {
         let now = SimTime::ZERO + st.routes.convergence();
         // Heavy load: both occupied servers stay loaded and their slices grow.
         let snap = propagate(&mut st, &[400e6], now);
-        assert_eq!(assert_matches_reference(&mut st, &snap), 1);
+        assert_eq!(assert_matches_reference(&st, &snap), 1);
         let plan = PodManager::new(PodId(0)).plan(&st, &snap);
         assert!(
             plan.slice_adjustments.iter().any(|&(vm, _)| vm == last),

@@ -118,8 +118,6 @@ pub struct PlatformState {
     pod_of_server: Vec<PodId>,
     /// Servers of each pod.
     pod_servers: Vec<Vec<ServerId>>,
-    /// Servers moved between pods so far.
-    server_moves: u64,
 
     vip_pool: VipPool,
     rip_pool: RipPool,
@@ -170,7 +168,6 @@ impl PlatformState {
             vm_rip: IdTable::new(),
             pod_of_server,
             pod_servers,
-            server_moves: 0,
             vip_pool: VipPool::new(),
             rip_pool: RipPool::new(),
             config,
@@ -454,14 +451,6 @@ impl PlatformState {
         list.swap_remove(pos);
         self.pod_servers[pod.index()].push(server);
         self.pod_of_server[server.0 as usize] = pod;
-        self.server_moves += 1;
-    }
-
-    /// Servers moved between pods so far ([`Self::move_server_to_pod`]).
-    /// A pod plan's held weight requests carry the value they were
-    /// planned at (see [`crate::viprip`]).
-    pub fn server_moves(&self) -> u64 {
-        self.server_moves
     }
 
     /// Number of VMs currently resident in a pod.

@@ -305,7 +305,7 @@ mod tests {
         f.set_mvip_weight(evips[0], mvips[1], 0.75).unwrap();
         let (after_m, _) = f.route(&demand);
         assert!(after_m[&mvips[1]] > before_m[&mvips[1]]);
-        // The external (DNS/link) side is untouched: per-external-VIP
+        // The external (DNS/link) side is unchanged: per-external-VIP
         // demand is whatever the caller supplies; no exposure changed.
         // Decoupling means total external demand per evip is unchanged:
         let dd_total: f64 = f.dd_switches.iter().map(|s| s.offered_bps()).sum();

@@ -20,15 +20,13 @@
 //! changes: "the total weight of the RIPs in the pod remains the same and
 //! therefore the load on other pods is not affected".
 //!
-//! A pod manager *holds* a weight request that would change no weight
-//! bit against the state it planned from (`VipRipManager::submit_held`).
-//! A held request keeps its Normal FIFO slot, and the drain skips it
-//! there, unless the state it was checked against has changed since:
-//! an earlier request in the same drain wrote, bound or removed a RIP of
-//! its pod under its VIP, or a server changed pods after planning. Then
-//! it is applied like any other request. A held request's weights wait
-//! in one arena the manager owns and clears after each drain; only an
-//! applied one becomes a [`Request`] with its own weight list.
+//! The drain checks each `AdjustPodWeights` at its turn, with the same
+//! arithmetic it applies it with (`VipRipManager::pod_weight_writes`): a
+//! request that would succeed and leave every weight bit as it is gets
+//! skipped (no write, no pair, not [`VipRipManager::processed`]). In a
+//! steady pod most requests are such no-ops. A pod's requests wait in one
+//! weight arena the manager owns and clears after each drain; only an
+//! applied or failed one becomes a [`Request`] with its own weight list.
 
 use crate::ids::{AppId, PodId};
 use crate::state::{PlatformState, StateError};
@@ -160,21 +158,19 @@ impl VipSwitchIndex {
 enum Queued {
     /// A request as submitted.
     Request(Request),
-    /// A held `AdjustPodWeights` ([`VipRipManager::submit_held`]).
-    Held {
+    /// A pod's `AdjustPodWeights` ([`VipRipManager::submit_pod_weights`]).
+    PodWeights {
         pod: PodId,
         vip: VipAddr,
-        /// Its weights: a range of [`VipRipManager::held_weights`].
+        /// Its weights: a range of [`VipRipManager::pod_weights`].
         weights: Range<usize>,
-        /// The [`PlatformState::server_moves`] count it was planned at.
-        server_moves: u64,
     },
 }
 
 /// Scratch for the §IV.F arithmetic of one pod weight request
 /// ([`VipRipManager::pod_weight_writes`]).
 #[derive(Debug, Default)]
-pub(crate) struct PodWeightScratch {
+struct PodWeightScratch {
     /// The pod's entries under the VIP, `(rip, current weight)`, sorted by
     /// RIP.
     pod: Vec<(RipAddr, f64)>,
@@ -188,13 +184,12 @@ pub(crate) struct PodWeightScratch {
 pub struct VipRipManager {
     /// One FIFO per priority, indexed by [`Priority::rank`].
     queues: [Vec<Queued>; 3],
-    /// The weight lists of the queued held requests, back to back;
-    /// cleared after each drain.
-    held_weights: Vec<(VmId, f64)>,
+    /// The weight lists of the queued pod requests, back to back; cleared
+    /// after each drain.
+    pod_weights: Vec<(VmId, f64)>,
     processed: u64,
     failed: u64,
-    held_skipped: u64,
-    held_applied: u64,
+    unchanged: u64,
 }
 
 impl VipRipManager {
@@ -208,34 +203,24 @@ impl VipRipManager {
         self.queues[priority.rank()].push(Queued::Request(request));
     }
 
-    /// Enqueue, at `Normal` priority, a pod weight request that
-    /// [`VipRipManager::pod_weights_unchanged`] found to change no weight
-    /// bit against a state with `server_moves` server moves. The drain
-    /// skips it unless that check may no longer hold (see the module
-    /// docs).
-    pub(crate) fn submit_held(
-        &mut self,
-        pod: PodId,
-        vip: VipAddr,
-        weights: &[(VmId, f64)],
-        server_moves: u64,
-    ) {
-        let start = self.held_weights.len();
-        self.held_weights.extend_from_slice(weights);
-        self.queues[Priority::Normal.rank()].push(Queued::Held {
+    /// Enqueue `AdjustPodWeights { pod, vip, weights }` at `Normal`
+    /// priority, its weights copied into the manager's arena.
+    pub(crate) fn submit_pod_weights(&mut self, pod: PodId, vip: VipAddr, weights: &[(VmId, f64)]) {
+        let start = self.pod_weights.len();
+        self.pod_weights.extend_from_slice(weights);
+        self.queues[Priority::Normal.rank()].push(Queued::PodWeights {
             pod,
             vip,
-            weights: start..self.held_weights.len(),
-            server_moves,
+            weights: start..self.pod_weights.len(),
         });
     }
 
-    /// Pending request count (held requests included).
+    /// Pending request count.
     pub fn pending(&self) -> usize {
         self.queues.iter().map(Vec::len).sum()
     }
 
-    /// Requests processed so far. A skipped held request is not
+    /// Requests processed so far. A skipped pod weight request is not
     /// processed.
     pub fn processed(&self) -> u64 {
         self.processed
@@ -246,67 +231,43 @@ impl VipRipManager {
         self.failed
     }
 
-    /// Held requests the drain skipped so far.
-    pub(crate) fn held_skipped(&self) -> u64 {
-        self.held_skipped
-    }
-
-    /// Held requests the drain applied so far, because an earlier write
-    /// or a server move could have changed their outcome.
-    pub(crate) fn held_applied(&self) -> u64 {
-        self.held_applied
+    /// Pod weight requests the drain skipped so far, because they would
+    /// have changed no weight bit.
+    pub(crate) fn unchanged(&self) -> u64 {
+        self.unchanged
     }
 
     /// Drain the queue in (priority, FIFO) order, applying each request to
     /// the platform state. Returns `(request, response)` pairs in
-    /// processing order; a skipped held request has no pair.
+    /// processing order; a skipped pod weight request has no pair.
     pub fn process_all(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
-        let mut held_left = self.queues[Priority::Normal.rank()]
-            .iter()
-            .filter(|q| matches!(q, Queued::Held { .. }))
-            .count();
-        let mut out = Vec::with_capacity(self.pending() - held_left);
+        let mut out = Vec::new();
         // Built at the drain's first `NewVip`; dropped with the drain.
         let mut vip_switches = None;
-        // The (VIP, pod) pairs whose RIP entries this drain has written,
-        // bound or removed so far, recorded while a held request (always
-        // `Normal`) is still to come.
-        let mut touched = BTreeSet::new();
         let mut scratch = PodWeightScratch::default();
         // `&mut self` holds off `submit` until the drain ends, so draining
         // the FIFOs one after another is (priority, FIFO) order.
         for queue in &mut self.queues {
             for queued in queue.drain(..) {
-                let request = match queued {
-                    Queued::Request(request) => request,
-                    Queued::Held {
-                        pod,
-                        vip,
-                        weights,
-                        server_moves,
-                    } => {
-                        held_left -= 1;
-                        let weights = &self.held_weights[weights];
-                        if server_moves == state.server_moves() && !touched.contains(&(vip, pod)) {
-                            debug_assert!(
-                                Self::pod_weights_unchanged(state, pod, vip, weights, &mut scratch),
-                                "held request for {vip} in {pod} would change a weight"
-                            );
-                            self.held_skipped += 1;
-                            continue;
-                        }
-                        self.held_applied += 1;
-                        let weights = weights.to_vec();
-                        Request::AdjustPodWeights { pod, vip, weights }
+                let applied = match queued {
+                    Queued::Request(request) => {
+                        Self::apply(state, &request, &mut vip_switches, &mut scratch)
+                            .map(|resp| (request, resp))
+                    }
+                    Queued::PodWeights { pod, vip, weights } => {
+                        let weights = &self.pod_weights[weights];
+                        Self::adjust_pod_weights(state, pod, vip, weights, &mut scratch).map(
+                            |resp| {
+                                let weights = weights.to_vec();
+                                (Request::AdjustPodWeights { pod, vip, weights }, resp)
+                            },
+                        )
                     }
                 };
-                let resp = Self::apply(
-                    state,
-                    &request,
-                    &mut vip_switches,
-                    (held_left > 0).then_some(&mut touched),
-                    &mut scratch,
-                );
+                let Some((request, resp)) = applied else {
+                    self.unchanged += 1;
+                    continue;
+                };
                 self.processed += 1;
                 if matches!(resp, Response::Failed(_)) {
                     self.failed += 1;
@@ -314,24 +275,23 @@ impl VipRipManager {
                 out.push((request, resp));
             }
         }
-        self.held_weights.clear();
+        self.pod_weights.clear();
         out
     }
 
-    /// Apply one request. Records in `touched`, if given, the (VIP, pod)
-    /// of every RIP entry it writes, binds or removes.
+    /// Apply one request; `None` for a pod weight request that would
+    /// change no weight bit, which the drain skips.
     fn apply(
         state: &mut PlatformState,
         req: &Request,
         vip_switches: &mut Option<VipSwitchIndex>,
-        touched: Option<&mut BTreeSet<(VipAddr, PodId)>>,
         scratch: &mut PodWeightScratch,
-    ) -> Response {
-        match req {
+    ) -> Option<Response> {
+        Some(match req {
             Request::NewVip { app } => {
                 let index = vip_switches.get_or_insert_with(|| VipSwitchIndex::new(state));
                 let Some(sw) = index.pop_min() else {
-                    return Response::Failed("no switch with free VIP capacity".into());
+                    return Some(Response::Failed("no switch with free VIP capacity".into()));
                 };
                 let resp = match state.allocate_vip(*app, sw) {
                     Ok(vip) => Response::VipAllocated(vip, sw),
@@ -342,63 +302,25 @@ impl VipRipManager {
             }
             Request::NewRip { app, vm, weight } => match Self::pick_rip_vip(state, *app) {
                 Some(vip) => match state.bind_rip(vip, *vm, *weight) {
-                    Ok(rip) => {
-                        Self::touch(state, touched, vip, *vm);
-                        Response::RipBound(rip, vip)
-                    }
+                    Ok(rip) => Response::RipBound(rip, vip),
                     Err(e) => Response::Failed(e.to_string()),
                 },
                 None => Response::Failed(format!(
                     "no VIP of {app} on a switch with spare RIP capacity"
                 )),
             },
-            Request::DeleteRip { vm } => {
-                // The RIP's VIP and pod, read before the removal.
-                let rec = touched
-                    .is_some()
-                    .then(|| state.rip_of_vm(*vm).and_then(|rip| state.rip(rip).ok()))
-                    .flatten();
-                if let Some(rec) = rec {
-                    Self::touch(state, touched, rec.vip, *vm);
-                }
-                match state.remove_instance(*vm) {
-                    Ok(_) => Response::Done,
-                    Err(e) => Response::Failed(e.to_string()),
-                }
-            }
+            Request::DeleteRip { vm } => match state.remove_instance(*vm) {
+                Ok(_) => Response::Done,
+                Err(e) => Response::Failed(e.to_string()),
+            },
             Request::SetWeight { vm, weight } => match Self::set_vm_weight(state, *vm, *weight) {
-                Ok(vip) => {
-                    Self::touch(state, touched, vip, *vm);
-                    Response::Done
-                }
+                Ok(()) => Response::Done,
                 Err(e) => Response::Failed(e.to_string()),
             },
             Request::AdjustPodWeights { pod, vip, weights } => {
-                match Self::adjust_pod_weights(state, *pod, *vip, weights, scratch) {
-                    Ok(()) => {
-                        if let Some(touched) = touched {
-                            touched.insert((*vip, *pod));
-                        }
-                        Response::Done
-                    }
-                    Err(e) => Response::Failed(e.to_string()),
-                }
+                return Self::adjust_pod_weights(state, *pod, *vip, weights, scratch);
             }
-        }
-    }
-
-    /// Record that a request changed the RIP entry of `vm` under `vip`.
-    fn touch(
-        state: &PlatformState,
-        touched: Option<&mut BTreeSet<(VipAddr, PodId)>>,
-        vip: VipAddr,
-        vm: VmId,
-    ) {
-        if let Some(touched) = touched {
-            if let Ok(srv) = state.fleet.locate(vm) {
-                touched.insert((vip, state.pod_of(srv)));
-            }
-        }
+        })
     }
 
     /// Reference for [`VipSwitchIndex`]: the full scan over every switch,
@@ -443,39 +365,49 @@ impl VipRipManager {
             .map(|(vip, _)| vip)
     }
 
-    /// Set the weight of `vm`'s RIP; returns the RIP's VIP.
-    fn set_vm_weight(
-        state: &mut PlatformState,
-        vm: VmId,
-        weight: f64,
-    ) -> Result<VipAddr, StateError> {
+    /// Set the weight of `vm`'s RIP.
+    fn set_vm_weight(state: &mut PlatformState, vm: VmId, weight: f64) -> Result<(), StateError> {
         let rip = state
             .rip_of_vm(vm)
             .ok_or(StateError::Vm(vmm::VmError::UnknownVm(vm)))?;
         let rec = *state.rip(rip)?;
         let switch = state.vip(rec.vip)?.switch;
         state.switches[switch.0 as usize].set_rip_weight(rec.vip, rip, weight)?;
-        Ok(rec.vip)
+        Ok(())
     }
 
     /// §IV.F: apply pod-relative weights under `vip`, rescaled so the
-    /// pod's total weight under that VIP is unchanged.
+    /// pod's total weight under that VIP is unchanged. `None` when the
+    /// request would succeed and leave every weight bit as it is: nothing
+    /// is written.
     fn adjust_pod_weights(
         state: &mut PlatformState,
         pod: PodId,
         vip: VipAddr,
         weights: &[(VmId, f64)],
         scratch: &mut PodWeightScratch,
-    ) -> Result<(), StateError> {
-        let switch = Self::pod_weight_writes(state, pod, vip, weights, scratch)?;
-        for &(rip, w, _) in &scratch.writes {
-            state.switches[switch.0 as usize].set_rip_weight(vip, rip, w)?;
+    ) -> Option<Response> {
+        let switch = match Self::pod_weight_writes(state, pod, vip, weights, scratch) {
+            Ok(switch) => switch,
+            Err(e) => return Some(Response::Failed(e.to_string())),
+        };
+        let writes = &scratch.writes;
+        if writes
+            .iter()
+            .all(|&(_, new, old)| new.to_bits() == old.to_bits())
+        {
+            return None;
         }
-        Ok(())
+        for &(rip, w, _) in writes {
+            if let Err(e) = state.switches[switch.0 as usize].set_rip_weight(vip, rip, w) {
+                return Some(Response::Failed(StateError::from(e).to_string()));
+            }
+        }
+        Some(Response::Done)
     }
 
     /// The §IV.F arithmetic of `AdjustPodWeights { pod, vip, weights }`,
-    /// shared by the drain and the planner's no-op check: fills
+    /// shared by the drain's no-op check and its writes: fills
     /// `scratch.writes` with one `(rip, new weight, current weight)` per
     /// requested VM, in request order, and returns the VIP's switch.
     ///
@@ -531,22 +463,6 @@ impl VipRipManager {
             *w *= scale;
         }
         Ok(switch)
-    }
-
-    /// Whether `AdjustPodWeights { pod, vip, weights }` would succeed
-    /// against `state` and leave every weight bit as it is.
-    pub(crate) fn pod_weights_unchanged(
-        state: &PlatformState,
-        pod: PodId,
-        vip: VipAddr,
-        weights: &[(VmId, f64)],
-        scratch: &mut PodWeightScratch,
-    ) -> bool {
-        Self::pod_weight_writes(state, pod, vip, weights, scratch).is_ok()
-            && scratch
-                .writes
-                .iter()
-                .all(|&(_, new, current)| new.to_bits() == current.to_bits())
     }
 }
 
@@ -665,10 +581,12 @@ mod tests {
                         vm: VmId(10_000 + tag),
                         weight: 2.0,
                     },
+                    // Names a VM with no RIP, so it fails rather than
+                    // being skipped as a no-op.
                     _ => Request::AdjustPodWeights {
                         pod: PodId(0),
                         vip: VipAddr(tag),
-                        weights: Vec::new(),
+                        weights: vec![(VmId(10_000 + tag), 1.0)],
                     },
                 };
                 let priority = priorities[rng.gen_range(0..3usize)];
@@ -752,7 +670,7 @@ mod tests {
             (total_pod0 - 4.0).abs() < 1e-9,
             "pod total changed: {total_pod0}"
         );
-        // Other pod untouched.
+        // The other pod keeps its weight.
         let w_c = cfg.rips.iter().find(|r| r.rip == rip_c).unwrap().weight;
         assert!((w_c - 2.0).abs() < 1e-12);
     }
@@ -824,52 +742,59 @@ mod tests {
     }
 
     impl VipRipManager {
-        /// [`VipRipManager::process_all`] applying every request, held
-        /// ones included, with the full scan choosing every `NewVip`'s
-        /// switch and the clone-and-scan applying every pod weight
-        /// request.
-        fn process_all_full_scan(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
+        /// [`VipRipManager::process_all`] applying every request, with the
+        /// full scan choosing every `NewVip`'s switch and the
+        /// clone-and-scan applying every pod weight request. Each pair
+        /// comes with whether it is a pod weight request that succeeded
+        /// and changed no RIP weight bit ([`weight_writes`] did not move):
+        /// a pair the drain skips.
+        fn process_all_full_scan(
+            &mut self,
+            state: &mut PlatformState,
+        ) -> Vec<(Request, Response, bool)> {
             let mut out = Vec::new();
             for queue in &mut self.queues {
                 for queued in queue.drain(..) {
                     let request = match queued {
                         Queued::Request(request) => request,
-                        Queued::Held {
-                            pod, vip, weights, ..
-                        } => Request::AdjustPodWeights {
+                        Queued::PodWeights { pod, vip, weights } => Request::AdjustPodWeights {
                             pod,
                             vip,
-                            weights: self.held_weights[weights].to_vec(),
+                            weights: self.pod_weights[weights].to_vec(),
                         },
                     };
-                    let resp = match request {
+                    let (resp, no_op) = match request {
                         Request::NewVip { app } => match Self::pick_vip_switch(state) {
                             Some(sw) => match state.allocate_vip(app, sw) {
-                                Ok(vip) => Response::VipAllocated(vip, sw),
-                                Err(e) => Response::Failed(e.to_string()),
+                                Ok(vip) => (Response::VipAllocated(vip, sw), false),
+                                Err(e) => (Response::Failed(e.to_string()), false),
                             },
-                            None => Response::Failed("no switch with free VIP capacity".into()),
+                            None => (
+                                Response::Failed("no switch with free VIP capacity".into()),
+                                false,
+                            ),
                         },
                         Request::AdjustPodWeights {
                             pod,
                             vip,
                             ref weights,
-                        } => match Self::adjust_pod_weights_scan(state, pod, vip, weights) {
-                            Ok(()) => Response::Done,
-                            Err(e) => Response::Failed(e.to_string()),
-                        },
-                        ref req => Self::apply(
-                            state,
-                            req,
-                            &mut None,
-                            None,
-                            &mut PodWeightScratch::default(),
-                        ),
+                        } => {
+                            let before = weight_writes(state);
+                            match Self::adjust_pod_weights_scan(state, pod, vip, weights) {
+                                Ok(()) => (Response::Done, weight_writes(state) == before),
+                                Err(e) => (Response::Failed(e.to_string()), false),
+                            }
+                        }
+                        ref req => {
+                            let scratch = &mut PodWeightScratch::default();
+                            let resp = Self::apply(state, req, &mut None, scratch);
+                            (resp.expect("not a pod weight request"), false)
+                        }
                     };
-                    out.push((request, resp));
+                    out.push((request, resp, no_op));
                 }
             }
-            self.held_weights.clear();
+            self.pod_weights.clear();
             out
         }
 
@@ -910,30 +835,6 @@ mod tests {
                 *w *= scale;
             }
             Ok(switch)
-        }
-
-        /// Reference for [`VipRipManager::pod_weights_unchanged`]: a
-        /// second switch lookup and a rescan of the VIP's entries per
-        /// write.
-        fn pod_weights_unchanged_three_pass(
-            state: &PlatformState,
-            pod: PodId,
-            vip: VipAddr,
-            weights: &[(VmId, f64)],
-        ) -> bool {
-            let mut writes = Vec::new();
-            let Ok(switch) =
-                Self::pod_weight_writes_three_pass(state, pod, vip, weights, &mut writes)
-            else {
-                return false;
-            };
-            state.switches[switch.0 as usize].vip(vip).is_ok_and(|cfg| {
-                writes.iter().all(|&(rip, w)| {
-                    cfg.rips
-                        .iter()
-                        .any(|e| e.rip == rip && e.weight.to_bits() == w.to_bits())
-                })
-            })
         }
 
         /// The RIP of `vm` if it is bound under `vip` and runs in `pod`.
@@ -1010,24 +911,41 @@ mod tests {
             .collect()
     }
 
+    /// The writes that changed a RIP weight's bits so far, over every
+    /// switch: [`LbSwitch::set_rip_weight`] counts exactly those as
+    /// reconfigurations, and the weight requests here reconfigure nothing
+    /// else.
+    fn weight_writes(st: &PlatformState) -> u64 {
+        st.switches.iter().map(LbSwitch::reconfigurations).sum()
+    }
+
+    /// The pairs of a reference drain that [`VipRipManager::process_all`]
+    /// returns: all but the no-op pod weight requests.
+    fn without_no_ops(pairs: Vec<(Request, Response, bool)>) -> Vec<(Request, Response)> {
+        let applied = pairs.into_iter().filter(|&(_, _, no_op)| !no_op);
+        applied.map(|(req, resp, _)| (req, resp)).collect()
+    }
+
     /// Seeded `AdjustPodWeights` sequences, interleaved with instance
     /// adds and removals, VIP transfers and server moves between pods,
     /// run on two identical states: one drains through the manager, the
-    /// other applies the clone-and-scan reference. Every response and
-    /// every RIP weight bit must agree. The requests mix the pod's own
+    /// other applies the clone-and-scan reference. Every RIP weight bit
+    /// must agree, and the manager must return the reference's response
+    /// to every request but those whose reference application succeeded
+    /// and changed no weight bit, not even in passing (a duplicated VM
+    /// may be written twice). The requests mix the pod's own
     /// VMs with VMs of another pod, VMs under another VIP of the same
     /// app, unbound VMs and duplicates, and zero, negative and empty
     /// weight lists. Each request is also checked against the state it
     /// was generated on by the one-pass `pod_weight_writes` and the
-    /// three-pass reference: the same result, the same weight bits, the
-    /// same held verdict.
+    /// three-pass reference: the same result, the same weight bits.
     #[test]
     fn adjust_pod_weights_matches_the_clone_and_scan() {
         use rand::Rng;
         // Requests by outcome: accepted with a positive weight, accepted
         // with none, failed.
         let mut outcomes = [0usize; 3];
-        // Held verdicts: unchanged, changed.
+        // Accepted requests: changed no weight bit, changed one.
         let mut verdicts = [0usize; 2];
         let mut scratch = PodWeightScratch::default();
         // Foreign VMs sent: other pod, other VIP of the app, unbound.
@@ -1164,19 +1082,7 @@ mod tests {
                         (sw, ws.collect::<Vec<_>>())
                     });
                     assert_eq!(one, three, "seed {seed} step {step}");
-                    let held = VipRipManager::pod_weights_unchanged(
-                        &fast,
-                        pod,
-                        vip,
-                        &weights,
-                        &mut scratch,
-                    );
-                    assert_eq!(
-                        held,
-                        VipRipManager::pod_weights_unchanged_three_pass(&fast, pod, vip, &weights),
-                        "seed {seed} step {step}"
-                    );
-                    verdicts[usize::from(!held)] += 1;
+                    let before = weight_writes(&reference);
                     let result =
                         VipRipManager::adjust_pod_weights_scan(&mut reference, pod, vip, &weights);
                     outcomes[match &result {
@@ -1184,10 +1090,15 @@ mod tests {
                         Ok(()) => 1,
                         Err(_) => 2,
                     }] += 1;
-                    want.push(match result {
-                        Ok(()) => Response::Done,
-                        Err(e) => Response::Failed(e.to_string()),
-                    });
+                    match result {
+                        // The drain skips it: no response.
+                        Ok(()) if weight_writes(&reference) == before => verdicts[0] += 1,
+                        Ok(()) => {
+                            verdicts[1] += 1;
+                            want.push(Response::Done);
+                        }
+                        Err(e) => want.push(Response::Failed(e.to_string())),
+                    }
                     mgr.submit(
                         Priority::Normal,
                         Request::AdjustPodWeights { pod, vip, weights },
@@ -1215,23 +1126,47 @@ mod tests {
         );
     }
 
+    /// Whether applying `AdjustPodWeights { pod, vip, weights }` to `st`
+    /// through the clone-and-scan reference succeeds and leaves every RIP
+    /// weight bit as it is. `st`'s weights are restored afterwards.
+    fn no_op_by_reference(
+        st: &mut PlatformState,
+        pod: PodId,
+        vip: VipAddr,
+        weights: &[(VmId, f64)],
+    ) -> bool {
+        let (before, writes) = (rip_weights(st), weight_writes(st));
+        let ok = VipRipManager::adjust_pod_weights_scan(st, pod, vip, weights).is_ok();
+        let no_op = weight_writes(st) == writes;
+        if !no_op {
+            let sw = st.vip(vip).unwrap().switch.0 as usize;
+            for (_, rip, bits) in before.into_iter().filter(|&(v, ..)| v == vip) {
+                let w = f64::from_bits(bits);
+                st.switches[sw].set_rip_weight(vip, rip, w).unwrap();
+            }
+        }
+        ok && no_op
+    }
+
     /// Seeded drains that interleave High `SetWeight`s and `DeleteRip`s,
-    /// held and un-held pod weight requests, `NewRip`s queued before and
-    /// after them and Low `DeleteRip`s, with server moves between
-    /// planning and some drains. Two identical states: one drains
-    /// through the manager; the other applies every request, held ones
-    /// included, through the reference drain. Every RIP weight bit must
-    /// agree after every drain, and the manager's responses must be the
-    /// reference's without exactly the skipped held requests: a held
-    /// request applied after a guard hit yields the very `(Request,
-    /// Response)` pair of the un-held path. The held-weight arena is empty
-    /// after every drain.
+    /// pod weight requests, `NewRip`s queued before and after them and Low
+    /// `DeleteRip`s, with server moves between planning and some drains
+    /// and pod requests that name a VM outside the pod's entries. Two
+    /// identical states: one drains through the manager, the pod requests
+    /// submitted through its weight arena or as plain requests; the other
+    /// applies every request through the reference drain. The manager's
+    /// pairs must be the reference's without exactly the pod requests
+    /// whose reference application changed no weight bit, every RIP
+    /// weight bit must agree after every drain, and the arena must be
+    /// empty. Many pod requests are no-ops at the drain's start but not at
+    /// their turn, or the other way round, so a drain that decided its
+    /// skips before applying anything would fail.
     #[test]
-    fn held_requests_match_applying_every_request() {
+    fn drain_skips_exactly_the_no_op_pod_requests() {
         use rand::Rng;
-        // Held requests: skipped, applied after an earlier write in the
-        // drain, applied after a server move; un-held pod requests.
-        let (mut skipped, mut after_write, mut after_move, mut unheld) = (0, 0, 0, 0);
+        // Pod requests: skipped, applied, failed; and those whose no-op
+        // verdict at their turn differs from the one at the drain's start.
+        let (mut skipped, mut applied, mut failed, mut stale) = (0, 0, 0, 0);
         for seed in 1..=10u64 {
             let mut cfg = PlatformConfig::small_test();
             cfg.num_apps = 4;
@@ -1253,7 +1188,7 @@ mod tests {
             };
             let (mut fast, mut reference) = (build(), build());
             let (mut mgr, mut ref_mgr) = (VipRipManager::new(), VipRipManager::new());
-            let mut rng = dcsim::rng::component_rng(seed, "held-requests", 0);
+            let mut rng = dcsim::rng::component_rng(seed, "no-op-pod-requests", 0);
             let mut bound: Vec<VmId> = fast
                 .vips()
                 .flat_map(|(vip, _)| vm_list(&fast, vip))
@@ -1288,40 +1223,27 @@ mod tests {
                             }
                         }
                     }
+                    if rng.gen_range(0..10) == 0 {
+                        // Any bound VM: often another pod's or VIP's.
+                        own.push((bound[rng.gen_range(0..bound.len())], 1.0));
+                    }
                     planned.push((pod, vip, own));
                 }
-                let moves = fast.server_moves();
-                let held: Vec<bool> = planned
-                    .iter()
-                    .map(|(pod, vip, ws)| {
-                        VipRipManager::pod_weights_unchanged(
-                            &fast,
-                            *pod,
-                            *vip,
-                            ws,
-                            &mut PodWeightScratch::default(),
-                        )
-                    })
-                    .collect();
-                let moved = rng.gen_range(0..8) == 0;
-                if moved {
+                if rng.gen_range(0..8) == 0 {
                     let server = ServerId(rng.gen_range(0..16));
                     let to = PodId(1 - fast.pod_of(server).0);
                     fast.move_server_to_pod(server, to);
                     reference.move_server_to_pod(server, to);
                 }
-                // Held pod requests go to the manager held; the reference
-                // gets every request as it is. `held_at` flags each
-                // request per priority, so in the reference's drain order.
-                let mut held_at: [Vec<bool>; 3] = Default::default();
-                let mut submit = |held: bool, priority: Priority, request: Request| {
-                    match (held, &request) {
-                        (true, Request::AdjustPodWeights { pod, vip, weights }) => {
-                            mgr.submit_held(*pod, *vip, weights, moves)
+                // The manager gets pod requests through its arena or as
+                // plain requests; the reference gets every request as it is.
+                let mut submit = |arena: bool, priority: Priority, request: Request| {
+                    match &request {
+                        Request::AdjustPodWeights { pod, vip, weights } if arena => {
+                            mgr.submit_pod_weights(*pod, *vip, weights)
                         }
                         _ => mgr.submit(priority, request.clone()),
                     }
-                    held_at[priority.rank()].push(held);
                     ref_mgr.submit(priority, request);
                 };
                 // High: reweights, often of a planned VIP's RIPs, and a
@@ -1362,10 +1284,9 @@ mod tests {
                 if rng.gen_range(0..3) == 0 {
                     normal.extend(new_rip(&mut rng, &mut bound));
                 }
-                for ((pod, vip, weights), held) in planned.into_iter().zip(held) {
-                    unheld += usize::from(!held);
+                for (i, (pod, vip, weights)) in planned.iter().cloned().enumerate() {
                     let request = Request::AdjustPodWeights { pod, vip, weights };
-                    submit(held, Priority::Normal, request);
+                    submit(i % 3 > 0, Priority::Normal, request);
                 }
                 for request in normal {
                     submit(false, Priority::Normal, request);
@@ -1379,52 +1300,53 @@ mod tests {
                     let vm = bound.swap_remove(rng.gen_range(0..bound.len()));
                     submit(false, Priority::Low, Request::DeleteRip { vm });
                 }
-                let before = (mgr.held_skipped(), mgr.held_applied());
+                // Each pod request's verdict against the state the drain
+                // starts from.
+                let at_start: Vec<bool> = planned
+                    .iter()
+                    .map(|(pod, vip, ws)| no_op_by_reference(&mut reference, *pod, *vip, ws))
+                    .collect();
+                let before = (mgr.processed(), mgr.unchanged());
                 let got = mgr.process_all(&mut fast);
-                assert!(mgr.held_weights.is_empty(), "seed {seed} drain {drain}");
+                assert!(mgr.pod_weights.is_empty(), "seed {seed} drain {drain}");
                 let want = ref_mgr.process_all_full_scan(&mut reference);
-                let held_at = held_at.concat();
-                assert_eq!(held_at.len(), want.len());
-                let mut rest = got.iter().peekable();
-                let (mut missing, mut held_pairs) = (0, 0);
-                for (pair, &held) in want.iter().zip(&held_at) {
-                    if held && rest.peek() != Some(&pair) {
-                        let (req, resp) = pair;
-                        assert!(
-                            matches!(req, Request::AdjustPodWeights { .. }),
-                            "seed {seed} drain {drain}: {req:?} missing"
-                        );
-                        assert_eq!(resp, &Response::Done, "seed {seed} drain {drain}");
-                        missing += 1;
-                    } else {
-                        // Un-held, or held and applied: the same pair.
-                        assert_eq!(rest.next(), Some(pair), "seed {seed} drain {drain}");
-                        held_pairs += usize::from(held);
+                let at_turn: Vec<bool> = want
+                    .iter()
+                    .filter(|(req, ..)| matches!(req, Request::AdjustPodWeights { .. }))
+                    .map(|&(_, _, no_op)| no_op)
+                    .collect();
+                assert_eq!(at_turn.len(), at_start.len());
+                stale += at_turn
+                    .iter()
+                    .zip(&at_start)
+                    .filter(|(a, b)| a != b)
+                    .count();
+                for (req, resp, no_op) in &want {
+                    if let Request::AdjustPodWeights { .. } = req {
+                        match (no_op, resp) {
+                            (true, _) => skipped += 1,
+                            (false, Response::Failed(_)) => failed += 1,
+                            (false, _) => applied += 1,
+                        }
                     }
                 }
-                assert!(rest.next().is_none(), "seed {seed} drain {drain}");
-                assert_eq!(mgr.held_skipped() - before.0, missing);
-                assert_eq!(mgr.held_applied() - before.1, held_pairs as u64);
+                let no_ops = at_turn.iter().filter(|&&no_op| no_op).count() as u64;
+                assert_eq!(mgr.unchanged() - before.1, no_ops);
+                assert_eq!(mgr.processed() - before.0, got.len() as u64);
+                assert_eq!(got, without_no_ops(want), "seed {seed} drain {drain}");
                 assert_eq!(
                     rip_weights(&fast),
                     rip_weights(&reference),
                     "seed {seed} drain {drain}"
                 );
-                skipped += missing;
-                let applied = mgr.held_applied() - before.1;
-                if moved {
-                    after_move += applied;
-                } else {
-                    after_write += applied;
-                }
                 // A NewRip may have failed: keep only bound VMs.
                 bound.retain(|&vm| fast.rip_of_vm(vm).is_some());
             }
             fast.assert_invariants();
         }
         assert!(
-            skipped > 500 && after_write > 200 && after_move > 100 && unheld > 300,
-            "skipped {skipped}, after a write {after_write}, after a move {after_move}, un-held {unheld}"
+            skipped > 500 && applied > 300 && failed > 100 && stale > 100,
+            "skipped {skipped}, applied {applied}, failed {failed}, stale {stale}"
         );
     }
 
@@ -1531,7 +1453,7 @@ mod tests {
                     ref_mgr.submit(Priority::Normal, req);
                 }
                 let got = fast_mgr.process_all(&mut fast);
-                let want = ref_mgr.process_all_full_scan(&mut reference);
+                let want = without_no_ops(ref_mgr.process_all_full_scan(&mut reference));
                 assert_eq!(got, want, "seed {seed} drain {drain}");
                 for (req, resp) in &got {
                     match (req, resp) {

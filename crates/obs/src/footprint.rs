@@ -240,7 +240,7 @@ pub enum GuardKind {
     /// order and resolves addresses at apply time (§III.C).
     SerializedQueue,
     /// The actions run in a fixed serial order inside
-    /// `GlobalManager::epoch` (single-threaded; the later action sees the
+    /// `GlobalManager::epoch_knobs` (single-threaded; the later action sees the
     /// earlier one's writes, by design).
     EpochOrder,
     /// The pending-retires mask: `live_rip_count` /
@@ -354,7 +354,7 @@ pub const GUARDS: &[GuardDecl] = &[
         GlobalAction::ExposureRefresh,
         GlobalAction::MisroutingEscape,
         GuardKind::EpochOrder,
-        "both run single-threaded in GlobalManager::epoch with the escape \
+        "both run single-threaded in GlobalManager::epoch_knobs with the escape \
          last; both compute the same capacity-proportional law, so the \
          later write is a refresh, not a fight",
     ),

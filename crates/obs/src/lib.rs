@@ -54,7 +54,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 8192;
 /// Which controller produced an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Actor {
-    /// The global manager (`GlobalManager::epoch` knobs).
+    /// The global manager (`GlobalManager::epoch_knobs`).
     Global,
     /// The proactive elasticity plane (arbiter-granted knob requests).
     Elastic,

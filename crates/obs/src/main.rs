@@ -1,7 +1,7 @@
 //! `obs` — flight-recorder tooling.
 //!
 //! ```sh
-//! # record a log, then reconstruct why the control plane touched vip 0
+//! # record a log, then reconstruct why the control plane acted on vip 0
 //! cargo run -p bench --release --bin expt -- e17 --quick --events events.jsonl
 //! cargo run -p obs -- explain --events events.jsonl --vip 0 --epoch 42
 //! # ...or over a range of epochs

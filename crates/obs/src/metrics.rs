@@ -175,9 +175,17 @@ pub const METRICS: &[MetricSpec] = &[
     MetricSpec {
         name: "megadc_slice_adjustments_total",
         kind: MetricKind::Counter,
-        labels: &[],
+        labels: &[("outcome", "applied")],
         phase: "plan-application",
-        help: "CPU slice adjustments applied from pod plans",
+        help: "CPU slice adjustments from pod plans, applied or refused by the fleet",
+        buckets: &[],
+    },
+    MetricSpec {
+        name: "megadc_slice_adjustments_total",
+        kind: MetricKind::Counter,
+        labels: &[("outcome", "refused")],
+        phase: "plan-application",
+        help: "CPU slice adjustments from pod plans, applied or refused by the fleet",
         buckets: &[],
     },
     MetricSpec {
@@ -193,15 +201,15 @@ pub const METRICS: &[MetricSpec] = &[
         kind: MetricKind::Counter,
         labels: &[("outcome", "emitted")],
         phase: "plan-application",
-        help: "Pod RIP-weight requests submitted from pod plans, and the held (no-op) share",
+        help: "Pod RIP-weight requests submitted from pod plans, and those the queue drain skipped as changing no weight",
         buckets: &[],
     },
     MetricSpec {
         name: "megadc_pod_weight_requests_total",
         kind: MetricKind::Counter,
-        labels: &[("outcome", "held")],
-        phase: "plan-application",
-        help: "Pod RIP-weight requests submitted from pod plans, and the held (no-op) share",
+        labels: &[("outcome", "unchanged")],
+        phase: "queue-drain",
+        help: "Pod RIP-weight requests submitted from pod plans, and those the queue drain skipped as changing no weight",
         buckets: &[],
     },
     // -- proactive-pass -------------------------------------------------
@@ -319,22 +327,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Requests applied by the serialized VIP/RIP queue",
         buckets: &[],
     },
-    MetricSpec {
-        name: "megadc_held_weight_requests_total",
-        kind: MetricKind::Counter,
-        labels: &[("outcome", "skipped")],
-        phase: "queue-drain",
-        help: "Held pod RIP-weight requests at the queue drain: skipped, or applied after a write or server move",
-        buckets: &[],
-    },
-    MetricSpec {
-        name: "megadc_held_weight_requests_total",
-        kind: MetricKind::Counter,
-        labels: &[("outcome", "applied")],
-        phase: "queue-drain",
-        help: "Held pod RIP-weight requests at the queue drain: skipped, or applied after a write or server move",
-        buckets: &[],
-    },
     // -- rip-bind -------------------------------------------------------
     MetricSpec {
         name: "megadc_rips_bound_total",
@@ -447,53 +439,51 @@ pub mod ids {
     pub const INSTANCE_STARTS: usize = 10;
     /// `megadc_instance_stops_total`.
     pub const INSTANCE_STOPS: usize = 11;
-    /// `megadc_slice_adjustments_total`.
+    /// `megadc_slice_adjustments_total{outcome="applied"}`.
     pub const SLICE_ADJUSTMENTS: usize = 12;
+    /// `megadc_slice_adjustments_total{outcome="refused"}`.
+    pub const SLICE_ADJUSTMENTS_REFUSED: usize = 13;
     /// `megadc_placement_changes_total`.
-    pub const PLACEMENT_CHANGES: usize = 13;
+    pub const PLACEMENT_CHANGES: usize = 14;
     /// `megadc_pod_weight_requests_total{outcome="emitted"}`.
-    pub const WEIGHT_REQUESTS_EMITTED: usize = 14;
-    /// `megadc_pod_weight_requests_total{outcome="held"}`.
-    pub const WEIGHT_REQUESTS_HELD: usize = 15;
+    pub const WEIGHT_REQUESTS_EMITTED: usize = 15;
+    /// `megadc_pod_weight_requests_total{outcome="unchanged"}`.
+    pub const WEIGHT_REQUESTS_UNCHANGED: usize = 16;
     /// `megadc_proactive_actions_total{action="deploy"}`.
-    pub const PROACTIVE_DEPLOY: usize = 16;
+    pub const PROACTIVE_DEPLOY: usize = 17;
     /// `megadc_proactive_actions_total{action="retire"}`.
-    pub const PROACTIVE_RETIRE: usize = 17;
+    pub const PROACTIVE_RETIRE: usize = 18;
     /// `megadc_proactive_actions_total{action="reweight"}`.
-    pub const PROACTIVE_REWEIGHT: usize = 18;
+    pub const PROACTIVE_REWEIGHT: usize = 19;
     /// `megadc_proactive_actions_total{action="slice-adjust"}`.
-    pub const PROACTIVE_SLICE: usize = 19;
+    pub const PROACTIVE_SLICE: usize = 20;
     /// `megadc_forecast_mape`.
-    pub const FORECAST_MAPE: usize = 20;
+    pub const FORECAST_MAPE: usize = 21;
     /// `megadc_global_actions_total{action="Reweight"}` — the seven
     /// siblings follow contiguously in `footprint::ALL_ACTIONS` order.
-    pub const GLOBAL_ACTIONS_BASE: usize = 21;
+    pub const GLOBAL_ACTIONS_BASE: usize = 22;
     /// `megadc_queue_applies_total`.
-    pub const QUEUE_APPLIES: usize = 29;
-    /// `megadc_held_weight_requests_total{outcome="skipped"}`.
-    pub const HELD_REQUESTS_SKIPPED: usize = 30;
-    /// `megadc_held_weight_requests_total{outcome="applied"}`.
-    pub const HELD_REQUESTS_APPLIED: usize = 31;
+    pub const QUEUE_APPLIES: usize = 30;
     /// `megadc_rips_bound_total`.
-    pub const RIPS_BOUND: usize = 32;
+    pub const RIPS_BOUND: usize = 31;
     /// `megadc_epochs_total`.
-    pub const EPOCHS: usize = 33;
+    pub const EPOCHS: usize = 32;
     /// `megadc_switch_reconfigs_total`.
-    pub const SWITCH_RECONFIGS: usize = 34;
+    pub const SWITCH_RECONFIGS: usize = 33;
     /// `megadc_dns_exposure_updates_total`.
-    pub const DNS_EXPOSURE_UPDATES: usize = 35;
+    pub const DNS_EXPOSURE_UPDATES: usize = 34;
     /// `megadc_obs_ring_dropped_total`.
-    pub const OBS_RING_DROPPED: usize = 36;
+    pub const OBS_RING_DROPPED: usize = 35;
     /// `megadc_obs_sink_errors_total`.
-    pub const OBS_SINK_ERRORS: usize = 37;
+    pub const OBS_SINK_ERRORS: usize = 36;
     /// `megadc_slo_overload_epochs_total`.
-    pub const SLO_OVERLOAD_EPOCHS: usize = 38;
+    pub const SLO_OVERLOAD_EPOCHS: usize = 37;
     /// `megadc_slo_relief_epochs`.
-    pub const SLO_RELIEF_EPOCHS: usize = 39;
+    pub const SLO_RELIEF_EPOCHS: usize = 38;
     /// `megadc_slo_reconfig_churn`.
-    pub const SLO_RECONFIG_CHURN: usize = 40;
+    pub const SLO_RECONFIG_CHURN: usize = 39;
     /// `megadc_slo_flipflops_total`.
-    pub const SLO_FLIPFLOPS: usize = 41;
+    pub const SLO_FLIPFLOPS: usize = 40;
 }
 
 /// One instrument's current value.
@@ -856,13 +846,17 @@ mod tests {
             (ids::INSTANCE_STARTS, "megadc_instance_starts_total"),
             (ids::INSTANCE_STOPS, "megadc_instance_stops_total"),
             (ids::SLICE_ADJUSTMENTS, "megadc_slice_adjustments_total"),
+            (
+                ids::SLICE_ADJUSTMENTS_REFUSED,
+                "megadc_slice_adjustments_total",
+            ),
             (ids::PLACEMENT_CHANGES, "megadc_placement_changes_total"),
             (
                 ids::WEIGHT_REQUESTS_EMITTED,
                 "megadc_pod_weight_requests_total",
             ),
             (
-                ids::WEIGHT_REQUESTS_HELD,
+                ids::WEIGHT_REQUESTS_UNCHANGED,
                 "megadc_pod_weight_requests_total",
             ),
             (ids::PROACTIVE_DEPLOY, "megadc_proactive_actions_total"),
@@ -872,14 +866,6 @@ mod tests {
             (ids::FORECAST_MAPE, "megadc_forecast_mape"),
             (ids::GLOBAL_ACTIONS_BASE, "megadc_global_actions_total"),
             (ids::QUEUE_APPLIES, "megadc_queue_applies_total"),
-            (
-                ids::HELD_REQUESTS_SKIPPED,
-                "megadc_held_weight_requests_total",
-            ),
-            (
-                ids::HELD_REQUESTS_APPLIED,
-                "megadc_held_weight_requests_total",
-            ),
             (ids::RIPS_BOUND, "megadc_rips_bound_total"),
             (ids::EPOCHS, "megadc_epochs_total"),
             (ids::SWITCH_RECONFIGS, "megadc_switch_reconfigs_total"),
@@ -914,12 +900,12 @@ mod tests {
             METRICS[ids::PROACTIVE_SLICE].labels,
             [("action", "slice-adjust")]
         );
-        // Pod weight-request label variants.
+        // Slice-adjustment and pod weight-request label variants.
         let outcomes = [
+            (ids::SLICE_ADJUSTMENTS, "applied"),
+            (ids::SLICE_ADJUSTMENTS_REFUSED, "refused"),
             (ids::WEIGHT_REQUESTS_EMITTED, "emitted"),
-            (ids::WEIGHT_REQUESTS_HELD, "held"),
-            (ids::HELD_REQUESTS_SKIPPED, "skipped"),
-            (ids::HELD_REQUESTS_APPLIED, "applied"),
+            (ids::WEIGHT_REQUESTS_UNCHANGED, "unchanged"),
         ];
         for (id, outcome) in outcomes {
             assert_eq!(METRICS[id].labels, [("outcome", outcome)]);

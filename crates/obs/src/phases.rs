@@ -156,14 +156,7 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     },
     PhaseDecl {
         id: "pod-planning",
-        reads: &[
-            Snapshot,
-            VmFleet,
-            PodMembership,
-            VipRipTables,
-            Switches,
-            Config,
-        ],
+        reads: &[Snapshot, VmFleet, PodMembership, VipRipTables, Config],
         writes: &[PlanVec],
         where_: "Platform::step -> PodManager::plan",
     },
@@ -200,7 +193,7 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
             VipRipQueue,
             Recorder,
         ],
-        where_: "GlobalManager::epoch (knobs, serial)",
+        where_: "GlobalManager::epoch_knobs (serial)",
     },
     PhaseDecl {
         id: "queue-drain",

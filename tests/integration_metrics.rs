@@ -180,25 +180,20 @@ fn actuation_counters_equal_flight_recorder_totals() {
 
 /// Per-epoch deltas of the pod weight-request counters, checked against
 /// the flight recorder: every emitted request is counted in its
-/// `PodPlan` event, and is either drained with a `QueueApply` event
-/// (queued, or held but applied) or held and skipped. Returns the run's
-/// (emitted, held, skipped, held but applied) totals.
-fn weight_request_totals(p: &mut Platform, epochs: u64) -> [u64; 4] {
+/// `PodPlan` event, and the queue drain either applies it, with an
+/// `AdjustPodWeights` `QueueApply` event, or skips it as changing no
+/// weight bit. Returns the run's (emitted, unchanged) totals.
+fn weight_request_totals(p: &mut Platform, epochs: u64) -> [u64; 2] {
     use obs::metrics::ids;
     use obs::ActionKind;
-    let counters = [
-        ids::WEIGHT_REQUESTS_EMITTED,
-        ids::WEIGHT_REQUESTS_HELD,
-        ids::HELD_REQUESTS_SKIPPED,
-        ids::HELD_REQUESTS_APPLIED,
-    ];
+    let counters = [ids::WEIGHT_REQUESTS_EMITTED, ids::WEIGHT_REQUESTS_UNCHANGED];
     let read = |p: &Platform| counters.map(|id| p.registry.counter(id));
-    let mut totals = [0; 4];
+    let mut totals = [0; 2];
     for epoch in 0..epochs {
         let before = read(p);
         p.step();
         let after = read(p);
-        let [emitted, held, skipped, applied] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+        let [emitted, unchanged] = [0, 1].map(|i| after[i] - before[i]);
         let events = p.global.recorder.take_events();
         let planned: f64 = events
             .iter()
@@ -212,20 +207,13 @@ fn weight_request_totals(p: &mut Platform, epochs: u64) -> [u64; 4] {
             .filter(|e| e.kind == ActionKind::QueueApply && e.note.starts_with("AdjustPodWeights"))
             .count() as u64;
         assert_eq!(emitted as f64, planned, "epoch {epoch}: emitted");
-        let queued = drained - applied;
         assert_eq!(
             emitted,
-            queued + held,
-            "epoch {epoch}: emitted = queued + held"
+            drained + unchanged,
+            "epoch {epoch}: emitted = drained + unchanged"
         );
-        assert_eq!(
-            held,
-            skipped + applied,
-            "epoch {epoch}: held = skipped + applied"
-        );
-        for (total, n) in totals.iter_mut().zip([emitted, held, skipped, applied]) {
-            *total += n;
-        }
+        totals[0] += emitted;
+        totals[1] += unchanged;
     }
     assert_eq!(p.global.recorder.dropped(), 0, "the ring dropped events");
     totals
@@ -233,8 +221,8 @@ fn weight_request_totals(p: &mut Platform, epochs: u64) -> [u64; 4] {
 
 /// A miniature of the megabench `churn-1k` workload: an LB switch loss
 /// under diurnal demand and flash crowds, with the proactive plane on.
-/// The global manager's reweights land on VIPs that pods hold requests
-/// for, so held requests are both skipped and applied.
+/// The global manager's reweights land on VIPs that pods request weights
+/// for, so the drain both applies and skips pod requests.
 #[test]
 fn weight_request_counters_balance_every_epoch() {
     let mut cfg = PlatformConfig::paper_scale();
@@ -263,17 +251,16 @@ fn weight_request_counters_balance_every_epoch() {
         });
     }
     p.global.recorder.take_events();
-    let [emitted, held, skipped, applied] = weight_request_totals(&mut p, 40);
+    let [emitted, unchanged] = weight_request_totals(&mut p, 40);
     assert!(
-        emitted > held && skipped > 0 && applied > 0,
-        "emitted {emitted}, held {held}, skipped {skipped}, applied {applied}"
+        emitted > unchanged && unchanged > 0,
+        "emitted {emitted}, unchanged {unchanged}"
     );
 }
 
 /// Pods capped at 10 VMs under a flash crowd: elephant relief moves
 /// servers, with their VMs, between pod planning and the queue drain,
-/// so held requests planned before a move are applied, not skipped (in
-/// debug builds the drain also re-checks every skip).
+/// and the drain checks each pod request against the moved state.
 #[test]
 fn weight_request_counters_balance_under_elephant_relief() {
     let mut cfg = PlatformConfig::small_test();
@@ -289,27 +276,24 @@ fn weight_request_counters_balance_under_elephant_relief() {
     });
     p.run_epochs(1);
     p.global.recorder.take_events();
-    let moves_before = p.state.server_moves();
-    let [emitted, held, skipped, applied] = weight_request_totals(&mut p, 60);
+    let moves_before = p.global.counters.elephant_evictions;
+    let [emitted, unchanged] = weight_request_totals(&mut p, 60);
     assert!(
-        p.state.server_moves() > moves_before && applied > 0,
-        "emitted {emitted}, held {held}, skipped {skipped}, applied {applied}"
+        p.global.counters.elephant_evictions > moves_before && emitted > unchanged,
+        "emitted {emitted}, unchanged {unchanged}"
     );
 }
 
 /// A miniature of the paper's entity mix (20 instances per app): its
-/// steady weight requests change nothing, and the pods hold them.
+/// steady weight requests change nothing, and the drain skips them.
 #[test]
-fn paper_mix_miniature_holds_weight_requests() {
+fn paper_mix_miniature_skips_unchanged_weight_requests() {
     let mut cfg = PlatformConfig::paper_scale();
     cfg.num_apps = 40;
     cfg.num_servers = 80;
     cfg.initial_pods = 2;
     cfg.total_demand_bps = (40 * cfg.initial_instances_per_app) as f64 * 0.2e6;
     let mut p = Platform::build(cfg).expect("build");
-    let [emitted, held, skipped, applied] = weight_request_totals(&mut p, 8);
-    assert!(
-        held > 0 && skipped > 0,
-        "emitted {emitted}, held {held}, skipped {skipped}, applied {applied}"
-    );
+    let [emitted, unchanged] = weight_request_totals(&mut p, 8);
+    assert!(unchanged > 0, "emitted {emitted}, unchanged {unchanged}");
 }

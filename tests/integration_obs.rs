@@ -11,7 +11,7 @@
 //!   inputs and deltas stay inside the action's declared read/write
 //!   footprint (`obs::footprint`). The conflict checker proves declared
 //!   pairs safe; this closes the loop by checking the declarations
-//!   against what the code actually touched.
+//!   against what the code actually read and wrote.
 
 use dcsim::SimDuration;
 use megadc::{Platform, PlatformConfig};
