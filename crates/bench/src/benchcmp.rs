@@ -27,7 +27,10 @@
 //!
 //! Speed-ups must not change model output: a tier whose `served_final`
 //! differs bit for bit from the baseline's same tier is an `Err` naming
-//! the tier and both values (see [`check_served_final`]).
+//! the tier and both values (see [`check_served_final`]). Work counts
+//! gate exactly, beside the noisy wall times: a tier whose
+//! `pod_rounds_solved` rose above the baseline's is an `Err` too (see
+//! [`check_pod_rounds_solved`]).
 
 use obs::json::Json;
 use std::fmt::Write as _;
@@ -263,29 +266,39 @@ pub fn extract(doc: &Json, side: &str) -> Result<Vec<(String, String, f64)>, Str
     Ok(out)
 }
 
-/// The `(label, served_final)` of every tier that records one. Call
-/// after [`extract`] has validated the tier labels.
-fn served_finals(doc: &Json, side: &str) -> Result<Vec<(String, f64)>, String> {
+/// The `(label, value)` of every tier that records `key`. Call after
+/// [`extract`] has validated the tier labels.
+fn tier_values(doc: &Json, side: &str, key: &str) -> Result<Vec<(String, f64)>, String> {
     let mut out = Vec::new();
     for tier in doc
         .get("tiers")
         .and_then(|t| t.as_arr())
         .unwrap_or_default()
     {
-        let (Some(label), Some(val)) = (
-            tier.get("label").and_then(|l| l.as_str()),
-            tier.get("served_final"),
-        ) else {
+        let (Some(label), Some(val)) = (tier.get("label").and_then(|l| l.as_str()), tier.get(key))
+        else {
             continue;
         };
         let Some(v) = val.as_f64() else {
-            return Err(format!(
-                "{side}: tier {label:?} \"served_final\" is not a number"
-            ));
+            return Err(format!("{side}: tier {label:?} \"{key}\" is not a number"));
         };
         out.push((label.to_string(), v));
     }
     Ok(out)
+}
+
+/// The `(label, baseline, candidate)` of every tier that records `key`
+/// on both sides.
+fn paired(baseline: &Json, candidate: &Json, key: &str) -> Result<Vec<(String, f64, f64)>, String> {
+    let cand = tier_values(candidate, "candidate", key)?;
+    let base = tier_values(baseline, "baseline", key)?;
+    Ok(base
+        .into_iter()
+        .filter_map(|(label, b)| {
+            let &(_, c) = cand.iter().find(|(l, _)| *l == label)?;
+            Some((label, b, c))
+        })
+        .collect())
 }
 
 /// The model-output gate: every tier present on both sides with a
@@ -293,28 +306,44 @@ fn served_finals(doc: &Json, side: &str) -> Result<Vec<(String, f64)>, String> {
 /// changes what the simulator computes is a different model, not a
 /// speed-up. Tiers lacking the field on either side are not checked.
 pub fn check_served_final(baseline: &Json, candidate: &Json) -> Result<(), String> {
-    let cand = served_finals(candidate, "candidate")?;
-    for (label, b) in served_finals(baseline, "baseline")? {
-        if let Some(&(_, c)) = cand.iter().find(|(l, _)| *l == label) {
-            if b.to_bits() != c.to_bits() {
-                return Err(format!(
-                    "tier {label:?} served_final changed: baseline {b:?}, candidate {c:?} \
-                     — model output must stay bit-identical"
-                ));
-            }
+    for (label, b, c) in paired(baseline, candidate, "served_final")? {
+        if b.to_bits() != c.to_bits() {
+            return Err(format!(
+                "tier {label:?} served_final changed: baseline {b:?}, candidate {c:?} \
+                 — model output must stay bit-identical"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The work-count gate: a tier's `pod_rounds_solved` (timed pod rounds
+/// that ran the Tang controller instead of reusing the last plan) is a
+/// function of sim state, so it is compared exactly and no host noise
+/// can move it. A tier whose count rose fails, named with both counts;
+/// a fall is more reuse and passes. Tiers lacking the field on either
+/// side are not checked.
+pub fn check_pod_rounds_solved(baseline: &Json, candidate: &Json) -> Result<(), String> {
+    for (label, b, c) in paired(baseline, candidate, "pod_rounds_solved")? {
+        if c > b {
+            return Err(format!(
+                "tier {label:?} pod_rounds_solved rose: baseline {b}, candidate {c} \
+                 — pod rounds that saw the same inputs must reuse their plan"
+            ));
         }
     }
     Ok(())
 }
 
 /// Compare two parsed bench documents. `Err` means a malformed document,
-/// a changed `served_final`, or zero overlapping measurements (the diff
+/// a changed `served_final`, a risen `pod_rounds_solved`, or zero overlapping measurements (the diff
 /// is spelled out in the message); `Ok` carries the per-measurement
 /// verdicts and the one-sided keys.
 pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<CompareReport, String> {
     let base = extract(baseline, "baseline")?;
     let cand = extract(candidate, "candidate")?;
     check_served_final(baseline, candidate)?;
+    check_pod_rounds_solved(baseline, candidate)?;
     let mut rows = Vec::new();
     let mut only_baseline = Vec::new();
     let mut below_floor = Vec::new();
@@ -599,6 +628,33 @@ mod tests {
             err.contains("candidate") && err.contains("served_final"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_risen_solved_round_count_fails_and_names_the_tier() {
+        let b = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"pod_rounds_solved":60},
+               {"label":"30k-mix","wall_per_epoch_s":{"t1":4.0},"pod_rounds_solved":200}"#,
+        );
+        // Equal or fewer solved rounds pass, whatever the walls do.
+        let fewer = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":1.1},"pod_rounds_solved":60},
+               {"label":"30k-mix","wall_per_epoch_s":{"t1":4.0},"pod_rounds_solved":150}"#,
+        );
+        assert!(compare(&b, &fewer, 0.15).expect("comparable").passed());
+        let more = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":0.5},"pod_rounds_solved":60},
+               {"label":"30k-mix","wall_per_epoch_s":{"t1":2.0},"pod_rounds_solved":201}"#,
+        );
+        let err = compare(&b, &more, 0.15).expect_err("count rose");
+        assert!(
+            err.contains("\"30k-mix\"") && err.contains("pod_rounds_solved"),
+            "{err}"
+        );
+        assert!(err.contains("200") && err.contains("201"), "{err}");
+        // A tier missing the field on one side is not checked.
+        let absent = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0}}"#);
+        assert!(compare(&b, &absent, 0.15).is_ok());
     }
 
     #[test]

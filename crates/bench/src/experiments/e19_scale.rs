@@ -56,6 +56,11 @@ pub(crate) struct TierResult {
     /// Pod-planning wall milliseconds per pod round: §III.A's bounded
     /// per-pod cost.
     pod_planning_ms_per_pod: f64,
+    /// Pod rounds over the timed epochs, and how many of them ran the
+    /// controller rather than reusing the manager's last plan. Both are
+    /// functions of sim state: identical on every run of one build.
+    pod_rounds: u64,
+    pod_rounds_solved: u64,
     served_final: f64,
 }
 
@@ -131,6 +136,7 @@ fn run_tier(label: &str, config: PlatformConfig, epochs: usize) -> TierResult {
     let mut walls = Vec::with_capacity(epochs);
     // Every pod plans once per epoch; pods only appear after planning.
     let mut pod_rounds = 0;
+    let solved0 = p.pod_rounds_solved();
     for _ in 0..epochs {
         pod_rounds += p.state.num_pods();
         let t0 = Instant::now();
@@ -160,6 +166,8 @@ fn run_tier(label: &str, config: PlatformConfig, epochs: usize) -> TierResult {
         wall_per_epoch_s: walls[epochs / 2],
         demand_s_per_epoch: phase("demand-route") + phase("demand-serve"),
         pod_planning_ms_per_pod: phase("pod-planning") * epochs as f64 * 1e3 / pod_rounds as f64,
+        pod_rounds: pod_rounds as u64,
+        pod_rounds_solved: p.pod_rounds_solved() - solved0,
         phase_s_per_epoch,
         served_final,
     }
@@ -180,10 +188,12 @@ fn bench_json(quick: bool, tiers: &[TierResult]) -> String {
         out.push_str("{\"label\":");
         obs::json::write_str(&tier.label, &mut out);
         for (key, val) in [
-            ("apps", tier.apps),
-            ("pods", tier.pods),
-            ("vms", tier.vms),
-            ("epochs", tier.epochs),
+            ("apps", tier.apps as u64),
+            ("pods", tier.pods as u64),
+            ("vms", tier.vms as u64),
+            ("epochs", tier.epochs as u64),
+            ("pod_rounds", tier.pod_rounds),
+            ("pod_rounds_solved", tier.pod_rounds_solved),
         ] {
             out.push_str(&format!(",\"{key}\":{val}"));
         }
@@ -241,6 +251,7 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
         "build s",
         "s/epoch",
         "pod-planning ms/pod",
+        "rounds solved",
         "critical path",
     ]);
     let mut tiers = Vec::new();
@@ -253,6 +264,7 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
             fnum(tier.build_s, 2),
             fnum(tier.wall_per_epoch_s, 4),
             fnum(tier.pod_planning_ms_per_pod, 3),
+            format!("{}/{}", tier.pod_rounds_solved, tier.pod_rounds),
             match tier.dominant_phase() {
                 Some((id, share)) => format!("{id} {:.0}%", share * 100.0),
                 None => "-".to_string(),
@@ -269,7 +281,8 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
     let text = format!(
         "E19 — paper-scale bench trajectory: full-control-plane wall time per epoch\n\
          (1 server/app, ~500-server pods; 30k-mix: 20 instances/app, 5k-VM pods;\n\
-         median of {epochs} timed epochs per tier; host parallelism = {host})\n\n{}\n\
+         median of {epochs} timed epochs per tier; host parallelism = {host};\n\
+         rounds solved: timed pod rounds that ran the controller, of all)\n\n{}\n\
          expected shape: per-epoch wall time grows with the tier while the\n\
          pod-planning cost per pod stays flat across the 1-server-per-app tiers\n\
          (the §III.A bounded decision space).\n",
@@ -286,6 +299,10 @@ pub fn report(quick: bool, bench: Option<&Path>) -> Report {
             .metric(
                 &format!("{l}_pod_planning_ms_per_pod"),
                 tier.pod_planning_ms_per_pod,
+            )
+            .metric(
+                &format!("{l}_pod_rounds_solved"),
+                tier.pod_rounds_solved as f64,
             )
             .metric(&format!("{l}_served_final"), tier.served_final);
     }

@@ -21,15 +21,16 @@
 //!    registry.
 //!
 //! Per-epoch scratch (the demand vector, the snapshot buffers,
-//! propagation's lookup buffers, the plan vector) lives in [`Platform`]
-//! and is reused across epochs, so the
-//! fluid step allocates only when the platform itself grows.
+//! propagation's and pod rounds' buffers) lives in [`Platform`] and is
+//! reused across epochs, so the fluid step allocates only when the platform
+//! itself grows. Each pod manager keeps its last round and reuses its
+//! plan while the pod's inputs stay the same.
 
 use crate::config::PlatformConfig;
 use crate::demand::{propagate_into, LoadSnapshot, PropagateScratch};
 use crate::global::GlobalManager;
 use crate::ids::{AppId, PodId};
-use crate::pod::{PodManager, PodPlan};
+use crate::pod::{PodManager, PodPlan, RoundScratch};
 use crate::profclock::PhaseClock;
 use crate::state::PlatformState;
 use crate::viprip::{Priority, Request, Response};
@@ -64,13 +65,14 @@ pub struct RunReport {
 
 /// Per-epoch scratch reused across [`Platform::step`] calls: the demand
 /// vector, the snapshot being filled (swapped with `last_snapshot` at
-/// epoch end), propagation's lookup buffers, and the pod-plan vector.
+/// epoch end), propagation's lookup buffers and the buffers a pod round
+/// reads its pod into.
 #[derive(Debug, Default)]
 struct EpochScratch {
     demands: Vec<f64>,
     snap: LoadSnapshot,
     propagate: PropagateScratch,
-    plans: Vec<PodPlan>,
+    pod_round: RoundScratch,
 }
 
 /// The assembled mega-data-center platform.
@@ -287,6 +289,18 @@ impl Platform {
         (self.epochs > 0).then_some(&self.last_snapshot)
     }
 
+    /// Pod rounds solved with the Tang controller since build. A round
+    /// whose inputs matched its manager's last round reuses that plan and
+    /// is not counted. A function of sim state only, kept out of the
+    /// metrics registry so its export and every digest of it stay as
+    /// they were.
+    pub fn pod_rounds_solved(&self) -> u64 {
+        self.pod_managers
+            .iter()
+            .map(PodManager::rounds_solved)
+            .sum()
+    }
+
     /// Give every pod a manager (idempotent). Pods appear mid-epoch —
     /// elephant relief splits pods during the global epoch, and
     /// [`PlatformState::create_pod`] can be driven externally — and a pod
@@ -336,21 +350,20 @@ impl Platform {
         let _ = clock.lap(); // propagation time is attributed above
 
         // Pod managers decide — one Tang-controller run per pod over its
-        // own servers, the bounded decision space of §III.A. Every plan
-        // is computed against the same state and snapshot before any is
-        // applied, in pod-index order below.
+        // own servers, the bounded decision space of §III.A, reused when
+        // the pod's inputs did not change. Every plan is computed against
+        // the same state and snapshot before any is applied, in pod-index
+        // order below.
         self.sync_pod_managers();
-        let mut plans = std::mem::take(&mut self.scratch.plans);
-        plans.extend(
-            self.pod_managers
-                .iter()
-                .map(|pm| pm.plan(&self.state, &snap)),
-        );
-        self.profiler.record(span("pod-planning"), clock.lap());
-        for plan in plans.drain(..) {
-            self.apply_pod_plan(plan, now);
+        let mut managers = std::mem::take(&mut self.pod_managers);
+        for pm in &mut managers {
+            pm.replan(&self.state, &snap, &mut self.scratch.pod_round);
         }
-        self.scratch.plans = plans;
+        self.profiler.record(span("pod-planning"), clock.lap());
+        for pm in &managers {
+            self.apply_pod_plan(pm.current_plan(), now);
+        }
+        self.pod_managers = managers;
         self.profiler.record(span("plan-application"), clock.lap());
 
         // Proactive plane (when enabled): forecast next epochs' demand
@@ -734,7 +747,7 @@ impl Platform {
         }
     }
 
-    fn apply_pod_plan(&mut self, plan: PodPlan, now: SimTime) {
+    fn apply_pod_plan(&mut self, plan: &PodPlan, now: SimTime) {
         let knobs = self.state.config.knobs;
         // A placement change is an instance start or stop the controller
         // decided on, applied or not.
@@ -748,22 +761,24 @@ impl Platform {
         let mut refused = 0u64;
         let mut starts = 0u64;
         let mut stops = 0u64;
-        for (vm, cpu) in if knobs.pod_slices {
-            plan.slice_adjustments
+        let slices_planned: &[_] = if knobs.pod_slices {
+            &plan.slice_adjustments
         } else {
-            Vec::new()
-        } {
+            &[]
+        };
+        let (starts_planned, stops_planned): (&[_], &[_]) = if knobs.pod_instances {
+            (&plan.new_instances, &plan.remove_instances)
+        } else {
+            (&[], &[])
+        };
+        for &(vm, cpu) in slices_planned {
             if self.state.fleet.adjust_slice(vm, cpu).is_ok() {
                 slices += 1;
             } else {
                 refused += 1;
             }
         }
-        for (app, server, cpu) in if knobs.pod_instances {
-            plan.new_instances
-        } else {
-            Vec::new()
-        } {
+        for &(app, server, cpu) in starts_planned {
             // Clone from a running in-pod sibling when possible (fast);
             // fresh boot otherwise.
             let source = self.state.fleet.vms_of_app(app.0).into_iter().find(|&v| {
@@ -797,11 +812,7 @@ impl Platform {
             }
         }
         let cooldown = self.state.config.scale_in_cooldown_epochs as u64;
-        for vm in if knobs.pod_instances {
-            plan.remove_instances
-        } else {
-            Vec::new()
-        } {
+        for &vm in stops_planned {
             // Scale-in cooldown (hysteresis): an app that scaled out
             // within the cooldown window keeps its instances — retiring
             // the surplus of a spike still in flight is what produced
@@ -827,8 +838,8 @@ impl Platform {
         self.registry.add(mid::INSTANCE_STARTS, starts);
         self.registry.add(mid::INSTANCE_STOPS, stops);
         let weight_requests = plan.weight_requests.len() as u64;
-        for req in plan.weight_requests {
-            let weights = &plan.weights[req.weights];
+        for req in &plan.weight_requests {
+            let weights = &plan.weights[req.weights.clone()];
             self.global
                 .viprip
                 .submit_pod_weights(plan.pod, req.vip, weights);
@@ -1296,11 +1307,27 @@ mod tests {
         p.state.assert_invariants();
     }
 
-    /// Regression test for the unified mid-epoch sync point: a pod
-    /// created externally between epochs (no elephant relief involved)
-    /// must get a manager and plan on the very next `step()`. Before the
-    /// sync points were funnelled into `sync_pod_managers`, an
-    /// externally-created pod silently skipped planning rounds.
+    /// Under flat demand a settled pod reads the same inputs epoch after
+    /// epoch and reuses its last plan: solved rounds fall behind rounds.
+    #[test]
+    fn settled_pods_reuse_their_last_round() {
+        let mut cfg = PlatformConfig::small_test();
+        cfg.diurnal_amplitude = 0.0;
+        cfg.total_demand_bps = 1e9;
+        let mut p = Platform::build(cfg).unwrap();
+        assert_eq!(p.pod_rounds_solved(), 0);
+        p.step();
+        let pods = p.state.num_pods() as u64;
+        assert_eq!(p.pod_rounds_solved(), pods, "every first round solves");
+        p.run_epochs(11);
+        let solved = p.pod_rounds_solved();
+        assert!(
+            solved < 12 * pods,
+            "{solved} of {} rounds solved",
+            12 * pods
+        );
+    }
+
     /// A pod plan's grow that its full server has no CPU for is refused
     /// by the fleet, and counted as refused, not applied.
     #[test]
@@ -1324,12 +1351,17 @@ mod tests {
             ..PodPlan::default()
         };
         let now = p.now();
-        p.apply_pod_plan(plan, now);
+        p.apply_pod_plan(&plan, now);
         assert_eq!(counters(&p), [before[0] + 1, before[1] + 1]);
         let vm = p.state.fleet.vm(vm).unwrap();
         assert_eq!(vm.cpu_slice.to_bits(), fill.to_bits());
     }
 
+    /// Regression test for the unified mid-epoch sync point: a pod
+    /// created externally between epochs (no elephant relief involved)
+    /// must get a manager and plan on the very next `step()`. Before the
+    /// sync points were funnelled into `sync_pod_managers`, an
+    /// externally-created pod silently skipped planning rounds.
     #[test]
     fn externally_created_pod_plans_next_epoch() {
         let mut p = Platform::build(PlatformConfig::small_test()).unwrap();

@@ -20,12 +20,20 @@
 //!   while the pod's total weight stays fixed. The queue skips a request
 //!   that would change no weight bit at its turn.
 //!
+//! A round is a pure function of what it reads from the pod: the healthy
+//! servers and their CPU, one row per VM on them (app, VM, server, slice,
+//! offered CPU, bound VIP) and the pod's VM count. [`PodManager::replan`]
+//! keeps the last round's inputs and plan, and hands the plan back when
+//! this round reads the same inputs bit for bit; [`PodManager::plan`] is
+//! the fresh round it stands in for.
+//!
 //! The pod manager's **decision time** — the wall-clock cost of one full
 //! planning round (problem assembly plus the controller run) — is the
 //! quantity that blows up on *elephant pods* (§IV.C). The platform's
-//! `pod-planning` profiler span measures it per epoch; experiment E5
-//! times single rounds.
+//! `pod-planning` profiler span measures it per epoch, reused rounds
+//! included; experiment E5 times single fresh rounds.
 
+use crate::config::PlatformConfig;
 use crate::demand::LoadSnapshot;
 use crate::ids::{AppId, PodId};
 use crate::state::PlatformState;
@@ -54,6 +62,43 @@ pub struct PodPlan {
     pub problem_size: (usize, usize),
 }
 
+/// Every [`PodPlan`] field, f64s as their bits: two plans are the same
+/// bit for bit exactly when their `PlanBits` are equal.
+pub type PlanBits = (
+    PodId,
+    Vec<(VmId, u64)>,
+    Vec<(AppId, ServerId, u64)>,
+    Vec<VmId>,
+    Vec<(VipAddr, Vec<(VmId, u64)>)>,
+    (usize, usize),
+);
+
+impl PodPlan {
+    /// The plan as [`PlanBits`], for exact comparisons.
+    pub fn bits(&self) -> PlanBits {
+        (
+            self.pod,
+            self.slice_adjustments
+                .iter()
+                .map(|&(vm, c)| (vm, c.to_bits()))
+                .collect(),
+            self.new_instances
+                .iter()
+                .map(|&(a, s, c)| (a, s, c.to_bits()))
+                .collect(),
+            self.remove_instances.clone(),
+            self.weight_requests
+                .iter()
+                .map(|r| {
+                    let ws = self.weights[r.weights.clone()].iter();
+                    (r.vip, ws.map(|&(vm, w)| (vm, w.to_bits())).collect())
+                })
+                .collect(),
+            self.problem_size,
+        )
+    }
+}
+
 /// One VIP's intra-pod weight request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightRequest {
@@ -64,63 +109,108 @@ pub struct WeightRequest {
     pub weights: Range<usize>,
 }
 
-/// A pod manager. Stateless between rounds: the incumbent placement is
-/// reconstructed from the platform state each round, so server transfers
-/// in/out of the pod are picked up automatically.
+/// A pod manager. It keeps its last solved round — the inputs that round
+/// read and the plan they gave — and nothing else: the incumbent
+/// placement is read from the platform state each round, so server
+/// transfers in/out of the pod are picked up automatically.
 #[derive(Debug, Clone)]
 pub struct PodManager {
     /// The pod this manager owns.
     pub id: PodId,
+    /// The last solved round's inputs. A new manager holds the empty
+    /// pod's inputs, whose plan is [`PodPlan`]'s default for this pod.
+    inputs: RoundInputs,
+    /// The plan `inputs` gave.
+    plan: PodPlan,
+    /// Rounds that ran the controller (a reused round does not count).
+    solved: u64,
+}
+
+/// The buffers a pod round reads the pod into, reused across rounds and
+/// managers: a round that solves swaps them with its manager's stored
+/// inputs instead of copying.
+#[derive(Debug, Default)]
+pub struct RoundScratch {
+    inputs: RoundInputs,
 }
 
 impl PodManager {
     /// Create a manager for `pod`.
     pub fn new(pod: PodId) -> Self {
-        PodManager { id: pod }
+        PodManager {
+            id: pod,
+            inputs: RoundInputs::default(),
+            plan: PodPlan {
+                pod,
+                ..PodPlan::default()
+            },
+            solved: 0,
+        }
     }
 
-    /// Build the pod-local problem and run one decision round.
+    /// Build the pod-local problem and run one fresh decision round.
     ///
     /// `snapshot` supplies the measured pod-local demand. Read-only with
-    /// respect to the platform; the returned [`PodPlan`] is applied by the
-    /// platform loop (with actuation latencies).
-    ///
-    /// The pod's state is read once: one `VmRow` per VM on a healthy
-    /// server, stably sorted by app. Each app's rows are then a contiguous
-    /// run (its dense index is the run's position) in server order, so
-    /// demand sums, the incumbent, the `(app, server) → VM` lookup and the
-    /// plan diff all index those rows instead of maps. The incumbent goes
-    /// to the controller by value; the diff reads the rows it came from.
+    /// respect to the platform and the manager; the returned [`PodPlan`]
+    /// is applied by the platform loop (with actuation latencies).
     pub fn plan(&self, state: &PlatformState, snapshot: &LoadSnapshot) -> PodPlan {
-        let cfg = &state.config;
-        // Failed servers are invisible to the planner: their instances are
-        // already gone, and nothing may be placed on them.
-        let servers: Vec<ServerId> = state
-            .pod_servers(self.id)
-            .iter()
-            .copied()
-            .filter(|&s| state.server_healthy(s))
-            .collect();
-        let max_vms = (cfg.pod_max_vms / servers.len().max(1)).max(1);
-        let mut server_caps = Vec::with_capacity(servers.len());
-        let mut rows: Vec<VmRow> = Vec::new();
-        for (s, &srv) in servers.iter().enumerate() {
-            let server = state.fleet.server(srv).expect("pod lists valid");
-            server_caps.push(ServerCap {
-                cpu: server.spec().cpu,
-                max_vms,
-            });
-            for vm in server.vms() {
-                assert_eq!(state.fleet.locate(vm.id), Ok(srv), "fleet index is stale");
-                rows.push(VmRow {
-                    app: AppId(vm.app),
-                    vm: vm.id,
-                    server: s,
-                    cpu_slice: vm.cpu_slice,
-                });
-            }
+        let mut inputs = RoundInputs::default();
+        inputs.read(self.id, state, snapshot);
+        self.solve(&state.config, &inputs)
+    }
+
+    /// The plan of this round: the last solved round's plan when the pod
+    /// reads the same inputs bit for bit, else a fresh [`PodManager::plan`],
+    /// which is kept for the next round.
+    ///
+    /// The round reads the pod into `scratch` and compares it with the
+    /// stored inputs: the healthy servers with their CPU, every row (app,
+    /// VM, server index, slice, offered CPU, bound VIP), f64s by their
+    /// bits, and the pod's VM count. The platform configuration is
+    /// immutable after build, so it is not compared.
+    pub fn replan(
+        &mut self,
+        state: &PlatformState,
+        snapshot: &LoadSnapshot,
+        scratch: &mut RoundScratch,
+    ) -> &PodPlan {
+        scratch.inputs.read(self.id, state, snapshot);
+        if !scratch.inputs.same_as(&self.inputs) {
+            std::mem::swap(&mut self.inputs, &mut scratch.inputs);
+            self.plan = self.solve(&state.config, &self.inputs);
+            self.solved += 1;
         }
-        rows.sort_by_key(|r| r.app);
+        &self.plan
+    }
+
+    /// The plan [`PodManager::replan`] last returned (the empty pod's
+    /// plan before the first round).
+    pub fn current_plan(&self) -> &PodPlan {
+        &self.plan
+    }
+
+    /// Rounds this manager solved with the controller, reused ones left
+    /// out.
+    pub fn rounds_solved(&self) -> u64 {
+        self.solved
+    }
+
+    /// Whether the pod manager itself is overloaded — the *elephant pod*
+    /// condition (§IV.C): too many servers or VMs for its decision space.
+    pub fn is_elephant(&self, state: &PlatformState) -> bool {
+        state.pod_servers(self.id).len() > state.config.pod_max_servers
+            || state.pod_vm_count(self.id) > state.config.pod_max_vms
+    }
+
+    /// One round of the controller over `inputs`. Its rows are stably sorted
+    /// by app, so each app's rows are a contiguous run (its dense index is
+    /// the run's position) in server order, and demand sums, the incumbent,
+    /// the `(app, server) → VM` lookup and the plan diff all index those rows
+    /// instead of maps. The incumbent goes to the controller by value; the
+    /// diff reads the rows it came from.
+    fn solve(&self, cfg: &PlatformConfig, inputs: &RoundInputs) -> PodPlan {
+        let (servers, rows) = (&inputs.servers, &inputs.rows);
+        let max_vms = (cfg.pod_max_vms / servers.len().max(1)).max(1);
         // Apps covering the pod, in id order; app `a`'s rows, in server order.
         let by_app: Vec<&[VmRow]> = rows.chunk_by(|x, y| x.app == y.app).collect();
 
@@ -131,13 +221,16 @@ impl PodManager {
         // minimum-slice instance here, even with zero measured demand
         // (elastic scale-down never goes to zero).
         let problem = PlacementProblem {
-            servers: server_caps,
+            servers: servers
+                .iter()
+                .map(|&(_, cpu)| ServerCap { cpu, max_vms })
+                .collect(),
             apps: by_app
                 .iter()
                 .map(|vms| {
                     let mut demand = 0.0f64;
                     for r in *vms {
-                        demand += snapshot.vm_offered(r.vm);
+                        demand += r.offered;
                     }
                     AppReq {
                         demand_cpu: (demand * cfg.headroom).max(cfg.vm_cpu_slice),
@@ -163,7 +256,7 @@ impl PodManager {
         // Diff the placement against the rows into actions.
         let mut plan = PodPlan {
             pod: self.id,
-            problem_size: (servers.len(), state.pod_vm_count(self.id)),
+            problem_size: (servers.len(), inputs.vm_count),
             ..PodPlan::default()
         };
         for (a, vms) in by_app.iter().enumerate() {
@@ -181,7 +274,7 @@ impl PodManager {
                     None => {
                         plan.new_instances.push((
                             vms[0].app,
-                            servers[s],
+                            servers[s].0,
                             cpu.max(cfg.vm_cpu_slice),
                         ));
                     }
@@ -207,10 +300,9 @@ impl PodManager {
         for (a, vms) in by_app.iter().enumerate().filter(|(_, vms)| vms.len() > 1) {
             app_weights.clear();
             for r in *vms {
-                let Some(rip) = state.rip_of_vm(r.vm) else {
+                let Some(vip) = r.vip else {
                     continue;
                 };
-                let vip = state.rip(rip).expect("bound").vip;
                 let alloc = next.get(a, r.server);
                 if alloc > 0.0 {
                     app_weights.push((vip, r.vm, alloc));
@@ -234,16 +326,74 @@ impl PodManager {
         plan.weight_requests.sort_unstable_by_key(|r| r.vip);
         plan
     }
+}
 
-    /// Whether the pod manager itself is overloaded — the *elephant pod*
-    /// condition (§IV.C): too many servers or VMs for its decision space.
-    pub fn is_elephant(&self, state: &PlatformState) -> bool {
-        state.pod_servers(self.id).len() > state.config.pod_max_servers
-            || state.pod_vm_count(self.id) > state.config.pod_max_vms
+/// Everything a pod round reads from the platform besides the immutable
+/// configuration.
+#[derive(Debug, Clone, Default)]
+struct RoundInputs {
+    /// The pod's healthy servers, in pod order, with their CPU capacity.
+    servers: Vec<(ServerId, f64)>,
+    /// One row per VM on a healthy server, stably sorted by app.
+    rows: Vec<VmRow>,
+    /// VMs in the pod, those on failed servers included.
+    vm_count: usize,
+}
+
+impl RoundInputs {
+    /// Read the pod into `self`, reusing its buffers. Failed servers are
+    /// invisible to the planner: their instances are already gone, and
+    /// nothing may be placed on them. They still count in `vm_count`.
+    ///
+    /// One walk over the pod's servers and their VMs builds the rows; a
+    /// stable sort by app follows (the walk is nearly in app order
+    /// already). Each VM's offered CPU and bound VIP are then read in that
+    /// order, where an app's VM ids sit close together in the id-indexed
+    /// tables.
+    fn read(&mut self, pod: PodId, state: &PlatformState, snapshot: &LoadSnapshot) {
+        self.servers.clear();
+        self.rows.clear();
+        self.vm_count = 0;
+        for &srv in state.pod_servers(pod) {
+            let server = state.fleet.server(srv).expect("pod lists valid");
+            self.vm_count += server.vm_count();
+            if !state.server_healthy(srv) {
+                continue;
+            }
+            let s = self.servers.len();
+            self.servers.push((srv, server.spec().cpu));
+            for vm in server.vms() {
+                assert_eq!(state.fleet.locate(vm.id), Ok(srv), "fleet index is stale");
+                self.rows.push(VmRow {
+                    app: AppId(vm.app),
+                    vm: vm.id,
+                    server: s,
+                    cpu_slice: vm.cpu_slice,
+                    offered: 0.0,
+                    vip: None,
+                });
+            }
+        }
+        self.rows.sort_by_key(|r| r.app);
+        for row in &mut self.rows {
+            row.offered = snapshot.vm_offered(row.vm);
+            let rip = state.rip_of_vm(row.vm);
+            row.vip = rip.map(|rip| state.rip(rip).expect("bound").vip);
+        }
+    }
+
+    /// Whether `self` and `other` are the same inputs, f64s by their bits.
+    fn same_as(&self, other: &RoundInputs) -> bool {
+        self.vm_count == other.vm_count
+            && self.servers.len() == other.servers.len()
+            && self.rows.len() == other.rows.len()
+            && (self.servers.iter().zip(&other.servers))
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+            && self.rows.iter().zip(&other.rows).all(|(a, b)| a.same_as(b))
     }
 }
 
-/// One pod-local VM as the planner sees it.
+/// One pod-local VM as the planner sees it: what a round reads of it.
 #[derive(Debug, Clone, Copy)]
 struct VmRow {
     app: AppId,
@@ -251,6 +401,22 @@ struct VmRow {
     /// Index into the round's healthy-server list.
     server: usize,
     cpu_slice: f64,
+    /// The VM's offered CPU in the round's snapshot.
+    offered: f64,
+    /// The VIP its RIP is bound under, if it has one.
+    vip: Option<VipAddr>,
+}
+
+impl VmRow {
+    /// Whether two rows carry the same inputs, f64s by their bits.
+    fn same_as(&self, other: &VmRow) -> bool {
+        self.app == other.app
+            && self.vm == other.vm
+            && self.server == other.server
+            && self.cpu_slice.to_bits() == other.cpu_slice.to_bits()
+            && self.offered.to_bits() == other.offered.to_bits()
+            && self.vip == other.vip
+    }
 }
 
 /// The row of one app's rows (sorted by server) on server index `s`; the
@@ -440,40 +606,9 @@ mod tests {
         (plan, placement_changes)
     }
 
-    /// Every `PodPlan` field, f64s as bits, and the placement changes.
-    type PlanBits = (
-        PodId,
-        Vec<(VmId, u64)>,
-        Vec<(AppId, ServerId, u64)>,
-        Vec<VmId>,
-        Vec<(VipAddr, Vec<(VmId, u64)>)>,
-        usize,
-        (usize, usize),
-    );
-
-    fn plan_bits(p: &PodPlan, placement_changes: usize) -> PlanBits {
-        (
-            p.pod,
-            p.slice_adjustments
-                .iter()
-                .map(|&(vm, c)| (vm, c.to_bits()))
-                .collect(),
-            p.new_instances
-                .iter()
-                .map(|&(a, s, c)| (a, s, c.to_bits()))
-                .collect(),
-            p.remove_instances.clone(),
-            p.weight_requests
-                .iter()
-                .map(|r| {
-                    let ws = p.weights[r.weights.clone()].iter();
-                    let ws = ws.map(|&(vm, w)| (vm, w.to_bits()));
-                    (r.vip, ws.collect())
-                })
-                .collect(),
-            placement_changes,
-            p.problem_size,
-        )
+    /// A plan's bits and its placement changes.
+    fn plan_bits(p: &PodPlan, placement_changes: usize) -> (PlanBits, usize) {
+        (p.bits(), placement_changes)
     }
 
     /// Plan every pod with both planners and require identical plans.
@@ -518,6 +653,143 @@ mod tests {
         assert!(
             active > 0,
             "no plan carried an action: the check is vacuous"
+        );
+    }
+
+    /// Step `p` for `epochs`, failing `fail` after the third, with one
+    /// manager per pod living across epochs: after every step its
+    /// `replan` must give the fresh `plan` bit for bit. Returns the
+    /// reused and solved round counts and how often each probe below
+    /// moved a plan.
+    ///
+    /// Epochs rarely change a VM's slice or VIP and nothing else (an
+    /// applied slice change moves demand too), so after each check the
+    /// state is also probed with only that changed, then restored: the
+    /// slice of the pod's first incumbent VM halved, and the RIP of the
+    /// first VM of its first weight request moved under another VIP of
+    /// its app.
+    fn reuse_run(mut p: Platform, epochs: usize, fail: Option<ServerId>) -> (u64, u64, [usize; 2]) {
+        let mut managers: Vec<PodManager> = Vec::new();
+        let mut scratch = RoundScratch::default();
+        let (mut reused, mut solved, mut moved) = (0, 0, [0; 2]);
+        for epoch in 0..epochs {
+            p.step();
+            if epoch == 2 {
+                if let Some(srv) = fail {
+                    p.inject_server_failure(srv).unwrap();
+                }
+            }
+            let snap = p.last_snapshot().unwrap().clone();
+            for pod in managers.len()..p.state.num_pods() {
+                managers.push(PodManager::new(PodId(pod as u32)));
+            }
+            for mgr in &mut managers {
+                let fresh = mgr.plan(&p.state, &snap);
+                let before = mgr.rounds_solved();
+                let kept = mgr.replan(&p.state, &snap, &mut scratch).bits();
+                assert_eq!(kept, fresh.bits(), "pod {:?} epoch {epoch}", mgr.id);
+                if mgr.rounds_solved() == before {
+                    reused += 1;
+                } else {
+                    solved += 1;
+                }
+                let st = &mut p.state;
+                if let Some((vm, slice)) = incumbent_vm(st, mgr.id) {
+                    st.fleet.adjust_slice(vm, slice * 0.5).unwrap();
+                    moved[0] += probe(mgr, st, &snap, &kept);
+                    st.fleet.adjust_slice(vm, slice).unwrap();
+                }
+                let Some(req) = fresh.weight_requests.first() else {
+                    continue;
+                };
+                let rip = st.rip_of_vm(fresh.weights[req.weights.start].0).unwrap();
+                let app = st.vip(req.vip).unwrap().app;
+                let other = st.app(app).unwrap().vips.iter().find(|&&v| v != req.vip);
+                if let Some(&other) = other {
+                    assert_eq!(st.set_rip_vip(rip, other), Some(req.vip));
+                    moved[1] += probe(mgr, st, &snap, &kept);
+                    st.set_rip_vip(rip, req.vip);
+                }
+            }
+        }
+        (reused, solved, moved)
+    }
+
+    /// The first incumbent VM of `pod` in walk order — the last VM of its
+    /// app on a healthy server, whose slice the planner reads — and its
+    /// slice.
+    fn incumbent_vm(st: &PlatformState, pod: PodId) -> Option<(VmId, f64)> {
+        let healthy = st
+            .pod_servers(pod)
+            .iter()
+            .filter(|&&s| st.server_healthy(s));
+        healthy.into_iter().find_map(|&s| {
+            let vms: Vec<_> = st.fleet.server(s).unwrap().vms().collect();
+            let last = |i: usize| vms[i + 1..].iter().all(|w| w.app != vms[i].app);
+            (0..vms.len())
+                .find(|&i| last(i))
+                .map(|i| (vms[i].id, vms[i].cpu_slice))
+        })
+    }
+
+    /// Replan a copy of `mgr` on a probed state: it must give the fresh
+    /// plan. Returns 1 if that plan differs from the kept one.
+    fn probe(mgr: &PodManager, st: &PlatformState, snap: &LoadSnapshot, kept: &PlanBits) -> usize {
+        let mut mgr = mgr.clone();
+        let fresh = mgr.plan(st, snap).bits();
+        assert_eq!(
+            mgr.replan(st, snap, &mut RoundScratch::default()).bits(),
+            fresh,
+            "probe of pod {:?}",
+            mgr.id
+        );
+        usize::from(fresh != *kept)
+    }
+
+    #[test]
+    fn a_new_manager_holds_the_empty_pods_plan() {
+        let (mut st, snap) = state_with_load(1e6);
+        let pod = st.create_pod();
+        let mut mgr = PodManager::new(pod);
+        assert_eq!(mgr.current_plan().bits(), mgr.plan(&st, &snap).bits());
+        let scratch = &mut RoundScratch::default();
+        mgr.replan(&st, &snap, scratch);
+        assert_eq!(mgr.rounds_solved(), 0, "an empty pod reuses the empty plan");
+        // A pod with VMs solves its first round, then reuses it.
+        let mut mgr = PodManager::new(PodId(0));
+        let fresh = mgr.replan(&st, &snap, scratch).bits();
+        assert_eq!(fresh, mgr.plan(&st, &snap).bits());
+        mgr.replan(&st, &snap, scratch);
+        assert_eq!(mgr.rounds_solved(), 1);
+    }
+
+    #[test]
+    fn replan_matches_plan_small_test_with_server_failure() {
+        // Flat demand, so rounds can repeat between the failure's moves.
+        let mut cfg = PlatformConfig::small_test();
+        cfg.diurnal_amplitude = 0.0;
+        cfg.total_demand_bps = 4e8;
+        let (reused, solved, moved) =
+            reuse_run(Platform::build(cfg).unwrap(), 12, Some(ServerId(1)));
+        assert!(reused > 0 && solved > 0, "{reused} reused, {solved} solved");
+        // One instance per app and pod: no weight request to probe.
+        assert!(moved[0] > 0, "the slice probe never moved a plan");
+    }
+
+    #[test]
+    fn replan_matches_plan_paper_mix_miniature() {
+        let mut cfg = PlatformConfig::paper_scale();
+        cfg.num_apps = 40;
+        cfg.num_servers = 80;
+        cfg.initial_pods = 2;
+        cfg.total_demand_bps = (40 * cfg.initial_instances_per_app) as f64 * 0.2e6;
+        cfg.diurnal_amplitude = 0.0;
+        let p = Platform::build(cfg).unwrap();
+        let (reused, solved, moved) = reuse_run(p, 12, None);
+        assert!(reused > 0 && solved > 0, "{reused} reused, {solved} solved");
+        assert!(
+            moved.iter().all(|&n| n > 0),
+            "a probe never moved a plan: {moved:?}"
         );
     }
 

@@ -361,6 +361,16 @@ impl PlatformState {
         Ok(dropped)
     }
 
+    /// Move a RIP's record under `vip`, leaving the switches as they
+    /// are; returns the VIP it was under (`None` for an unbound RIP).
+    /// Tests use it to change only what a pod round reads of a VM's
+    /// binding.
+    #[cfg(test)]
+    pub(crate) fn set_rip_vip(&mut self, rip: RipAddr, vip: VipAddr) -> Option<VipAddr> {
+        let rec = self.rips.get_mut(rip)?;
+        Some(std::mem::replace(&mut rec.vip, vip))
+    }
+
     /// The RIP of a VM, if bound.
     pub fn rip_of_vm(&self, vm: VmId) -> Option<RipAddr> {
         self.vm_rip.get(vm).copied()

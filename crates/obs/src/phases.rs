@@ -39,8 +39,10 @@ pub enum EpochResource {
     DemandVec,
     /// The epoch's `LoadSnapshot` being filled.
     Snapshot,
-    /// The pod-plan vector pod planning fills.
-    PlanVec,
+    /// Each pod manager's stored round — the inputs its last solved round
+    /// read and the plan they gave (`PodManager`) — and the
+    /// `RoundScratch` a round reads its pod into.
+    PodRounds,
     /// The serialized VIP/RIP request queue (§III.C).
     VipRipQueue,
     /// The flight recorder.
@@ -68,7 +70,7 @@ pub const ALL_EPOCH_RESOURCES: [EpochResource; 17] = [
     EpochResource::PodMembership,
     EpochResource::DemandVec,
     EpochResource::Snapshot,
-    EpochResource::PlanVec,
+    EpochResource::PodRounds,
     EpochResource::VipRipQueue,
     EpochResource::Recorder,
     EpochResource::Metrics,
@@ -91,7 +93,7 @@ impl EpochResource {
             EpochResource::PodMembership => "pods",
             EpochResource::DemandVec => "demand",
             EpochResource::Snapshot => "snapshot",
-            EpochResource::PlanVec => "plans",
+            EpochResource::PodRounds => "rounds",
             EpochResource::VipRipQueue => "queue",
             EpochResource::Recorder => "recorder",
             EpochResource::Metrics => "metrics",
@@ -156,13 +158,20 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     },
     PhaseDecl {
         id: "pod-planning",
-        reads: &[Snapshot, VmFleet, PodMembership, VipRipTables, Config],
-        writes: &[PlanVec],
-        where_: "Platform::step -> PodManager::plan",
+        reads: &[
+            Snapshot,
+            VmFleet,
+            PodMembership,
+            VipRipTables,
+            PodRounds,
+            Config,
+        ],
+        writes: &[PodRounds],
+        where_: "Platform::step -> PodManager::replan",
     },
     PhaseDecl {
         id: "plan-application",
-        reads: &[PlanVec, VmFleet, Config],
+        reads: &[PodRounds, VmFleet, Config],
         writes: &[VmFleet, PendingRetires, VipRipQueue, Recorder, Metrics],
         where_: "Platform::apply_pod_plan (serial, pod-index order)",
     },
@@ -197,7 +206,7 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     },
     PhaseDecl {
         id: "queue-drain",
-        reads: &[VipRipQueue],
+        reads: &[VipRipQueue, PodMembership, VmFleet, Switches],
         writes: &[VipRipQueue, VipRipTables, Switches, VmFleet, Recorder],
         where_: "VipRipManager::process_all (priority-FIFO, §III.C)",
     },
