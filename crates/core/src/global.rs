@@ -108,8 +108,7 @@ pub struct GlobalManager {
     /// Infrastructure-level forecasters (always on, reactive mode
     /// included — forecasting alone actuates nothing): per-pod CPU
     /// utilization and per-access-link demand. Lazily built on the first
-    /// epoch from `config.elastic.forecast` (valid even when the
-    /// proactive plane is disabled).
+    /// epoch, sized to that epoch's observation vectors.
     pod_forecast: Option<GroupForecaster>,
     link_forecast: Option<GroupForecaster>,
     /// Consecutive epochs each VIP has served less than
@@ -120,11 +119,15 @@ pub struct GlobalManager {
     /// racing a VIP transfer in the same epoch would otherwise route
     /// restored demand onto a RIP already queued for removal.
     pending_retires: BTreeSet<VmId>,
-    /// Caps per epoch, to keep the control loop stable.
-    max_transfers_per_epoch: usize,
-    max_deployments_per_epoch: usize,
-    max_exposure_apps_per_link: usize,
 }
+
+// Caps per epoch, to keep the control loop stable.
+/// VIP drains started per epoch, and in flight at once (§IV.B).
+const MAX_TRANSFERS_PER_EPOCH: usize = 4;
+/// Pod-relief clones in flight at once (§IV.D).
+const MAX_DEPLOYMENTS_PER_EPOCH: usize = 8;
+/// Apps whose DNS exposure one hot access link may shift per epoch.
+const MAX_EXPOSURE_APPS_PER_LINK: usize = 10;
 
 /// The note of each [`ActionKind::QueueApply`] event, `"<Request> ->
 /// <Response>"`, indexed by request variant then response variant (in
@@ -163,14 +166,9 @@ const QUEUE_APPLY_NOTES: [[&str; 4]; 5] = [
 ];
 
 impl GlobalManager {
-    /// New manager with default per-epoch actuation caps.
+    /// New manager (the same as [`GlobalManager::default`]).
     pub fn new() -> Self {
-        GlobalManager {
-            max_transfers_per_epoch: 4,
-            max_deployments_per_epoch: 8,
-            max_exposure_apps_per_link: 10,
-            ..GlobalManager::default()
-        }
+        GlobalManager::default()
     }
 
     /// VIPs currently draining toward a transfer.
@@ -274,13 +272,12 @@ impl GlobalManager {
     /// Feed this epoch's pod utilizations and link demands into the
     /// infrastructure forecasters. Observation only — no actuation.
     fn observe_forecasts(&mut self, state: &PlatformState, snap: &LoadSnapshot) {
-        let fcfg = state.config.elastic.forecast;
         let pod_utils = snap.pod_utilizations(state);
         self.pod_forecast
-            .get_or_insert_with(|| GroupForecaster::new(fcfg, pod_utils.len()))
+            .get_or_insert_with(|| GroupForecaster::new(pod_utils.len()))
             .observe(&pod_utils);
         self.link_forecast
-            .get_or_insert_with(|| GroupForecaster::new(fcfg, snap.link_load_bps.len()))
+            .get_or_insert_with(|| GroupForecaster::new(snap.link_load_bps.len()))
             .observe(&snap.link_load_bps);
     }
 
@@ -528,7 +525,7 @@ impl GlobalManager {
         }
         let mut top: Vec<(AppId, f64)> = app_on_hot.into_iter().collect();
         top.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        for (app, _) in top.into_iter().take(self.max_exposure_apps_per_link) {
+        for (app, _) in top.into_iter().take(MAX_EXPOSURE_APPS_PER_LINK) {
             if self.app_is_draining(state, app) {
                 continue; // the switch drain owns this app's exposure
             }
@@ -682,7 +679,7 @@ impl GlobalManager {
         // minutes (TTL + stale residue), so draining aggressively would
         // destabilize the very switches we are trying to relieve.
         let mut started = 0;
-        if self.draining.len() >= self.max_transfers_per_epoch {
+        if self.draining.len() >= MAX_TRANSFERS_PER_EPOCH {
             return;
         }
         let mut hot: Vec<(usize, f64)> = utils
@@ -693,8 +690,7 @@ impl GlobalManager {
             .collect();
         hot.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         for (sw_idx, sw_util) in hot {
-            if started >= self.max_transfers_per_epoch
-                || self.draining.len() >= self.max_transfers_per_epoch
+            if started >= MAX_TRANSFERS_PER_EPOCH || self.draining.len() >= MAX_TRANSFERS_PER_EPOCH
             {
                 break;
             }
@@ -1183,7 +1179,7 @@ impl GlobalManager {
         hottest.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
 
         let in_flight = self.pending_deployments.len();
-        let budget = self.max_deployments_per_epoch.saturating_sub(in_flight);
+        let budget = MAX_DEPLOYMENTS_PER_EPOCH.saturating_sub(in_flight);
         for (app, load) in hottest.into_iter().take(budget) {
             if load <= 0.0 {
                 break;
@@ -1511,6 +1507,18 @@ mod tests {
         // The VIP moved off switch 0.
         assert_ne!(st.vip(vip).unwrap().switch, SwitchId(0));
         st.assert_invariants();
+    }
+
+    #[test]
+    fn default_manager_starts_a_drain() {
+        // The fixture of `switch_overload_starts_drain_and_completes_transfer`:
+        // `default()` carries the same caps as `new()`.
+        let mut st = build();
+        let now = t0(&st);
+        let snap = propagate(&mut st, &[5e9, 1e9], now);
+        let mut gm = GlobalManager::default();
+        epoch(&mut gm, &mut st, &snap, now);
+        assert_eq!(gm.counters.vip_drains_started, 1);
     }
 
     #[test]

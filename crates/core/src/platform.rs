@@ -240,7 +240,7 @@ impl Platform {
         // history between t0 and now (the platform existed before epoch
         // 0), so forecasts are live from the first epoch.
         let elastic = config.elastic.enabled.then(|| {
-            let mut ctl = ElasticController::new(config.elastic, config.num_apps);
+            let mut ctl = ElasticController::new(config.num_apps);
             let epoch_s = config.epoch.as_secs_f64();
             let history = ((now.since(t0).as_secs_f64() / epoch_s).floor() as usize).min(8);
             if history > 0 {
@@ -509,11 +509,6 @@ impl Platform {
         r.set_gauge(mid::SLO_RELIEF_EPOCHS, slo.relief_epochs as f64);
         r.set_gauge(mid::SLO_RECONFIG_CHURN, slo.reconfig_churn as f64);
         r.set_counter(mid::SLO_FLIPFLOPS, slo.flipflops);
-    }
-
-    /// The proactive controller, when enabled.
-    pub fn elastic(&self) -> Option<&ElasticController> {
-        self.elastic.as_ref()
     }
 
     /// Mean absolute percentage error of the proactive one-step demand
@@ -1184,8 +1179,10 @@ mod tests {
 
     #[test]
     fn disabled_elastic_has_no_controller() {
-        let p = Platform::build(PlatformConfig::small_test()).unwrap();
-        assert!(p.elastic().is_none());
+        let mut p = Platform::build(PlatformConfig::small_test()).unwrap();
+        p.run_epochs(3);
+        // An enabled controller scores a forecast from the second epoch
+        // on; a disabled plane never does.
         assert!(p.forecast_mape().is_none());
     }
 

@@ -7,44 +7,26 @@
 //! instead funnels *every* request through this arbiter before anything
 //! touches the platform.
 //!
-//! Arbitration is three deterministic steps:
+//! Arbitration is one deterministic step: requests are ordered by the
+//! agility ladder (E7: reweight ≺ slice adjust ≺ deploy ≺ retire, fastest
+//! first), then by cost, then by urgency (most urgent first), then by
+//! app, and truncated to the per-epoch caps (64 actions, of which at most
+//! 8 deployments) so the proactive plane cannot flood the serialized
+//! VIP/RIP queue.
 //!
-//! 1. **Conflict resolution** — a scale-out request (reweight, slice
-//!    grow, deploy) and a scale-in request ([`ProposedAction::Retire`])
-//!    for the same app cancel to the scale-out side: availability wins
-//!    over cost, matching the paper's bias toward serving demand.
-//! 2. **Deduplication** — at most one request per (app, action kind);
-//!    the most urgent survives.
-//! 3. **Ranking + caps** — survivors are ordered by the agility ladder
-//!    (E7: reweight ≺ slice adjust ≺ deploy ≺ retire, fastest first),
-//!    then by cost, then urgency, and truncated to the per-epoch caps so
-//!    the proactive plane cannot flood the serialized VIP/RIP queue.
+//! The producer needs nothing more. [`crate::AppScaler::tick`] proposes
+//! at most one request per action kind for an app, all of one direction,
+//! so no app ever carries both a scale-out and a retire, nor two requests
+//! of one kind. No two requests then tie on (rank, app), so the sort is a
+//! total order and its result does not depend on submission order.
 
-/// Rungs of the agility ladder (§IV, measured by E7): how fast each knob
-/// takes effect, fastest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Agility {
-    /// RIP weight adjustment — switch-local, takes effect next epoch.
-    Reweight,
-    /// VM slice adjustment — hypervisor-local, seconds.
-    SliceAdjust,
-    /// Instance deployment — clone + boot + RIP bind, tens of seconds.
-    Deploy,
-    /// Instance retirement — drain + destroy; never urgent.
-    Retire,
-}
+use std::cmp::Ordering;
 
-impl Agility {
-    /// Ladder rank, 0 = most agile.
-    pub fn rank(self) -> u8 {
-        match self {
-            Agility::Reweight => 0,
-            Agility::SliceAdjust => 1,
-            Agility::Deploy => 2,
-            Agility::Retire => 3,
-        }
-    }
-}
+/// Total proactive actions admitted per epoch.
+const MAX_ACTIONS_PER_EPOCH: usize = 64;
+/// Of those, at most this many deployments (clones are the most
+/// expensive action and share the reactive deployment budget).
+const MAX_DEPLOYS_PER_EPOCH: usize = 8;
 
 /// A proactive action proposed by the autoscaler for one application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,19 +70,17 @@ impl ProposedAction {
         }
     }
 
-    /// The agility-ladder rung this action sits on.
-    pub fn agility(&self) -> Agility {
+    /// Agility-ladder rank (§IV, measured by E7), 0 = most agile:
+    /// reweight (switch-local, next epoch) ≺ slice adjust
+    /// (hypervisor-local, seconds) ≺ deploy (clone + boot + RIP bind,
+    /// tens of seconds) ≺ retire (drain + destroy; never urgent).
+    pub fn rank(&self) -> u8 {
         match self {
-            ProposedAction::Reweight { .. } => Agility::Reweight,
-            ProposedAction::SliceAdjust { .. } => Agility::SliceAdjust,
-            ProposedAction::Deploy { .. } => Agility::Deploy,
-            ProposedAction::Retire { .. } => Agility::Retire,
+            ProposedAction::Reweight { .. } => 0,
+            ProposedAction::SliceAdjust { .. } => 1,
+            ProposedAction::Deploy { .. } => 2,
+            ProposedAction::Retire { .. } => 3,
         }
-    }
-
-    /// Whether this action adds capacity (scale-out family).
-    pub fn is_scale_out(&self) -> bool {
-        !matches!(self, ProposedAction::Retire { .. })
     }
 }
 
@@ -116,145 +96,44 @@ pub struct KnobRequest {
     pub cost: f64,
 }
 
-/// Arbiter configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArbiterConfig {
-    /// Total proactive actions admitted per epoch.
-    pub max_actions_per_epoch: usize,
-    /// Of those, at most this many deployments (clones are the most
-    /// expensive action and share the reactive deployment budget).
-    pub max_deploys_per_epoch: usize,
-}
-
-impl Default for ArbiterConfig {
-    fn default() -> Self {
-        ArbiterConfig {
-            max_actions_per_epoch: 64,
-            max_deploys_per_epoch: 8,
+/// Order one epoch's requests by agility rank, cost, urgency (descending)
+/// and app, then cut them to the per-epoch caps.
+pub(crate) fn arbitrate(mut requests: Vec<KnobRequest>) -> Vec<KnobRequest> {
+    debug_assert!(
+        {
+            let mut seen = std::collections::BTreeSet::new();
+            requests
+                .iter()
+                .all(|r| seen.insert((r.action.app(), r.action.rank())))
+        },
+        "two requests for one (app, rank)"
+    );
+    // The producer never emits a non-finite cost or urgency, so
+    // `partial_cmp` is total here.
+    requests.sort_by(|a, b| {
+        a.action
+            .rank()
+            .cmp(&b.action.rank())
+            .then(a.cost.partial_cmp(&b.cost).unwrap_or(Ordering::Equal))
+            .then(b.urgency.partial_cmp(&a.urgency).unwrap_or(Ordering::Equal))
+            .then(a.action.app().cmp(&b.action.app()))
+    });
+    let mut deploys = 0usize;
+    let mut admitted = 0usize;
+    requests.retain(|r| {
+        if admitted >= MAX_ACTIONS_PER_EPOCH {
+            return false;
         }
-    }
-}
-
-impl ArbiterConfig {
-    /// Validate, returning the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_actions_per_epoch == 0 {
-            return Err("max_actions_per_epoch must be positive".into());
-        }
-        if self.max_deploys_per_epoch == 0 {
-            return Err("max_deploys_per_epoch must be positive".into());
-        }
-        Ok(())
-    }
-}
-
-/// Cumulative arbitration statistics (experiment output).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArbiterStats {
-    /// Requests received across all epochs.
-    pub submitted: u64,
-    /// Requests admitted (returned to the caller).
-    pub admitted: u64,
-    /// Scale-in requests cancelled by a scale-out conflict on the same
-    /// app.
-    pub conflicts_resolved: u64,
-    /// Duplicate (app, kind) requests collapsed.
-    pub duplicates_merged: u64,
-    /// Requests dropped by the per-epoch caps.
-    pub capped: u64,
-}
-
-/// The arbiter: stateless per epoch apart from its statistics.
-#[derive(Debug, Default)]
-pub struct Arbiter {
-    cfg: ArbiterConfig,
-    /// Cumulative statistics.
-    pub stats: ArbiterStats,
-}
-
-impl Arbiter {
-    /// New arbiter with the given caps.
-    pub fn new(cfg: ArbiterConfig) -> Self {
-        Arbiter {
-            cfg,
-            stats: ArbiterStats::default(),
-        }
-    }
-
-    /// Resolve one epoch's requests into an ordered, capped action list.
-    /// Deterministic: ties break by app id, then by ladder rank.
-    pub fn arbitrate(&mut self, mut requests: Vec<KnobRequest>) -> Vec<KnobRequest> {
-        self.stats.submitted += requests.len() as u64;
-
-        // Step 1: scale-out cancels scale-in per app.
-        // Sort first so the scan below is deterministic regardless of
-        // submission order: by app, scale-outs before retires, most
-        // urgent first within a kind.
-        requests.sort_by(|a, b| {
-            a.action
-                .app()
-                .cmp(&b.action.app())
-                .then(a.action.agility().rank().cmp(&b.action.agility().rank()))
-                .then(b.urgency.partial_cmp(&a.urgency).expect("finite urgency"))
-        });
-        let mut survivors: Vec<KnobRequest> = Vec::with_capacity(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            let app = requests[i].action.app();
-            let mut j = i;
-            while j < requests.len() && requests[j].action.app() == app {
-                j += 1;
+        if matches!(r.action, ProposedAction::Deploy { .. }) {
+            if deploys >= MAX_DEPLOYS_PER_EPOCH {
+                return false;
             }
-            let group = &requests[i..j];
-            let has_scale_out = group.iter().any(|r| r.action.is_scale_out());
-            let mut last_kind: Option<u8> = None;
-            for r in group {
-                if has_scale_out && !r.action.is_scale_out() {
-                    self.stats.conflicts_resolved += 1;
-                    continue;
-                }
-                // Step 2: the group is kind-sorted, so duplicates are
-                // adjacent; keep the first (most urgent) of each kind.
-                let kind = r.action.agility().rank();
-                if last_kind == Some(kind) {
-                    self.stats.duplicates_merged += 1;
-                    continue;
-                }
-                last_kind = Some(kind);
-                survivors.push(*r);
-            }
-            i = j;
+            deploys += 1;
         }
-
-        // Step 3: rank by agility ladder, then cost, then urgency.
-        survivors.sort_by(|a, b| {
-            a.action
-                .agility()
-                .rank()
-                .cmp(&b.action.agility().rank())
-                .then(a.cost.partial_cmp(&b.cost).expect("finite cost"))
-                .then(b.urgency.partial_cmp(&a.urgency).expect("finite urgency"))
-                .then(a.action.app().cmp(&b.action.app()))
-        });
-        let mut admitted = Vec::with_capacity(survivors.len().min(self.cfg.max_actions_per_epoch));
-        let mut deploys = 0usize;
-        for r in survivors {
-            if admitted.len() >= self.cfg.max_actions_per_epoch {
-                self.stats.capped += 1;
-                continue;
-            }
-            if matches!(r.action, ProposedAction::Deploy { .. }) {
-                if deploys >= self.cfg.max_deploys_per_epoch {
-                    self.stats.capped += 1;
-                    continue;
-                }
-                deploys += 1;
-            }
-            admitted.push(r);
-        }
-        self.stats.admitted += admitted.len() as u64;
-        admitted
-    }
+        admitted += 1;
+        true
+    });
+    requests
 }
 
 /// Water-filling weight shift: step the current weight vector toward a
@@ -332,84 +211,29 @@ mod tests {
 
     #[test]
     fn agility_ladder_is_ordered() {
-        assert!(Agility::Reweight.rank() < Agility::SliceAdjust.rank());
-        assert!(Agility::SliceAdjust.rank() < Agility::Deploy.rank());
-        assert!(Agility::Deploy.rank() < Agility::Retire.rank());
-    }
-
-    #[test]
-    fn scale_out_cancels_retire_on_same_app() {
-        let mut arb = Arbiter::new(ArbiterConfig::default());
-        let out = arb.arbitrate(vec![
-            req(
-                ProposedAction::Retire {
-                    app: 1,
-                    instances: 1,
-                },
-                0.2,
-                0.0,
-            ),
-            req(
-                ProposedAction::Deploy {
-                    app: 1,
-                    instances: 2,
-                },
-                0.9,
-                5.0,
-            ),
-            req(
-                ProposedAction::Retire {
-                    app: 2,
-                    instances: 1,
-                },
-                0.1,
-                0.0,
-            ),
-        ]);
-        assert_eq!(out.len(), 2);
-        assert!(out
-            .iter()
-            .any(|r| matches!(r.action, ProposedAction::Deploy { app: 1, .. })));
-        assert!(out
-            .iter()
-            .any(|r| matches!(r.action, ProposedAction::Retire { app: 2, .. })));
-        assert_eq!(arb.stats.conflicts_resolved, 1);
-    }
-
-    #[test]
-    fn duplicates_keep_most_urgent() {
-        let mut arb = Arbiter::new(ArbiterConfig::default());
-        let out = arb.arbitrate(vec![
-            req(
-                ProposedAction::Deploy {
-                    app: 3,
-                    instances: 1,
-                },
-                0.5,
-                5.0,
-            ),
-            req(
-                ProposedAction::Deploy {
-                    app: 3,
-                    instances: 4,
-                },
-                0.9,
-                5.0,
-            ),
-        ]);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].urgency, 0.9);
-        assert!(matches!(
-            out[0].action,
-            ProposedAction::Deploy { instances: 4, .. }
-        ));
-        assert_eq!(arb.stats.duplicates_merged, 1);
+        let ladder = [
+            ProposedAction::Reweight { app: 0 },
+            ProposedAction::SliceAdjust {
+                app: 0,
+                target_slice: 1.0,
+            },
+            ProposedAction::Deploy {
+                app: 0,
+                instances: 1,
+            },
+            ProposedAction::Retire {
+                app: 0,
+                instances: 1,
+            },
+        ];
+        for w in ladder.windows(2) {
+            assert!(w[0].rank() < w[1].rank(), "{w:?}");
+        }
     }
 
     #[test]
     fn ranking_follows_agility_then_cost() {
-        let mut arb = Arbiter::new(ArbiterConfig::default());
-        let out = arb.arbitrate(vec![
+        let out = arbitrate(vec![
             req(
                 ProposedAction::Deploy {
                     app: 1,
@@ -454,43 +278,50 @@ mod tests {
 
     #[test]
     fn caps_bound_admissions() {
-        let cfg = ArbiterConfig {
-            max_actions_per_epoch: 3,
-            max_deploys_per_epoch: 1,
-        };
-        let mut arb = Arbiter::new(cfg);
-        let reqs: Vec<KnobRequest> = (0..10)
-            .map(|a| {
+        // 40 reweights, 20 deploys and 20 retires, each on its own
+        // (app, rank): 80 requests against the 64-action cap, 20 deploys
+        // against the 8-deploy cap.
+        let reqs: Vec<KnobRequest> = (0..40)
+            .map(|a| req(ProposedAction::Reweight { app: a }, 0.95, 0.1))
+            .chain((0..20).map(|a| {
                 req(
                     ProposedAction::Deploy {
                         app: a,
                         instances: 1,
                     },
-                    0.9,
+                    0.95,
                     5.0,
                 )
-            })
-            .chain(std::iter::once(req(
-                ProposedAction::Reweight { app: 10 },
-                0.85,
-                0.1,
-            )))
+            }))
+            .chain((40..60).map(|a| {
+                req(
+                    ProposedAction::Retire {
+                        app: a,
+                        instances: 1,
+                    },
+                    0.1,
+                    0.5,
+                )
+            }))
             .collect();
-        let out = arb.arbitrate(reqs);
-        // The reweight ranks first (most agile); then one deploy fits the
-        // deploy cap and the other nine are dropped by it, leaving the
-        // action cap unfilled.
-        assert_eq!(out.len(), 2);
+        let out = arbitrate(reqs);
+        // The reweights rank first and all fit; the deploy cap admits 8
+        // of the 20 deploys; the retires fill the rest of the action cap.
+        assert_eq!(out.len(), MAX_ACTIONS_PER_EPOCH);
+        let count = |rank: u8| out.iter().filter(|r| r.action.rank() == rank).count();
+        assert_eq!(count(0), 40);
+        assert_eq!(count(2), MAX_DEPLOYS_PER_EPOCH);
+        assert_eq!(count(3), MAX_ACTIONS_PER_EPOCH - 40 - MAX_DEPLOYS_PER_EPOCH);
+        // Within a rung the order is by app (equal cost and urgency).
+        assert!(matches!(out[0].action, ProposedAction::Reweight { app: 0 }));
         assert!(matches!(
-            out[0].action,
-            ProposedAction::Reweight { app: 10 }
+            out[40].action,
+            ProposedAction::Deploy { app: 0, .. }
         ));
-        let deploys = out
-            .iter()
-            .filter(|r| matches!(r.action, ProposedAction::Deploy { .. }))
-            .count();
-        assert_eq!(deploys, 1);
-        assert_eq!(arb.stats.capped, 9);
+        assert!(matches!(
+            out[48].action,
+            ProposedAction::Retire { app: 40, .. }
+        ));
     }
 
     #[test]
@@ -582,12 +413,161 @@ mod tests {
                 1.0,
             ),
         ];
-        let mut a = Arbiter::new(ArbiterConfig::default());
-        let mut b = Arbiter::new(ArbiterConfig::default());
-        let out_a = a.arbitrate(reqs.clone());
+        let out_a = arbitrate(reqs.clone());
         let mut rev = reqs;
         rev.reverse();
-        let out_b = b.arbitrate(rev);
+        let out_b = arbitrate(rev);
         assert_eq!(out_a, out_b);
+    }
+}
+
+/// The three-step arbitration the one-step [`arbitrate`] replaced, kept
+/// as its reference: (1) a scale-out request cancels a retire on the same
+/// app, (2) at most one request per (app, rank) survives, the most urgent,
+/// (3) the agility sort and the caps. On the autoscaler's output steps 1
+/// and 2 never fire, so both forms must agree bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// What steps 1 and 2 removed, and what the caps dropped.
+    #[derive(Default)]
+    pub(crate) struct ThreeStepStats {
+        pub(crate) conflicts_resolved: u64,
+        pub(crate) duplicates_merged: u64,
+        pub(crate) capped: u64,
+    }
+
+    pub(crate) fn arbitrate(
+        mut requests: Vec<KnobRequest>,
+        stats: &mut ThreeStepStats,
+    ) -> Vec<KnobRequest> {
+        // Step 1: scale-out cancels scale-in per app.
+        // Sort first so the scan below is deterministic regardless of
+        // submission order: by app, scale-outs before retires, most
+        // urgent first within a kind.
+        requests.sort_by(|a, b| {
+            a.action
+                .app()
+                .cmp(&b.action.app())
+                .then(a.action.rank().cmp(&b.action.rank()))
+                .then(b.urgency.partial_cmp(&a.urgency).expect("finite urgency"))
+        });
+        let is_scale_out = |r: &KnobRequest| !matches!(r.action, ProposedAction::Retire { .. });
+        let mut survivors: Vec<KnobRequest> = Vec::with_capacity(requests.len());
+        let mut i = 0;
+        while i < requests.len() {
+            let app = requests[i].action.app();
+            let mut j = i;
+            while j < requests.len() && requests[j].action.app() == app {
+                j += 1;
+            }
+            let group = &requests[i..j];
+            let has_scale_out = group.iter().any(is_scale_out);
+            let mut last_kind: Option<u8> = None;
+            for r in group {
+                if has_scale_out && !is_scale_out(r) {
+                    stats.conflicts_resolved += 1;
+                    continue;
+                }
+                // Step 2: the group is kind-sorted, so duplicates are
+                // adjacent; keep the first (most urgent) of each kind.
+                let kind = r.action.rank();
+                if last_kind == Some(kind) {
+                    stats.duplicates_merged += 1;
+                    continue;
+                }
+                last_kind = Some(kind);
+                survivors.push(*r);
+            }
+            i = j;
+        }
+
+        // Step 3: rank by agility ladder, then cost, then urgency.
+        survivors.sort_by(|a, b| {
+            a.action
+                .rank()
+                .cmp(&b.action.rank())
+                .then(a.cost.partial_cmp(&b.cost).expect("finite cost"))
+                .then(b.urgency.partial_cmp(&a.urgency).expect("finite urgency"))
+                .then(a.action.app().cmp(&b.action.app()))
+        });
+        let mut admitted = Vec::with_capacity(survivors.len().min(MAX_ACTIONS_PER_EPOCH));
+        let mut deploys = 0usize;
+        for r in survivors {
+            if admitted.len() >= MAX_ACTIONS_PER_EPOCH {
+                stats.capped += 1;
+                continue;
+            }
+            if matches!(r.action, ProposedAction::Deploy { .. }) {
+                if deploys >= MAX_DEPLOYS_PER_EPOCH {
+                    stats.capped += 1;
+                    continue;
+                }
+                deploys += 1;
+            }
+            admitted.push(r);
+        }
+        admitted
+    }
+
+    /// Every bit of a request list, for exact comparisons.
+    pub(crate) fn bits(requests: &[KnobRequest]) -> Vec<(u32, u8, u64, u64, u64)> {
+        requests
+            .iter()
+            .map(|r| {
+                let arg = match r.action {
+                    ProposedAction::Reweight { .. } => 0,
+                    ProposedAction::SliceAdjust { target_slice, .. } => target_slice.to_bits(),
+                    ProposedAction::Deploy { instances, .. }
+                    | ProposedAction::Retire { instances, .. } => u64::from(instances),
+                };
+                (
+                    r.action.app(),
+                    r.action.rank(),
+                    arg,
+                    r.urgency.to_bits(),
+                    r.cost.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reference_still_cancels_and_dedupes() {
+        // The reference is only meaningful if its extra steps work: a
+        // hand-built list the autoscaler never produces exercises both.
+        let reqs = vec![
+            KnobRequest {
+                action: ProposedAction::Retire {
+                    app: 1,
+                    instances: 1,
+                },
+                urgency: 0.2,
+                cost: 0.5,
+            },
+            KnobRequest {
+                action: ProposedAction::Deploy {
+                    app: 1,
+                    instances: 1,
+                },
+                urgency: 0.5,
+                cost: 5.0,
+            },
+            KnobRequest {
+                action: ProposedAction::Deploy {
+                    app: 1,
+                    instances: 4,
+                },
+                urgency: 0.9,
+                cost: 5.0,
+            },
+        ];
+        let mut stats = ThreeStepStats::default();
+        let out = arbitrate(reqs, &mut stats);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].urgency, 0.9);
+        assert_eq!(stats.conflicts_resolved, 1);
+        assert_eq!(stats.duplicates_merged, 1);
     }
 }

@@ -13,83 +13,50 @@
 //! * Above the **upper hysteresis band**: restore the target by the most
 //!   agile means available — reweight toward pod headroom, grow VM
 //!   slices (§IV.E), and only then deploy instances (§IV.D), sized so
-//!   capacity lands at `forecast / target_utilization`.
+//!   capacity lands at `forecast / target utilization`.
 //! * Below the **lower band**: shrink slices toward the base, then
 //!   retire one instance at a time.
 //! * **Cooldowns** gate both directions so the controller cannot flap:
 //!   scale-out re-arms quickly (under-provisioning loses traffic),
 //!   scale-in slowly (§IV.D clones are expensive to re-create).
 //!
-//! The autoscaler proposes; the [`crate::arbiter`] disposes. It never
+//! The tuning is fixed: forecast 3 epochs ahead, target utilization 0.7,
+//! bands 0.3 and 0.9, cooldowns 2 epochs (scale-out) and 30 (scale-in),
+//! at most 4 instances added per action, never fewer than 1 instance.
+//!
+//! Each tick proposes at most one request per action kind for an app,
+//! and all of one direction: the scale-out ladder (reweight, slice grow,
+//! deploy) or one scale-in step (slice shrink or retire). The
+//! autoscaler proposes; the [`crate::arbiter`] disposes. It never
 //! touches platform state itself.
 
 use crate::arbiter::{KnobRequest, ProposedAction};
-use crate::forecast::{ForecastConfig, Predictor};
+use crate::forecast::Predictor;
 
-/// Autoscaler configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoscalerConfig {
-    /// Utilization the controller provisions toward (capacity lands at
-    /// `forecast / target_utilization`).
-    pub target_utilization: f64,
-    /// Scale out when predicted utilization exceeds this band.
-    pub upper_band: f64,
-    /// Scale in when predicted utilization falls below this band.
-    pub lower_band: f64,
-    /// Forecast horizon, control epochs ahead.
-    pub horizon_epochs: u32,
-    /// Epochs between scale-out actions on one app.
-    pub scale_up_cooldown: u32,
-    /// Epochs between scale-in actions on one app.
-    pub scale_down_cooldown: u32,
-    /// Max instances added to one app per action.
-    pub max_step_instances: u32,
-    /// Never retire below this many instances.
-    pub min_instances: u32,
-}
+// The reactive plane provisions observed demand × headroom (1.2×),
+// parking steady-state utilization near 0.83. The bands sit around that
+// point so the proactive plane is quiet in steady state and fires only
+// when the *forecast* deviates: target 0.7 provisions slightly ahead of
+// the reactive 1.2×, and the 0.9 upper band needs a genuine predicted
+// ramp to trip.
 
-impl Default for AutoscalerConfig {
-    fn default() -> Self {
-        // The reactive plane provisions observed demand × headroom
-        // (1.2×), parking steady-state utilization near 0.83. The bands
-        // sit around that point so the proactive plane is quiet in
-        // steady state and fires only when the *forecast* deviates:
-        // target 0.7 provisions slightly ahead of the reactive 1.2×,
-        // and the 0.9 upper band needs a genuine predicted ramp to trip.
-        AutoscalerConfig {
-            target_utilization: 0.7,
-            upper_band: 0.9,
-            lower_band: 0.3,
-            horizon_epochs: 3,
-            scale_up_cooldown: 2,
-            scale_down_cooldown: 30,
-            max_step_instances: 4,
-            min_instances: 1,
-        }
-    }
-}
-
-impl AutoscalerConfig {
-    /// Validate, returning the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.target_utilization > 0.0 && self.target_utilization < 1.0) {
-            return Err("target_utilization must be in (0, 1)".into());
-        }
-        if self.upper_band <= self.target_utilization {
-            return Err("upper_band must exceed target_utilization".into());
-        }
-        if !(self.lower_band > 0.0 && self.lower_band < self.target_utilization) {
-            return Err("lower_band must be in (0, target_utilization)".into());
-        }
-        if self.max_step_instances == 0 {
-            return Err("max_step_instances must be positive".into());
-        }
-        if self.min_instances == 0 {
-            return Err("min_instances must be positive".into());
-        }
-        Ok(())
-    }
-}
+/// Utilization the controller provisions toward (capacity lands at
+/// `forecast / TARGET_UTILIZATION`).
+const TARGET_UTILIZATION: f64 = 0.7;
+/// Scale out when predicted utilization exceeds this band.
+const UPPER_BAND: f64 = 0.9;
+/// Scale in when predicted utilization falls below this band.
+const LOWER_BAND: f64 = 0.3;
+/// Forecast horizon, control epochs ahead.
+const HORIZON_EPOCHS: u32 = 3;
+/// Epochs between scale-out actions on one app.
+const SCALE_UP_COOLDOWN: u32 = 2;
+/// Epochs between scale-in actions on one app.
+const SCALE_DOWN_COOLDOWN: u32 = 30;
+/// Max instances added to one app per action.
+const MAX_STEP_INSTANCES: u32 = 4;
+/// Never retire below this many instances.
+const MIN_INSTANCES: u32 = 1;
 
 /// What the controller observes about one application each epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -110,7 +77,7 @@ pub struct AppObservation {
 }
 
 /// Per-application controller state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AppScaler {
     predictor: Predictor,
     up_cooldown: u32,
@@ -119,16 +86,6 @@ pub struct AppScaler {
 }
 
 impl AppScaler {
-    /// Fresh scaler with an empty predictor.
-    pub fn new(forecast: &ForecastConfig) -> Self {
-        AppScaler {
-            predictor: Predictor::new(forecast),
-            up_cooldown: 0,
-            down_cooldown: 0,
-            last_prediction: 0.0,
-        }
-    }
-
     /// Feed one historical observation without making decisions (warm-up).
     pub fn warm(&mut self, demand: f64) {
         self.predictor.observe(demand);
@@ -140,23 +97,13 @@ impl AppScaler {
         self.last_prediction
     }
 
-    /// Direct access to the predictor (tests, experiments).
-    pub fn predictor(&self) -> &Predictor {
-        &self.predictor
-    }
-
     /// Run one epoch of control for this app, appending any proposed
-    /// actions to `out`. Returns the horizon forecast.
-    pub fn tick(
-        &mut self,
-        app: u32,
-        obs: &AppObservation,
-        cfg: &AutoscalerConfig,
-        out: &mut Vec<KnobRequest>,
-    ) -> f64 {
+    /// actions to `out`: at most one request per action kind, all of one
+    /// direction (scale-out or scale-in).
+    pub fn tick(&mut self, app: u32, obs: &AppObservation, out: &mut Vec<KnobRequest>) {
         self.predictor.observe(obs.demand);
         self.last_prediction = self.predictor.predict(1);
-        let forecast = self.predictor.predict(cfg.horizon_epochs);
+        let forecast = self.predictor.predict(HORIZON_EPOCHS);
         self.up_cooldown = self.up_cooldown.saturating_sub(1);
         self.down_cooldown = self.down_cooldown.saturating_sub(1);
 
@@ -169,8 +116,8 @@ impl AppScaler {
         };
         let urgency = predicted_util.min(1e9);
 
-        if predicted_util > cfg.upper_band && self.up_cooldown == 0 {
-            let desired_capacity = forecast / cfg.target_utilization;
+        if predicted_util > UPPER_BAND && self.up_cooldown == 0 {
+            let desired_capacity = forecast / TARGET_UTILIZATION;
             let instances = obs.instances.max(1);
             // Rung 1: reweighting is free and immediate.
             out.push(KnobRequest {
@@ -195,9 +142,7 @@ impl AppScaler {
             let max_capacity = instances as f64 * obs.max_slice;
             if desired_capacity > max_capacity {
                 let want = (desired_capacity / obs.max_slice).ceil() as u32;
-                let extra = want
-                    .saturating_sub(instances)
-                    .clamp(1, cfg.max_step_instances);
+                let extra = want.saturating_sub(instances).clamp(1, MAX_STEP_INSTANCES);
                 out.push(KnobRequest {
                     action: ProposedAction::Deploy {
                         app,
@@ -207,9 +152,9 @@ impl AppScaler {
                     cost: 5.0 * extra as f64,
                 });
             }
-            self.up_cooldown = cfg.scale_up_cooldown;
-        } else if predicted_util < cfg.lower_band && self.down_cooldown == 0 && obs.capacity > 0.0 {
-            let desired_capacity = forecast / cfg.target_utilization;
+            self.up_cooldown = SCALE_UP_COOLDOWN;
+        } else if predicted_util < LOWER_BAND && self.down_cooldown == 0 && obs.capacity > 0.0 {
+            let desired_capacity = forecast / TARGET_UTILIZATION;
             let instances = obs.instances.max(1);
             let needed_slice =
                 (desired_capacity / instances as f64).clamp(obs.min_slice, obs.max_slice);
@@ -223,28 +168,22 @@ impl AppScaler {
                     urgency,
                     cost: 1.0,
                 });
-                self.down_cooldown = cfg.scale_down_cooldown;
-            } else if obs.instances > cfg.min_instances {
+                self.down_cooldown = SCALE_DOWN_COOLDOWN;
+            } else if obs.instances > MIN_INSTANCES {
                 out.push(KnobRequest {
                     action: ProposedAction::Retire { app, instances: 1 },
                     urgency,
                     cost: 0.5,
                 });
-                self.down_cooldown = cfg.scale_down_cooldown;
+                self.down_cooldown = SCALE_DOWN_COOLDOWN;
             }
         }
-        forecast
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forecast::ForecastMethod;
-
-    fn cfg() -> AutoscalerConfig {
-        AutoscalerConfig::default()
-    }
 
     fn obs(demand: f64, capacity: f64, instances: u32) -> AppObservation {
         AppObservation {
@@ -257,29 +196,18 @@ mod tests {
         }
     }
 
-    fn scaler() -> AppScaler {
-        AppScaler::new(&ForecastConfig::default())
-    }
-
-    #[test]
-    fn config_validation() {
-        cfg().validate().unwrap();
-        let mut c = cfg();
-        c.upper_band = c.target_utilization;
-        assert!(c.validate().is_err());
-        let mut c = cfg();
-        c.lower_band = 0.0;
-        assert!(c.validate().is_err());
+    fn is_retire(r: &KnobRequest) -> bool {
+        matches!(r.action, ProposedAction::Retire { .. })
     }
 
     #[test]
     fn steady_demand_at_target_is_quiet() {
-        let mut s = scaler();
+        let mut s = AppScaler::default();
         let mut out = Vec::new();
         // Demand 7, capacity 10 → util 0.7 = target, inside both bands;
         // no action, ever.
         for _ in 0..50 {
-            s.tick(0, &obs(7.0, 10.0, 5), &cfg(), &mut out);
+            s.tick(0, &obs(7.0, 10.0, 5), &mut out);
         }
         assert!(
             out.is_empty(),
@@ -289,8 +217,7 @@ mod tests {
 
     #[test]
     fn ramp_triggers_scale_out_ladder() {
-        let mut s = scaler();
-        let c = cfg();
+        let mut s = AppScaler::default();
         let mut out = Vec::new();
         // Demand ramping hard against fixed capacity 10 with all slices
         // already at max: must eventually propose deployment.
@@ -299,7 +226,7 @@ mod tests {
             let d = 1.0 + i as f64;
             let mut o = obs(d, 10.0, 5);
             o.slice = 2.0; // at max
-            s.tick(0, &o, &c, &mut out);
+            s.tick(0, &o, &mut out);
             if out
                 .iter()
                 .any(|r| matches!(r.action, ProposedAction::Deploy { .. }))
@@ -317,14 +244,13 @@ mod tests {
 
     #[test]
     fn slice_growth_preferred_when_sufficient() {
-        let mut s = scaler();
-        let c = cfg();
+        let mut s = AppScaler::default();
         let mut out = Vec::new();
         // Capacity 2.0 over 5 instances (slice 0.4); demand 2.0 predicts
         // util 1.0 > band, but 5 × max_slice = 10 covers the target
         // easily → slices grow, no deployment.
         for _ in 0..5 {
-            s.tick(0, &obs(2.0, 2.0, 5), &c, &mut out);
+            s.tick(0, &obs(2.0, 2.0, 5), &mut out);
         }
         assert!(out
             .iter()
@@ -336,54 +262,54 @@ mod tests {
 
     #[test]
     fn cooldown_gates_repeat_scale_out() {
-        let mut s = scaler();
-        let mut c = cfg();
-        c.scale_up_cooldown = 10;
+        let mut s = AppScaler::default();
         let mut out = Vec::new();
         let mut o = obs(20.0, 10.0, 5);
         o.slice = 2.0;
-        s.tick(0, &o, &c, &mut out);
+        s.tick(0, &o, &mut out);
         let first = out.len();
         assert!(first > 0);
-        // Next epoch: still overloaded but cooling down.
-        s.tick(0, &o, &c, &mut out);
-        assert_eq!(out.len(), first, "acted during cooldown");
+        // Still overloaded, but cooling down until the cooldown runs out.
+        for _ in 1..SCALE_UP_COOLDOWN {
+            s.tick(0, &o, &mut out);
+            assert_eq!(out.len(), first, "acted during cooldown");
+        }
+        s.tick(0, &o, &mut out);
+        assert!(out.len() > first, "cooldown never re-armed");
     }
 
     #[test]
     fn sustained_low_demand_retires_after_shrink() {
-        let mut s = scaler();
-        let mut c = cfg();
-        c.scale_down_cooldown = 1;
+        let mut s = AppScaler::default();
         let mut out = Vec::new();
         // Demand 0.3 on capacity 2 → util 0.15 < lower band. Slices are
-        // already at the floor, so the controller retires.
-        for _ in 0..10 {
+        // already at the floor, so the controller retires, then again
+        // once the scale-down cooldown has run out.
+        for _ in 0..=SCALE_DOWN_COOLDOWN {
             let mut o = obs(0.3, 2.0, 5);
             o.slice = 0.4;
-            s.tick(0, &o, &c, &mut out);
+            s.tick(0, &o, &mut out);
         }
-        assert!(out
-            .iter()
-            .any(|r| matches!(r.action, ProposedAction::Retire { .. })));
-        // Never below min_instances.
-        let mut o = obs(0.01, 0.4, 1);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(is_retire));
+        // Never below the instance floor: a fresh scaler (no cooldown
+        // pending) on one instance at the slice floor stays quiet.
+        let mut s = AppScaler::default();
+        let mut o = obs(0.01, 0.4, MIN_INSTANCES);
         o.slice = 0.4;
         out.clear();
         for _ in 0..10 {
-            s.tick(0, &o, &c, &mut out);
+            s.tick(0, &o, &mut out);
         }
-        assert!(!out
-            .iter()
-            .any(|r| matches!(r.action, ProposedAction::Retire { .. })));
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn zero_capacity_with_demand_is_urgent() {
-        let mut s = scaler();
+        let mut s = AppScaler::default();
         let mut out = Vec::new();
         for _ in 0..3 {
-            s.tick(0, &obs(5.0, 0.0, 0), &cfg(), &mut out);
+            s.tick(0, &obs(5.0, 0.0, 0), &mut out);
         }
         assert!(!out.is_empty());
         assert!(out[0].urgency > 1.0);
@@ -394,41 +320,26 @@ mod tests {
         // A warmed predictor extrapolates the ramp past the upper band
         // on the very first live tick; a cold one sees a single sample
         // and stays quiet.
-        let mut cold = scaler();
-        let mut warm = scaler();
+        let mut cold = AppScaler::default();
+        let mut warm = AppScaler::default();
         for d in [2.0, 4.0, 6.0, 8.0, 10.0] {
             warm.warm(d);
         }
-        let c = cfg();
         let (mut warm_out, mut cold_out) = (Vec::new(), Vec::new());
         let o = obs(12.0, 15.0, 10);
-        warm.tick(0, &o, &c, &mut warm_out);
-        cold.tick(0, &o, &c, &mut cold_out);
+        warm.tick(0, &o, &mut warm_out);
+        cold.tick(0, &o, &mut cold_out);
         assert!(!warm_out.is_empty(), "warm controller missed the ramp");
         assert!(cold_out.is_empty(), "cold controller acted on one sample");
     }
 
     #[test]
     fn warm_up_preloads_the_predictor() {
-        let mut warm = scaler();
+        let mut warm = AppScaler::default();
         for i in 0..10 {
             warm.warm(10.0 * i as f64);
         }
-        let cold = scaler();
-        assert!(warm.predictor().predict(3) > cold.predictor().predict(3));
-    }
-
-    #[test]
-    fn peak_method_also_drives_scale_out() {
-        let fc = ForecastConfig {
-            method: ForecastMethod::PeakOverWindow,
-            ..Default::default()
-        };
-        let mut s = AppScaler::new(&fc);
-        let mut out = Vec::new();
-        let mut o = obs(30.0, 10.0, 5);
-        o.slice = 2.0;
-        s.tick(0, &o, &cfg(), &mut out);
-        assert!(!out.is_empty());
+        let cold = AppScaler::default();
+        assert!(warm.predictor.predict(3) > cold.predictor.predict(3));
     }
 }

@@ -6,20 +6,24 @@
 //! "elastic Internet applications" (§I) whose demand, while spiky, has
 //! forecastable structure at epoch granularity:
 //!
-//! * [`forecast`] — per-app demand predictors (EWMA, Holt
-//!   double-exponential with trend, peak-over-window), deterministic and
-//!   allocation-free per tick so 300k apps fit in one epoch; plus
-//!   [`GroupForecaster`] banks for infrastructure-level streams (per-pod
-//!   utilization, per-link demand) that the global manager feeds its
-//!   water-filling reweights ([`waterfill_weights`]) from.
+//! * [`forecast`] — per-app demand prediction with Holt's double
+//!   exponential smoothing (level + trend, α = 0.5, β = 0.3),
+//!   deterministic and allocation-free per tick so 300k apps fit in one
+//!   epoch; plus [`GroupForecaster`] banks for infrastructure-level
+//!   streams (per-pod utilization, per-link demand) that the global
+//!   manager feeds its water-filling reweights ([`waterfill_weights`])
+//!   from.
 //! * [`autoscaler`] — a target-tracking controller converting forecasts
-//!   into desired capacity, with hysteresis bands and per-direction
-//!   cooldowns, emitting proactive knob requests (deploy/replicate
-//!   §IV.D, VM slice adjust §IV.E, RIP reweight §IV.F).
-//! * [`arbiter`] — the §V.B policy-conflict resolver: competing requests
-//!   are deduplicated, scale-out/scale-in conflicts cancelled, and the
-//!   survivors ranked by the agility ladder (E7) and cost before the
-//!   platform feeds them through the serialized VIP/RIP queue (§III.C).
+//!   into desired capacity, with fixed hysteresis bands and
+//!   per-direction cooldowns, emitting proactive knob requests
+//!   (deploy/replicate §IV.D, VM slice adjust §IV.E, RIP reweight
+//!   §IV.F).
+//! * [`arbiter`] — the §V.B policy-conflict resolver: each epoch's
+//!   requests are ranked by the agility ladder (E7) and cost and cut to
+//!   the per-epoch caps before the platform feeds them through the
+//!   serialized VIP/RIP queue (§III.C). The autoscaler never proposes two
+//!   requests of one kind, or a scale-out beside a retire, for one app,
+//!   so that sort is all the arbitration it needs.
 //!
 //! The crate is platform-agnostic: it consumes [`AppObservation`]s and
 //! produces [`KnobRequest`]s, and never touches simulator state. The
@@ -27,9 +31,9 @@
 //! (disabled by default — the reactive-only baseline is unchanged).
 //!
 //! ```
-//! use elastic::{AppObservation, ElasticConfig, ElasticController};
+//! use elastic::{AppObservation, ElasticController};
 //!
-//! let mut ctl = ElasticController::new(ElasticConfig::proactive(), 2);
+//! let mut ctl = ElasticController::new(2);
 //! // App 0 ramping against capacity 1.0; app 1 idle.
 //! for epoch in 0..10 {
 //!     let obs = [
@@ -59,12 +63,9 @@ pub mod arbiter;
 pub mod autoscaler;
 pub mod forecast;
 
-pub use arbiter::{
-    headroom_pressure, waterfill_weights, Agility, Arbiter, ArbiterConfig, ArbiterStats,
-    KnobRequest, ProposedAction,
-};
-pub use autoscaler::{AppObservation, AppScaler, AutoscalerConfig};
-pub use forecast::{ForecastConfig, ForecastMethod, GroupForecaster, MapeAccumulator, Predictor};
+pub use arbiter::{headroom_pressure, waterfill_weights, KnobRequest, ProposedAction};
+pub use autoscaler::{AppObservation, AppScaler};
+pub use forecast::{GroupForecaster, MapeAccumulator, Predictor};
 
 /// Top-level configuration of the proactive control plane; embeds into
 /// `PlatformConfig` (and so must stay `Copy`).
@@ -73,88 +74,37 @@ pub struct ElasticConfig {
     /// Master switch. `false` (the default) keeps the platform purely
     /// reactive, byte-for-byte identical to the pre-elastic behaviour.
     pub enabled: bool,
-    /// Demand forecasting.
-    pub forecast: ForecastConfig,
-    /// Target-tracking control law.
-    pub autoscaler: AutoscalerConfig,
-    /// Conflict resolution and per-epoch caps.
-    pub arbiter: ArbiterConfig,
 }
 
 impl ElasticConfig {
-    /// The default proactive configuration (everything on).
+    /// The proactive configuration (the plane switched on).
     pub fn proactive() -> Self {
-        ElasticConfig {
-            enabled: true,
-            ..ElasticConfig::default()
-        }
+        ElasticConfig { enabled: true }
     }
-
-    /// Validate, returning the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        self.forecast.validate()?;
-        self.autoscaler.validate()?;
-        self.arbiter.validate()?;
-        Ok(())
-    }
-}
-
-/// Cumulative controller statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ControllerStats {
-    /// Epochs ticked.
-    pub epochs: u64,
-    /// Raw requests proposed by the autoscaler (pre-arbitration).
-    pub proposed: u64,
-    /// Requests admitted by the arbiter.
-    pub admitted: u64,
 }
 
 /// The assembled proactive controller: one [`AppScaler`] per application,
-/// one [`Arbiter`], one forecast-quality score.
+/// the arbitration step, one forecast-quality score.
 #[derive(Debug)]
 pub struct ElasticController {
-    cfg: ElasticConfig,
     scalers: Vec<AppScaler>,
-    arbiter: Arbiter,
     mape: MapeAccumulator,
-    stats: ControllerStats,
+    epochs: u64,
 }
 
 impl ElasticController {
-    /// New controller for `num_apps` applications. Panics if the config
-    /// is invalid (validate at the platform boundary first).
-    pub fn new(cfg: ElasticConfig, num_apps: usize) -> Self {
-        cfg.validate().expect("valid ElasticConfig");
+    /// New controller for `num_apps` applications.
+    pub fn new(num_apps: usize) -> Self {
         ElasticController {
-            cfg,
-            scalers: (0..num_apps)
-                .map(|_| AppScaler::new(&cfg.forecast))
-                .collect(),
-            arbiter: Arbiter::new(cfg.arbiter),
+            scalers: vec![AppScaler::default(); num_apps],
             mape: MapeAccumulator::default(),
-            stats: ControllerStats::default(),
+            epochs: 0,
         }
-    }
-
-    /// The configuration this controller runs.
-    pub fn config(&self) -> &ElasticConfig {
-        &self.cfg
-    }
-
-    /// Applications managed.
-    pub fn num_apps(&self) -> usize {
-        self.scalers.len()
     }
 
     /// Epochs ticked so far.
     pub fn epochs(&self) -> u64 {
-        self.stats.epochs
-    }
-
-    /// Cumulative controller statistics.
-    pub fn stats(&self) -> ControllerStats {
-        self.stats
+        self.epochs
     }
 
     /// Mean absolute percentage error of the one-step forecasts so far.
@@ -175,6 +125,12 @@ impl ElasticController {
     /// indexed by app id and cover every app. Returns the arbitrated,
     /// agility-ordered action list.
     pub fn tick(&mut self, observations: &[AppObservation]) -> Vec<KnobRequest> {
+        arbiter::arbitrate(self.propose(observations))
+    }
+
+    /// Score last epoch's forecasts and run every app's autoscaler: the
+    /// epoch's requests before arbitration.
+    fn propose(&mut self, observations: &[AppObservation]) -> Vec<KnobRequest> {
         assert_eq!(
             observations.len(),
             self.scalers.len(),
@@ -183,22 +139,22 @@ impl ElasticController {
         let mut proposed = Vec::new();
         for (app, (scaler, obs)) in self.scalers.iter_mut().zip(observations).enumerate() {
             // Score last epoch's one-step forecast against this actual.
-            if self.stats.epochs > 0 {
+            if self.epochs > 0 {
                 self.mape.record(scaler.last_prediction(), obs.demand);
             }
-            scaler.tick(app as u32, obs, &self.cfg.autoscaler, &mut proposed);
+            scaler.tick(app as u32, obs, &mut proposed);
         }
-        self.stats.proposed += proposed.len() as u64;
-        let admitted = self.arbiter.arbitrate(proposed);
-        self.stats.admitted += admitted.len() as u64;
-        self.stats.epochs += 1;
-        admitted
+        self.epochs += 1;
+        proposed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::reference::{self, ThreeStepStats};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn ramp_obs(n: usize, epoch: usize) -> Vec<AppObservation> {
         (0..n)
@@ -213,21 +169,109 @@ mod tests {
             .collect()
     }
 
+    /// Propose one epoch's requests, check that no two share an (app,
+    /// rank) and no retire shares an app with a scale-out, and check that
+    /// both arbitrations admit the same bits. Returns the one-step
+    /// admissions and the reference's statistics.
+    fn propose_and_compare(
+        ctl: &mut ElasticController,
+        obs: &[AppObservation],
+    ) -> (Vec<KnobRequest>, ThreeStepStats) {
+        let proposed = ctl.propose(obs);
+        let mut keys = BTreeSet::new();
+        let mut scale_out = BTreeSet::new();
+        for r in &proposed {
+            let (app, rank) = (r.action.app(), r.action.rank());
+            assert!(keys.insert((app, rank)), "two requests for ({app}, {rank})");
+            if !matches!(r.action, ProposedAction::Retire { .. }) {
+                scale_out.insert(app);
+            }
+        }
+        for r in &proposed {
+            if let ProposedAction::Retire { app, .. } = r.action {
+                assert!(
+                    !scale_out.contains(&app),
+                    "retire beside a scale-out: {app}"
+                );
+            }
+        }
+        let mut stats = ThreeStepStats::default();
+        let three_step = reference::arbitrate(proposed.clone(), &mut stats);
+        let one_step = arbiter::arbitrate(proposed);
+        assert_eq!(reference::bits(&one_step), reference::bits(&three_step));
+        assert_eq!((stats.conflicts_resolved, stats.duplicates_merged), (0, 0));
+        (one_step, stats)
+    }
+
+    /// One app's observation: demand, capacity (zeroed one time in
+    /// four), instances, current slice (at the floor one time in four,
+    /// where a scale-in retires).
+    fn arb_obs() -> impl Strategy<Value = AppObservation> {
+        (0.0f64..30.0, 0.0f64..20.0, 0u32..4, 0u32..10, 0.4f64..2.0).prop_map(
+            |(demand, capacity, pick, instances, slice)| AppObservation {
+                demand,
+                capacity: if pick == 0 { 0.0 } else { capacity },
+                instances,
+                slice: if pick == 1 { 0.4 } else { slice },
+                min_slice: 0.4,
+                max_slice: 2.0,
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn tick_emits_one_request_per_app_and_rank_and_matches_three_step(
+            (apps, obs) in (1usize..40, 1usize..30).prop_flat_map(|(apps, epochs)| {
+                (Just(apps), proptest::collection::vec(arb_obs(), apps * epochs))
+            }),
+        ) {
+            let mut ctl = ElasticController::new(apps);
+            let mut twin = ElasticController::new(apps);
+            for epoch in obs.chunks(apps) {
+                let (admitted, _) = propose_and_compare(&mut ctl, epoch);
+                prop_assert_eq!(reference::bits(&twin.tick(epoch)), reference::bits(&admitted));
+            }
+        }
+    }
+
+    #[test]
+    fn one_step_matches_three_step_when_the_caps_bind() {
+        // 200 apps, each ramping from its own epoch on: well over 64
+        // requests and 8 deploys in the busiest epochs.
+        let mut ctl = ElasticController::new(200);
+        let mut capped = 0;
+        for e in 0..40 {
+            let obs: Vec<AppObservation> = (0..200)
+                .map(|a| AppObservation {
+                    demand: (e as f64 - (a % 20) as f64).max(0.0) * 2.0,
+                    capacity: 4.0,
+                    instances: 2,
+                    slice: 2.0,
+                    min_slice: 0.4,
+                    max_slice: 2.0,
+                })
+                .collect();
+            capped += propose_and_compare(&mut ctl, &obs).1.capped;
+        }
+        assert!(capped > 0, "the caps never bound");
+    }
+
     #[test]
     fn controller_ticks_all_apps_and_scores_mape() {
-        let mut ctl = ElasticController::new(ElasticConfig::proactive(), 4);
+        let mut ctl = ElasticController::new(4);
+        let mut admitted = 0;
         for e in 0..20 {
-            ctl.tick(&ramp_obs(4, e));
+            admitted += ctl.tick(&ramp_obs(4, e)).len();
         }
         assert_eq!(ctl.epochs(), 20);
         assert!(ctl.mape().is_some());
         // The ramping app produced actions; the steady ones stayed quiet.
-        assert!(ctl.stats().admitted > 0);
+        assert!(admitted > 0);
     }
 
     #[test]
     fn disabled_config_still_validates() {
-        ElasticConfig::default().validate().unwrap();
         assert!(!ElasticConfig::default().enabled);
         assert!(ElasticConfig::proactive().enabled);
     }
@@ -235,7 +279,7 @@ mod tests {
     #[test]
     fn controller_is_deterministic() {
         let run = || {
-            let mut ctl = ElasticController::new(ElasticConfig::proactive(), 8);
+            let mut ctl = ElasticController::new(8);
             let mut all = Vec::new();
             for e in 0..30 {
                 all.extend(ctl.tick(&ramp_obs(8, e)));
@@ -247,8 +291,8 @@ mod tests {
 
     #[test]
     fn warm_up_makes_first_tick_predictive() {
-        let mut cold = ElasticController::new(ElasticConfig::proactive(), 1);
-        let mut warm = ElasticController::new(ElasticConfig::proactive(), 1);
+        let mut cold = ElasticController::new(1);
+        let mut warm = ElasticController::new(1);
         warm.warm_up(0, &[1.0, 2.0, 3.0, 4.0, 5.0]);
         let obs = [AppObservation {
             demand: 6.0,
@@ -268,7 +312,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one observation per app")]
     fn observation_length_mismatch_panics() {
-        let mut ctl = ElasticController::new(ElasticConfig::proactive(), 3);
+        let mut ctl = ElasticController::new(3);
         ctl.tick(&ramp_obs(2, 0));
     }
 }
