@@ -219,13 +219,19 @@ impl GlobalManager {
 
     /// The serialized half of one global-manager epoch: apply every
     /// queued VIP/RIP request in order, then release the retire mask.
-    pub fn drain_queue(&mut self, state: &mut PlatformState) {
-        for (req, resp) in self.viprip.process_all(state) {
+    /// `settled` says that the previous drain processed no request and
+    /// nothing its pod weight verdicts read has changed since (see
+    /// [`crate::Platform::step`]). Returns whether the drain processed no
+    /// request.
+    pub fn drain_queue(&mut self, state: &mut PlatformState, settled: bool) -> bool {
+        let processed = self.viprip.processed();
+        for (req, resp) in self.viprip.drain(state, settled) {
             self.record_queue_apply(&req, &resp);
         }
         // The queued retires have been executed (or rejected); the epoch's
         // exposure decisions no longer need to mask them.
         self.pending_retires.clear();
+        self.viprip.processed() == processed
     }
 
     /// Record one serialized-queue apply result in the flight recorder
@@ -1369,7 +1375,7 @@ mod tests {
     /// One global-manager epoch: the knobs, then the queue drain.
     fn epoch(gm: &mut GlobalManager, st: &mut PlatformState, snap: &LoadSnapshot, now: SimTime) {
         gm.epoch_knobs(st, snap, now);
-        gm.drain_queue(st);
+        gm.drain_queue(st, false);
     }
 
     /// Two apps: app0 with VIPs on links 0 and 1 (instances in pod 0);

@@ -109,6 +109,20 @@ pub struct Platform {
     /// Epoch of each app's most recent scale-out (pod-plan instance
     /// start or proactive deploy), for the reactive scale-in cooldown.
     last_scale_out: BTreeMap<u32, u64>,
+    /// The fabric's switch reconfiguration count at the last queue drain,
+    /// if that drain processed no request (every pod weight request was
+    /// unchanged); `None` otherwise. The next drain is *settled*, and
+    /// reuses those verdicts, when no pod round solved and no elephant
+    /// relief moved a server in its epoch and the count is still this.
+    /// A pod request's verdict reads four things, none of which can then
+    /// have changed: (1) its VIP's switch entry list, which every switch
+    /// table write bumps the count for; (2) the RIP ↔ VM records, which
+    /// change only with an entry write; (3) VM locations and server → pod
+    /// membership, which reused rounds certify for every pod at planning
+    /// (healthy servers, their VMs, the pod's VM count), and which only
+    /// elephant relief moves between planning and the drain; (4) the
+    /// request's weights, which come from the same stored plans.
+    weights_settled: Option<u64>,
 }
 
 impl Platform {
@@ -271,6 +285,7 @@ impl Platform {
             last_snapshot: LoadSnapshot::default(),
             elastic,
             last_scale_out: BTreeMap::new(),
+            weights_settled: None,
         })
     }
 
@@ -298,6 +313,15 @@ impl Platform {
         self.pod_managers
             .iter()
             .map(PodManager::rounds_solved)
+            .sum()
+    }
+
+    /// Switch reconfigurations across the fabric since build.
+    fn switch_reconfigurations(&self) -> u64 {
+        self.state
+            .switches
+            .iter()
+            .map(|sw| sw.reconfigurations())
             .sum()
     }
 
@@ -355,6 +379,7 @@ impl Platform {
         // the same state and snapshot before any is applied, in pod-index
         // order below.
         self.sync_pod_managers();
+        let solved = self.pod_rounds_solved();
         let mut managers = std::mem::take(&mut self.pod_managers);
         for pm in &mut managers {
             pm.replan(&self.state, &snap, &mut self.scratch.pod_round);
@@ -374,9 +399,15 @@ impl Platform {
 
         // Global knobs, then the serialized VIP/RIP queue, as two phases
         // so knob time and queue time profile apart.
+        let evictions = self.global.counters.elephant_evictions;
         self.global.epoch_knobs(&mut self.state, &snap, now);
         self.profiler.record(span("global-knobs"), clock.lap());
-        self.global.drain_queue(&mut self.state);
+        let reconfigs = self.switch_reconfigurations();
+        let settled = self.weights_settled == Some(reconfigs)
+            && self.pod_rounds_solved() == solved
+            && self.global.counters.elephant_evictions == evictions;
+        let quiet = self.global.drain_queue(&mut self.state, settled);
+        self.weights_settled = quiet.then_some(reconfigs);
         self.profiler.record(span("queue-drain"), clock.lap());
 
         // Bind RIPs for instances that came online without one (pod-plan
@@ -398,12 +429,7 @@ impl Platform {
         // Score the epoch against the served-fraction SLO. The inputs
         // (reconfig totals, the recorder's cumulative flip-flop count)
         // are sim-state, so the score is deterministic.
-        let reconfigs: u64 = self
-            .state
-            .switches
-            .iter()
-            .map(|sw| sw.reconfigurations())
-            .sum();
+        let reconfigs = self.switch_reconfigurations();
         let slo = self
             .slo
             .score_epoch(served, reconfigs, self.global.recorder.flipflops());
@@ -1061,6 +1087,7 @@ fn max_of(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbswitch::{LbSwitch, RipAddr, VipAddr};
     use workload::FlashCrowd;
 
     #[test]
@@ -1383,5 +1410,222 @@ mod tests {
             "the new pod did not plan on the next step"
         );
         p.state.assert_invariants();
+    }
+
+    /// Every switch's `(vip, rip, weight bits)`, in switch and table order.
+    fn weight_bits(p: &Platform) -> Vec<(VipAddr, RipAddr, u64)> {
+        let entries = |(vip, cfg): (VipAddr, &lbswitch::switch::VipConfig)| {
+            let rips = cfg
+                .rips
+                .iter()
+                .map(move |e| (vip, e.rip, e.weight.to_bits()));
+            rips.collect::<Vec<_>>()
+        };
+        p.state
+            .switches
+            .iter()
+            .flat_map(|sw| sw.vips().flat_map(entries))
+            .collect()
+    }
+
+    /// A write between epochs, chosen from one run's state and applied to
+    /// both runs of a differential pair.
+    #[derive(Debug, Clone, Copy)]
+    enum Write {
+        /// A High `SetWeight` on a pod RIP: the drain applies it before the
+        /// pod requests, and the VM's pod request restores the weight.
+        SetWeight(VmId, f64),
+        /// A bare running VM, which the epoch's `rip-bind` binds.
+        Bind(ServerId, u32),
+        /// A VIP moved to another switch.
+        Transfer(VipAddr, SwitchId),
+        /// A server failure.
+        ServerFailure(ServerId),
+        /// A live migration; it completes in a later epoch.
+        Migration(VmId, ServerId),
+        /// A weight written straight into a pod RIP's switch entry, as a
+        /// caller outside the queue can: only the switch count sees it.
+        SwitchWeight(VmId, f64),
+    }
+
+    /// Write `kind` (0..6) on the `r`-th candidate of `p`, if it has one.
+    fn pick_write(p: &Platform, kind: usize, r: usize) -> Option<Write> {
+        let st = &p.state;
+        let (cpu, mem) = (st.config.vm_cpu_slice, st.config.vm_mem_mb);
+        let healthy: Vec<ServerId> = (0..st.fleet.num_servers() as u32)
+            .map(ServerId)
+            .filter(|&s| st.server_healthy(s))
+            .collect();
+        let fits = |s: ServerId, cpu, mem| st.fleet.server(s).unwrap().fits(cpu, mem).is_ok();
+        let nth = |n: usize| r % n.max(1);
+        match kind {
+            0 | 5 => {
+                let pod_vms: Vec<VmId> = (p.pod_managers.iter())
+                    .flat_map(|pm| pm.current_plan().weights.iter().map(|&(vm, _)| vm))
+                    .collect();
+                let vm = *pod_vms.get(nth(pod_vms.len()))?;
+                let rip = st.rip_of_vm(vm)?;
+                let vip = st.rip(rip).ok()?.vip;
+                let sw = &st.switches[st.vip(vip).ok()?.switch.0 as usize];
+                let w = sw.vip(vip).ok()?.rips.iter().find(|e| e.rip == rip)?.weight * 2.0 + 1.0;
+                Some([Write::SetWeight(vm, w), Write::SwitchWeight(vm, w)][kind / 5])
+            }
+            1 => {
+                let open: Vec<ServerId> = healthy
+                    .iter()
+                    .copied()
+                    .filter(|&s| fits(s, cpu, mem))
+                    .collect();
+                let app = (r % st.config.num_apps) as u32;
+                Some(Write::Bind(*open.get(nth(open.len()))?, app))
+            }
+            2 => {
+                let vips: Vec<VipAddr> = st.vips().map(|(v, _)| v).collect();
+                let vip = *vips.get(nth(vips.len()))?;
+                let from = st.vip(vip).ok()?.switch;
+                let to = (st.switches.iter().map(LbSwitch::id))
+                    .find(|&t| t != from && st.switch_healthy(t))?;
+                Some(Write::Transfer(vip, to))
+            }
+            3 => Some(Write::ServerFailure(*healthy.get(nth(healthy.len()))?)),
+            4 => {
+                let running: Vec<(VmId, ServerId)> = (healthy.iter())
+                    .flat_map(|&s| st.fleet.server(s).unwrap().vms().map(move |vm| (vm, s)))
+                    .filter(|(vm, _)| matches!(vm.state, VmState::Running))
+                    .filter(|(vm, _)| st.rip_of_vm(vm.id).is_some())
+                    .map(|(vm, s)| (vm.id, s))
+                    .collect();
+                let (vm, src) = *running.get(nth(running.len()))?;
+                let rec = st.fleet.vm(vm).ok()?;
+                let dst = (healthy.iter().copied())
+                    .find(|&d| d != src && fits(d, rec.cpu_slice, rec.mem_mb))?;
+                Some(Write::Migration(vm, dst))
+            }
+            _ => unreachable!("write kind {kind}"),
+        }
+    }
+
+    /// Apply `w` to `p`; whether it took.
+    fn apply_write(p: &mut Platform, w: Write) -> bool {
+        let (cpu, mem) = (p.state.config.vm_cpu_slice, p.state.config.vm_mem_mb);
+        match w {
+            Write::SetWeight(vm, weight) => {
+                let request = Request::SetWeight { vm, weight };
+                p.global.viprip.submit(Priority::High, request);
+                true
+            }
+            Write::Bind(server, app) => {
+                let fleet = &mut p.state.fleet;
+                fleet.create_vm_running(server, app, cpu, mem).is_ok()
+            }
+            Write::Transfer(vip, to) => p.state.transfer_vip(vip, to).is_ok(),
+            Write::ServerFailure(server) => p.inject_server_failure(server).is_ok(),
+            Write::Migration(vm, dst) => p.state.fleet.migrate_vm(vm, dst, p.now).is_ok(),
+            Write::SwitchWeight(vm, weight) => {
+                let rip = p.state.rip_of_vm(vm).unwrap();
+                let vip = p.state.rip(rip).unwrap().vip;
+                let switch = p.state.vip(vip).unwrap().switch;
+                let sw = &mut p.state.switches[switch.0 as usize];
+                sw.set_rip_weight(vip, rip, weight).is_ok()
+            }
+        }
+    }
+
+    /// Step `cfg` twice in lockstep, the reference with the settled-drain
+    /// reuse forced off. Once the fast run is settled and `gap` epochs
+    /// have passed since the last write, both get the next seeded write,
+    /// cycling through every [`Write`] kind. After every step the switch weights
+    /// must match by bits and the epoch's events and metrics export byte
+    /// for byte. In every quiet epoch — no write, no request processed in
+    /// it or the epoch before, no pod round solved, no server moved, no
+    /// switch reconfigured — the fast run must reuse every pod request.
+    /// Returns `(quiet epochs, writes that took per kind)`.
+    fn settled_reuse_differential(cfg: PlatformConfig, epochs: u64, gap: u64) -> (u64, [u64; 6]) {
+        let mut fast = Platform::build(cfg).unwrap();
+        let mut reference = Platform::build(cfg).unwrap();
+        let (mut quiet, mut took, mut kinds, mut last) = (0, [0u64; 6], 0, 0);
+        let mut calm = false; // the previous epoch processed no request
+        for epoch in 0..epochs {
+            let mut wrote = false;
+            if epoch >= last + gap && fast.weights_settled.is_some() {
+                let kind = kinds % took.len();
+                if let Some(w) = pick_write(&fast, kind, epoch as usize * 7919) {
+                    let ok = apply_write(&mut fast, w);
+                    assert_eq!(apply_write(&mut reference, w), ok, "{w:?}");
+                    took[kind] += u64::from(ok);
+                    wrote = ok;
+                }
+                (kinds, last) = (kinds + 1, epoch);
+            }
+            let count = |p: &Platform| {
+                let requests = p.registry.counter(mid::WEIGHT_REQUESTS_EMITTED);
+                let moves =
+                    p.global.counters.elephant_evictions + p.global.counters.server_transfers;
+                let v = &p.global.viprip;
+                (
+                    v.processed(),
+                    v.reused(),
+                    p.pod_rounds_solved(),
+                    moves,
+                    requests,
+                    p.switch_reconfigurations(),
+                )
+            };
+            let before = count(&fast);
+            fast.step();
+            reference.weights_settled = None;
+            reference.step();
+            let after = count(&fast);
+            assert_eq!(weight_bits(&fast), weight_bits(&reference), "epoch {epoch}");
+            let events = |p: &mut Platform| {
+                let events = p.global.recorder.take_events();
+                events.iter().map(|e| e.to_json_line()).collect::<Vec<_>>()
+            };
+            assert_eq!(events(&mut fast), events(&mut reference), "epoch {epoch}");
+            assert_eq!(
+                fast.registry.render_text("r"),
+                reference.registry.render_text("r")
+            );
+            assert_eq!(reference.global.viprip.reused(), 0);
+            let processed_none = after.0 == before.0;
+            let (requests, reused) = (after.4 - before.4, after.1 - before.1);
+            if !wrote
+                && calm
+                && processed_none
+                && (after.2, after.3, after.5) == (before.2, before.3, before.5)
+            {
+                quiet += 1;
+                assert!(
+                    requests > 0 && reused == requests,
+                    "epoch {epoch}: {reused} of {requests}"
+                );
+            }
+            calm = processed_none;
+        }
+        (quiet, took)
+    }
+
+    #[test]
+    fn settled_drains_match_the_full_check_small_test() {
+        let mut cfg = PlatformConfig::small_test();
+        cfg.diurnal_amplitude = 0.0;
+        cfg.total_demand_bps = 4e8;
+        cfg.initial_instances_per_app = 6; // several instances per app and pod
+        let (quiet, took) = settled_reuse_differential(cfg, 80, 3);
+        assert!(quiet > 0, "no quiet epoch");
+        assert!(took.iter().all(|&n| n > 0), "writes that took: {took:?}");
+    }
+
+    #[test]
+    fn settled_drains_match_the_full_check_paper_mix_miniature() {
+        let mut cfg = PlatformConfig::paper_scale();
+        cfg.num_apps = 40;
+        cfg.num_servers = 80;
+        cfg.initial_pods = 2;
+        cfg.total_demand_bps = (40 * cfg.initial_instances_per_app) as f64 * 0.2e6;
+        cfg.diurnal_amplitude = 0.0;
+        let (quiet, took) = settled_reuse_differential(cfg, 80, 3);
+        assert!(quiet > 0, "no quiet epoch");
+        assert!(took.iter().all(|&n| n > 0), "writes that took: {took:?}");
     }
 }

@@ -195,13 +195,6 @@ impl PodManager {
         self.solved
     }
 
-    /// Whether the pod manager itself is overloaded — the *elephant pod*
-    /// condition (§IV.C): too many servers or VMs for its decision space.
-    pub fn is_elephant(&self, state: &PlatformState) -> bool {
-        state.pod_servers(self.id).len() > state.config.pod_max_servers
-            || state.pod_vm_count(self.id) > state.config.pod_max_vms
-    }
-
     /// One round of the controller over `inputs`. Its rows are stably sorted
     /// by app, so each app's rows are a contiguous run (its dense index is
     /// the run's position) in server order, and demand sums, the incumbent,
@@ -959,18 +952,6 @@ mod tests {
         let weights = &plan.weights[plan.weight_requests[0].weights.clone()];
         assert_eq!(weights.len(), 2);
         assert!(weights.iter().all(|&(_, w)| w > 0.0));
-    }
-
-    #[test]
-    fn elephant_detection() {
-        let (st, _snap) = state_with_load(1e6);
-        let mgr = PodManager::new(PodId(0));
-        assert!(!mgr.is_elephant(&st));
-        let mut cfg = st.config;
-        cfg.pod_max_servers = 2; // pod 0 has 8 servers
-        let mut st2 = st;
-        st2.config = cfg;
-        assert!(mgr.is_elephant(&st2));
     }
 
     #[test]

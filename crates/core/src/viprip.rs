@@ -24,9 +24,13 @@
 //! arithmetic it applies it with (`VipRipManager::pod_weight_writes`): a
 //! request that would succeed and leave every weight bit as it is gets
 //! skipped (no write, no pair, not [`VipRipManager::processed`]). In a
-//! steady pod most requests are such no-ops. A pod's requests wait in one
-//! weight arena the manager owns and clears after each drain; only an
-//! applied or failed one becomes a [`Request`] with its own weight list.
+//! steady pod most requests are such no-ops. A *settled* drain (the
+//! previous drain processed nothing, and nothing its verdicts read has
+//! moved since; see `Platform::weights_settled`) counts them unchanged
+//! without the walk until it processes a request. A pod's requests wait
+//! in one weight arena the manager owns and clears after each drain; only
+//! an applied or failed one becomes a [`Request`] with its own weight
+//! list.
 
 use crate::ids::{AppId, PodId};
 use crate::state::{PlatformState, StateError};
@@ -190,6 +194,7 @@ pub struct VipRipManager {
     processed: u64,
     failed: u64,
     unchanged: u64,
+    reused: u64,
 }
 
 impl VipRipManager {
@@ -237,10 +242,33 @@ impl VipRipManager {
         self.unchanged
     }
 
+    /// Skipped pod weight requests that a settled drain counted on the
+    /// previous drain's verdict, without the §IV.F walk.
+    pub fn reused(&self) -> u64 {
+        self.reused
+    }
+
     /// Drain the queue in (priority, FIFO) order, applying each request to
     /// the platform state. Returns `(request, response)` pairs in
-    /// processing order; a skipped pod weight request has no pair.
+    /// processing order; a skipped pod weight request has no pair. Every
+    /// pod weight request is checked; only the platform's own drain may
+    /// reuse a settled verdict.
     pub fn process_all(&mut self, state: &mut PlatformState) -> Vec<(Request, Response)> {
+        self.drain(state, false)
+    }
+
+    /// [`VipRipManager::process_all`], told whether the drain is
+    /// *settled*: the previous drain processed no request, and nothing its
+    /// pod weight verdicts read has changed since (see
+    /// [`Platform::step`](crate::Platform::step)). Until a settled drain
+    /// processes a request, it counts each queued pod weight request as
+    /// unchanged without the §IV.F walk; debug builds still run the walk
+    /// and assert that it writes nothing.
+    pub(crate) fn drain(
+        &mut self,
+        state: &mut PlatformState,
+        mut settled: bool,
+    ) -> Vec<(Request, Response)> {
         let mut out = Vec::new();
         // Built at the drain's first `NewVip`; dropped with the drain.
         let mut vip_switches = None;
@@ -253,6 +281,16 @@ impl VipRipManager {
                     Queued::Request(request) => {
                         Self::apply(state, &request, &mut vip_switches, &mut scratch)
                             .map(|resp| (request, resp))
+                    }
+                    Queued::PodWeights { pod, vip, weights } if settled => {
+                        let weights = &self.pod_weights[weights];
+                        debug_assert!(
+                            Self::adjust_pod_weights(state, pod, vip, weights, &mut scratch)
+                                .is_none(),
+                            "a settled drain reused the verdict of a request that changes {vip}"
+                        );
+                        self.reused += 1;
+                        None
                     }
                     Queued::PodWeights { pod, vip, weights } => {
                         let weights = &self.pod_weights[weights];
@@ -269,6 +307,7 @@ impl VipRipManager {
                     continue;
                 };
                 self.processed += 1;
+                settled = false;
                 if matches!(resp, Response::Failed(_)) {
                     self.failed += 1;
                 }

@@ -431,13 +431,6 @@ impl LbSwitch {
         self.offered_bps() / self.limits.capacity_bps
     }
 
-    /// Packet-rate utilization for a given average packet size.
-    pub fn pps_utilization(&self, avg_packet_bytes: f64) -> f64 {
-        assert!(avg_packet_bytes > 0.0);
-        let pps = self.served_bps() / (8.0 * avg_packet_bytes);
-        pps / self.limits.max_pps
-    }
-
     /// Split one VIP's *served* demand across its RIPs by weight. When the
     /// switch is over capacity, every VIP is scaled down proportionally
     /// (the switch drops uniformly).
@@ -651,15 +644,77 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pps_utilization_with_small_packets() {
-        let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
-        sw.add_vip(VipAddr(0)).unwrap();
-        sw.set_offered_loads(|_| 4e9);
-        // 4 Gbps of 400-byte packets = 1.25 Mpps exactly.
-        assert!((sw.pps_utilization(400.0) - 1.0).abs() < 1e-9);
-        // 4 Gbps of 64-byte packets would exceed the pps budget.
-        assert!(sw.pps_utilization(64.0) > 1.0);
+    /// The VIP → `[(rip, weight bits)]` table a switch reconfiguration
+    /// changes.
+    fn table(sw: &LbSwitch) -> Vec<(VipAddr, Vec<(RipAddr, u64)>)> {
+        sw.vips()
+            .map(|(vip, cfg)| {
+                let rips = cfg.rips.iter().map(|r| (r.rip, r.weight.to_bits()));
+                (vip, rips.collect())
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+        /// `reconfigurations()` moves exactly when the table does, under
+        /// every configuration-plane mutator and the session and load
+        /// calls that must leave it alone.
+        #[test]
+        fn reconfigurations_change_iff_the_table_changes(
+            ops in proptest::collection::vec((0u8..11, 0u32..4, 0u32..6, 0usize..5), 1..80),
+        ) {
+            const WEIGHTS: [f64; 5] = [0.0, -0.0, 1.0, 2.5, 1e-300];
+            let limits = SwitchLimits {
+                max_vips: 3,
+                max_rips: 6,
+                max_connections: 6,
+                ..SwitchLimits::CISCO_CATALYST
+            };
+            let mut sw = LbSwitch::new(SwitchId(0), limits);
+            for (op, v, r, w) in ops {
+                let (vip, rip, weight) = (VipAddr(v), RipAddr(r), WEIGHTS[w]);
+                let current = sw
+                    .vip(vip)
+                    .ok()
+                    .and_then(|c| c.rips.iter().find(|e| e.rip == rip))
+                    .map(|e| (e.weight, e.active_conns));
+                let (before, count) = (table(&sw), sw.reconfigurations());
+                let _ = match op {
+                    0 => sw.add_vip(vip),
+                    1 => sw.remove_vip(vip).map(drop),
+                    2 => sw.force_remove_vip(vip).map(drop),
+                    3 => sw.add_rip(vip, rip, weight),
+                    4 => sw.remove_rip(vip, rip).map(drop),
+                    // The entry's own weight: the same bits.
+                    5 => sw.set_rip_weight(vip, rip, current.map_or(weight, |c| c.0)),
+                    // A different weight, or the other zero.
+                    6 => {
+                        let old = current.map_or(0.0, |c| c.0);
+                        let new = WEIGHTS.into_iter().find(|x| x.to_bits() != old.to_bits());
+                        sw.set_rip_weight(vip, rip, new.unwrap_or(weight))
+                    }
+                    7 => sw.set_rip_weight(vip, rip, if w % 2 == 0 { 0.0 } else { -0.0 }),
+                    8 => sw.open_session(vip).map(drop),
+                    9 if current.is_some_and(|c| c.1 > 0) => sw.close_session(vip, rip),
+                    10 => {
+                        sw.set_offered_loads(|x| f64::from(x.0) * weight.abs());
+                        Ok(())
+                    }
+                    _ => Ok(()),
+                };
+                let changed = table(&sw) != before;
+                proptest::prop_assert_eq!(
+                    sw.reconfigurations() != count,
+                    changed,
+                    "op {} on {} {}: table changed = {}",
+                    op,
+                    vip,
+                    rip,
+                    changed
+                );
+            }
+        }
     }
 
     #[test]

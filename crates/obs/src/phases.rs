@@ -43,7 +43,8 @@ pub enum EpochResource {
     /// read and the plan they gave (`PodManager`) — and the
     /// `RoundScratch` a round reads its pod into.
     PodRounds,
-    /// The serialized VIP/RIP request queue (§III.C).
+    /// The serialized VIP/RIP request queue (§III.C), with the last
+    /// drain's settled stamp (`Platform::weights_settled`).
     VipRipQueue,
     /// The flight recorder.
     Recorder,
@@ -206,7 +207,9 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     },
     PhaseDecl {
         id: "queue-drain",
-        reads: &[VipRipQueue, PodMembership, VmFleet, Switches],
+        // `PodRounds`: whether any pod round solved this epoch, one half
+        // of the settled-drain test (`Platform::weights_settled`).
+        reads: &[VipRipQueue, PodRounds, PodMembership, VmFleet, Switches],
         writes: &[VipRipQueue, VipRipTables, Switches, VmFleet, Recorder],
         where_: "VipRipManager::process_all (priority-FIFO, §III.C)",
     },

@@ -286,6 +286,8 @@ fn weight_request_counters_balance_under_elephant_relief() {
 
 /// A miniature of the paper's entity mix (20 instances per app): its
 /// steady weight requests change nothing, and the drain skips them.
+/// Under flat demand its pods settle, and the drain then skips them on
+/// the previous drain's verdict.
 #[test]
 fn paper_mix_miniature_skips_unchanged_weight_requests() {
     let mut cfg = PlatformConfig::paper_scale();
@@ -296,4 +298,12 @@ fn paper_mix_miniature_skips_unchanged_weight_requests() {
     let mut p = Platform::build(cfg).expect("build");
     let [emitted, unchanged] = weight_request_totals(&mut p, 8);
     assert!(unchanged > 0, "emitted {emitted}, unchanged {unchanged}");
+    cfg.diurnal_amplitude = 0.0;
+    let mut p = Platform::build(cfg).expect("build");
+    let [emitted, unchanged] = weight_request_totals(&mut p, 8);
+    let reused = p.global.viprip.reused();
+    assert!(
+        unchanged >= reused && reused > 0,
+        "emitted {emitted}, unchanged {unchanged}, reused {reused}"
+    );
 }
