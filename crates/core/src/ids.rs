@@ -1,5 +1,6 @@
 //! Platform-level identifiers and address pools.
 
+use dcnet::routing::Prefix;
 use lbswitch::{RipAddr, VipAddr};
 use std::fmt;
 
@@ -43,9 +44,9 @@ impl PodId {
 }
 
 /// The routing prefix announced for a VIP (each VIP is externally visible
-/// as its own prefix in the model).
-pub fn vip_prefix(vip: VipAddr) -> u64 {
-    vip.0 as u64
+/// as its own prefix in the model, numbered by its address).
+pub fn vip_prefix(vip: VipAddr) -> Prefix {
+    vip.0
 }
 
 /// An allocator of addresses from a finite pool, with free-list reuse —

@@ -11,14 +11,16 @@
 //! how many route updates have been emitted, and the convergence delay
 //! between issuing an operation and the Internet acting on it.
 //!
-//! Prefixes are opaque `u64`s; the `megadc` crate maps each VIP to one.
+//! Prefixes are dense `u32` ids: the `megadc` crate announces each VIP
+//! as its own prefix, numbered by its address, and VIP addresses come
+//! from a free-list pool, so the largest prefix stays near the peak live
+//! VIP count.
 
 use crate::access::AccessRouterId;
 use dcsim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
-/// The externally announced prefix for a VIP (opaque id).
-pub type Prefix = u64;
+/// The externally announced prefix for a VIP (a dense id).
+pub type Prefix = u32;
 
 /// State of one (prefix, access-router) route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,14 +46,29 @@ pub struct ActiveRoute {
     pub padding: u32,
 }
 
+/// End of a prefix's route list.
+const NIL: u32 = u32::MAX;
+
+/// One (prefix, access-router) route in the arena, linked to the next
+/// route of the same prefix in router order.
+#[derive(Debug, Clone, Copy)]
+struct RouteEntry {
+    router: AccessRouterId,
+    state: RouteState,
+    next: u32,
+}
+
 /// The data center's view of its external route announcements.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     convergence: SimDuration,
-    // BTreeMap, not HashMap: route iteration order feeds `usable_routes`
-    // and the experiment output, and bit-identical reruns are a hard
-    // invariant (see `cargo run -p analyze`, rule `hash-container`).
-    routes: BTreeMap<(Prefix, AccessRouterId), RouteState>,
+    /// The first entry of each prefix's list, indexed by prefix (`NIL`
+    /// when the prefix was never advertised).
+    heads: Vec<u32>,
+    /// Every route ever advertised, each prefix's linked in ascending
+    /// router order, so lookups walk routes in the order the experiment
+    /// output depends on. Entries are overwritten in place, never removed.
+    entries: Vec<RouteEntry>,
     updates_sent: u64,
 }
 
@@ -62,7 +79,8 @@ impl RouteTable {
     pub fn new(convergence: SimDuration) -> Self {
         RouteTable {
             convergence,
-            routes: BTreeMap::new(),
+            heads: Vec::new(),
+            entries: Vec::new(),
             updates_sent: 0,
         }
     }
@@ -72,15 +90,16 @@ impl RouteTable {
         self.convergence
     }
 
-    /// Total route update messages emitted so far (advertise, withdraw and
-    /// re-pad operations each count as one update).
+    /// Total route update messages emitted so far (advertise and withdraw
+    /// operations each count as one update).
     pub fn updates_sent(&self) -> u64 {
         self.updates_sent
     }
 
     /// Advertise `prefix` at `router` with the given AS-path padding.
-    /// Re-advertising an existing route (e.g. to change its padding, or to
-    /// resurrect a withdrawn one) also counts as an update.
+    /// Re-advertising an existing route (e.g. to pad it for the paper's
+    /// graceful drain, or to resurrect a withdrawn one) replaces it and
+    /// also counts as an update.
     pub fn advertise(
         &mut self,
         prefix: Prefix,
@@ -89,49 +108,73 @@ impl RouteTable {
         now: SimTime,
     ) {
         self.updates_sent += 1;
-        self.routes.insert(
-            (prefix, router),
-            RouteState {
-                advertised_at: now,
-                padding,
-                withdrawn_at: None,
-            },
-        );
+        let state = RouteState {
+            advertised_at: now,
+            padding,
+            withdrawn_at: None,
+        };
+        let p = prefix as usize;
+        if p >= self.heads.len() {
+            self.heads.resize(p + 1, NIL);
+        }
+        let (mut prev, mut cur) = (NIL, self.heads[p]);
+        while cur != NIL && self.entries[cur as usize].router < router {
+            (prev, cur) = (cur, self.entries[cur as usize].next);
+        }
+        if cur != NIL && self.entries[cur as usize].router == router {
+            self.entries[cur as usize].state = state;
+            return;
+        }
+        assert!(self.entries.len() < NIL as usize, "route arena full");
+        let id = self.entries.len() as u32;
+        self.entries.push(RouteEntry {
+            router,
+            state,
+            next: cur,
+        });
+        match prev {
+            NIL => self.heads[p] = id,
+            _ => self.entries[prev as usize].next = id,
+        }
     }
 
     /// Withdraw `prefix` from `router`. No-op (and no update emitted) if
     /// the route does not exist or is already withdrawn.
     pub fn withdraw(&mut self, prefix: Prefix, router: AccessRouterId, now: SimTime) {
-        if let Some(state) = self.routes.get_mut(&(prefix, router)) {
-            if state.withdrawn_at.is_none() {
-                state.withdrawn_at = Some(now);
-                self.updates_sent += 1;
+        let mut cur = self.head(prefix);
+        while cur != NIL {
+            let e = &mut self.entries[cur as usize];
+            if e.router == router {
+                if e.state.withdrawn_at.is_none() {
+                    e.state.withdrawn_at = Some(now);
+                    self.updates_sent += 1;
+                }
+                return;
             }
+            cur = e.next;
         }
     }
 
-    /// Re-announce `prefix` at `router` with AS-path padding — the paper's
-    /// graceful-drain step: the route stays valid but becomes unattractive,
-    /// so no *new* connections arrive once clients see a shorter path
-    /// elsewhere.
-    pub fn pad(&mut self, prefix: Prefix, router: AccessRouterId, prepends: u32, now: SimTime) {
-        let current = self
-            .routes
-            .get(&(prefix, router))
-            .unwrap_or_else(|| panic!("padding a route that was never advertised"));
-        assert!(current.withdrawn_at.is_none(), "padding a withdrawn route");
-        self.advertise(prefix, router, prepends, now);
+    /// The first entry of `prefix`'s list (`NIL` if it has none).
+    fn head(&self, prefix: Prefix) -> u32 {
+        self.heads.get(prefix as usize).copied().unwrap_or(NIL)
     }
 
-    /// The entries for `prefix`, in router order: a range over the
-    /// `(prefix, router)` key space, O(log n + k) instead of a table scan.
+    /// The entries for `prefix`, in router order: one index into the
+    /// prefix heads, then a walk of that prefix's routes alone.
     fn prefix_routes(
         &self,
         prefix: Prefix,
     ) -> impl Iterator<Item = (AccessRouterId, &RouteState)> + '_ {
-        self.routes
-            .range((prefix, AccessRouterId(0))..=(prefix, AccessRouterId(u32::MAX)))
-            .map(|(&(_, r), s)| (r, s))
+        let mut cur = self.head(prefix);
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let e = &self.entries[cur as usize];
+            cur = e.next;
+            Some((e.router, &e.state))
+        })
     }
 
     /// `true` if the route attracts traffic at `now`: its advertisement
@@ -197,24 +240,12 @@ impl RouteTable {
         self.prefix_routes(prefix)
             .any(|(_, s)| self.is_usable(s, now))
     }
-
-    /// Number of prefixes with at least one non-withdrawn advertisement.
-    pub fn advertised_prefix_count(&self) -> usize {
-        let mut prefixes: Vec<Prefix> = self
-            .routes
-            .iter()
-            .filter(|(_, s)| s.withdrawn_at.is_none())
-            .map(|((p, _), _)| *p)
-            .collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        prefixes.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     const AR0: AccessRouterId = AccessRouterId(0);
     const AR1: AccessRouterId = AccessRouterId(1);
@@ -248,7 +279,7 @@ mod tests {
         rt.advertise(7, AR0, 0, SimTime::ZERO);
         rt.advertise(7, AR1, 0, SimTime::ZERO);
         let t1 = SimTime::from_secs(100);
-        rt.pad(7, AR0, 3, t1);
+        rt.advertise(7, AR0, 3, t1);
         let t2 = SimTime::from_secs(200);
         let usable = rt.usable_routes(7, t2);
         assert_eq!(usable.len(), 2);
@@ -262,7 +293,7 @@ mod tests {
         let mut rt = table();
         rt.advertise(7, AR0, 0, SimTime::ZERO);
         let t1 = SimTime::from_secs(100);
-        rt.pad(7, AR0, 3, t1);
+        rt.advertise(7, AR0, 3, t1);
         // Before the pad converges the route record has been replaced; the
         // new (padded) announcement is not yet visible, and the model errs
         // on the conservative side: the prefix is unreachable through this
@@ -280,17 +311,6 @@ mod tests {
         rt.withdraw(1, AR0, SimTime::from_secs(2)); // duplicate: no update
         rt.withdraw(9, AR1, SimTime::from_secs(2)); // nonexistent: no update
         assert_eq!(rt.updates_sent(), 3);
-    }
-
-    #[test]
-    fn advertised_prefix_count_ignores_withdrawn() {
-        let mut rt = table();
-        rt.advertise(1, AR0, 0, SimTime::ZERO);
-        rt.advertise(1, AR1, 0, SimTime::ZERO);
-        rt.advertise(2, AR0, 0, SimTime::ZERO);
-        assert_eq!(rt.advertised_prefix_count(), 2);
-        rt.withdraw(2, AR0, SimTime::from_secs(1));
-        assert_eq!(rt.advertised_prefix_count(), 1);
     }
 
     #[test]
@@ -317,23 +337,18 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "never advertised")]
-    fn padding_unknown_route_panics() {
-        table().pad(5, AR0, 1, SimTime::ZERO);
-    }
+    /// The reference model: the route table as an ordered map over
+    /// `(prefix, router)`, fed the same operations as the table.
+    type Model = BTreeMap<(Prefix, AccessRouterId), RouteState>;
 
-    /// Reference model: the original lookup, a scan of the whole table
-    /// filtered to `prefix`.
-    fn usable_routes_scan(rt: &RouteTable, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
-        let mut v: Vec<ActiveRoute> = rt
-            .routes
+    fn model_usable(model: &Model, conv: SimDuration, p: Prefix, now: SimTime) -> Vec<ActiveRoute> {
+        let mut v: Vec<ActiveRoute> = model
             .iter()
-            .filter(|((p, _), _)| *p == prefix)
-            .filter(|(_, s)| s.advertised_at + rt.convergence <= now)
+            .filter(|((q, _), _)| *q == p)
+            .filter(|(_, s)| s.advertised_at + conv <= now)
             .filter(|(_, s)| match s.withdrawn_at {
                 None => true,
-                Some(w) => now < w + rt.convergence,
+                Some(w) => now < w + conv,
             })
             .map(|((_, r), s)| ActiveRoute {
                 router: *r,
@@ -344,37 +359,24 @@ mod tests {
         v
     }
 
-    fn preferred_routes_scan(rt: &RouteTable, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
-        let usable = usable_routes_scan(rt, prefix, now);
+    fn model_preferred(usable: &[ActiveRoute]) -> Vec<ActiveRoute> {
         let min_pad = usable.iter().map(|r| r.padding).min();
-        usable
-            .into_iter()
+        let mut v: Vec<ActiveRoute> = usable
+            .iter()
+            .copied()
             .filter(|r| Some(r.padding) == min_pad)
-            .collect()
-    }
-
-    /// SplitMix64: a dependency-free seeded generator for the tables.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-            xs[(self.next() % xs.len() as u64) as usize]
-        }
+            .collect();
+        v.sort_by_key(|r| r.router);
+        v
     }
 
     #[test]
     fn range_lookup_matches_full_scan_reference() {
-        // Adjacent prefixes and both ends of the key space, so a range
-        // that leaks into a neighbour (or misses an end) shows up.
-        const PREFIXES: [Prefix; 7] = [0, 1, 2, 500, 501, u64::MAX - 1, u64::MAX];
-        const ABSENT: [Prefix; 4] = [3, 499, 502, u64::MAX - 2];
+        // Prefix 0, adjacent prefixes and the last id the table holds, so
+        // a walk that leaks into a neighbour's list (or misses an end)
+        // shows up; the absent prefixes include ids past the table's end.
+        const PREFIXES: [Prefix; 7] = [0, 1, 2, 500, 501, 4_094, 4_095];
+        const ABSENT: [Prefix; 5] = [3, 499, 502, 4_096, 10_000];
         let routers = [
             AccessRouterId(0),
             AccessRouterId(1),
@@ -382,7 +384,8 @@ mod tests {
             AccessRouterId(u32::MAX - 1),
             AccessRouterId(u32::MAX),
         ];
-        let mut padded_preferred_split = 0;
+        let conv = SimDuration::from_secs(60);
+        let (mut padded_preferred_split, mut readvertised_withdrawn) = (0, 0);
         // One buffer for every lookup, starting dirty: each call must
         // clear what the previous one left.
         let mut buf = vec![ActiveRoute {
@@ -390,44 +393,62 @@ mod tests {
             padding: 9,
         }];
         for seed in 0..64u64 {
-            let mut rng = SplitMix(seed);
-            let mut rt = table();
-            for _ in 0..40 {
-                let p = rng.pick(&PREFIXES);
-                let r = rng.pick(&routers);
-                let t = SimTime::from_secs(rng.next() % 300);
-                match rng.next() % 4 {
-                    0 | 1 => rt.advertise(p, r, (rng.next() % 3) as u32, t),
-                    2 => rt.withdraw(p, r, t),
-                    _ => {
-                        let live = rt.routes.get(&(p, r)).map(|s| s.withdrawn_at.is_none());
-                        if live == Some(true) {
-                            rt.pad(p, r, 1 + (rng.next() % 3) as u32, t);
+            let mut rng = seed;
+            let mut next = || dcsim::rng::splitmix64(&mut rng);
+            let mut rt = RouteTable::new(conv);
+            let mut model = Model::new();
+            let mut updates = 0u64;
+            for op in 0..40 {
+                let mut p = PREFIXES[(next() % PREFIXES.len() as u64) as usize];
+                let mut r = routers[(next() % routers.len() as u64) as usize];
+                let t = SimTime::from_secs(next() % 300);
+                let padding = (next() % 3) as u32;
+                let kind = next() % 4;
+                if kind == 3 && !model.is_empty() {
+                    // Re-advertise a route the table already holds (often
+                    // a withdrawn one), at a new padding.
+                    let i = (next() % model.len() as u64) as usize;
+                    let (&key, state) = model.iter().nth(i).expect("i < len");
+                    (p, r) = key;
+                    readvertised_withdrawn += usize::from(state.withdrawn_at.is_some());
+                }
+                if kind == 2 {
+                    rt.withdraw(p, r, t);
+                    if let Some(s) = model.get_mut(&(p, r)) {
+                        if s.withdrawn_at.is_none() {
+                            s.withdrawn_at = Some(t);
+                            updates += 1;
                         }
                     }
+                } else {
+                    rt.advertise(p, r, padding, t);
+                    let state = RouteState {
+                        advertised_at: t,
+                        padding,
+                        withdrawn_at: None,
+                    };
+                    model.insert((p, r), state);
+                    updates += 1;
                 }
-            }
-            for now in [0, 30, 59, 60, 120, 200, 299, 359, 400].map(SimTime::from_secs) {
-                for p in PREFIXES.into_iter().chain(ABSENT) {
-                    let want = usable_routes_scan(&rt, p, now);
-                    let preferred = preferred_routes_scan(&rt, p, now);
-                    assert_eq!(rt.usable_routes(p, now), want, "seed {seed} prefix {p}");
-                    assert_eq!(
-                        rt.preferred_routes(p, now),
-                        preferred,
-                        "seed {seed} prefix {p}"
-                    );
-                    rt.preferred_routes_into(p, now, &mut buf);
-                    assert_eq!(buf, preferred, "seed {seed} prefix {p} (buffer)");
-                    assert_eq!(rt.is_reachable(p, now), !want.is_empty());
-                    if preferred.len() < want.len() {
-                        padded_preferred_split += 1;
+                assert_eq!(rt.updates_sent(), updates, "seed {seed} op {op}");
+                for now in [0, 30, 59, 60, 120, 200, 299, 359, 400].map(SimTime::from_secs) {
+                    for p in PREFIXES.into_iter().chain(ABSENT) {
+                        let at = format!("seed {seed} op {op} prefix {p} at {now:?}");
+                        let usable = model_usable(&model, conv, p, now);
+                        let preferred = model_preferred(&usable);
+                        assert_eq!(rt.usable_routes(p, now), usable, "{at}");
+                        assert_eq!(rt.preferred_routes(p, now), preferred, "{at}");
+                        rt.preferred_routes_into(p, now, &mut buf);
+                        assert_eq!(buf, preferred, "{at} (buffer)");
+                        assert_eq!(rt.is_reachable(p, now), !usable.is_empty(), "{at}");
+                        padded_preferred_split += usize::from(preferred.len() < usable.len());
                     }
                 }
             }
         }
-        // The tables exercised padding: some lookups had usable routes
-        // that were not preferred.
+        // The tables exercised padding (some lookups had usable routes
+        // that were not preferred) and re-advertised withdrawn routes.
         assert!(padded_preferred_split > 0);
+        assert!(readvertised_withdrawn > 0);
     }
 }

@@ -3,7 +3,6 @@
 use crate::limits::SwitchLimits;
 use crate::policy::{positive_total, weight_share, WrrState};
 use dcsim::DenseId;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of an LB switch in the fabric.
@@ -136,14 +135,21 @@ impl VipConfig {
 pub struct LbSwitch {
     id: SwitchId,
     limits: SwitchLimits,
-    vips: BTreeMap<VipAddr, VipConfig>,
+    /// The VIP table's keys, sorted by address (see [`LbSwitch::slot`]).
+    /// They are kept apart from the configurations so a lookup reads 4
+    /// bytes per probe. The table holds at most `max_vips` entries, so an
+    /// insert or removal moves at most that many; both happen only at
+    /// build and on VIP transfers.
+    vip_addrs: Vec<VipAddr>,
+    /// `vip_addrs[i]`'s configuration.
+    vip_cfgs: Vec<VipConfig>,
     rip_total: usize,
     total_conns: u64,
     reconfigs: u64,
-    /// Invariant: `vips.values().map(|c| c.offered_bps).sum()`, re-summed
-    /// in BTreeMap order after every VIP removal and every change to
-    /// offered loads (and incremented by a new VIP's +0.0), so it is
-    /// bit-identical to a fresh sum.
+    /// Invariant: the sum of every VIP's `offered_bps`, re-summed in
+    /// address order after every VIP removal and every change to offered
+    /// loads (and incremented by a new VIP's +0.0), so it is bit-identical
+    /// to a fresh sum.
     offered_total: f64,
 }
 
@@ -154,7 +160,8 @@ impl LbSwitch {
         let mut sw = LbSwitch {
             id,
             limits,
-            vips: BTreeMap::new(),
+            vip_addrs: Vec::new(),
+            vip_cfgs: Vec::new(),
             rip_total: 0,
             total_conns: 0,
             reconfigs: 0,
@@ -167,7 +174,37 @@ impl LbSwitch {
 
     /// Re-establish the `offered_total` invariant.
     fn resum_offered(&mut self) {
-        self.offered_total = self.vips.values().map(|c| c.offered_bps).sum();
+        self.offered_total = self.vip_cfgs.iter().map(|c| c.offered_bps).sum();
+    }
+
+    /// `Ok(index)` of `vip` in the table, or `Err(index)` where it would
+    /// be inserted.
+    ///
+    /// The platform spreads VIP addresses evenly over its switches, so
+    /// the index a linear interpolation between the first and last
+    /// address predicts usually holds `vip`: one probe instead of a
+    /// binary search's chain of dependent loads. A miss falls back to
+    /// the binary search.
+    fn slot(&self, vip: VipAddr) -> Result<usize, usize> {
+        let addrs = &self.vip_addrs;
+        if let (Some(&first), Some(&last)) = (addrs.first(), addrs.last()) {
+            if first <= vip && vip <= last && first < last {
+                let span = u64::from(last.0 - first.0);
+                let guess = u64::from(vip.0 - first.0) * (addrs.len() as u64 - 1) / span;
+                if addrs[guess as usize] == vip {
+                    return Ok(guess as usize);
+                }
+            }
+        }
+        addrs.binary_search(&vip)
+    }
+
+    /// Mutable configuration of one VIP.
+    fn vip_mut(&mut self, vip: VipAddr) -> Result<&mut VipConfig, SwitchError> {
+        match self.slot(vip) {
+            Ok(i) => Ok(&mut self.vip_cfgs[i]),
+            Err(_) => Err(SwitchError::UnknownVip(vip)),
+        }
     }
 
     /// This switch's id.
@@ -192,7 +229,7 @@ impl LbSwitch {
 
     /// Number of configured VIPs.
     pub fn vip_count(&self) -> usize {
-        self.vips.len()
+        self.vip_addrs.len()
     }
 
     /// Number of configured RIP entries across all VIPs.
@@ -202,7 +239,7 @@ impl LbSwitch {
 
     /// Free VIP table slots.
     pub fn vip_slots_free(&self) -> usize {
-        self.limits.max_vips - self.vips.len()
+        self.limits.max_vips - self.vip_addrs.len()
     }
 
     /// Free RIP table slots.
@@ -212,27 +249,30 @@ impl LbSwitch {
 
     /// `true` if `vip` is configured here.
     pub fn has_vip(&self, vip: VipAddr) -> bool {
-        self.vips.contains_key(&vip)
+        self.slot(vip).is_ok()
     }
 
-    /// Iterate over configured VIPs.
+    /// Iterate over configured VIPs, in address order.
     pub fn vips(&self) -> impl Iterator<Item = (VipAddr, &VipConfig)> {
-        self.vips.iter().map(|(&v, c)| (v, c))
+        self.vip_addrs.iter().copied().zip(&self.vip_cfgs)
     }
 
     /// Configuration of one VIP.
     pub fn vip(&self, vip: VipAddr) -> Result<&VipConfig, SwitchError> {
-        self.vips.get(&vip).ok_or(SwitchError::UnknownVip(vip))
+        match self.slot(vip) {
+            Ok(i) => Ok(&self.vip_cfgs[i]),
+            Err(_) => Err(SwitchError::UnknownVip(vip)),
+        }
     }
 
     // ---- configuration plane -------------------------------------------
 
     /// Configure a new VIP (with no RIPs yet).
     pub fn add_vip(&mut self, vip: VipAddr) -> Result<(), SwitchError> {
-        if self.vips.contains_key(&vip) {
+        let Err(at) = self.slot(vip) else {
             return Err(SwitchError::DuplicateVip(vip));
-        }
-        if self.vips.len() >= self.limits.max_vips {
+        };
+        if self.vip_addrs.len() >= self.limits.max_vips {
             return Err(SwitchError::VipLimitExceeded);
         }
         let cfg = VipConfig::default();
@@ -240,7 +280,8 @@ impl LbSwitch {
         // re-sum bit for bit (it only turns an empty sum's -0.0 into
         // +0.0, as the re-sum does), so no walk over the VIPs is needed.
         self.offered_total += cfg.offered_bps;
-        self.vips.insert(vip, cfg);
+        self.vip_addrs.insert(at, vip);
+        self.vip_cfgs.insert(at, cfg);
         self.reconfigs += 1;
         Ok(())
     }
@@ -248,33 +289,37 @@ impl LbSwitch {
     /// Remove a **quiescent** VIP, returning its RIP entries so the caller
     /// can reinstall them on another switch (dynamic VIP transfer, §IV.B).
     pub fn remove_vip(&mut self, vip: VipAddr) -> Result<Vec<RipEntry>, SwitchError> {
-        let cfg = self.vips.get(&vip).ok_or(SwitchError::UnknownVip(vip))?;
-        let live = cfg.active_conns();
+        let i = self.slot(vip).map_err(|_| SwitchError::UnknownVip(vip))?;
+        let live = self.vip_cfgs[i].active_conns();
         if live > 0 {
             return Err(SwitchError::NotQuiescent(vip, live));
         }
-        let cfg = self.vips.remove(&vip).expect("checked above");
-        self.resum_offered();
-        self.rip_total -= cfg.rips.len();
-        self.reconfigs += 1;
-        Ok(cfg.rips)
+        Ok(self.remove_at(i).rips)
     }
 
     /// Remove a VIP regardless of live sessions, dropping them. Returns
     /// `(rip entries, dropped session count)`. This is the disruptive path
     /// the quiescence-gated transfer exists to avoid.
     pub fn force_remove_vip(&mut self, vip: VipAddr) -> Result<(Vec<RipEntry>, u64), SwitchError> {
-        let cfg = self.vips.remove(&vip).ok_or(SwitchError::UnknownVip(vip))?;
-        self.resum_offered();
+        let i = self.slot(vip).map_err(|_| SwitchError::UnknownVip(vip))?;
+        let cfg = self.remove_at(i);
         let dropped = cfg.active_conns();
         self.total_conns -= dropped;
-        self.rip_total -= cfg.rips.len();
         let mut rips = cfg.rips;
         for r in &mut rips {
             r.active_conns = 0;
         }
-        self.reconfigs += 1;
         Ok((rips, dropped))
+    }
+
+    /// Remove the VIP at table index `i`, with its RIP entries.
+    fn remove_at(&mut self, i: usize) -> VipConfig {
+        self.vip_addrs.remove(i);
+        let cfg = self.vip_cfgs.remove(i);
+        self.resum_offered();
+        self.rip_total -= cfg.rips.len();
+        self.reconfigs += 1;
+        cfg
     }
 
     /// Add a RIP under a VIP with the given weight.
@@ -286,10 +331,7 @@ impl LbSwitch {
         if self.rip_total >= self.limits.max_rips {
             return Err(SwitchError::RipLimitExceeded);
         }
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
+        let cfg = self.vip_mut(vip)?;
         if cfg.rips.iter().any(|r| r.rip == rip) {
             return Err(SwitchError::DuplicateRip(vip, rip));
         }
@@ -306,10 +348,7 @@ impl LbSwitch {
     /// Remove a RIP from a VIP. Any sessions still pinned to it are
     /// dropped; the count is returned (0 when gracefully drained first).
     pub fn remove_rip(&mut self, vip: VipAddr, rip: RipAddr) -> Result<u64, SwitchError> {
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
+        let cfg = self.vip_mut(vip)?;
         let pos = cfg
             .rips
             .iter()
@@ -333,10 +372,7 @@ impl LbSwitch {
             weight >= 0.0 && weight.is_finite(),
             "weight must be finite and >= 0"
         );
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
+        let cfg = self.vip_mut(vip)?;
         let entry = cfg
             .rips
             .iter_mut()
@@ -368,25 +404,21 @@ impl LbSwitch {
         if self.total_conns >= self.limits.max_connections {
             return Err(SwitchError::ConnectionLimitExceeded);
         }
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
+        let cfg = self.vip_mut(vip)?;
         let idx = cfg
             .wrr
             .pick(&cfg.weights())
             .ok_or(SwitchError::UnknownRip(vip, RipAddr(u32::MAX)))?;
-        cfg.rips[idx].active_conns += 1;
+        let entry = &mut cfg.rips[idx];
+        entry.active_conns += 1;
+        let rip = entry.rip;
         self.total_conns += 1;
-        Ok(cfg.rips[idx].rip)
+        Ok(rip)
     }
 
     /// Close a session previously opened on `(vip, rip)`.
     pub fn close_session(&mut self, vip: VipAddr, rip: RipAddr) -> Result<(), SwitchError> {
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
+        let cfg = self.vip_mut(vip)?;
         let entry = cfg
             .rips
             .iter_mut()
@@ -406,7 +438,7 @@ impl LbSwitch {
     /// Set this epoch's offered external load (bits/s) of every
     /// configured VIP to `load(vip)`, then re-sum the switch total once.
     pub fn set_offered_loads(&mut self, mut load: impl FnMut(VipAddr) -> f64) {
-        for (&vip, cfg) in &mut self.vips {
+        for (&vip, cfg) in self.vip_addrs.iter().zip(&mut self.vip_cfgs) {
             let bps = load(vip);
             assert!(bps >= 0.0 && bps.is_finite());
             cfg.offered_bps = bps;
@@ -780,6 +812,132 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One VIP of the reference model: `(rip, weight bits)` in
+    /// configuration order, the offered load's bits and live sessions.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct ModelVip {
+        rips: Vec<(RipAddr, u64)>,
+        offered: u64,
+        conns: u64,
+    }
+
+    fn model_of(cfg: &VipConfig) -> ModelVip {
+        ModelVip {
+            rips: cfg
+                .rips
+                .iter()
+                .map(|r| (r.rip, r.weight.to_bits()))
+                .collect(),
+            offered: cfg.offered_bps.to_bits(),
+            conns: cfg.active_conns(),
+        }
+    }
+
+    #[test]
+    fn vip_table_matches_an_ordered_map_model() {
+        use std::collections::BTreeMap;
+        const VIPS: u64 = 24;
+        let limits = SwitchLimits {
+            max_vips: 12,
+            max_rips: 40,
+            ..SwitchLimits::CISCO_CATALYST
+        };
+        let (mut busy, mut full) = (0, 0);
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let mut next = move || dcsim::rng::splitmix64(&mut rng);
+            let mut sw = LbSwitch::new(SwitchId(0), limits);
+            let mut model: BTreeMap<VipAddr, ModelVip> = BTreeMap::new();
+            for step in 0..300 {
+                let vip = VipAddr((next() % VIPS) as u32);
+                let at = format!("seed {seed} step {step} {vip}");
+                match next() % 7 {
+                    0 | 1 => {
+                        let want = if model.contains_key(&vip) {
+                            Err(SwitchError::DuplicateVip(vip))
+                        } else if model.len() >= limits.max_vips {
+                            full += 1;
+                            Err(SwitchError::VipLimitExceeded)
+                        } else {
+                            model.insert(vip, ModelVip::default());
+                            Ok(())
+                        };
+                        assert_eq!(sw.add_vip(vip), want, "{at}");
+                    }
+                    2 => {
+                        let want = match model.get(&vip) {
+                            None => Err(SwitchError::UnknownVip(vip)),
+                            Some(m) if m.conns > 0 => {
+                                busy += 1;
+                                Err(SwitchError::NotQuiescent(vip, m.conns))
+                            }
+                            Some(_) => Ok(model.remove(&vip).map_or(0, |m| m.rips.len())),
+                        };
+                        assert_eq!(sw.remove_vip(vip).map(|r| r.len()), want, "{at}");
+                    }
+                    3 => {
+                        let want = model
+                            .remove(&vip)
+                            .map(|m| (m.rips.len(), m.conns))
+                            .ok_or(SwitchError::UnknownVip(vip));
+                        let got = sw.force_remove_vip(vip).map(|(r, n)| (r.len(), n));
+                        assert_eq!(got, want, "{at}");
+                    }
+                    4 => {
+                        let rip = RipAddr((next() % 64) as u32);
+                        let weight = [0.5f64, 1.0, 3.0][(next() % 3) as usize];
+                        let rips: usize = model.values().map(|m| m.rips.len()).sum();
+                        let want = match model.get_mut(&vip) {
+                            _ if rips >= limits.max_rips => Err(SwitchError::RipLimitExceeded),
+                            None => Err(SwitchError::UnknownVip(vip)),
+                            Some(m) if m.rips.iter().any(|&(r, _)| r == rip) => {
+                                Err(SwitchError::DuplicateRip(vip, rip))
+                            }
+                            Some(m) => {
+                                m.rips.push((rip, weight.to_bits()));
+                                Ok(())
+                            }
+                        };
+                        assert_eq!(sw.add_rip(vip, rip, weight), want, "{at}");
+                    }
+                    5 => {
+                        // Pins a session, so a later remove_vip is refused.
+                        let opened = sw.open_session(vip).is_ok();
+                        let m = model.get_mut(&vip);
+                        assert_eq!(opened, m.as_ref().is_some_and(|m| !m.rips.is_empty()));
+                        if let (true, Some(m)) = (opened, m) {
+                            m.conns += 1;
+                        }
+                    }
+                    _ => {
+                        // Magnitudes far apart, so summation order shows.
+                        let scale = [0.0, 1e-3, 1.0, 3e7, 1e9, 7e12];
+                        let loads: Vec<f64> = (0..VIPS)
+                            .map(|_| scale[(next() % 6) as usize] * (next() % 1_000) as f64)
+                            .collect();
+                        sw.set_offered_loads(|v| loads[v.0 as usize]);
+                        for (v, m) in &mut model {
+                            m.offered = loads[v.0 as usize].to_bits();
+                        }
+                    }
+                }
+                let table: Vec<_> = sw.vips().map(|(v, c)| (v, model_of(c))).collect();
+                let want: Vec<_> = model.iter().map(|(&v, m)| (v, m.clone())).collect();
+                assert_eq!(table, want, "{at}: table in address order");
+                assert_eq!(sw.vip_count(), model.len(), "{at}");
+                for v in (0..=VIPS as u32).map(VipAddr) {
+                    let got = sw.vip(v).map(model_of);
+                    let want = model.get(&v).cloned().ok_or(SwitchError::UnknownVip(v));
+                    assert_eq!(got, want, "{at}: lookup {v}");
+                    assert_eq!(sw.has_vip(v), model.contains_key(&v));
+                }
+                let total: f64 = model.values().map(|m| f64::from_bits(m.offered)).sum();
+                assert_eq!(sw.offered_bps().to_bits(), total.to_bits(), "{at}");
+            }
+        }
+        assert!(busy > 0 && full > 0, "{busy} {full}");
     }
 
     #[test]
