@@ -340,10 +340,39 @@ pub fn check_pod_rounds_solved(baseline: &Json, candidate: &Json) -> Result<(), 
 /// is spelled out in the message); `Ok` carries the per-measurement
 /// verdicts and the one-sided keys.
 pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<CompareReport, String> {
+    compare_median(baseline, std::slice::from_ref(candidate), tolerance)
+}
+
+/// [`compare`] against several candidate runs of one binary: each
+/// measurement gates on its median across the candidates that record it,
+/// so one run slowed by host noise cannot fail the gate. The model-output
+/// and work-count checks ([`check_served_final`],
+/// [`check_pod_rounds_solved`]) apply to *every* candidate, not to the
+/// median: those are deterministic, and one bad run is a real failure.
+pub fn compare_median(
+    baseline: &Json,
+    candidates: &[Json],
+    tolerance: f64,
+) -> Result<CompareReport, String> {
     let base = extract(baseline, "baseline")?;
-    let cand = extract(candidate, "candidate")?;
-    check_served_final(baseline, candidate)?;
-    check_pod_rounds_solved(baseline, candidate)?;
+    let mut runs = Vec::with_capacity(candidates.len());
+    for (i, candidate) in candidates.iter().enumerate() {
+        let side = match candidates.len() {
+            1 => "candidate".to_string(),
+            _ => format!("candidate {}", i + 1),
+        };
+        runs.push(extract(candidate, &side)?);
+        check_served_final(baseline, candidate)
+            .and_then(|()| check_pod_rounds_solved(baseline, candidate))
+            .map_err(|e| match candidates.len() {
+                1 => e,
+                _ => format!("{side}: {e}"),
+            })?;
+    }
+    if runs.is_empty() {
+        return Err("no candidate document to compare".to_string());
+    }
+    let cand = medians(&runs);
     let mut rows = Vec::new();
     let mut only_baseline = Vec::new();
     let mut below_floor = Vec::new();
@@ -388,6 +417,33 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Comp
         only_candidate,
         below_floor,
     })
+}
+
+/// The per-measurement median of several extracted runs: every `(tier,
+/// key)` any run records, in first-seen order, with the median of the
+/// values the runs that record it hold (the mean of the middle two for
+/// an even count).
+fn medians(runs: &[Vec<(String, String, f64)>]) -> Vec<(String, String, f64)> {
+    let mut out: Vec<(String, String, f64)> = Vec::new();
+    for (tier, key, _) in runs.iter().flatten() {
+        if out.iter().any(|(t, k, _)| t == tier && k == key) {
+            continue;
+        }
+        let mut values: Vec<f64> = runs
+            .iter()
+            .filter_map(|run| run.iter().find(|(t, k, _)| t == tier && k == key))
+            .map(|&(_, _, v)| v)
+            .collect();
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        let median = if values.len() % 2 == 1 {
+            values[mid]
+        } else {
+            (values[mid - 1] + values[mid]) / 2.0
+        };
+        out.push((tier.clone(), key.clone(), median));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -666,5 +722,59 @@ mod tests {
         let ok = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0}}"#);
         let err = compare(&dup, &ok, 0.15).expect_err("duplicate");
         assert!(err.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn several_candidates_gate_on_their_median() {
+        let b = bench(r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"build_s":2.0}"#);
+        let run = |t1: f64, build: f64| {
+            bench(&format!(
+                r#"{{"label":"30k","wall_per_epoch_s":{{"t1":{t1}}},"build_s":{build}}}"#
+            ))
+        };
+        // One noisy run (t1 +60%) among three: the median passes.
+        let runs = [run(1.6, 2.1), run(1.05, 2.0), run(0.98, 5.0)];
+        let rep = compare_median(&b, &runs, 0.15).expect("comparable");
+        assert!(rep.passed(), "{}", rep.render());
+        let t1 = rep.rows.iter().find(|r| r.key == "t1").unwrap();
+        assert_eq!(t1.candidate_s, 1.05);
+        let build = rep.rows.iter().find(|r| r.key == "build").unwrap();
+        assert_eq!(build.candidate_s, 2.1);
+        // Two slow runs of three make a slow median.
+        let runs = [run(1.6, 2.0), run(1.3, 2.0), run(0.98, 2.0)];
+        let rep = compare_median(&b, &runs, 0.15).expect("comparable");
+        assert_eq!(rep.regressions(), 1, "{}", rep.render());
+        // An even count takes the mean of the middle two.
+        let runs = [run(1.0, 2.0), run(1.2, 2.0)];
+        let rep = compare_median(&b, &runs, 0.15).expect("comparable");
+        assert!((rep.rows[0].candidate_s - 1.1).abs() < 1e-12);
+        // One candidate is `compare`.
+        let one = [run(1.3, 2.0)];
+        assert_eq!(compare_median(&b, &one, 0.15), compare(&b, &one[0], 0.15));
+        assert!(compare_median(&b, &[], 0.15).is_err());
+    }
+
+    #[test]
+    fn one_bad_count_among_candidates_fails() {
+        let b = bench(
+            r#"{"label":"30k","wall_per_epoch_s":{"t1":1.0},"served_final":0.5,"pod_rounds_solved":4}"#,
+        );
+        let run = |served: &str, solved: u32| {
+            bench(&format!(
+                r#"{{"label":"30k","wall_per_epoch_s":{{"t1":1.0}},"served_final":{served},"pod_rounds_solved":{solved}}}"#
+            ))
+        };
+        let good = || run("0.5", 4);
+        assert!(compare_median(&b, &[good(), good(), good()], 0.15).is_ok());
+        let err = compare_median(&b, &[good(), run("0.5", 5), good()], 0.15).unwrap_err();
+        assert!(
+            err.starts_with("candidate 2:") && err.contains("pod_rounds_solved"),
+            "{err}"
+        );
+        let err = compare_median(&b, &[good(), good(), run("0.5000000001", 4)], 0.15).unwrap_err();
+        assert!(
+            err.starts_with("candidate 3:") && err.contains("served_final"),
+            "{err}"
+        );
     }
 }

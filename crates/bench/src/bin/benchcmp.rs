@@ -1,10 +1,16 @@
-//! `benchcmp` — compare two `BENCH_scale.json` documents (E19 output)
-//! and fail on wall-time regressions beyond a tolerance band.
+//! `benchcmp` — compare a baseline `BENCH_scale.json` (E19 output) with
+//! one or more candidate runs and fail on wall-time regressions beyond a
+//! tolerance band.
 //!
 //! ```sh
 //! cargo run --release -p megadc-bench --bin benchcmp -- \
-//!     BENCH_scale.json /tmp/BENCH_scale.json --tolerance 0.15
+//!     BENCH_scale.json /tmp/B1.json /tmp/B2.json /tmp/B3.json --tolerance 0.15
 //! ```
+//!
+//! With several candidates, each measurement gates on its median across
+//! them, so one run slowed by host noise cannot fail the gate; the
+//! `served_final` and `pod_rounds_solved` checks below apply to every
+//! candidate file.
 //!
 //! For every tier present in *both* documents and every key in both
 //! `wall_per_epoch_s` maps (`t1`), the candidate must satisfy
@@ -37,7 +43,7 @@ use obs::json::Json;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: benchcmp <baseline.json> <candidate.json> [--tolerance <frac>]");
+    eprintln!("usage: benchcmp <baseline.json> <candidate.json>... [--tolerance <frac>]");
     ExitCode::from(2)
 }
 
@@ -59,23 +65,24 @@ fn main() -> ExitCode {
         }
         args.remove(i);
     }
-    let [baseline_path, candidate_path] = &args[..] else {
+    let [baseline_path, candidate_paths @ ..] = &args[..] else {
         return usage();
     };
-    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("benchcmp: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match benchcmp::compare(&baseline, &candidate, tolerance) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("benchcmp: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    if candidate_paths.is_empty() {
+        return usage();
+    }
+    let docs: Result<Vec<Json>, String> = std::iter::once(baseline_path)
+        .chain(candidate_paths)
+        .map(|path| load(path))
+        .collect();
+    let report =
+        match docs.and_then(|docs| benchcmp::compare_median(&docs[0], &docs[1..], tolerance)) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("benchcmp: {e}");
+                return ExitCode::from(2);
+            }
+        };
     print!("{}", report.render());
     if report.regressions() > 0 {
         eprintln!(

@@ -41,7 +41,8 @@ fn run_failure(kind: &str, epochs_after: u64) -> Outcome {
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                 .expect("switches");
-            let (rehomed, _, _) = p.state.fail_switch(lbswitch::SwitchId(hot as u32));
+            let now = p.now();
+            let (rehomed, _, _) = p.state.fail_switch(lbswitch::SwitchId(hot as u32), now);
             vips_rehomed = rehomed;
         }
         "servers" => {

@@ -318,8 +318,9 @@ impl Oracles {
     fn check_weights(&mut self, epoch: u64, platform: &Platform) {
         let state = &platform.state;
         let draining = platform.global.draining_vips();
+        let mut entries = Vec::new();
         for (vip, _rec) in state.vips() {
-            let entries = state.vip_serving_entries(vip);
+            state.vip_serving_entries_into(vip, &mut entries);
             if entries.is_empty() {
                 self.zero_weight_streak.remove(&vip.0);
                 continue;
@@ -394,18 +395,20 @@ impl Oracles {
         // (slower) clock and may legitimately plateau when the
         // surviving pods are full.
         let mut app_has_spare: BTreeMap<u32, bool> = BTreeMap::new();
+        let mut entries = Vec::new();
         for app in state.apps() {
             for (vip, share) in state.dns.published_shares(app.id.dns_key()) {
                 published.insert(vip.0, share);
             }
             let demand_cpu = profile
                 .cpu_demand(profile.rps_for_bandwidth(snap.app_demand_bps[app.id.0 as usize]));
-            let capacity_cpu: f64 = app
-                .vips
-                .iter()
-                .flat_map(|&v| state.vip_serving_entries(v))
-                .map(|(_, _, _, slice)| slice)
-                .sum();
+            let mut capacity_cpu = 0.0;
+            for &v in &app.vips {
+                state.vip_serving_entries_into(v, &mut entries);
+                for &(.., slice) in &entries {
+                    capacity_cpu += slice;
+                }
+            }
             app_has_spare.insert(app.id.0, capacity_cpu > demand_cpu);
         }
         for (vip, &demand) in snap.vip_demand_bps.iter() {

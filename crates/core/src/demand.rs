@@ -251,6 +251,14 @@ pub fn propagate_into(
             if vd <= 0.0 {
                 continue;
             }
+            // Cached answers and converging withdrawals can still steer
+            // clients at a VIP lost with its switch; the platform no
+            // longer has it (or has given its address to another app),
+            // so that demand is unserved.
+            if !state.vip(vip).is_ok_and(|rec| rec.app == app.id) {
+                unserved_bps_by_app[app_idx] += vd;
+                continue;
+            }
             state
                 .routes
                 .preferred_routes_into(vip_prefix(vip), now, routes);

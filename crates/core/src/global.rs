@@ -45,6 +45,7 @@ use lbswitch::{SwitchId, VipAddr};
 use obs::footprint::GlobalAction;
 use obs::{ActionKind, Actor};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use vmm::{ServerId, VmId, VmState};
 
 /// Actuation counters for every knob (experiment output).
@@ -112,13 +113,81 @@ pub struct GlobalManager {
     pod_forecast: Option<GroupForecaster>,
     link_forecast: Option<GroupForecaster>,
     /// Consecutive epochs each VIP has served less than
-    /// `vip_starvation_ratio` of its offered demand.
-    starved_epochs: BTreeMap<VipAddr, u32>,
+    /// `vip_starvation_ratio` of its offered demand, indexed by VIP
+    /// address (0 for a VIP that is not starving).
+    starved_epochs: Vec<u32>,
+    /// The misrouting escape's per-pass buffers, also lent to every
+    /// water-fill.
+    escape: EscapeScratch,
+    /// When set, the escape runs the per-VIP reference pass instead.
+    #[cfg(test)]
+    reference_escape: Option<reference::ReferenceEscape>,
     /// VMs queued for retirement this epoch. Exposure and reweight
     /// decisions must not count their RIPs as serving capacity: a retire
     /// racing a VIP transfer in the same epoch would otherwise route
     /// restored demand onto a RIP already queued for removal.
     pending_retires: BTreeSet<VmId>,
+}
+
+/// One serving RIP entry of a VIP: `(vm, pod, weight, cpu_slice)` (see
+/// [`PlatformState::vip_serving_entries_into`]).
+type ServingEntry = (VmId, PodId, f64, f64);
+
+/// One VIP's planned water-fill step ([`plan_waterfill`]): its
+/// `SetWeight`s and the values its `Reweight` event records.
+#[derive(Debug, Clone)]
+struct WaterfillPlan {
+    vip: VipAddr,
+    /// Its `(vm, new weight)` writes: a range of the caller's write list.
+    writes: Range<usize>,
+    weight_total: f64,
+    slice_total: f64,
+    pod_util_max: f64,
+    step: f64,
+    before_max: f64,
+    after_max: f64,
+}
+
+/// The misrouting escape's verdict on one app for one pass: act with
+/// these values, or skip the app (it is draining, or fails the
+/// spare-capacity gate), which leaves no plan and no positive weight.
+/// Every triggered VIP of the app replays the same verdict.
+#[derive(Debug, Clone)]
+struct AppVerdict {
+    app: AppId,
+    capacity_cpu: f64,
+    demand_cpu: f64,
+    /// Its VIPs' water-fill plans: a range of [`EscapeScratch::plans`].
+    plans: Range<usize>,
+    /// Its capacity-proportional exposure weights, one per VIP of the
+    /// app: a range of [`EscapeScratch::weights`].
+    weights: Range<usize>,
+    /// How many of those weights are positive.
+    exposed_after: usize,
+}
+
+/// `EscapeScratch::verdict_of` for an app with no verdict this pass.
+const NO_VERDICT: u32 = u32::MAX;
+
+/// Buffers of one misrouting-escape pass, kept between epochs so the pass
+/// allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct EscapeScratch {
+    /// The VIPs whose starvation streak triggered, in VIP order.
+    triggered: Vec<VipAddr>,
+    /// Per app, the index of its verdict in `verdicts` (`NO_VERDICT`
+    /// before its first triggered VIP). Reset after each pass.
+    verdict_of: Vec<u32>,
+    verdicts: Vec<AppVerdict>,
+    plans: Vec<WaterfillPlan>,
+    writes: Vec<(VmId, f64)>,
+    weights: Vec<(VipAddr, f64)>,
+    /// One app's live serving entries, VIP after VIP; VIP `i`'s end at
+    /// `entry_ends[i]`.
+    entries: Vec<ServingEntry>,
+    entry_ends: Vec<usize>,
+    /// One VIP's live serving entries.
+    buf: Vec<ServingEntry>,
 }
 
 // Caps per epoch, to keep the control loop stable.
@@ -398,9 +467,13 @@ impl GlobalManager {
                 continue;
             }
             let vips = state.app(app).expect("listed").vips.clone();
+            let mut entries = Vec::new();
             let weights: Vec<(VipAddr, f64)> = vips
                 .iter()
-                .map(|&v| (v, self.capacity_weight(state, v)))
+                .map(|&v| {
+                    self.live_serving_entries(state, v, &mut entries);
+                    (v, capacity_weight(state, v, &entries))
+                })
                 .collect();
             let covered: Vec<VipAddr> = weights
                 .iter()
@@ -436,7 +509,7 @@ impl GlobalManager {
                 }
                 continue;
             }
-            let before = state.dns.published_shares(app.dns_key()).len();
+            let before = state.dns.published_count(app.dns_key());
             state.dns.set_exposure(app.dns_key(), weights, now);
             self.counters.exposure_updates += 1;
             self.recorder
@@ -451,29 +524,6 @@ impl GlobalManager {
                 .delta("dns_exposure.vips", before as f64, covered.len() as f64)
                 .commit();
         }
-    }
-
-    /// Exposure weight of one VIP: the serving CPU behind it (summed
-    /// slices of its serving RIPs, excluding RIPs queued for retirement
-    /// this epoch) discounted by how loaded its switch is. Summing
-    /// slices rather than counting RIPs matters when an app's VMs are
-    /// heterogeneous: a VIP backed by one max-slice VM serves 5× what a
-    /// VIP backed by one min-slice VM does, and a count-based split
-    /// would keep drowning the small VIP at a third of the app's demand
-    /// forever (the chronic per-VIP starvation the chaos sweep's
-    /// starvation oracle caught).
-    fn capacity_weight(&self, state: &PlatformState, vip: VipAddr) -> f64 {
-        let cpu: f64 = state
-            .vip_serving_entries(vip)
-            .iter()
-            .filter(|&&(vm, _, _, _)| !self.pending_retires.contains(&vm))
-            .map(|&(_, _, _, slice)| slice)
-            .sum();
-        if cpu <= 0.0 {
-            return 0.0;
-        }
-        let sw = &state.switches[state.vip(vip).expect("listed").switch.0 as usize];
-        cpu * (1.5 - sw.utilization()).clamp(0.05, 1.5)
     }
 
     // ---- knob 1: selective VIP exposure (§IV.A) -------------------------
@@ -593,7 +643,7 @@ impl GlobalManager {
                 }
                 continue;
             }
-            let exposed_before = state.dns.published_shares(app.dns_key()).len();
+            let exposed_before = state.dns.published_count(app.dns_key());
             let exposed_after = weights.iter().filter(|&&(_, w)| w > 0.0).count();
             state.dns.set_exposure(app.dns_key(), weights, now);
             self.counters.exposure_updates += 1;
@@ -747,7 +797,7 @@ impl GlobalManager {
                         (v, w)
                     })
                     .collect();
-                let exposed_before = state.dns.published_shares(app.dns_key()).len();
+                let exposed_before = state.dns.published_count(app.dns_key());
                 let exposed_after = weights.iter().filter(|&&(_, w)| w > 0.0).count();
                 state.dns.set_exposure(app.dns_key(), weights, now);
                 self.draining.insert(
@@ -841,117 +891,268 @@ impl GlobalManager {
     /// corrective water-filling reweight across the app's VIPs plus an
     /// unconditional capacity-proportional exposure refresh — even though
     /// no pod is nominally overloaded.
+    ///
+    /// Both corrections act on the *app*, so the first triggered VIP of an
+    /// app computes the app's [`AppVerdict`] once (reading each of its
+    /// VIPs' serving entries once) and every triggered VIP of that app
+    /// replays it, in trigger order: the same `SetWeight`s and `Reweight`
+    /// events, the same exposure write, both counters, and its own
+    /// `MisroutingEscape` event. Replay is exact because nothing a verdict
+    /// reads changes during the pass: `SetWeight` waits in the queue,
+    /// `set_exposure` writes only the app's DNS target and baseline (which
+    /// no verdict reads), and drains, pending retires, switch utilization
+    /// and the fleet do not move. The one read that does change, the
+    /// published VIP count before the write, is taken fresh on each
+    /// replay.
     fn escape_misrouting(&mut self, state: &mut PlatformState, snap: &LoadSnapshot, now: SimTime) {
-        let cfg = state.config;
-        // Update starvation streaks from this epoch's snapshot.
-        let mut triggered: Vec<VipAddr> = Vec::new();
-        for (vip, &offered) in snap.vip_demand_bps.iter() {
-            if offered <= 0.0 {
-                continue;
-            }
-            let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
-            if served / offered < cfg.vip_starvation_ratio {
-                let streak = self.starved_epochs.entry(vip).or_insert(0);
-                *streak += 1;
-                if *streak >= cfg.vip_starvation_epochs {
-                    triggered.push(vip);
-                }
-            } else {
-                self.starved_epochs.remove(&vip);
-            }
+        #[cfg(test)]
+        if let Some(mut r) = self.reference_escape.take() {
+            self.escape_misrouting_reference(&mut r, state, snap, now);
+            self.reference_escape = Some(r);
+            return;
         }
-        // VIPs with no demand this epoch are not starved, just idle.
-        self.starved_epochs
-            .retain(|&v, _| snap.vip_demand_bps.get(v).is_some());
-
+        let cfg = state.config;
+        let mut s = std::mem::take(&mut self.escape);
+        self.update_streaks(
+            snap,
+            cfg.vip_starvation_ratio,
+            cfg.vip_starvation_epochs,
+            &mut s.triggered,
+        );
         let pod_utils = self
             .predicted_pod_utils(1)
             .unwrap_or_else(|| snap.pod_utilizations(state));
-        let profile = cfg.request_profile;
-        for vip in triggered {
+        if s.verdict_of.len() < state.num_apps() {
+            s.verdict_of.resize(state.num_apps(), NO_VERDICT);
+        }
+        for i in 0..s.triggered.len() {
+            let vip = s.triggered[i];
             let Ok(rec) = state.vip(vip) else {
                 continue;
             };
             let app = rec.app;
-            if self.app_is_draining(state, app) {
-                continue; // the drain owns this app's weights and exposure
+            let mut slot = s.verdict_of[app.0 as usize];
+            if slot == NO_VERDICT {
+                slot = s.verdicts.len() as u32;
+                let verdict =
+                    self.app_verdict(state, snap, app, &pod_utils, cfg.reweight_step, &mut s);
+                s.verdicts.push(verdict);
+                s.verdict_of[app.0 as usize] = slot;
             }
-            // Spare-capacity gate: corrective rerouting only helps when
-            // the app's serving slices could absorb its whole demand —
-            // otherwise this is genuine under-provisioning and the
-            // deploy/slice knobs are the right tool.
-            let vips = state.app(app).expect("listed").vips.clone();
-            let demand_cpu =
-                profile.cpu_demand(profile.rps_for_bandwidth(snap.app_demand_bps[app.0 as usize]));
-            let capacity_cpu: f64 = vips
-                .iter()
-                .flat_map(|&v| state.vip_serving_entries(v))
-                .filter(|(vm, ..)| !self.pending_retires.contains(vm))
-                .map(|(_, _, _, slice)| slice)
-                .sum();
-            if capacity_cpu <= demand_cpu {
+            let verdict = s.verdicts[slot as usize].clone();
+            self.replay_escape(state, snap, vip, &verdict, &s, now);
+        }
+        for v in &s.verdicts {
+            s.verdict_of[v.app.0 as usize] = NO_VERDICT;
+        }
+        s.verdicts.clear();
+        s.plans.clear();
+        s.writes.clear();
+        s.weights.clear();
+        self.escape = s;
+    }
+
+    /// Update the starvation streaks from this epoch's snapshot and list,
+    /// in VIP order, the VIPs whose streak reached `epochs`.
+    fn update_streaks(
+        &mut self,
+        snap: &LoadSnapshot,
+        ratio: f64,
+        epochs: u32,
+        triggered: &mut Vec<VipAddr>,
+    ) {
+        triggered.clear();
+        let demand = &snap.vip_demand_bps;
+        // VIPs with no demand this epoch are not starved, just idle.
+        for (i, streak) in self.starved_epochs.iter_mut().enumerate() {
+            if demand.get(VipAddr(i as u32)).is_none() {
+                *streak = 0;
+            }
+        }
+        for (vip, &offered) in demand.iter() {
+            if offered <= 0.0 {
                 continue;
             }
-            // Corrective actions: water-fill every covered VIP of the app
-            // toward slice × predicted-headroom, then refresh exposure
-            // capacity-proportionally (no unserved-fraction gate).
-            let mut acted = false;
-            for &v in &vips {
-                if self.waterfill_vip(state, v, &pod_utils, cfg.reweight_step) {
-                    acted = true;
+            let i = vip.0 as usize;
+            let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
+            if served / offered < ratio {
+                if i >= self.starved_epochs.len() {
+                    self.starved_epochs.resize(i + 1, 0);
                 }
-            }
-            let weights: Vec<(VipAddr, f64)> = vips
-                .iter()
-                .map(|&v| (v, self.capacity_weight(state, v)))
-                .collect();
-            let exposed_before = state.dns.published_shares(app.dns_key()).len();
-            let exposed_after = weights.iter().filter(|&&(_, w)| w > 0.0).count();
-            if exposed_after > 0 {
-                state.dns.set_exposure(app.dns_key(), weights, now);
-                self.counters.exposure_updates += 1;
-                acted = true;
-            }
-            if acted {
-                self.counters.misrouting_escapes += 1;
-                let streak = self.starved_epochs.get(&vip).copied().unwrap_or(0);
-                let offered = snap.vip_demand_bps.get(vip).copied().unwrap_or(0.0);
-                let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
-                self.recorder
-                    .event(
-                        Actor::Global,
-                        ActionKind::Global(GlobalAction::MisroutingEscape),
-                    )
-                    .vip(vip.0)
-                    .app(app.0)
-                    .input("ctl.starved_epochs", streak as f64)
-                    .input(
-                        "load.served_ratio",
-                        if offered > 0.0 { served / offered } else { 0.0 },
-                    )
-                    .input("vm_fleet.capacity_cpu", capacity_cpu)
-                    .input("load.demand_cpu", demand_cpu)
-                    .delta(
-                        "dns_exposure.vips",
-                        exposed_before as f64,
-                        exposed_after as f64,
-                    )
-                    .commit();
-                // The streak is NOT reset here: while the VIP stays below
-                // the starvation ratio the escape keeps stepping every
-                // epoch, so the water-fill converges geometrically to its
-                // fixed point. Recovery above the ratio clears the streak
-                // (the `else` branch above), which is the natural
-                // hysteresis that stops the correction.
+                self.starved_epochs[i] += 1;
+                if self.starved_epochs[i] >= epochs {
+                    triggered.push(vip);
+                }
+            } else if let Some(streak) = self.starved_epochs.get_mut(i) {
+                *streak = 0;
             }
         }
     }
 
-    /// Water-fill one VIP's RIP weights: step them toward targets
-    /// proportional to `slice × predicted pod headroom`, conserving the
-    /// total weight exactly (the absolute-weight invariant encodes the
-    /// app's inter-pod traffic split; see `elastic::waterfill_weights`).
-    /// Returns whether any weight changed materially.
+    /// The escape's verdict on `app` this pass. Its water-fill plans,
+    /// `SetWeight`s and capacity weights go to the pass's arenas in `s`.
+    fn app_verdict(
+        &self,
+        state: &PlatformState,
+        snap: &LoadSnapshot,
+        app: AppId,
+        pod_utils: &[f64],
+        step: f64,
+        s: &mut EscapeScratch,
+    ) -> AppVerdict {
+        let mut verdict = AppVerdict {
+            app,
+            capacity_cpu: 0.0,
+            demand_cpu: 0.0,
+            plans: 0..0,
+            weights: 0..0,
+            exposed_after: 0,
+        };
+        if self.app_is_draining(state, app) {
+            return verdict; // the drain owns this app's weights and exposure
+        }
+        let Ok(rec) = state.app(app) else {
+            return verdict;
+        };
+        // Spare-capacity gate: corrective rerouting only helps when the
+        // app's serving slices could absorb its whole demand — otherwise
+        // this is genuine under-provisioning and the deploy/slice knobs
+        // are the right tool. Each VIP's live entries are read once here
+        // and kept for the plans below.
+        let profile = state.config.request_profile;
+        let demand_cpu =
+            profile.cpu_demand(profile.rps_for_bandwidth(snap.app_demand_bps[app.0 as usize]));
+        s.entries.clear();
+        s.entry_ends.clear();
+        let mut capacity_cpu = 0.0;
+        for &v in &rec.vips {
+            self.live_serving_entries(state, v, &mut s.buf);
+            for &(.., slice) in &s.buf {
+                capacity_cpu += slice;
+            }
+            s.entries.extend_from_slice(&s.buf);
+            s.entry_ends.push(s.entries.len());
+        }
+        if capacity_cpu <= demand_cpu {
+            return verdict;
+        }
+        // Corrective actions: water-fill every covered VIP of the app
+        // toward slice × predicted-headroom, then refresh exposure
+        // capacity-proportionally (no unserved-fraction gate).
+        let (plans_start, weights_start) = (s.plans.len(), s.weights.len());
+        let mut from = 0;
+        for (&v, &to) in rec.vips.iter().zip(&s.entry_ends) {
+            let entries = &s.entries[from..to];
+            if let Some(plan) = plan_waterfill(v, entries, pod_utils, step, &mut s.writes) {
+                s.plans.push(plan);
+            }
+            s.weights.push((v, capacity_weight(state, v, entries)));
+            from = to;
+        }
+        verdict.capacity_cpu = capacity_cpu;
+        verdict.demand_cpu = demand_cpu;
+        verdict.plans = plans_start..s.plans.len();
+        verdict.weights = weights_start..s.weights.len();
+        verdict.exposed_after = s.weights[verdict.weights.clone()]
+            .iter()
+            .filter(|&&(_, w)| w > 0.0)
+            .count();
+        verdict
+    }
+
+    /// Replay an app's verdict for one of its triggered VIPs.
+    fn replay_escape(
+        &mut self,
+        state: &mut PlatformState,
+        snap: &LoadSnapshot,
+        vip: VipAddr,
+        verdict: &AppVerdict,
+        s: &EscapeScratch,
+        now: SimTime,
+    ) {
+        let app = verdict.app;
+        let mut acted = false;
+        for plan in &s.plans[verdict.plans.clone()] {
+            self.apply_waterfill(plan, &s.writes);
+            acted = true;
+        }
+        let exposed_before = state.dns.published_count(app.dns_key());
+        if verdict.exposed_after > 0 {
+            state
+                .dns
+                .set_exposure_from(app.dns_key(), &s.weights[verdict.weights.clone()], now);
+            self.counters.exposure_updates += 1;
+            acted = true;
+        }
+        if acted {
+            self.counters.misrouting_escapes += 1;
+            let streak = self.starved_epochs[vip.0 as usize];
+            let offered = snap.vip_demand_bps.get(vip).copied().unwrap_or(0.0);
+            let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
+            self.recorder
+                .event(
+                    Actor::Global,
+                    ActionKind::Global(GlobalAction::MisroutingEscape),
+                )
+                .vip(vip.0)
+                .app(app.0)
+                .input("ctl.starved_epochs", streak as f64)
+                .input(
+                    "load.served_ratio",
+                    if offered > 0.0 { served / offered } else { 0.0 },
+                )
+                .input("vm_fleet.capacity_cpu", verdict.capacity_cpu)
+                .input("load.demand_cpu", verdict.demand_cpu)
+                .delta(
+                    "dns_exposure.vips",
+                    exposed_before as f64,
+                    verdict.exposed_after as f64,
+                )
+                .commit();
+            // The streak is NOT reset here: while the VIP stays below the
+            // starvation ratio the escape keeps stepping every epoch, so
+            // the water-fill converges geometrically to its fixed point.
+            // Recovery above the ratio clears the streak (in
+            // `update_streaks`), which is the natural hysteresis that
+            // stops the correction.
+        }
+    }
+
+    /// The serving entries of `vip` whose VMs are not queued for
+    /// retirement this epoch, into `out` (cleared first).
+    fn live_serving_entries(
+        &self,
+        state: &PlatformState,
+        vip: VipAddr,
+        out: &mut Vec<ServingEntry>,
+    ) {
+        state.vip_serving_entries_into(vip, out);
+        if !self.pending_retires.is_empty() {
+            out.retain(|(vm, ..)| !self.pending_retires.contains(vm));
+        }
+    }
+
+    /// Submit a planned water-fill's `SetWeight`s and record its
+    /// `Reweight` event.
+    fn apply_waterfill(&mut self, plan: &WaterfillPlan, writes: &[(VmId, f64)]) {
+        for &(vm, weight) in &writes[plan.writes.clone()] {
+            self.viprip
+                .submit(Priority::High, Request::SetWeight { vm, weight });
+        }
+        self.recorder
+            .event(Actor::Global, ActionKind::Global(GlobalAction::Reweight))
+            .vip(plan.vip.0)
+            .input("switch_vip_table.weight_total", plan.weight_total)
+            .input("vm_fleet.slice_total", plan.slice_total)
+            .input("forecast.pod_util_max", plan.pod_util_max)
+            .input("cfg.reweight_step", plan.step)
+            .delta("rip_weights.max", plan.before_max, plan.after_max)
+            .commit();
+    }
+
+    /// Water-fill one VIP's RIP weights ([`plan_waterfill`], then
+    /// [`GlobalManager::apply_waterfill`]). Returns whether any weight
+    /// changed materially.
     fn waterfill_vip(
         &mut self,
         state: &PlatformState,
@@ -959,50 +1160,15 @@ impl GlobalManager {
         pod_utils: &[f64],
         step: f64,
     ) -> bool {
-        let entries: Vec<_> = state
-            .vip_serving_entries(vip)
-            .into_iter()
-            .filter(|(vm, ..)| !self.pending_retires.contains(vm))
-            .collect();
-        if entries.len() < 2 {
-            return false; // nothing to shift between
+        let mut s = std::mem::take(&mut self.escape);
+        self.live_serving_entries(state, vip, &mut s.buf);
+        let plan = plan_waterfill(vip, &s.buf, pod_utils, step, &mut s.writes);
+        if let Some(plan) = &plan {
+            self.apply_waterfill(plan, &s.writes);
         }
-        let current: Vec<f64> = entries.iter().map(|&(_, _, w, _)| w).collect();
-        let capacity: Vec<f64> = entries.iter().map(|&(_, _, _, slice)| slice).collect();
-        let utils: Vec<f64> = entries
-            .iter()
-            .map(|&(_, pod, _, _)| pod_utils.get(pod.index()).copied().unwrap_or(0.0))
-            .collect();
-        let pressure = headroom_pressure(&capacity, &utils);
-        let target = waterfill_weights(&current, &pressure, step);
-        let mut reweighted = false;
-        let mut applied = current.clone();
-        for (i, (&(vm, _, w, _), &nw)) in entries.iter().zip(&target).enumerate() {
-            let nw = nw.max(0.01);
-            if (nw - w).abs() > 1e-6 * w.abs().max(1.0) {
-                self.viprip
-                    .submit(Priority::High, Request::SetWeight { vm, weight: nw });
-                applied[i] = nw;
-                reweighted = true;
-            }
-        }
-        if reweighted {
-            let before_max = current.iter().copied().fold(0.0, f64::max);
-            let after_max = applied.iter().copied().fold(0.0, f64::max);
-            self.recorder
-                .event(Actor::Global, ActionKind::Global(GlobalAction::Reweight))
-                .vip(vip.0)
-                .input("switch_vip_table.weight_total", current.iter().sum())
-                .input("vm_fleet.slice_total", capacity.iter().sum())
-                .input(
-                    "forecast.pod_util_max",
-                    utils.iter().copied().fold(0.0, f64::max),
-                )
-                .input("cfg.reweight_step", step)
-                .delta("rip_weights.max", before_max, after_max)
-                .commit();
-        }
-        reweighted
+        s.writes.clear();
+        self.escape = s;
+        plan.is_some()
     }
 
     /// Water-fill every covered VIP of an app (the proactive `Reweight`
@@ -1017,9 +1183,8 @@ impl GlobalManager {
         let Ok(rec) = state.app(app) else {
             return false;
         };
-        let vips = rec.vips.clone();
         let mut reweighted = false;
-        for vip in vips {
+        for &vip in &rec.vips {
             if self.waterfill_vip(state, vip, pod_utils, step) {
                 reweighted = true;
             }
@@ -1364,6 +1529,79 @@ impl GlobalManager {
     }
 }
 
+/// Exposure weight of one VIP: the serving CPU behind it (summed slices
+/// of `entries`, its live serving entries, which leave out RIPs queued
+/// for retirement this epoch) discounted by how loaded its switch is.
+/// Summing slices rather than counting RIPs matters when an app's VMs are
+/// heterogeneous: a VIP backed by one max-slice VM serves 5× what a VIP
+/// backed by one min-slice VM does, and a count-based split would keep
+/// drowning the small VIP at a third of the app's demand forever (the
+/// chronic per-VIP starvation the chaos sweep's starvation oracle
+/// caught).
+fn capacity_weight(state: &PlatformState, vip: VipAddr, entries: &[ServingEntry]) -> f64 {
+    let cpu: f64 = entries.iter().map(|&(.., slice)| slice).sum();
+    if cpu <= 0.0 {
+        return 0.0;
+    }
+    // Serving entries come only from a VIP with a record.
+    let Ok(rec) = state.vip(vip) else {
+        return 0.0;
+    };
+    let sw = &state.switches[rec.switch.0 as usize];
+    cpu * (1.5 - sw.utilization()).clamp(0.05, 1.5)
+}
+
+/// Plan one VIP's water-fill step from `entries`, its live serving
+/// entries: step the RIP weights toward targets proportional to `slice ×
+/// predicted pod headroom`, conserving the total weight exactly (the
+/// absolute-weight invariant encodes the app's inter-pod traffic split;
+/// see `elastic::waterfill_weights`). Each weight that changes materially
+/// is pushed onto `writes` as `(vm, new weight)`; `None` when none does.
+fn plan_waterfill(
+    vip: VipAddr,
+    entries: &[ServingEntry],
+    pod_utils: &[f64],
+    step: f64,
+    writes: &mut Vec<(VmId, f64)>,
+) -> Option<WaterfillPlan> {
+    if entries.len() < 2 {
+        return None; // nothing to shift between
+    }
+    let current: Vec<f64> = entries.iter().map(|&(_, _, w, _)| w).collect();
+    let capacity: Vec<f64> = entries.iter().map(|&(_, _, _, slice)| slice).collect();
+    let utils: Vec<f64> = entries
+        .iter()
+        .map(|&(_, pod, _, _)| pod_utils.get(pod.index()).copied().unwrap_or(0.0))
+        .collect();
+    let pressure = headroom_pressure(&capacity, &utils);
+    let target = waterfill_weights(&current, &pressure, step);
+    let start = writes.len();
+    let mut after_max = 0.0;
+    for (&(vm, _, w, _), &nw) in entries.iter().zip(&target) {
+        let nw = nw.max(0.01);
+        let applied = if (nw - w).abs() > 1e-6 * w.abs().max(1.0) {
+            writes.push((vm, nw));
+            nw
+        } else {
+            w
+        };
+        after_max = f64::max(after_max, applied);
+    }
+    if writes.len() == start {
+        return None;
+    }
+    Some(WaterfillPlan {
+        vip,
+        writes: start..writes.len(),
+        weight_total: current.iter().sum(),
+        slice_total: capacity.iter().sum(),
+        pod_util_max: utils.iter().copied().fold(0.0, f64::max),
+        step,
+        before_max: current.iter().copied().fold(0.0, f64::max),
+        after_max,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1611,7 +1849,9 @@ mod tests {
         let mut st = build();
         let mut gm = GlobalManager::new();
         let vip = st.app(AppId(1)).unwrap().vips[0];
-        let (vm, _, _, _) = st.vip_serving_entries(vip)[0];
+        let mut entries = Vec::new();
+        st.vip_serving_entries_into(vip, &mut entries);
+        let (vm, _, _, _) = entries[0];
         assert!(
             !gm.queue_retire(&st, vm),
             "must refuse to drain a VIP's last live RIP"
@@ -1699,5 +1939,413 @@ mod tests {
             "exposure churned while already pointing at the survivor"
         );
         st.assert_invariants();
+    }
+}
+
+/// The misrouting escape as it ran before the per-app verdict: the whole
+/// per-app body once for each triggered VIP, with starvation streaks in an
+/// ordered map and every serving-entry read allocating. A test-only
+/// reference that [`GlobalManager::escape_misrouting`] is stepped against
+/// in lockstep, bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The reference pass's own state.
+    #[derive(Debug, Default)]
+    pub(super) struct ReferenceEscape {
+        /// Consecutive epochs each VIP has served less than
+        /// `vip_starvation_ratio` of its offered demand.
+        starved_epochs: BTreeMap<VipAddr, u32>,
+    }
+
+    /// The serving RIP entries of a VIP, allocated per call.
+    fn vip_serving_entries(state: &PlatformState, vip: VipAddr) -> Vec<ServingEntry> {
+        let mut out = Vec::new();
+        state.vip_serving_entries_into(vip, &mut out);
+        out
+    }
+
+    impl GlobalManager {
+        /// Run the reference escape instead of the per-app pass from now on.
+        pub(crate) fn use_reference_escape(&mut self) {
+            self.reference_escape = Some(ReferenceEscape::default());
+        }
+
+        pub(super) fn escape_misrouting_reference(
+            &mut self,
+            r: &mut ReferenceEscape,
+            state: &mut PlatformState,
+            snap: &LoadSnapshot,
+            now: SimTime,
+        ) {
+            let cfg = state.config;
+            // Update starvation streaks from this epoch's snapshot.
+            let mut triggered: Vec<VipAddr> = Vec::new();
+            for (vip, &offered) in snap.vip_demand_bps.iter() {
+                if offered <= 0.0 {
+                    continue;
+                }
+                let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
+                if served / offered < cfg.vip_starvation_ratio {
+                    let streak = r.starved_epochs.entry(vip).or_insert(0);
+                    *streak += 1;
+                    if *streak >= cfg.vip_starvation_epochs {
+                        triggered.push(vip);
+                    }
+                } else {
+                    r.starved_epochs.remove(&vip);
+                }
+            }
+            // VIPs with no demand this epoch are not starved, just idle.
+            r.starved_epochs
+                .retain(|&v, _| snap.vip_demand_bps.get(v).is_some());
+
+            let pod_utils = self
+                .predicted_pod_utils(1)
+                .unwrap_or_else(|| snap.pod_utilizations(state));
+            let profile = cfg.request_profile;
+            for vip in triggered {
+                let Ok(rec) = state.vip(vip) else {
+                    continue;
+                };
+                let app = rec.app;
+                if self.app_is_draining(state, app) {
+                    continue; // the drain owns this app's weights and exposure
+                }
+                // Spare-capacity gate: corrective rerouting only helps when
+                // the app's serving slices could absorb its whole demand —
+                // otherwise this is genuine under-provisioning and the
+                // deploy/slice knobs are the right tool.
+                let vips = state.app(app).expect("listed").vips.clone();
+                let demand_cpu = profile
+                    .cpu_demand(profile.rps_for_bandwidth(snap.app_demand_bps[app.0 as usize]));
+                let capacity_cpu: f64 = vips
+                    .iter()
+                    .flat_map(|&v| vip_serving_entries(state, v))
+                    .filter(|(vm, ..)| !self.pending_retires.contains(vm))
+                    .map(|(_, _, _, slice)| slice)
+                    .sum();
+                if capacity_cpu <= demand_cpu {
+                    continue;
+                }
+                // Corrective actions: water-fill every covered VIP of the app
+                // toward slice × predicted-headroom, then refresh exposure
+                // capacity-proportionally (no unserved-fraction gate).
+                let mut acted = false;
+                for &v in &vips {
+                    if self.waterfill_vip_reference(state, v, &pod_utils, cfg.reweight_step) {
+                        acted = true;
+                    }
+                }
+                let weights: Vec<(VipAddr, f64)> = vips
+                    .iter()
+                    .map(|&v| (v, self.capacity_weight_reference(state, v)))
+                    .collect();
+                let exposed_before = state.dns.published_shares(app.dns_key()).len();
+                let exposed_after = weights.iter().filter(|&&(_, w)| w > 0.0).count();
+                if exposed_after > 0 {
+                    state.dns.set_exposure(app.dns_key(), weights, now);
+                    self.counters.exposure_updates += 1;
+                    acted = true;
+                }
+                if acted {
+                    self.counters.misrouting_escapes += 1;
+                    let streak = r.starved_epochs.get(&vip).copied().unwrap_or(0);
+                    let offered = snap.vip_demand_bps.get(vip).copied().unwrap_or(0.0);
+                    let served = snap.vip_served_bps.get(vip).copied().unwrap_or(0.0);
+                    self.recorder
+                        .event(
+                            Actor::Global,
+                            ActionKind::Global(GlobalAction::MisroutingEscape),
+                        )
+                        .vip(vip.0)
+                        .app(app.0)
+                        .input("ctl.starved_epochs", streak as f64)
+                        .input(
+                            "load.served_ratio",
+                            if offered > 0.0 { served / offered } else { 0.0 },
+                        )
+                        .input("vm_fleet.capacity_cpu", capacity_cpu)
+                        .input("load.demand_cpu", demand_cpu)
+                        .delta(
+                            "dns_exposure.vips",
+                            exposed_before as f64,
+                            exposed_after as f64,
+                        )
+                        .commit();
+                }
+            }
+        }
+
+        fn capacity_weight_reference(&self, state: &PlatformState, vip: VipAddr) -> f64 {
+            let cpu: f64 = vip_serving_entries(state, vip)
+                .iter()
+                .filter(|&&(vm, _, _, _)| !self.pending_retires.contains(&vm))
+                .map(|&(_, _, _, slice)| slice)
+                .sum();
+            if cpu <= 0.0 {
+                return 0.0;
+            }
+            let sw = &state.switches[state.vip(vip).expect("listed").switch.0 as usize];
+            cpu * (1.5 - sw.utilization()).clamp(0.05, 1.5)
+        }
+
+        fn waterfill_vip_reference(
+            &mut self,
+            state: &PlatformState,
+            vip: VipAddr,
+            pod_utils: &[f64],
+            step: f64,
+        ) -> bool {
+            let entries: Vec<_> = vip_serving_entries(state, vip)
+                .into_iter()
+                .filter(|(vm, ..)| !self.pending_retires.contains(vm))
+                .collect();
+            if entries.len() < 2 {
+                return false; // nothing to shift between
+            }
+            let current: Vec<f64> = entries.iter().map(|&(_, _, w, _)| w).collect();
+            let capacity: Vec<f64> = entries.iter().map(|&(_, _, _, slice)| slice).collect();
+            let utils: Vec<f64> = entries
+                .iter()
+                .map(|&(_, pod, _, _)| pod_utils.get(pod.index()).copied().unwrap_or(0.0))
+                .collect();
+            let pressure = headroom_pressure(&capacity, &utils);
+            let target = waterfill_weights(&current, &pressure, step);
+            let mut reweighted = false;
+            let mut applied = current.clone();
+            for (i, (&(vm, _, w, _), &nw)) in entries.iter().zip(&target).enumerate() {
+                let nw = nw.max(0.01);
+                if (nw - w).abs() > 1e-6 * w.abs().max(1.0) {
+                    self.viprip
+                        .submit(Priority::High, Request::SetWeight { vm, weight: nw });
+                    applied[i] = nw;
+                    reweighted = true;
+                }
+            }
+            if reweighted {
+                let before_max = current.iter().copied().fold(0.0, f64::max);
+                let after_max = applied.iter().copied().fold(0.0, f64::max);
+                self.recorder
+                    .event(Actor::Global, ActionKind::Global(GlobalAction::Reweight))
+                    .vip(vip.0)
+                    .input("switch_vip_table.weight_total", current.iter().sum())
+                    .input("vm_fleet.slice_total", capacity.iter().sum())
+                    .input(
+                        "forecast.pod_util_max",
+                        utils.iter().copied().fold(0.0, f64::max),
+                    )
+                    .input("cfg.reweight_step", step)
+                    .delta("rip_weights.max", before_max, after_max)
+                    .commit();
+            }
+            reweighted
+        }
+    }
+
+    mod tests {
+        use crate::config::PlatformConfig;
+        use crate::platform::Platform;
+        use dcsim::SimDuration;
+        use lbswitch::SwitchId;
+        use vmm::ServerId;
+        use workload::FlashCrowd;
+
+        /// What the two platforms must agree on after every epoch.
+        #[derive(Debug, PartialEq)]
+        struct Observed {
+            submitted: Vec<String>,
+            events: Vec<String>,
+            counters: super::KnobCounters,
+            dns_reconfigurations: u64,
+            shares: Vec<Vec<(u32, u64)>>,
+        }
+
+        fn observe(p: &mut Platform) -> Observed {
+            let now = p.now();
+            let shares = p
+                .state
+                .apps()
+                .iter()
+                .map(|a| {
+                    p.state
+                        .dns
+                        .effective_shares(a.id.dns_key(), now)
+                        .iter()
+                        .map(|&(v, s)| (v.0, s.to_bits()))
+                        .collect()
+                })
+                .collect();
+            Observed {
+                submitted: std::mem::take(p.global.viprip.submitted.as_mut().expect("logging")),
+                events: p
+                    .global
+                    .recorder
+                    .take_events()
+                    .iter()
+                    .map(|e| e.to_json_line())
+                    .collect(),
+                counters: p.global.counters,
+                dns_reconfigurations: p.state.dns.reconfigurations(),
+                shares,
+            }
+        }
+
+        /// How much of the escape a lockstep run exercised.
+        #[derive(Debug, Default)]
+        struct Coverage {
+            escapes: usize,
+            /// Epochs in which some app escaped for two or more VIPs.
+            replays: usize,
+            /// Escape events whose `dns_exposure.vips` before differs from
+            /// the first escape of the same app that epoch.
+            moved_before: usize,
+            /// Epochs with an escape while a VIP drain was open.
+            with_drain: usize,
+        }
+
+        /// Step `fast` (the per-app pass) and `reference` (the per-VIP pass)
+        /// together, comparing after every epoch.
+        fn lockstep(
+            cfg: PlatformConfig,
+            warmup: u64,
+            epochs: u64,
+            inject: impl Fn(&mut Platform),
+        ) -> Coverage {
+            let mut fast = Platform::build(cfg).unwrap();
+            let mut reference = Platform::build(cfg).unwrap();
+            reference.global.use_reference_escape();
+            for p in [&mut fast, &mut reference] {
+                p.global.viprip.submitted = Some(Vec::new());
+                p.run_epochs(warmup);
+                inject(p);
+            }
+            let mut cov = Coverage::default();
+            for epoch in 0..epochs {
+                fast.step();
+                reference.step();
+                let (f, r) = (observe(&mut fast), observe(&mut reference));
+                assert_eq!(f.submitted, r.submitted, "queued requests, epoch {epoch}");
+                assert_eq!(f.events, r.events, "event log, epoch {epoch}");
+                assert_eq!(f.counters, r.counters, "knob counters, epoch {epoch}");
+                assert_eq!(
+                    f.dns_reconfigurations, r.dns_reconfigurations,
+                    "epoch {epoch}"
+                );
+                assert_eq!(f.shares, r.shares, "DNS effective shares, epoch {epoch}");
+                let escapes: Vec<obs::Event> = f
+                    .events
+                    .iter()
+                    .map(|l| obs::Event::from_json(l).unwrap())
+                    .filter(|e| e.kind.key() == "MisroutingEscape")
+                    .collect();
+                cov.escapes += escapes.len();
+                let mut first_before = std::collections::BTreeMap::new();
+                let mut replayed = false;
+                for e in &escapes {
+                    let before = e.delta[0].1;
+                    match first_before.get(&e.app) {
+                        None => {
+                            first_before.insert(e.app, before);
+                        }
+                        Some(&b) => {
+                            replayed = true;
+                            cov.moved_before += usize::from(b != before);
+                        }
+                    }
+                }
+                cov.replays += usize::from(replayed);
+                cov.with_drain +=
+                    usize::from(!escapes.is_empty() && !fast.global.draining_vips().is_empty());
+            }
+            cov
+        }
+
+        /// `churn-1k` with a fifth of its apps but all of its demand: three LB
+        /// switches, the proactive plane and diurnal demand. Switch 0 fails
+        /// after warm-up, overloading the two left, and flash crowds hit
+        /// every 7th app by popularity.
+        #[test]
+        fn escape_matches_reference_on_a_churn_miniature() {
+            let apps = 200;
+            let mut cfg = PlatformConfig::paper_scale();
+            cfg.seed = 4201;
+            cfg.num_apps = apps;
+            cfg.num_servers = apps;
+            cfg.initial_instances_per_app = 2;
+            cfg.num_switches = 3;
+            cfg.initial_pods = 1;
+            cfg.total_demand_bps = 6.0e9;
+            cfg.diurnal_amplitude = 0.4;
+            cfg.diurnal_period = SimDuration::from_secs(1200);
+            cfg.elastic = elastic::ElasticConfig::proactive();
+            let cov = lockstep(cfg, 2, 40, |p| {
+                p.inject_switch_failure(SwitchId(0)).unwrap();
+                let by_pop = p.workload.apps_by_popularity();
+                for i in 0..4 {
+                    let start = p.now() + SimDuration::from_secs(10 + 30 * i as u64);
+                    p.workload.add_flash_crowd(FlashCrowd {
+                        app: by_pop[7 * i],
+                        start,
+                        ramp: SimDuration::from_secs(60),
+                        duration: SimDuration::from_secs(600),
+                        peak: 6.0,
+                    });
+                }
+            });
+            assert!(cov.replays > 0 && cov.with_drain > 0, "{cov:?}");
+        }
+
+        /// E17's flash-crowd scenario, proactive plane on.
+        #[test]
+        fn escape_matches_reference_on_the_e17_scenario() {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.seed = 1616;
+            cfg.total_demand_bps = 0.5e9;
+            cfg.diurnal_amplitude = 0.0;
+            cfg.elastic = elastic::ElasticConfig::proactive();
+            let cov = lockstep(cfg, 10, 60, |p| {
+                let victim = p.workload.apps_by_popularity()[0];
+                p.workload.add_flash_crowd(FlashCrowd {
+                    app: victim,
+                    start: p.now() + SimDuration::from_secs(20),
+                    ramp: SimDuration::from_secs(300),
+                    duration: SimDuration::from_secs(1800),
+                    peak: 8.0,
+                });
+            });
+            assert!(cov.escapes > 0, "{cov:?}");
+        }
+
+        /// `small_test` driven hot enough that a switch drain opens while VIPs
+        /// starve: the escape must skip draining apps exactly as before.
+        #[test]
+        fn escape_matches_reference_with_a_drain_open() {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.seed = 1;
+            cfg.total_demand_bps = 8e9;
+            let cov = lockstep(cfg, 2, 40, |p| {
+                p.inject_switch_failure(SwitchId(1)).unwrap();
+            });
+            assert!(cov.with_drain > 0 && cov.escapes > 0, "{cov:?}");
+        }
+
+        /// With capacity-proportional exposure off, the escape is the only
+        /// knob that drops a VIP without capacity from DNS, so the first
+        /// escape of an app changes the published VIP count its later VIPs
+        /// read.
+        #[test]
+        fn escape_matches_reference_when_it_changes_the_published_count() {
+            let mut cfg = PlatformConfig::small_test();
+            cfg.seed = 1;
+            cfg.total_demand_bps = 4e9;
+            cfg.knobs.capacity_exposure = false;
+            let cov = lockstep(cfg, 2, 40, |p| {
+                p.inject_switch_failure(SwitchId(1)).unwrap();
+                p.inject_server_failure(ServerId(3)).unwrap();
+            });
+            assert!(cov.replays > 0 && cov.moved_before > 0, "{cov:?}");
+        }
     }
 }

@@ -507,17 +507,17 @@ impl Platform {
             r.observe(mid::POD_UTIL, u);
         }
         let rec = &self.global.recorder;
-        r.set_counter(mid::POD_PLANS, rec.total_count(ActionKind::PodPlan.key()));
+        r.set_counter(mid::POD_PLANS, rec.total_count(ActionKind::PodPlan));
         if let Some(mape) = mape {
             r.set_gauge(mid::FORECAST_MAPE, mape);
         }
         for (i, action) in obs::footprint::ALL_ACTIONS.iter().enumerate() {
-            r.set_counter(mid::GLOBAL_ACTIONS_BASE + i, rec.total_count(action.name()));
+            r.set_counter(
+                mid::GLOBAL_ACTIONS_BASE + i,
+                rec.total_count(ActionKind::Global(*action)),
+            );
         }
-        r.set_counter(
-            mid::QUEUE_APPLIES,
-            rec.total_count(ActionKind::QueueApply.key()),
-        );
+        r.set_counter(mid::QUEUE_APPLIES, rec.total_count(ActionKind::QueueApply));
         r.set_counter(
             mid::WEIGHT_REQUESTS_UNCHANGED,
             self.global.viprip.unchanged(),
@@ -946,7 +946,7 @@ impl Platform {
         if healthy_before <= 1 {
             return Err("refusing to fail the last healthy switch".into());
         }
-        let (rehomed, lost, dropped) = self.state.fail_switch(switch);
+        let (rehomed, lost, dropped) = self.state.fail_switch(switch, self.now);
         self.global
             .recorder
             .event(Actor::Platform, ActionKind::FaultInject)
@@ -1211,6 +1211,43 @@ mod tests {
         // An enabled controller scores a forecast from the second epoch
         // on; a disabled plane never does.
         assert!(p.forecast_mape().is_none());
+    }
+
+    /// A switch loss that finds no room for some VIPs frees their records
+    /// and addresses. Their routes must be withdrawn, and the demand that
+    /// cached DNS answers and converging withdrawals still send there is
+    /// unserved, not a panic in the serve loop.
+    #[test]
+    fn switch_loss_that_loses_vips_keeps_stepping() {
+        let mut cfg = PlatformConfig::small_test();
+        cfg.switch_limits.max_vips = 14;
+        let mut p = Platform::build(cfg).unwrap();
+        let on_switch0: Vec<VipAddr> = p
+            .state
+            .vips()
+            .filter(|(_, r)| r.switch == SwitchId(0))
+            .map(|(v, _)| v)
+            .collect();
+        let (_, lost, _) = p.inject_switch_failure(SwitchId(0)).unwrap();
+        assert!(lost > 0, "the fixture must lose VIPs");
+        let gone: Vec<VipAddr> = on_switch0
+            .into_iter()
+            .filter(|&v| p.state.vip(v).is_err())
+            .collect();
+        assert_eq!(gone.len(), lost);
+        let converged = p.now() + p.state.routes.convergence();
+        for &v in &gone {
+            assert!(
+                !p.state
+                    .routes
+                    .is_reachable(crate::ids::vip_prefix(v), converged),
+                "lost {v} still advertised"
+            );
+        }
+        for _ in 0..12 {
+            p.step();
+        }
+        p.state.assert_invariants();
     }
 
     #[test]

@@ -397,27 +397,26 @@ impl PlatformState {
             .unwrap_or(0)
     }
 
-    /// The serving RIP entries of a VIP: `(vm, pod, weight, cpu_slice)`
-    /// for every RIP whose backing VM currently serves traffic. This is
-    /// the view the global manager's water-filling reweight operates on.
-    pub fn vip_serving_entries(&self, vip: VipAddr) -> Vec<(VmId, PodId, f64, f64)> {
+    /// The serving RIP entries of a VIP into `out` (cleared first):
+    /// `(vm, pod, weight, cpu_slice)` for every RIP whose backing VM
+    /// currently serves traffic, in the switch's entry order. This is the
+    /// view the global manager's water-filling reweight operates on.
+    pub fn vip_serving_entries_into(&self, vip: VipAddr, out: &mut Vec<(VmId, PodId, f64, f64)>) {
+        out.clear();
         let Ok(rec) = self.vip(vip) else {
-            return Vec::new();
+            return;
         };
         let Ok(cfg) = self.switches[rec.switch.0 as usize].vip(vip) else {
-            return Vec::new();
+            return;
         };
-        cfg.rips
-            .iter()
-            .filter_map(|entry| {
-                let rr = self.rips.get(entry.rip)?;
-                let (srv, vm) = self.fleet.locate_vm(rr.vm).ok()?;
-                if !vm.state.serves_traffic() {
-                    return None;
-                }
-                Some((rr.vm, self.pod_of(srv), entry.weight, vm.cpu_slice))
-            })
-            .collect()
+        out.extend(cfg.rips.iter().filter_map(|entry| {
+            let rr = self.rips.get(entry.rip)?;
+            let (srv, vm) = self.fleet.locate_vm(rr.vm).ok()?;
+            if !vm.state.serves_traffic() {
+                return None;
+            }
+            Some((rr.vm, self.pod_of(srv), entry.weight, vm.cpu_slice))
+        }));
     }
 
     // ---- pods -----------------------------------------------------------------
@@ -537,10 +536,11 @@ impl PlatformState {
     /// switch with table capacity — possible precisely because "the border
     /// routers and the LB switches are fully interconnected" (§III), so no
     /// external route changes. VIPs that cannot be re-homed (fabric out of
-    /// capacity) are deleted from their app's VIP set.
+    /// capacity) are deleted from their app's VIP set, and their routes
+    /// are withdrawn at `now`.
     ///
     /// Returns `(vips re-homed, vips lost, sessions dropped)`.
-    pub fn fail_switch(&mut self, id: SwitchId) -> (usize, usize, u64) {
+    pub fn fail_switch(&mut self, id: SwitchId, now: SimTime) -> (usize, usize, u64) {
         assert!(self.switch_ok[id.0 as usize], "switch already failed");
         self.switch_ok[id.0 as usize] = false;
         let vips: Vec<VipAddr> = self.switches[id.0 as usize]
@@ -590,6 +590,9 @@ impl PlatformState {
                         }
                     }
                     let rec = self.vips.remove(vip).expect("recorded");
+                    if let Some(router) = rec.router {
+                        self.routes.withdraw(vip_prefix(vip), router, now);
+                    }
                     let app_vips = &mut self.apps[rec.app.0 as usize].vips;
                     app_vips.retain(|&v| v != vip);
                     self.vip_pool.release(vip);
@@ -881,7 +884,7 @@ mod tests {
             .unwrap();
         // Live sessions on vip_a.
         st.switches[0].open_session(vip_a).unwrap();
-        let (rehomed, lost, dropped) = st.fail_switch(SwitchId(0));
+        let (rehomed, lost, dropped) = st.fail_switch(SwitchId(0), SimTime::ZERO);
         assert_eq!(rehomed, 2);
         assert_eq!(lost, 0);
         assert_eq!(dropped, 1);
@@ -924,7 +927,7 @@ mod tests {
         assert_fresh(&st, "after set_offered_loads");
         st.transfer_vip(vips[2], SwitchId(1)).unwrap();
         assert_fresh(&st, "after transfer_vip");
-        let (rehomed, _, dropped) = st.fail_switch(SwitchId(0));
+        let (rehomed, _, dropped) = st.fail_switch(SwitchId(0), SimTime::ZERO);
         assert!(rehomed > 0 && dropped == 1);
         assert_fresh(&st, "after fail_switch");
         st.assert_invariants();
@@ -941,7 +944,7 @@ mod tests {
         let _a = st.allocate_vip(AppId(0), SwitchId(0)).unwrap();
         let _b = st.allocate_vip(AppId(1), SwitchId(1)).unwrap();
         // Switch 1 is full: the failed switch's VIP cannot be re-homed.
-        let (rehomed, lost, _) = st.fail_switch(SwitchId(0));
+        let (rehomed, lost, _) = st.fail_switch(SwitchId(0), SimTime::ZERO);
         assert_eq!(rehomed, 0);
         assert_eq!(lost, 1);
         assert!(st.app(AppId(0)).unwrap().vips.is_empty());
@@ -1002,7 +1005,9 @@ mod tests {
             StateError::UnknownVip(far_vip)
         );
         assert_eq!(st.vip_rip_count(far_vip), 0);
-        assert!(st.vip_serving_entries(far_vip).is_empty());
+        let mut entries = vec![(VmId(0), PodId(0), 1.0, 1.0)];
+        st.vip_serving_entries_into(far_vip, &mut entries);
+        assert!(entries.is_empty(), "an unknown VIP clears the buffer");
         assert!(st.pods_covered_by_vip(far_vip).is_empty());
         let far_vm = VmId(st.fleet.vm_id_bound() as u32 + 1000);
         assert_eq!(st.fleet.locate(far_vm), Err(VmError::UnknownVm(far_vm)));
@@ -1250,7 +1255,7 @@ mod tests {
                                 .copied()
                                 .filter(|v| model.vips[v].switch == switch)
                                 .collect();
-                            let (rehomed, lost, _) = st.fail_switch(switch);
+                            let (rehomed, lost, _) = st.fail_switch(switch, SimTime::ZERO);
                             assert_eq!(rehomed + lost, homed.len(), "step {step}");
                             for vip in homed {
                                 match st.switches.iter().find(|sw| sw.has_vip(vip)) {

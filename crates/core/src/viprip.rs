@@ -195,6 +195,11 @@ pub struct VipRipManager {
     failed: u64,
     unchanged: u64,
     reused: u64,
+    /// When set, every submitted request in submission order, as its
+    /// priority and `Debug` text (which prints each weight's exact
+    /// value): what differential tests compare.
+    #[cfg(test)]
+    pub(crate) submitted: Option<Vec<String>>,
 }
 
 impl VipRipManager {
@@ -205,12 +210,22 @@ impl VipRipManager {
 
     /// Enqueue a request.
     pub fn submit(&mut self, priority: Priority, request: Request) {
+        #[cfg(test)]
+        if let Some(log) = &mut self.submitted {
+            log.push(format!("{priority:?} {request:?}"));
+        }
         self.queues[priority.rank()].push(Queued::Request(request));
     }
 
     /// Enqueue `AdjustPodWeights { pod, vip, weights }` at `Normal`
     /// priority, its weights copied into the manager's arena.
     pub(crate) fn submit_pod_weights(&mut self, pod: PodId, vip: VipAddr, weights: &[(VmId, f64)]) {
+        #[cfg(test)]
+        if let Some(log) = &mut self.submitted {
+            log.push(format!(
+                "Normal AdjustPodWeights {pod:?} {vip:?} {weights:?}"
+            ));
+        }
         let start = self.pod_weights.len();
         self.pod_weights.extend_from_slice(weights);
         self.queues[Priority::Normal.rank()].push(Queued::PodWeights {
@@ -1442,7 +1457,10 @@ mod tests {
                     }
                     2 if healthy.len() > 2 => {
                         let id = healthy[rng.gen_range(0..healthy.len())];
-                        assert_eq!(fast.fail_switch(id), reference.fail_switch(id));
+                        assert_eq!(
+                            fast.fail_switch(id, dcsim::SimTime::ZERO),
+                            reference.fail_switch(id, dcsim::SimTime::ZERO)
+                        );
                     }
                     3 => {
                         let vips: Vec<VipAddr> = fast.vips().map(|(v, _)| v).collect();

@@ -101,6 +101,9 @@ pub struct DnsSystem {
     config: DnsConfig,
     /// Exposure per app, indexed by [`AppKey`] (app keys are dense).
     apps: Vec<AppExposure>,
+    /// A spare baseline buffer that [`DnsSystem::set_exposure_from`]
+    /// fills and swaps for the app's old baseline.
+    spare: Vec<(VipAddr, f64)>,
     reconfigurations: u64,
 }
 
@@ -142,6 +145,7 @@ impl DnsSystem {
         DnsSystem {
             config,
             apps: Vec::new(),
+            spare: Vec::new(),
             reconfigurations: 0,
         }
     }
@@ -161,16 +165,24 @@ impl DnsSystem {
     /// observed on each VIP then interpolates from the current effective
     /// shares to the new weights per [`DnsConfig::shifted_fraction`].
     pub fn set_exposure(&mut self, app: AppKey, weights: Vec<(VipAddr, f64)>, now: SimTime) {
-        let baseline = self.effective_shares(app, now);
+        self.set_exposure_from(app, &weights, now);
+    }
+
+    /// [`DnsSystem::set_exposure`] from a borrowed weight list. It reuses
+    /// the app's target buffer and a spare baseline buffer, so it
+    /// allocates nothing once they have grown.
+    pub fn set_exposure_from(&mut self, app: AppKey, weights: &[(VipAddr, f64)], now: SimTime) {
+        let mut baseline = std::mem::take(&mut self.spare);
+        self.effective_shares_into(app, now, &mut baseline);
         let i = app as usize;
         if i >= self.apps.len() {
             self.apps.resize_with(i + 1, AppExposure::default);
         }
-        self.apps[i] = AppExposure {
-            target: weights,
-            baseline,
-            changed_at: now,
-        };
+        let e = &mut self.apps[i];
+        e.target.clear();
+        e.target.extend_from_slice(weights);
+        self.spare = std::mem::replace(&mut e.baseline, baseline);
+        e.changed_at = now;
         self.reconfigurations += 1;
     }
 
@@ -181,6 +193,14 @@ impl DnsSystem {
             .get(app as usize)
             .map(|e| normalized(&e.target).collect())
             .unwrap_or_default()
+    }
+
+    /// How many VIPs are published for `app`:
+    /// [`DnsSystem::published_shares`]`.len()` without building it.
+    pub fn published_count(&self, app: AppKey) -> usize {
+        self.apps
+            .get(app as usize)
+            .map_or(0, |e| normalized(&e.target).count())
     }
 
     /// `true` if some VIP with a positive published share for `app`
@@ -522,7 +542,80 @@ mod tests {
         );
     }
 
+    /// `set_exposure` as it was before it reused buffers: a fresh
+    /// baseline and the caller's weights moved in as the target.
+    fn set_exposure_reference(
+        d: &mut DnsSystem,
+        app: AppKey,
+        weights: Vec<(VipAddr, f64)>,
+        now: SimTime,
+    ) {
+        let baseline = d.effective_shares(app, now);
+        let i = app as usize;
+        if i >= d.apps.len() {
+            d.apps.resize_with(i + 1, AppExposure::default);
+        }
+        d.apps[i] = AppExposure {
+            target: weights,
+            baseline,
+            changed_at: now,
+        };
+        d.reconfigurations += 1;
+    }
+
+    /// One app's target, baseline and change time, floats by bits.
+    type ExposureBits = (Vec<(VipAddr, u64)>, Vec<(VipAddr, u64)>, SimTime);
+
+    /// Every field of every app's exposure state.
+    fn state_bits(d: &DnsSystem) -> Vec<ExposureBits> {
+        d.apps
+            .iter()
+            .map(|e| (bits(&e.target), bits(&e.baseline), e.changed_at))
+            .collect()
+    }
+
     proptest! {
+        #[test]
+        fn prop_set_exposure_from_matches_set_exposure(
+            ops in proptest::collection::vec(
+                (
+                    0u32..3,
+                    proptest::collection::vec((0u32..4, 0usize..9), 0..5),
+                    0u64..4,
+                ),
+                1..30,
+            ),
+        ) {
+            // Duplicates, zero and negative weights, and tiny ones near
+            // the blend's 1e-15 cut.
+            const WEIGHTS: [f64; 9] = [1.0, 2.0, 0.0, -1.0, 0.5, 1e-15, 2e-15, 3.0e-16, 7.0];
+            let (mut owned, mut borrowed) = (dns(), dns());
+            let mut now = SimTime::ZERO;
+            for (app, picks, advance) in ops {
+                let weights: Vec<(VipAddr, f64)> =
+                    picks.iter().map(|&(v, w)| (VipAddr(v), WEIGHTS[w])).collect();
+                // Half the steps keep `now`, so changes pile up at one
+                // instant; the rest advance inside and past a TTL.
+                now += SimDuration::from_secs([0, 0, 30, 4000][advance as usize]);
+                set_exposure_reference(&mut owned, app, weights.clone(), now);
+                borrowed.set_exposure_from(app, &weights, now);
+                prop_assert_eq!(state_bits(&owned), state_bits(&borrowed));
+                prop_assert_eq!(owned.reconfigurations(), borrowed.reconfigurations());
+                for a in 0..4 {
+                    let published = owned.published_shares(a);
+                    prop_assert_eq!(bits(&published), bits(&borrowed.published_shares(a)));
+                    prop_assert_eq!(borrowed.published_count(a), published.len());
+                    for dt in [0, 30] {
+                        let t = now + SimDuration::from_secs(dt);
+                        prop_assert_eq!(
+                            bits(&owned.effective_shares(a, t)),
+                            bits(&borrowed.effective_shares(a, t))
+                        );
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_effective_shares_sum_to_one(
             w1 in 0.1f64..10.0,

@@ -169,7 +169,39 @@ pub fn scale_direction(kind: ActionKind) -> Option<i8> {
     }
 }
 
+/// How many event kinds there are: the footprint's global actions, then
+/// the structural kinds.
+const KIND_COUNT: usize = footprint::ALL_ACTIONS.len() + STRUCTURAL_KINDS.len();
+
 impl ActionKind {
+    /// The kind's slot in the recorder's count tables: the global
+    /// actions in [`footprint::ALL_ACTIONS`] order, then
+    /// [`STRUCTURAL_KINDS`] in order.
+    fn index(self) -> usize {
+        const G: usize = footprint::ALL_ACTIONS.len();
+        match self {
+            ActionKind::Global(a) => a as usize,
+            ActionKind::PodPlan => G,
+            ActionKind::InstanceStart => G + 1,
+            ActionKind::SliceAdjust => G + 2,
+            ActionKind::ProactiveReweight => G + 3,
+            ActionKind::ProactiveDeploy => G + 4,
+            ActionKind::ProactiveRetire => G + 5,
+            ActionKind::QueueApply => G + 6,
+            ActionKind::EpochHealth => G + 7,
+            ActionKind::FaultInject => G + 8,
+            ActionKind::LinkDegrade => G + 9,
+        }
+    }
+
+    /// The kind in slot `i` of the count tables (inverse of `index`).
+    fn from_index(i: usize) -> ActionKind {
+        match footprint::ALL_ACTIONS.get(i) {
+            Some(&a) => ActionKind::Global(a),
+            None => STRUCTURAL_KINDS[i - footprint::ALL_ACTIONS.len()],
+        }
+    }
+
     /// Stable serialized form (the `kind` field of an event line).
     pub fn key(self) -> &'static str {
         match self {
@@ -239,10 +271,13 @@ pub struct Event {
     /// Recorded notes are `&'static str`s, so recording allocates no
     /// note; only a parsed event owns its note.
     pub note: Cow<'static, str>,
-    /// Decision inputs: `(key, value)` in emission order.
-    pub inputs: Vec<(String, f64)>,
-    /// State deltas: `(key, before, after)` in emission order.
-    pub delta: Vec<(String, f64, f64)>,
+    /// Decision inputs: `(key, value)` in emission order. Keys are
+    /// borrowed `&'static str`s when recorded, like `note`; only a parsed
+    /// event owns its keys.
+    pub inputs: Vec<(Cow<'static, str>, f64)>,
+    /// State deltas: `(key, before, after)` in emission order, keyed the
+    /// same way as `inputs`.
+    pub delta: Vec<(Cow<'static, str>, f64, f64)>,
 }
 
 impl Event {
@@ -373,7 +408,7 @@ impl Event {
                 let v = v
                     .as_f64()
                     .ok_or_else(|| format!("input {k:?} not a number"))?;
-                ev.inputs.push((k.clone(), v));
+                ev.inputs.push((Cow::Owned(k.clone()), v));
             }
         }
         if let Some(delta) = doc.get("delta") {
@@ -388,7 +423,7 @@ impl Event {
                 let after = pair[1]
                     .as_f64()
                     .ok_or_else(|| format!("delta {k:?} after not a number"))?;
-                ev.delta.push((k.clone(), before, after));
+                ev.delta.push((Cow::Owned(k.clone()), before, after));
             }
         }
         Ok(ev)
@@ -413,8 +448,10 @@ pub struct Recorder {
     epoch: u64,
     t_us: u64,
     dropped: u64,
-    epoch_counts: BTreeMap<&'static str, u64>,
-    total_counts: BTreeMap<&'static str, u64>,
+    /// Events committed this epoch, per kind (by `ActionKind::index`).
+    epoch_counts: [u64; KIND_COUNT],
+    /// Events committed in the whole run, per kind.
+    total_counts: [u64; KIND_COUNT],
     last_scale_dir: BTreeMap<u32, i8>,
     flipflops: u64,
     sink: Option<std::fs::File>,
@@ -428,7 +465,7 @@ impl Recorder {
     pub fn begin_epoch(&mut self, epoch: u64, now: dcsim::SimTime) {
         self.epoch = epoch;
         self.t_us = now.as_micros();
-        self.epoch_counts.clear();
+        self.epoch_counts = [0; KIND_COUNT];
     }
 
     /// Open a builder for one event. Nothing is recorded until
@@ -443,18 +480,22 @@ impl Recorder {
     /// Emit the per-epoch health record: one `EpochHealth` event whose
     /// inputs are `count.<kind>` for every kind recorded this epoch
     /// plus the caller's load summary (`extra`).
-    pub fn emit_epoch_health(&mut self, extra: &[(&str, f64)]) {
-        let counts: Vec<(String, f64)> = self
-            .epoch_counts
-            .iter()
-            .map(|(k, n)| (format!("count.{k}"), *n as f64))
+    pub fn emit_epoch_health(&mut self, extra: &[(&'static str, f64)]) {
+        let mut counts: Vec<(&'static str, u64)> = (0..KIND_COUNT)
+            .filter(|&i| self.epoch_counts[i] > 0)
+            .map(|i| (ActionKind::from_index(i).key(), self.epoch_counts[i]))
+            .collect();
+        counts.sort_unstable();
+        let counts: Vec<(Cow<'static, str>, f64)> = counts
+            .into_iter()
+            .map(|(k, n)| (Cow::Owned(format!("count.{k}")), n as f64))
             .collect();
         let mut b = self.event(Actor::Platform, ActionKind::EpochHealth);
         for (k, v) in counts {
             b.ev.inputs.push((k, v));
         }
         for (k, v) in extra {
-            b.ev.inputs.push(((*k).to_string(), *v));
+            b.ev.inputs.push((Cow::Borrowed(*k), *v));
         }
         b.commit();
     }
@@ -508,12 +549,12 @@ impl Recorder {
         self.epoch
     }
 
-    /// Cumulative count of committed events for one serialized kind key
-    /// (never reset, unlike the per-epoch window feeding
+    /// Cumulative count of committed events of one kind (never reset,
+    /// unlike the per-epoch window feeding
     /// [`Recorder::emit_epoch_health`]). The metrics registry scrapes
     /// these at epoch close.
-    pub fn total_count(&self, key: &str) -> u64 {
-        self.total_counts.get(key).copied().unwrap_or(0)
+    pub fn total_count(&self, kind: ActionKind) -> u64 {
+        self.total_counts[kind.index()]
     }
 
     /// Cumulative per-app scale-direction reversals (see
@@ -527,8 +568,8 @@ impl Recorder {
         self.seq += 1;
         ev.epoch = self.epoch;
         ev.t_us = self.t_us;
-        *self.epoch_counts.entry(ev.kind.key()).or_insert(0) += 1;
-        *self.total_counts.entry(ev.kind.key()).or_insert(0) += 1;
+        self.epoch_counts[ev.kind.index()] += 1;
+        self.total_counts[ev.kind.index()] += 1;
         if let (Some(app), Some(dir)) = (ev.app, scale_direction(ev.kind)) {
             if let Some(prev) = self.last_scale_dir.insert(app, dir) {
                 if prev != dir {
@@ -608,14 +649,14 @@ impl EventBuilder<'_> {
     }
 
     /// Record one decision input.
-    pub fn input(mut self, key: &str, value: f64) -> Self {
-        self.ev.inputs.push((key.to_string(), value));
+    pub fn input(mut self, key: &'static str, value: f64) -> Self {
+        self.ev.inputs.push((Cow::Borrowed(key), value));
         self
     }
 
     /// Record one state delta.
-    pub fn delta(mut self, key: &str, before: f64, after: f64) -> Self {
-        self.ev.delta.push((key.to_string(), before, after));
+    pub fn delta(mut self, key: &'static str, before: f64, after: f64) -> Self {
+        self.ev.delta.push((Cow::Borrowed(key), before, after));
         self
     }
 
@@ -662,12 +703,19 @@ mod tests {
         rec.event(Actor::Queue, ActionKind::QueueApply)
             .vip(9)
             .note("AdjustPodWeights -> Failed")
+            .input("ctl.starved_epochs", 4.0)
+            .delta("dns_exposure.vips", 2.0, 3.0)
             .commit();
         let ev = rec.take_events().remove(0);
+        // Recording borrows the note and every key; parsing owns them.
         assert!(matches!(ev.note, Cow::Borrowed(_)));
+        assert!(matches!(ev.inputs[0].0, Cow::Borrowed(_)));
+        assert!(matches!(ev.delta[0].0, Cow::Borrowed(_)));
         let line = ev.to_json_line();
         let back = Event::from_json(&line).unwrap();
         assert!(matches!(back.note, Cow::Owned(_)));
+        assert!(matches!(back.inputs[0].0, Cow::Owned(_)));
+        assert!(matches!(back.delta[0].0, Cow::Owned(_)));
         assert_eq!(ev, back);
         assert_eq!(back.to_json_line(), line);
     }
@@ -729,6 +777,20 @@ mod tests {
     }
 
     #[test]
+    fn kind_index_is_a_bijection() {
+        let kinds: Vec<ActionKind> = footprint::ALL_ACTIONS
+            .into_iter()
+            .map(ActionKind::Global)
+            .chain(STRUCTURAL_KINDS)
+            .collect();
+        assert_eq!(kinds.len(), KIND_COUNT);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+            assert_eq!(ActionKind::from_index(i), kind);
+        }
+    }
+
+    #[test]
     fn total_counts_survive_epoch_resets() {
         let mut rec = Recorder::default();
         rec.begin_epoch(0, SimTime::ZERO);
@@ -736,9 +798,9 @@ mod tests {
         rec.begin_epoch(1, SimTime::from_secs(30));
         rec.event(Actor::Queue, ActionKind::QueueApply).commit();
         rec.event(Actor::Pod(1), ActionKind::PodPlan).commit();
-        assert_eq!(rec.total_count("QueueApply"), 2);
-        assert_eq!(rec.total_count("PodPlan"), 1);
-        assert_eq!(rec.total_count("InstanceStart"), 0);
+        assert_eq!(rec.total_count(ActionKind::QueueApply), 2);
+        assert_eq!(rec.total_count(ActionKind::PodPlan), 1);
+        assert_eq!(rec.total_count(ActionKind::InstanceStart), 0);
     }
 
     #[test]
@@ -773,15 +835,11 @@ mod tests {
         let evs = rec.take_events();
         let health = evs.last().unwrap();
         assert_eq!(health.kind, ActionKind::EpochHealth);
+        assert!(health.inputs.contains(&("count.QueueRetire".into(), 2.0)));
+        assert!(health.inputs.contains(&("count.QueueApply".into(), 1.0)));
         assert!(health
             .inputs
-            .contains(&("count.QueueRetire".to_string(), 2.0)));
-        assert!(health
-            .inputs
-            .contains(&("count.QueueApply".to_string(), 1.0)));
-        assert!(health
-            .inputs
-            .contains(&("load.served_fraction".to_string(), 0.99)));
+            .contains(&("load.served_fraction".into(), 0.99)));
         // Next epoch starts a fresh count window.
         rec.begin_epoch(4, SimTime::from_secs(120));
         rec.emit_epoch_health(&[]);

@@ -26,7 +26,8 @@ fn switch_failure_is_transparent_to_served_demand() {
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .unwrap();
-    let (rehomed, lost, _) = p.state.fail_switch(lbswitch::SwitchId(hot as u32));
+    let now = p.now();
+    let (rehomed, lost, _) = p.state.fail_switch(lbswitch::SwitchId(hot as u32), now);
     assert!(rehomed > 0, "busiest switch should have hosted VIPs");
     assert_eq!(lost, 0, "fabric has spare capacity; nothing should be lost");
     p.state.assert_invariants();
@@ -97,7 +98,8 @@ fn cascade_of_failures_never_breaks_invariants() {
     }
     // Fail all but one switch; every surviving VIP must sit on the last.
     for sw in 0..num_switches - 1 {
-        p.state.fail_switch(lbswitch::SwitchId(sw as u32));
+        let now = p.now();
+        p.state.fail_switch(lbswitch::SwitchId(sw as u32), now);
         p.run_epochs(2);
         p.state.assert_invariants();
     }
