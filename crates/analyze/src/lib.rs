@@ -9,8 +9,9 @@
 //!   panic control paths: hash containers, direct float-literal
 //!   equality, `unwrap()`/`expect()`/`panic!` in control-plane crates
 //!   (ratcheted), raw threads in control-plane crates, wall-clock
-//!   reads, missing `#![forbid(unsafe_code)]`, and undocumented
-//!   `PlatformConfig`/`KnobFlags` fields.
+//!   reads, missing `#![forbid(unsafe_code)]`, undocumented
+//!   `PlatformConfig`/`KnobFlags` fields, and public items that no
+//!   non-test code names (`dead-pub`).
 //! * **Pass 2 (conflicts, [`conflict`])** — computes the pairwise
 //!   read/write conflict matrix of the global-manager actions from the
 //!   declarations in [`megadc::footprint`] and asserts every conflicting
@@ -319,16 +320,6 @@ pub fn splice_block_between(design: &str, begin: &str, end: &str, generated: &st
     }
 }
 
-/// Extract the generated conflict-matrix block from DESIGN.md.
-pub fn extract_block(design: &str) -> Option<&str> {
-    extract_block_between(design, MATRIX_BEGIN, MATRIX_END)
-}
-
-/// Replace (or append) the generated conflict-matrix block in DESIGN.md.
-pub fn splice_block(design: &str, generated: &str) -> String {
-    splice_block_between(design, MATRIX_BEGIN, MATRIX_END, generated)
-}
-
 /// The workspace root this crate was built in (two levels above the
 /// manifest) — the default for the binary and the integration tests.
 pub fn default_root() -> std::path::PathBuf {
@@ -345,10 +336,11 @@ mod tests {
     #[test]
     fn splice_roundtrips() {
         let design = "# Doc\n\nbody\n";
-        let v1 = splice_block(design, "MATRIX v1");
-        assert!(extract_block(&v1).unwrap().contains("MATRIX v1"));
-        let v2 = splice_block(&v1, "MATRIX v2");
-        let b = extract_block(&v2).unwrap();
+        let v1 = splice_block_between(design, MATRIX_BEGIN, MATRIX_END, "MATRIX v1");
+        let b = extract_block_between(&v1, MATRIX_BEGIN, MATRIX_END).unwrap();
+        assert!(b.contains("MATRIX v1"));
+        let v2 = splice_block_between(&v1, MATRIX_BEGIN, MATRIX_END, "MATRIX v2");
+        let b = extract_block_between(&v2, MATRIX_BEGIN, MATRIX_END).unwrap();
         assert!(b.contains("MATRIX v2") && !b.contains("MATRIX v1"));
         assert_eq!(v2.matches(MATRIX_BEGIN).count(), 1);
     }

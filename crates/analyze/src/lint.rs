@@ -27,8 +27,15 @@
 //! * `emit-coverage` — every declared `GlobalAction` must have a
 //!   flight-recorder emit site in `crates/core/src` non-test code, so
 //!   no control-plane action can silently skip the audit trail.
+//! * `metric-doc` — every registered metric must be documented in
+//!   DESIGN.md, and every epoch phase must emit one.
+//! * `dead-pub` — every `pub` item in `crates/*/src` non-test code must
+//!   be named somewhere else in non-test code (`crates/*/tests`,
+//!   `examples/`, `megabench/src` and `tests/` included), so code that
+//!   only its own unit tests call cannot pile up.
 
 use crate::source::{strip, test_line_mask};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -47,12 +54,22 @@ pub const CONTROL_PLANE_CRATES: &[&str] = &[
 /// is not among them: it would also match `vmm::Fleet::spawn`.
 const RAW_THREAD_TOKENS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
 
+/// Directories outside `crates/*/src` whose non-test code counts as a
+/// use for `dead-pub` (each `crates/*/tests` is added per crate).
+const USE_DIRS: [&str; 3] = ["examples", "megabench/src", "tests"];
+
+/// The declaration keywords `dead-pub` checks, longest first so that
+/// `const fn` wins over `const`.
+const PUB_KINDS: [&str; 8] = [
+    "const fn", "fn", "struct", "enum", "trait", "type", "const", "static",
+];
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule identifier (`hash-container`, `float-cmp`, `panicking`,
     /// `raw-thread`, `wall-clock`, `unsafe-forbid`, `knob-doc`,
-    /// `emit-coverage`, `metric-doc`).
+    /// `emit-coverage`, `metric-doc`, `dead-pub`).
     pub rule: &'static str,
     /// Crate directory name under `crates/` (e.g. `core`).
     pub krate: String,
@@ -214,9 +231,102 @@ fn panicking_on_line(line: &str) -> Option<&'static str> {
     None
 }
 
+/// Where the out-of-line `#[cfg(test)] mod name;` modules that `file`
+/// declares live: `name.rs`, or `name/` and everything under it, beside
+/// `file` for a crate root or `mod.rs`, else in the directory named
+/// after it.
+fn test_module_paths(file: &Path, stripped: &str, mask: &[bool]) -> Vec<PathBuf> {
+    let (Some(parent), Some(stem)) = (file.parent(), file.file_stem()) else {
+        return Vec::new();
+    };
+    let dir = match stem.to_str() {
+        Some("lib" | "main" | "mod") => parent.to_path_buf(),
+        _ => parent.join(stem),
+    };
+    stripped
+        .lines()
+        .zip(mask)
+        .filter(|&(_, &test)| test)
+        .filter_map(|(line, _)| {
+            let name = line.trim().strip_suffix(';')?.rsplit_once("mod ")?.1.trim();
+            name.chars().all(is_ident_char).then(|| dir.join(name))
+        })
+        .collect()
+}
+
+/// The kind and name of the `pub` item a stripped line declares, for
+/// the kinds in [`PUB_KINDS`] (`pub(crate)` and friends are rustc's
+/// `dead_code` lint's business).
+fn pub_item(line: &str) -> Option<(&'static str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?.trim_start();
+    PUB_KINDS.iter().find_map(|&kind| {
+        let name = rest.strip_prefix(kind)?.strip_prefix(' ')?.trim_start();
+        let end = name.find(|c| !is_ident_char(c)).unwrap_or(name.len());
+        let name = &name[..end];
+        let starts_ok = name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_');
+        (starts_ok && name != "_").then_some((kind, name))
+    })
+}
+
+/// `dead-pub`'s index: how often each identifier appears in non-test
+/// code, and every `pub` declaration in `crates/*/src` with its name.
+#[derive(Default)]
+struct PubIndex {
+    tokens: BTreeMap<String, usize>,
+    decls: Vec<(String, Finding)>,
+}
+
+impl PubIndex {
+    /// Count the tokens of one file's non-test lines; with `krate`, also
+    /// record its `pub` declarations.
+    fn add(&mut self, stripped: &str, mask: &[bool], krate: Option<(&str, &str)>) {
+        for (idx, line) in stripped.lines().enumerate() {
+            if mask.get(idx).copied().unwrap_or(false) {
+                continue;
+            }
+            for tok in line.split(|c| !is_ident_char(c)).filter(|t| !t.is_empty()) {
+                *self.tokens.entry(tok.to_string()).or_default() += 1;
+            }
+            if let (Some((krate, file)), Some((kind, name))) = (krate, pub_item(line)) {
+                let finding = Finding {
+                    rule: "dead-pub",
+                    krate: krate.to_string(),
+                    file: file.to_string(),
+                    line: idx + 1,
+                    message: format!(
+                        "pub {kind} `{name}` is named nowhere else in non-test code; \
+                         delete it, or gate it #[cfg(test)] if only unit tests call it"
+                    ),
+                };
+                self.decls.push((name.to_string(), finding));
+            }
+        }
+    }
+
+    /// Count the tokens of every `.rs` file under `dir`.
+    fn add_dir(&mut self, dir: &Path) {
+        for file in rust_files(dir) {
+            if let Ok(text) = fs::read_to_string(&file) {
+                let stripped = strip(&text);
+                self.add(&stripped, &test_line_mask(&stripped), None);
+            }
+        }
+    }
+
+    /// The declarations whose name has no token besides their own.
+    fn dead(self) -> impl Iterator<Item = Finding> {
+        let tokens = self.tokens;
+        self.decls
+            .into_iter()
+            .filter(move |(name, _)| tokens.get(name).is_some_and(|&n| n <= 1))
+            .map(|(_, finding)| finding)
+    }
+}
+
 /// Lint every `crates/*/src/**/*.rs` file under `root`.
 pub fn lint_sources(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let mut pub_index = PubIndex::default();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<_> = fs::read_dir(&crates_dir)
         .map(|rd| rd.flatten().map(|e| e.path()).collect())
@@ -228,6 +338,7 @@ pub fn lint_sources(root: &Path) -> Vec<Finding> {
             .and_then(|n| n.to_str())
             .unwrap_or_default()
             .to_string();
+        pub_index.add_dir(&crate_dir.join("tests"));
         let src = crate_dir.join("src");
         if !src.is_dir() {
             continue;
@@ -248,13 +359,27 @@ pub fn lint_sources(root: &Path) -> Vec<Finding> {
             }
         }
         let control_plane = CONTROL_PLANE_CRATES.contains(&krate.as_str());
-        for file in rust_files(&src) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            let stripped = strip(&text);
-            let mask = test_line_mask(&stripped);
+        let files: Vec<(PathBuf, String, Vec<bool>)> = rust_files(&src)
+            .into_iter()
+            .filter_map(|file| {
+                let stripped = strip(&fs::read_to_string(&file).ok()?);
+                let mask = test_line_mask(&stripped);
+                Some((file, stripped, mask))
+            })
+            .collect();
+        let test_modules: Vec<PathBuf> = files
+            .iter()
+            .flat_map(|(file, stripped, mask)| test_module_paths(file, stripped, mask))
+            .collect();
+        for (file, stripped, mut mask) in files {
+            if test_modules
+                .iter()
+                .any(|m| file == m.with_extension("rs") || file.starts_with(m))
+            {
+                mask.iter_mut().for_each(|m| *m = true);
+            }
             let relpath = rel(root, &file);
+            pub_index.add(&stripped, &mask, Some((&krate, &relpath)));
             let wallclock_exempt = krate == "bench" || relpath.ends_with("dcsim/src/time.rs");
             for (idx, line) in stripped.lines().enumerate() {
                 if mask.get(idx).copied().unwrap_or(false) {
@@ -331,6 +456,10 @@ pub fn lint_sources(root: &Path) -> Vec<Finding> {
             }
         }
     }
+    for dir in USE_DIRS {
+        pub_index.add_dir(&root.join(dir));
+    }
+    findings.extend(pub_index.dead());
     findings
 }
 

@@ -157,59 +157,71 @@ pub fn strip(source: &str) -> String {
     out
 }
 
-/// Per-line flags: is this line inside a `#[cfg(test)]` module?
+/// Per-line flags: is this line part of a `#[cfg(test)]` item?
 ///
-/// Works on *stripped* source. Attribute and `mod … {` may sit on
-/// separate lines (rustfmt style). Nested modules inside the test module
-/// are covered by brace depth.
+/// Works on *stripped* source. The attribute covers the item it sits
+/// on: a braced item (a module, fn, impl, struct, or a statement with a
+/// block) up to its closing brace, or a one-line item that ends in `;`
+/// or `,` (a field, a `use`, a `mod name;`). Attribute and item may sit
+/// on separate lines (rustfmt style), with other attributes between.
 pub fn test_line_mask(stripped: &str) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
+    #[derive(Clone, Copy, PartialEq)]
+    enum Item {
+        /// Outside any test item.
+        Out,
+        /// After the attribute, before the item; the count is the `[`
+        /// nesting inside a further attribute.
+        Attr(u32),
+        /// In the item's head, before its body brace or its closing `;`
+        /// or `,`; the count is the `(`/`[` nesting.
+        Head(u32),
+        /// In the item's body, opened at this brace depth.
+        Body(i64),
+    }
     let mut mask = Vec::new();
     let mut depth: i64 = 0;
-    let mut pending_attr = false;
-    let mut awaiting_brace = false;
-    let mut region_depth: Option<i64> = None;
+    let mut st = Item::Out;
     for line in stripped.lines() {
-        let in_test_at_start = region_depth.is_some();
-        let trimmed = line.trim();
-        if region_depth.is_none() {
-            if trimmed.contains("#[cfg(test)]") {
-                pending_attr = true;
-            } else if pending_attr && !trimmed.is_empty() {
-                if trimmed.starts_with("mod ") || trimmed.contains(" mod ") {
-                    awaiting_brace = true;
-                    pending_attr = false;
-                } else if !trimmed.starts_with("#[") {
-                    // Attribute attached to something that is not a
-                    // module (e.g. a fn): treat the single following item
-                    // conservatively as non-test — the rules only need
-                    // module-level accuracy for this workspace.
-                    pending_attr = false;
-                }
+        let mut test = st != Item::Out;
+        let mut i = 0;
+        while i < line.len() {
+            if st == Item::Out && line[i..].starts_with(ATTR) {
+                st = Item::Attr(0);
+                test = true;
+                i += ATTR.len();
+                continue;
             }
-        }
-        let mut line_opens_region = false;
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    if awaiting_brace && region_depth.is_none() {
-                        region_depth = Some(depth);
-                        awaiting_brace = false;
-                        line_opens_region = true;
-                    }
+            let c = line.as_bytes()[i];
+            if let Item::Attr(n) = st {
+                st = match (n, c) {
+                    (_, b'[') => Item::Attr(n + 1),
+                    (_, b']') => Item::Attr(n.saturating_sub(1)),
+                    (0, b'#') => st,
+                    (0, c) if !c.is_ascii_whitespace() => Item::Head(0),
+                    _ => st,
+                };
+            }
+            match (st, c) {
+                (Item::Head(_), b'{') => {
+                    st = Item::Body(depth);
                     depth += 1;
                 }
-                '}' => {
+                (Item::Head(n), b'(' | b'[') => st = Item::Head(n + 1),
+                (Item::Head(n), b')' | b']') => st = Item::Head(n.saturating_sub(1)),
+                (Item::Head(0), b';' | b',') => st = Item::Out,
+                (_, b'{') => depth += 1,
+                (_, b'}') => {
                     depth -= 1;
-                    if let Some(d) = region_depth {
-                        if depth == d {
-                            region_depth = None;
-                        }
+                    if st == Item::Body(depth) {
+                        st = Item::Out;
                     }
                 }
                 _ => {}
             }
+            i += 1;
         }
-        mask.push(in_test_at_start || line_opens_region || trimmed.contains("#[cfg(test)]"));
+        mask.push(test);
     }
     mask
 }
@@ -241,5 +253,39 @@ mod tests {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
         let mask = test_line_mask(&strip(src));
         assert_eq!(mask, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn test_mask_covers_any_cfg_test_item() {
+        let src = "pub struct S {\n\
+                   \x20   a: u32,\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   pub(crate) log: Option<Vec<(u32, u32)>>,\n\
+                   \x20   b: u32,\n\
+                   }\n\
+                   impl S {\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   #[allow(dead_code)]\n\
+                   \x20   pub fn set(\n\
+                   \x20       &mut self,\n\
+                   \x20   ) -> u32 {\n\
+                   \x20       self.a\n\
+                   \x20   }\n\
+                   \x20   pub fn get(&self) -> u32 {\n\
+                   \x20       #[cfg(test)] if let Some(l) = &self.log { l.len(); }\n\
+                   \x20       self.b\n\
+                   \x20   }\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod reference;\n\
+                   pub fn after() {}\n";
+        let mask = test_line_mask(&strip(src));
+        let test_lines: Vec<usize> = (0..mask.len())
+            .filter(|&i| mask[i])
+            .map(|i| i + 1)
+            .collect();
+        // The field, the fn with its attributes and multi-line head, the
+        // one-line statement and the out-of-line module; nothing else.
+        assert_eq!(test_lines, vec![3, 4, 8, 9, 10, 11, 12, 13, 14, 16, 20, 21]);
     }
 }

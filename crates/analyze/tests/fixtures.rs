@@ -221,3 +221,125 @@ fn missing_global_action_emit_site_is_flagged() {
     assert_eq!(findings[0].rule, "emit-coverage");
     assert!(findings[0].message.contains("GlobalAction::VipTransfer"));
 }
+
+/// The item names `--deny` reports as `[dead-pub]` errors for a fixture.
+fn dead_pub_names(root: &Path) -> Vec<String> {
+    analyze::analyze_workspace(root)
+        .errors
+        .iter()
+        .filter(|e| e.starts_with("[dead-pub]"))
+        .filter_map(|e| e.split('`').nth(1).map(str::to_string))
+        .collect()
+}
+
+#[test]
+fn unused_pub_fn_fails_deny() {
+    let root = fixture_root("fx-dead-unused");
+    write(
+        &root,
+        "crates/dcnet/src/lib.rs",
+        &format!(
+            "{CLEAN_HEADER}pub fn orphan() -> u32 {{ 1 }}\n\
+             pub const fn helper() -> u32 {{ 2 }}\n\
+             fn private() -> u32 {{ helper() }}\n"
+        ),
+    );
+    assert_eq!(dead_pub_names(&root), ["orphan"]);
+    let findings = lint_sources(&root);
+    let dead: Vec<_> = findings.iter().filter(|f| f.rule == "dead-pub").collect();
+    assert_eq!(dead.len(), 1, "{findings:#?}");
+    assert_eq!(
+        (dead[0].file.as_str(), dead[0].line),
+        ("crates/dcnet/src/lib.rs", 2)
+    );
+}
+
+#[test]
+fn pub_fn_used_only_by_unit_tests_fails_deny() {
+    let root = fixture_root("fx-dead-unit-test");
+    write(
+        &root,
+        "crates/dcnet/src/lib.rs",
+        &format!(
+            "{CLEAN_HEADER}pub fn tested_only() -> u32 {{ 1 }}\n\
+             #[cfg(test)]\nmod tests {{\n    #[test]\n    \
+             fn t() {{ assert_eq!(super::tested_only(), 1); }}\n}}\n"
+        ),
+    );
+    assert_eq!(dead_pub_names(&root), ["tested_only"]);
+}
+
+#[test]
+fn name_only_in_comments_or_strings_fails_deny() {
+    let root = fixture_root("fx-dead-comment");
+    write(
+        &root,
+        "crates/dcnet/src/lib.rs",
+        &format!(
+            "{CLEAN_HEADER}/// See [`documented_only`].\npub fn documented_only() {{}}\n\
+             pub enum Quoted {{ A }}\n\
+             fn f() -> &'static str {{ \"Quoted\" }} // documented_only\n"
+        ),
+    );
+    write(
+        &root,
+        "tests/it.rs",
+        "#[test]\nfn t() { /* Quoted */ let _ = \"documented_only\"; }\n",
+    );
+    assert_eq!(dead_pub_names(&root), ["documented_only", "Quoted"]);
+}
+
+#[test]
+fn uses_from_other_crates_examples_and_integration_tests_pass_deny() {
+    let root = fixture_root("fx-dead-used");
+    write(
+        &root,
+        "crates/dcnet/src/lib.rs",
+        &format!(
+            "{CLEAN_HEADER}pub fn cross_crate() {{}}\npub fn from_example() {{}}\n\
+             pub fn from_integration_test() {{}}\npub fn from_crate_test() {{}}\n\
+             pub struct Fabric;\npub type Alias = u32;\npub static TABLE: [u32; 1] = [0];\n"
+        ),
+    );
+    write(
+        &root,
+        "crates/core/src/lib.rs",
+        &format!("{CLEAN_HEADER}fn drive() -> u32 {{ dcnet::cross_crate(); dcnet::TABLE[0] }}\n"),
+    );
+    write(
+        &root,
+        "examples/demo.rs",
+        "fn main() { dcnet::from_example(); }\n",
+    );
+    write(
+        &root,
+        "tests/it.rs",
+        "#[test]\nfn t() { dcnet::from_integration_test(); }\n",
+    );
+    write(
+        &root,
+        "crates/dcnet/tests/t.rs",
+        "#[test]\nfn t() { dcnet::from_crate_test(); let _: dcnet::Alias = 1; }\n",
+    );
+    write(
+        &root,
+        "megabench/src/main.rs",
+        "fn main() { let _ = dcnet::Fabric; }\n",
+    );
+    assert!(dead_pub_names(&root).is_empty());
+}
+
+#[test]
+fn cfg_test_and_crate_visible_items_are_not_flagged() {
+    let root = fixture_root("fx-dead-cfg-test");
+    write(
+        &root,
+        "crates/dcnet/src/lib.rs",
+        &format!(
+            "{CLEAN_HEADER}#[cfg(test)]\npub fn test_helper() -> u32 {{ 1 }}\n\
+             #[cfg(test)]\n#[derive(Debug)]\npub struct Probe {{\n    pub hits: u32,\n}}\n\
+             pub(crate) fn crate_only() {{}}\n"
+        ),
+    );
+    assert!(dead_pub_names(&root).is_empty());
+}

@@ -3,8 +3,8 @@
 //!
 //! [`propagate_reference`] is `megadc::demand::propagate` as it was before
 //! the VIP-indexed snapshot tables and the buffer-filling lookups: VIP
-//! demand and served load in `BTreeMap`s, routes from the sorted
-//! `usable_routes` list filtered to the least padding, and each VIP's
+//! demand and served load in `BTreeMap`s, routes from the allocating
+//! `preferred_routes` list, and each VIP's
 //! switch split built from a weight vector and a share vector. DNS shares
 //! come from `DnsSystem::effective_shares`, whose own reference test
 //! (`dcdns`) covers the blend. Production and reference run on the same
@@ -94,12 +94,7 @@ fn propagate_reference(
             if vd <= 0.0 {
                 continue;
             }
-            let usable = state.routes.usable_routes(vip_prefix(vip), now);
-            let min_pad = usable.iter().map(|r| r.padding).min();
-            let routes: Vec<_> = usable
-                .into_iter()
-                .filter(|r| Some(r.padding) == min_pad)
-                .collect();
+            let routes = state.routes.preferred_routes(vip_prefix(vip), now);
             if routes.is_empty() {
                 snap.unserved_bps_by_app[app_idx] += vd;
                 continue;

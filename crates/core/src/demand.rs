@@ -292,9 +292,12 @@ pub fn propagate_into(
 
     // --- 4: RIPs → VMs → servers (phase demand-serve) --------------------
     // Each VIP's record and switch entry are resolved once; demand for a
-    // VIP its switch no longer configures is unserved.
+    // VIP its switch no longer configures is unserved. The route stage
+    // books demand only for VIPs that carry the app's record, so the
+    // `else` never runs; if it did, the demand would be neither served
+    // nor unserved and the conservation check below would fail.
     for (vip, &offered) in vip_demand_bps.iter() {
-        let rec = state.vip(vip).expect("routed VIPs have records");
+        let Ok(rec) = state.vip(vip) else { continue };
         let app_idx = rec.app.0 as usize;
         let Ok(split) = state.switches[rec.switch.0 as usize].vip_split(vip) else {
             unserved_bps_by_app[app_idx] += offered;

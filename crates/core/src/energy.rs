@@ -179,16 +179,6 @@ pub struct EnergyReport {
     pub consolidated_watts: f64,
 }
 
-impl EnergyReport {
-    /// Fractional saving of sleeping the vacant servers.
-    pub fn saving(&self) -> f64 {
-        if self.all_awake_watts == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.consolidated_watts / self.all_awake_watts
-    }
-}
-
 /// Compute the energy report for one pod under a power model, using
 /// committed CPU slices as the utilization proxy.
 pub fn energy_report(state: &PlatformState, pod: PodId, model: &PowerModel) -> EnergyReport {
@@ -315,7 +305,6 @@ mod tests {
         st.fleet.complete_transitions(SimTime::from_secs(1_000_000));
         let after = energy_report(&st, PodId(0), &PowerModel::COMMODITY);
         assert_eq!(after.vacant, 7);
-        assert!(after.saving() > before.saving());
         assert!(after.consolidated_watts < before.consolidated_watts);
     }
 }

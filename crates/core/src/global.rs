@@ -53,14 +53,10 @@ use vmm::{ServerId, VmId, VmState};
 pub struct KnobCounters {
     /// DNS exposure reconfigurations issued for link balancing.
     pub exposure_updates: u64,
-    /// Unused-VIP re-advertisements (route updates follow from these).
-    pub vip_readvertisements: u64,
     /// VIP drains started for switch balancing.
     pub vip_drains_started: u64,
     /// VIP transfers completed (drain passed the quiescence gate).
     pub vip_transfers_completed: u64,
-    /// VIP drains abandoned (timeout without quiescence).
-    pub vip_drains_aborted: u64,
     /// Inter-pod RIP weight adjustments submitted.
     pub interpod_weight_adjustments: u64,
     /// Application instances deployed into other pods (clones started).
@@ -627,7 +623,6 @@ impl GlobalManager {
                 if let Some(v) = unused {
                     let router = state.access.links()[cold].access_router;
                     state.advertise_vip(v, router, now).expect("VIP exists");
-                    self.counters.vip_readvertisements += 1;
                     self.recorder
                         .event(
                             Actor::Global,
@@ -701,7 +696,6 @@ impl GlobalManager {
                     }
                     Err(_) => {
                         // Destination filled up meanwhile: abort.
-                        self.counters.vip_drains_aborted += 1;
                         self.recorder
                             .event(Actor::Global, ActionKind::Global(GlobalAction::VipTransfer))
                             .vip(vip.0)
@@ -716,7 +710,6 @@ impl GlobalManager {
                 }
             } else if now.since(drain.started) > state.config.dns.stale_half_life * 4 {
                 // TTL violators are holding on too long: give up.
-                self.counters.vip_drains_aborted += 1;
                 self.recorder
                     .event(Actor::Global, ActionKind::Global(GlobalAction::VipTransfer))
                     .vip(vip.0)

@@ -50,7 +50,8 @@ pub fn vip_prefix(vip: VipAddr) -> Prefix {
 }
 
 /// An allocator of addresses from a finite pool, with free-list reuse —
-/// "allocates an unused IP address" (§III.C).
+/// "allocates an unused IP address" (§III.C). The default pool is
+/// unbounded.
 #[derive(Debug, Clone, Default)]
 pub struct AddressPool {
     next: u32,
@@ -59,11 +60,6 @@ pub struct AddressPool {
 }
 
 impl AddressPool {
-    /// Unbounded pool.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
     /// Pool with at most `limit` addresses live at once.
     pub fn bounded(limit: u32) -> Self {
         AddressPool {
@@ -160,7 +156,7 @@ mod tests {
 
     #[test]
     fn pool_allocates_and_reuses() {
-        let mut p = AddressPool::unbounded();
+        let mut p = AddressPool::default();
         let a = p.alloc().unwrap();
         let b = p.alloc().unwrap();
         assert_ne!(a, b);

@@ -429,7 +429,7 @@ mod tests {
     use dcnet::access::AccessRouterId;
     use dcsim::SimTime;
     use lbswitch::SwitchId;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// One app with two instances in pod 0 (servers 0 and 2), demand
     /// driven through VIP 0 on switch 0.
@@ -519,24 +519,36 @@ mod tests {
                 .collect(),
         };
 
-        // Incumbent: current instances with their slices.
-        let mut incumbent = Placement::empty(apps.len());
+        // Incumbent: current instances with their slices (the last VM of
+        // an (app, server) pair wins).
         let mut vm_at: BTreeMap<(usize, usize), VmId> = BTreeMap::new();
         for (&app, vms) in &app_vms {
             let a = app_index[&app];
             for &vm_id in vms {
                 let srv = state.fleet.locate(vm_id).expect("live");
-                let s = server_index[&srv];
-                let vm = state.fleet.vm(vm_id).expect("live");
-                incumbent.set(a, s, vm.cpu_slice);
-                vm_at.insert((a, s), vm_id);
+                vm_at.insert((a, server_index[&srv]), vm_id);
             }
         }
+        let incumbent = Placement::from_sorted(
+            apps.len(),
+            vm_at
+                .iter()
+                .map(|(&(a, s), &vm)| (a, s, state.fleet.vm(vm).expect("live").cpu_slice)),
+        );
 
         let next = tang::solve(&problem, incumbent.clone());
 
-        // Diff the placements into actions.
-        let placement_changes = next.changes_from(&incumbent);
+        // Diff the placements into actions: instances started plus
+        // instances stopped.
+        let placement_changes: usize = (0..apps.len())
+            .map(|a| {
+                let servers =
+                    |p: &Placement| -> BTreeSet<usize> { p.instances(a).map(|(s, _)| s).collect() };
+                servers(&next)
+                    .symmetric_difference(&servers(&incumbent))
+                    .count()
+            })
+            .sum();
         let mut plan = PodPlan {
             pod: mgr.id,
             problem_size: (servers.len(), state.pod_vm_count(mgr.id)),

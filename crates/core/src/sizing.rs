@@ -77,13 +77,6 @@ pub fn decision_space_log10_per_vip(apps: u64, switches: u64, vips_per_app: u64)
     (apps * vips_per_app) as f64 * (switches as f64).log10()
 }
 
-/// Minimum switch count for the data center to expose at least
-/// `demand_bps` of external bandwidth through the LB layer (§III.B's
-/// "will this layer be a bottleneck" check).
-pub fn switches_for_bandwidth(limits: &SwitchLimits, demand_bps: f64) -> u64 {
-    (demand_bps / limits.capacity_bps).ceil() as u64
-}
-
 /// The external-traffic sanity check of §III.B: given total datacenter
 /// traffic and the measured ~20% external fraction, the load (per switch)
 /// a fabric of `switches` switches would carry, as a utilization.
@@ -136,12 +129,6 @@ mod tests {
         assert!((per_vip - 2_342_071.0).abs() < 1e3, "got {per_vip}");
         // Both are far beyond enumeration.
         assert!(paper > 1e3 && per_vip > 1e6);
-    }
-
-    #[test]
-    fn bandwidth_sizing() {
-        assert_eq!(switches_for_bandwidth(&L, 600e9), 150);
-        assert_eq!(switches_for_bandwidth(&L, 601e9), 151);
     }
 
     #[test]

@@ -478,19 +478,6 @@ impl PlatformState {
             .sum()
     }
 
-    /// Apps covering a pod (§III.A's *covers* relation): apps with at
-    /// least one VM instance in the pod.
-    pub fn apps_covering_pod(&self, pod: PodId) -> Vec<AppId> {
-        let mut apps: Vec<u32> = self
-            .pod_servers(pod)
-            .iter()
-            .flat_map(|&s| self.fleet.server(s).expect("valid").vms().map(|vm| vm.app))
-            .collect();
-        apps.sort_unstable();
-        apps.dedup();
-        apps.into_iter().map(AppId).collect()
-    }
-
     /// The pods covered by a VIP (pods containing a VM whose RIP maps to
     /// the VIP).
     pub fn pods_covered_by_vip(&self, vip: VipAddr) -> Vec<PodId> {
@@ -869,7 +856,6 @@ mod tests {
         st.add_instance_running(AppId(5), s0, vip, 1.0).unwrap();
         st.add_instance_running(AppId(5), s1, vip, 1.0).unwrap();
         assert_eq!(st.pods_covered_by_vip(vip), vec![PodId(0), PodId(1)]);
-        assert!(st.apps_covering_pod(PodId(0)).contains(&AppId(5)));
         assert_eq!(st.pod_vm_count(PodId(0)), 1);
     }
 

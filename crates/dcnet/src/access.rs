@@ -70,7 +70,6 @@ pub struct AccessLink {
 #[derive(Debug, Clone, Default)]
 pub struct AccessNetwork {
     links: Vec<AccessLink>,
-    num_border: u32,
     num_access_routers: u32,
 }
 
@@ -107,7 +106,6 @@ impl AccessNetwork {
         assert!(capacity_bps > 0.0, "access link capacity must be positive");
         assert!(cost_per_gb >= 0.0);
         let id = AccessLinkId(self.links.len() as u32);
-        self.num_border = self.num_border.max(border.0 + 1);
         self.num_access_routers = self.num_access_routers.max(access_router.0 + 1);
         self.links.push(AccessLink {
             id,
@@ -151,11 +149,6 @@ impl AccessNetwork {
         self.links.len()
     }
 
-    /// Number of distinct border routers.
-    pub fn num_border_routers(&self) -> usize {
-        self.num_border as usize
-    }
-
     /// Number of distinct ISP access routers.
     pub fn num_access_routers(&self) -> usize {
         self.num_access_routers as usize
@@ -165,11 +158,6 @@ impl AccessNetwork {
     /// in the paper's figure, but multi-homing to an ISP is allowed).
     pub fn links_at_router(&self, ar: AccessRouterId) -> impl Iterator<Item = &AccessLink> {
         self.links.iter().filter(move |l| l.access_router == ar)
-    }
-
-    /// Aggregate external capacity of the data center, bits/s.
-    pub fn total_capacity_bps(&self) -> f64 {
-        self.links.iter().map(|l| l.capacity_bps).sum()
     }
 
     /// Per-link utilizations for a given per-link load vector (bits/s).
@@ -183,18 +171,6 @@ impl AccessNetwork {
             .map(|(l, &load)| load / l.capacity_bps)
             .collect()
     }
-
-    /// Total traffic cost rate (currency units per second) for a per-link
-    /// load vector in bits/s.
-    pub fn cost_rate(&self, load_bps: &[f64]) -> f64 {
-        assert_eq!(load_bps.len(), self.links.len());
-        const BITS_PER_GB: f64 = 8e9;
-        self.links
-            .iter()
-            .zip(load_bps)
-            .map(|(l, &load)| l.cost_per_gb * load / BITS_PER_GB)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -205,9 +181,7 @@ mod tests {
     fn symmetric_network_shape() {
         let net = AccessNetwork::symmetric(3, 10e9, 0.02);
         assert_eq!(net.num_links(), 3);
-        assert_eq!(net.num_border_routers(), 3);
         assert_eq!(net.num_access_routers(), 3);
-        assert!((net.total_capacity_bps() - 30e9).abs() < 1.0);
     }
 
     #[test]
@@ -216,16 +190,6 @@ mod tests {
         let u = net.utilizations(&[5e9, 12e9]);
         assert!((u[0] - 0.5).abs() < 1e-12);
         assert!((u[1] - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cost_rate_weighs_links() {
-        let mut net = AccessNetwork::new();
-        net.add_link(BorderRouterId(0), AccessRouterId(0), 10e9, 0.10); // expensive
-        net.add_link(BorderRouterId(1), AccessRouterId(1), 10e9, 0.01); // cheap
-                                                                        // 8 Gbps = 1 GB/s on each.
-        let c = net.cost_rate(&[8e9, 8e9]);
-        assert!((c - 0.11).abs() < 1e-9);
     }
 
     #[test]
@@ -244,7 +208,6 @@ mod tests {
         let prev = net.set_link_capacity(AccessLinkId(1), 2.5e9).unwrap();
         assert!((prev - 10e9).abs() < 1.0);
         assert!((net.link(AccessLinkId(1)).capacity_bps - 2.5e9).abs() < 1.0);
-        assert!((net.total_capacity_bps() - 12.5e9).abs() < 1.0);
         // Restore.
         let prev = net.set_link_capacity(AccessLinkId(1), prev).unwrap();
         assert!((prev - 2.5e9).abs() < 1.0);
@@ -252,7 +215,9 @@ mod tests {
         assert!(net.set_link_capacity(AccessLinkId(9), 1e9).is_err());
         assert!(net.set_link_capacity(AccessLinkId(0), 0.0).is_err());
         assert!(net.set_link_capacity(AccessLinkId(0), f64::NAN).is_err());
-        assert!((net.total_capacity_bps() - 20e9).abs() < 1.0);
+        for id in [AccessLinkId(0), AccessLinkId(1)] {
+            assert!((net.link(id).capacity_bps - 10e9).abs() < 1.0);
+        }
     }
 
     #[test]

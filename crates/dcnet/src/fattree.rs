@@ -60,24 +60,9 @@ impl FatTree {
         self.k
     }
 
-    /// Number of fabric pods (`k`).
-    pub fn num_fabric_pods(&self) -> usize {
-        self.k
-    }
-
-    /// Edge switches per fabric pod (`k/2`).
-    pub fn edge_per_pod(&self) -> usize {
-        self.k / 2
-    }
-
     /// Number of core switches (`(k/2)²`).
     pub fn num_core(&self) -> usize {
         (self.k / 2) * (self.k / 2)
-    }
-
-    /// Hosts per edge switch (`k/2`).
-    pub fn hosts_per_edge(&self) -> usize {
-        self.k / 2
     }
 }
 
@@ -128,8 +113,6 @@ mod tests {
         assert_eq!(t.num_hosts(), 16);
         assert_eq!(t.num_core(), 4);
         assert_eq!(t.num_switches(), 20);
-        assert_eq!(t.num_fabric_pods(), 4);
-        assert_eq!(t.hosts_per_edge(), 2);
     }
 
     #[test]
@@ -169,11 +152,6 @@ mod tests {
             let t = FatTree::new(k, 1e9);
             prop_assert_eq!(t.num_hosts(), k * k * k / 4);
             prop_assert_eq!(t.num_switches(), 5 * k * k / 4);
-            // Host count is consistent with per-pod wiring.
-            prop_assert_eq!(
-                t.num_hosts(),
-                t.num_fabric_pods() * t.edge_per_pod() * t.hosts_per_edge()
-            );
         }
     }
 }

@@ -189,7 +189,8 @@ impl RouteTable {
 
     /// Every route for `prefix` that still attracts traffic at `now`:
     /// converged advertisements whose withdrawal (if any) has not yet
-    /// converged.
+    /// converged. Test-only: production reads the preferred routes.
+    #[cfg(test)]
     pub fn usable_routes(&self, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
         let mut v: Vec<ActiveRoute> = self
             .prefix_routes(prefix)

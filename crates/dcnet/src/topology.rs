@@ -60,26 +60,6 @@ pub trait Topology {
     fn diameter_hops(&self) -> usize;
 }
 
-/// Checks whether a traffic matrix expressed as per-host ingress/egress
-/// totals is feasible under the hose model: every host's total must fit in
-/// its guaranteed bandwidth.
-///
-/// Returns the worst host utilization (≤ 1.0 means feasible).
-pub fn hose_feasibility<T: Topology + ?Sized>(
-    topo: &T,
-    per_host_egress_bps: &[f64],
-    per_host_ingress_bps: &[f64],
-) -> f64 {
-    assert_eq!(per_host_egress_bps.len(), per_host_ingress_bps.len());
-    assert!(per_host_egress_bps.len() <= topo.num_hosts());
-    let g = topo.guaranteed_host_bps();
-    per_host_egress_bps
-        .iter()
-        .zip(per_host_ingress_bps)
-        .map(|(&e, &i)| e.max(i) / g)
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,15 +101,6 @@ mod tests {
         };
         assert!((t.oversubscription() - 1.0).abs() < 1e-12);
         assert!((t.guaranteed_host_bps() - 1e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn hose_feasibility_reports_worst_host() {
-        let t = Flat { hosts: 4, nic: 1e9 };
-        let egress = [0.5e9, 0.2e9, 0.9e9, 0.0];
-        let ingress = [0.1e9, 0.95e9, 0.3e9, 0.0];
-        let u = hose_feasibility(&t, &egress, &ingress);
-        assert!((u - 0.95).abs() < 1e-9);
     }
 
     #[test]

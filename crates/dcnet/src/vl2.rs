@@ -92,12 +92,6 @@ impl Vl2 {
     pub fn servers_per_tor(&self) -> usize {
         self.servers_per_tor
     }
-
-    /// Expected external (enter/leave DC) traffic given total traffic, per
-    /// the 20% measurement the paper cites.
-    pub fn external_traffic_bps(total_traffic_bps: f64) -> f64 {
-        total_traffic_bps * Self::EXTERNAL_TRAFFIC_FRACTION
-    }
 }
 
 impl Topology for Vl2 {
@@ -179,11 +173,6 @@ mod tests {
         let t = Vl2::for_servers(300_000);
         assert!(t.num_hosts() >= 300_000);
         assert!(t.flat_addressing());
-    }
-
-    #[test]
-    fn external_fraction_matches_paper() {
-        assert!((Vl2::external_traffic_bps(100.0) - 20.0).abs() < 1e-12);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`metrics`] — the balance metric (Jain's fairness)
 //!   the experiment harness reports. Run counters and gauges live in the
 //!   `obs` metrics registry.
-//! * [`table`] — plain-text / CSV table rendering for experiment output.
+//! * [`table`] — plain-text table rendering for experiment output.
 //!
 //! The kernel is intentionally free of any datacenter semantics; it knows
 //! nothing about switches, pods or VIPs.

@@ -8,7 +8,7 @@
 //! random numbers.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// SplitMix64 step: the standard seed-expansion finalizer (Steele et al.).
 /// Used both to expand seeds and as a cheap, high-quality integer mixer.
@@ -49,12 +49,6 @@ pub fn derive_seed(seed: u64, label: &str, index: u64) -> u64 {
 /// simulation workloads; it is *not* cryptographic.
 pub fn component_rng(seed: u64, label: &str, index: u64) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(seed, label, index))
-}
-
-/// Convenience: a single `f64` in `[0, 1)` drawn from a derived stream.
-/// Handy for one-shot probabilistic decisions keyed by entity id.
-pub fn unit_f64(seed: u64, label: &str, index: u64) -> f64 {
-    component_rng(seed, label, index).gen_range(0.0..1.0)
 }
 
 #[cfg(test)]
@@ -105,13 +99,5 @@ mod tests {
         assert_eq!(splitmix64(&mut s), 0xE220A8397B1DCDAF);
         assert_eq!(splitmix64(&mut s), 0x6E789E6AA1B965F4);
         assert_eq!(splitmix64(&mut s), 0x06C45D188009454F);
-    }
-
-    #[test]
-    fn unit_f64_in_range() {
-        for i in 0..1000 {
-            let v = unit_f64(9, "x", i);
-            assert!((0.0..1.0).contains(&v));
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Plain-text and CSV table rendering for experiment output.
+//! Plain-text table rendering for experiment output.
 //!
 //! Every experiment in the harness ends by printing one of these tables;
 //! EXPERIMENTS.md quotes them verbatim, so the renderer keeps columns
@@ -93,33 +93,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (RFC-4180-style quoting for cells containing commas,
-    /// quotes, or newlines).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |c: &str| -> String {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with `prec` decimal places (helper for table cells).
@@ -149,23 +122,6 @@ mod tests {
     fn row_width_mismatch_panics() {
         let mut t = Table::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn csv_escapes_specials() {
-        let mut t = Table::new(["x"]);
-        t.row(["has,comma"]);
-        t.row(["has\"quote"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
-    }
-
-    #[test]
-    fn csv_roundtrip_plain() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

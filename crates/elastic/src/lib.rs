@@ -53,7 +53,6 @@
 //!         assert!(actions.iter().all(|a| a.action.app() == 0));
 //!     }
 //! }
-//! assert!(ctl.epochs() == 10);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -100,11 +99,6 @@ impl ElasticController {
             mape: MapeAccumulator::default(),
             epochs: 0,
         }
-    }
-
-    /// Epochs ticked so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
     }
 
     /// Mean absolute percentage error of the one-step forecasts so far.
@@ -264,7 +258,6 @@ mod tests {
         for e in 0..20 {
             admitted += ctl.tick(&ramp_obs(4, e)).len();
         }
-        assert_eq!(ctl.epochs(), 20);
         assert!(ctl.mape().is_some());
         // The ramping app produced actions; the steady ones stayed quiet.
         assert!(admitted > 0);

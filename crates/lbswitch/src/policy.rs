@@ -6,27 +6,17 @@
 //! per-session discipline (smooth weighted round-robin) and the fluid
 //! weight-split used by the aggregate demand model.
 
-/// Split an aggregate demand proportionally to weights (the fluid-model
-/// counterpart of per-session weighted round-robin). Zero or negative
-/// weights receive nothing; if all weights are zero the split is empty
-/// (all-zero), mirroring a switch with all RIPs drained.
-pub fn split_by_weight(weights: &[f64], demand: f64) -> Vec<f64> {
-    let total = positive_total(weights.iter().copied());
-    weights
-        .iter()
-        .map(|&w| weight_share(w, demand, total))
-        .collect()
-}
-
 /// The sum of the positive weights, in order: the denominator of a
-/// weight split.
+/// weight split (the fluid-model counterpart of per-session weighted
+/// round-robin).
 pub(crate) fn positive_total(weights: impl Iterator<Item = f64>) -> f64 {
     weights.filter(|&w| w > 0.0).sum()
 }
 
 /// The part of `demand` that weight `w` receives out of `total` (see
 /// [`positive_total`]). A non-positive weight receives 0; when every
-/// weight is non-positive, so does every entry.
+/// weight is non-positive, so does every entry, mirroring a switch with
+/// all RIPs drained.
 pub(crate) fn weight_share(w: f64, demand: f64, total: f64) -> f64 {
     if w > 0.0 {
         demand * w / total
@@ -84,6 +74,16 @@ impl WrrState {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Split `demand` over `weights` with the two primitives, as
+    /// `LbSwitch::vip_split` does.
+    fn split_by_weight(weights: &[f64], demand: f64) -> Vec<f64> {
+        let total = positive_total(weights.iter().copied());
+        weights
+            .iter()
+            .map(|&w| weight_share(w, demand, total))
+            .collect()
+    }
 
     #[test]
     fn split_is_proportional() {

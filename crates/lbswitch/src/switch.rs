@@ -488,9 +488,9 @@ impl LbSwitch {
     }
 }
 
-/// One VIP's served demand split across its RIPs by weight (the switch's
-/// side of [`crate::policy::split_by_weight`]), borrowed from the switch
-/// so the split allocates nothing.
+/// One VIP's served demand split across its RIPs by weight (with
+/// `policy::positive_total` and `policy::weight_share`), borrowed from
+/// the switch so the split allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct VipSplit<'a> {
     rips: &'a [RipEntry],

@@ -216,10 +216,11 @@ impl GlobalAction {
                 direct_writes: &[DnsExposure, DnsRecords],
                 queued_writes: &[],
             },
-            // escape_misrouting: spare-capacity gate reads slices; the
-            // corrective reweight is queued, the exposure refresh direct.
+            // escape_misrouting: spare-capacity gate reads slices, and the
+            // exposure refresh reads the published VIP count it replaces;
+            // the corrective reweight is queued, the exposure refresh direct.
             GlobalAction::MisroutingEscape => Footprint {
-                reads: &[RipSet, SwitchVipTable, VmFleet, PendingRetires],
+                reads: &[RipSet, SwitchVipTable, VmFleet, PendingRetires, DnsExposure],
                 direct_writes: &[DnsExposure],
                 queued_writes: &[RipWeights],
             },

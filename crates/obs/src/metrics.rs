@@ -689,64 +689,6 @@ impl Registry {
         }
         out
     }
-
-    /// Render the JSONL exposition: one header line with the run label
-    /// and sim-clock stamp, then one stable-key-order object per
-    /// instrument in catalog order.
-    pub fn render_jsonl(&self, run: &str) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"run\":");
-        json::write_str(run, &mut out);
-        let _ = writeln!(out, ",\"epoch\":{},\"t_us\":{}}}", self.epoch, self.t_us);
-        for (id, spec) in METRICS.iter().enumerate() {
-            out.push_str("{\"name\":");
-            json::write_str(spec.name, &mut out);
-            out.push_str(",\"kind\":");
-            json::write_str(spec.kind.token(), &mut out);
-            if !spec.labels.is_empty() {
-                out.push_str(",\"labels\":{");
-                for (i, (k, v)) in spec.labels.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_str(k, &mut out);
-                    out.push(':');
-                    json::write_str(v, &mut out);
-                }
-                out.push('}');
-            }
-            out.push_str(",\"phase\":");
-            json::write_str(spec.phase, &mut out);
-            match self.values.get(id) {
-                Some(Value::Counter(c)) => {
-                    let _ = write!(out, ",\"value\":{c}");
-                }
-                Some(Value::Gauge(g)) => {
-                    out.push_str(",\"value\":");
-                    json::write_f64(*g, &mut out);
-                }
-                Some(Value::Histogram { counts, sum, count }) => {
-                    out.push_str(",\"buckets\":[");
-                    let mut cumulative = 0u64;
-                    for (i, &bound) in spec.buckets.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        cumulative += counts.get(i).copied().unwrap_or(0);
-                        out.push('[');
-                        json::write_f64(bound, &mut out);
-                        let _ = write!(out, ",{cumulative}]");
-                    }
-                    out.push_str("],\"sum\":");
-                    json::write_f64(*sum, &mut out);
-                    let _ = write!(out, ",\"count\":{count}");
-                }
-                None => {}
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 /// Per-epoch SLO score: the service-level inputs folded into the
@@ -765,38 +707,21 @@ pub struct SloScore {
     pub flipflops: u64,
 }
 
-/// Scores each epoch against a served-fraction SLO and tracks overload
-/// streaks and reconfiguration churn. Pure sim-state arithmetic —
-/// deterministic by construction.
-#[derive(Debug, Clone, Copy)]
+/// Scores each epoch against the [`SLO_THRESHOLD`] served fraction and
+/// tracks overload streaks and reconfiguration churn. Pure sim-state
+/// arithmetic — deterministic by construction.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SloTracker {
-    threshold: f64,
     overload_epochs: u64,
     relief_epochs: u64,
     last_reconfigs: u64,
 }
 
-/// The default served-fraction SLO threshold (matches the experiments'
-/// overload definition).
+/// The served-fraction SLO threshold (matches the experiments' overload
+/// definition).
 pub const SLO_THRESHOLD: f64 = 0.99;
 
-impl Default for SloTracker {
-    fn default() -> Self {
-        SloTracker::new(SLO_THRESHOLD)
-    }
-}
-
 impl SloTracker {
-    /// A tracker scoring against `threshold` served fraction.
-    pub fn new(threshold: f64) -> SloTracker {
-        SloTracker {
-            threshold,
-            overload_epochs: 0,
-            relief_epochs: 0,
-            last_reconfigs: 0,
-        }
-    }
-
     /// Fold one epoch's observations in and return the updated score.
     /// `reconfigs_total` and `flipflops_total` are cumulative sources;
     /// churn is derived as the delta since the previous epoch.
@@ -806,7 +731,7 @@ impl SloTracker {
         reconfigs_total: u64,
         flipflops_total: u64,
     ) -> SloScore {
-        if served_fraction < self.threshold {
+        if served_fraction < SLO_THRESHOLD {
             self.overload_epochs += 1;
             self.relief_epochs = 0;
         } else {
@@ -1042,28 +967,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_render_parses_line_by_line() {
-        let mut r = Registry::new();
-        r.add(ids::EPOCHS, 9);
-        r.observe(ids::POD_UTIL, 0.5);
-        let doc = r.render_jsonl("run-a");
-        let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), METRICS.len() + 1);
-        let header = json::parse(lines[0]).expect("header parses");
-        assert_eq!(
-            header.get("run").and_then(json::Json::as_str),
-            Some("run-a")
-        );
-        for line in &lines[1..] {
-            let v = json::parse(line).expect("instrument line parses");
-            assert!(v.get("name").is_some());
-            assert!(v.get("phase").is_some());
-        }
-    }
-
-    #[test]
     fn slo_tracker_scores_streaks_and_churn() {
-        let mut t = SloTracker::new(0.99);
+        let mut t = SloTracker::default();
         let s1 = t.score_epoch(1.0, 3, 0);
         assert_eq!((s1.overload_epochs, s1.relief_epochs), (0, 1));
         assert_eq!(s1.reconfig_churn, 3);

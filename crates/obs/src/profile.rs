@@ -4,13 +4,12 @@
 //! The profiler never reads a clock itself — the caller (the platform's
 //! single funneled wall-clock helper) measures each phase span and
 //! feeds the elapsed seconds in. Totals are indexed by position in
-//! [`crate::phases::EPOCH_PHASES`], so the heat table and the E19
-//! per-phase bench columns share one canonical phase order. Profiler
+//! [`crate::phases::EPOCH_PHASES`], so every per-phase report shares
+//! one canonical phase order. Profiler
 //! output must never be folded into event logs, metrics exports, or
 //! JSON summaries that are byte-compared across runs.
 
 use crate::phases::EPOCH_PHASES;
-use std::fmt::Write as _;
 
 /// Accumulates wall-time per declared epoch phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,76 +76,6 @@ impl PhaseProfiler {
             self.total_s(idx) / self.epochs as f64
         }
     }
-
-    /// Per-phase mean seconds per epoch, parallel to `EPOCH_PHASES` —
-    /// the row E19 serializes as `phase_s_per_epoch`.
-    pub fn means(&self) -> Vec<f64> {
-        (0..self.totals.len())
-            .map(|i| self.mean_s_per_epoch(i))
-            .collect()
-    }
-
-    /// Total measured seconds across all phases.
-    pub fn grand_total_s(&self) -> f64 {
-        self.totals.iter().sum()
-    }
-
-    /// Critical-path attribution: the phase holding the largest share
-    /// of measured controller time, as `(phase id, share of total)`.
-    /// `None` until something has been recorded. Ties resolve to the
-    /// earliest phase in declaration order.
-    pub fn dominant_phase(&self) -> Option<(&'static str, f64)> {
-        let total = self.grand_total_s();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, &t) in self.totals.iter().enumerate() {
-            if t > self.totals.get(best).copied().unwrap_or(0.0) {
-                best = i;
-            }
-        }
-        EPOCH_PHASES
-            .get(best)
-            .map(|p| (p.id, self.total_s(best) / total))
-    }
-
-    /// Render the phase heat table: per-phase mean s/epoch, share of
-    /// measured time, and a proportional bar, followed by the
-    /// critical-path attribution line. Wall-time output — for human
-    /// eyes and build artifacts only, never for byte-compared files.
-    pub fn render_heat(&self) -> String {
-        let mut out = String::new();
-        let total = self.grand_total_s();
-        let _ = writeln!(
-            out,
-            "phase heat ({} epochs, {:.3} s measured)",
-            self.epochs, total
-        );
-        let _ = writeln!(out, "{:<22} {:>12} {:>7}", "phase", "s/epoch", "share");
-        for (i, p) in EPOCH_PHASES.iter().enumerate() {
-            let t = self.total_s(i);
-            let share = if total > 0.0 { t / total } else { 0.0 };
-            let bar_len = (share * 40.0).round() as usize;
-            let _ = writeln!(
-                out,
-                "{:<22} {:>12.6} {:>6.1}% {}",
-                p.id,
-                self.mean_s_per_epoch(i),
-                share * 100.0,
-                "#".repeat(bar_len)
-            );
-        }
-        if let Some((id, share)) = self.dominant_phase() {
-            let _ = writeln!(
-                out,
-                "critical path: {} ({:.1}% of measured controller time)",
-                id,
-                share * 100.0
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -174,26 +103,10 @@ mod tests {
         p.end_epoch();
         assert_eq!(p.total_s(route), 0.75);
         assert_eq!(p.mean_s_per_epoch(route), 0.375);
-        assert_eq!(p.means().len(), EPOCH_PHASES.len());
         // Bad spans are ignored, not propagated.
         p.record(route, f64::NAN);
         p.record(route, -1.0);
         p.record(usize::MAX, 1.0);
         assert_eq!(p.total_s(route), 0.75);
-    }
-
-    #[test]
-    fn dominant_phase_attributes_critical_path() {
-        let mut p = PhaseProfiler::new();
-        assert_eq!(p.dominant_phase(), None);
-        p.record(phase_index("demand-serve").expect("declared"), 2.0);
-        p.record(phase_index("pod-planning").expect("declared"), 1.0);
-        p.end_epoch();
-        let (id, share) = p.dominant_phase().expect("has data");
-        assert_eq!(id, "demand-serve");
-        assert!((share - 2.0 / 3.0).abs() < 1e-12);
-        let heat = p.render_heat();
-        assert!(heat.contains("critical path: demand-serve"));
-        assert!(heat.contains("demand-route"));
     }
 }

@@ -94,7 +94,7 @@ mod tests {
         let p = first_fit(&problem);
         p.assert_feasible(&problem);
         // 5.0 demand in ≤2.0 chunks, one instance per server → 3 servers.
-        assert_eq!(p.instance_count(0), 3);
+        assert_eq!(p.instances(0).count(), 3);
         assert!((p.total_satisfied() - 5.0).abs() < 1e-9);
     }
 

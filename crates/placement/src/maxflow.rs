@@ -72,11 +72,6 @@ impl FlowNetwork {
         self.num_nodes
     }
 
-    /// Number of (forward) edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Whether `max_flow` has laid out the residual arcs.
     fn laid_out(&self) -> bool {
         !self.start.is_empty()
@@ -395,7 +390,6 @@ mod tests {
         let b = net.add_edge(1, 2, 3);
         assert_eq!(net.flow(a), 0);
         assert_eq!(net.flow(b), 0);
-        assert_eq!(net.num_edges(), 2);
         assert_eq!(net.num_nodes(), 3);
     }
 

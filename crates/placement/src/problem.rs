@@ -46,16 +46,6 @@ impl PlacementProblem {
             assert!(a.vm_cap > 0.0, "app {i}: vm_cap must be positive");
         }
     }
-
-    /// Total CPU capacity across servers.
-    pub fn total_capacity(&self) -> f64 {
-        self.servers.iter().map(|s| s.cpu).sum()
-    }
-
-    /// Total demand across apps.
-    pub fn total_demand(&self) -> f64 {
-        self.apps.iter().map(|a| a.demand_cpu).sum()
-    }
 }
 
 /// A placement: per application, the CPU allocated to it on each server
@@ -65,10 +55,10 @@ impl PlacementProblem {
 /// `a`'s run of instances, sorted by server, each with `cpu > 0`. Every
 /// walk visits apps in index order and each app's servers in ascending
 /// order, so sums over a placement add the same terms in the same order
-/// as a per-app ordered map would. Single [`Placement::set`] calls shift
-/// the runs after the one they change; the producers of a whole placement
-/// build it in one pass ([`Placement::from_sorted`], and in-crate bulk
-/// rewrites and merges).
+/// as a per-app ordered map would. Producers build a whole placement in
+/// one pass ([`Placement::from_sorted`], and in-crate bulk rewrites and
+/// merges); the test-only `set`, which edits one instance, is the oracle
+/// they are checked against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// `num_apps + 1` offsets into `entries`.
@@ -92,8 +82,8 @@ impl Placement {
     }
 
     /// Build a placement from `(app, server, cpu)` triples in `(app,
-    /// server)` order, as [`Placement::set`] on each in turn would: for a
-    /// repeated pair the last triple wins, and a `cpu <= 0` leaves no
+    /// server)` order, as `set` on each in turn would: for a repeated
+    /// pair the last triple wins, and a `cpu <= 0` leaves no
     /// instance. Panics if the triples are out of order or name an app
     /// `>= num_apps`.
     pub fn from_sorted(
@@ -141,27 +131,9 @@ impl Placement {
         &self.entries[self.start[app]..self.start[app + 1]]
     }
 
-    /// Set the allocation of `app` on `server` (removing the instance if
-    /// `cpu <= 0`).
-    pub fn set(&mut self, app: usize, server: usize, cpu: f64) {
-        let lo = self.start[app];
-        match self.run(app).binary_search_by_key(&server, |&(s, _)| s) {
-            Ok(i) if cpu > 0.0 => self.entries[lo + i].1 = cpu,
-            Ok(i) => {
-                self.entries.remove(lo + i);
-                self.start[app + 1..].iter_mut().for_each(|s| *s -= 1);
-            }
-            Err(i) if cpu > 0.0 => {
-                self.entries.insert(lo + i, (server, cpu));
-                self.start[app + 1..].iter_mut().for_each(|s| *s += 1);
-            }
-            Err(_) => {}
-        }
-    }
-
     /// Replace every allocation in one pass, in `(app, server)` order: the
     /// `i`th instance gets `cpu(i)`, and one whose new value is not
-    /// positive is removed, as [`Placement::set`] on each in turn would.
+    /// positive is removed, as `set` on each in turn would.
     pub(crate) fn rewrite(&mut self, mut cpu: impl FnMut(usize) -> f64) {
         let n = self.num_apps();
         let (mut read, mut write) = (0, 0);
@@ -181,8 +153,8 @@ impl Placement {
         self.entries.truncate(write);
     }
 
-    /// Apply `sets` (`(app, server, cpu)`, any order) as [`Placement::set`]
-    /// on each in turn would, merging them in with one pass over the
+    /// Apply `sets` (`(app, server, cpu)`, any order) as `set` on each
+    /// in turn would, merging them in with one pass over the
     /// placement. Sorts `sets` by `(app, server)`, keeping the order of a
     /// repeated pair, so its last triple wins.
     pub(crate) fn set_all(&mut self, sets: &mut [(usize, usize, f64)]) {
@@ -234,11 +206,6 @@ impl Placement {
         self.run(app).iter().copied()
     }
 
-    /// Number of instances of one app.
-    pub fn instance_count(&self, app: usize) -> usize {
-        self.start[app + 1] - self.start[app]
-    }
-
     /// Total number of instances across all apps.
     pub fn total_instances(&self) -> usize {
         self.entries.len()
@@ -270,6 +237,29 @@ impl Placement {
             counts[s] += 1;
         }
         counts
+    }
+}
+
+/// Test oracles: the per-instance edit the bulk builders are checked
+/// against, the change count, and the feasibility check.
+#[cfg(test)]
+impl Placement {
+    /// Set the allocation of `app` on `server` (removing the instance if
+    /// `cpu <= 0`).
+    pub fn set(&mut self, app: usize, server: usize, cpu: f64) {
+        let lo = self.start[app];
+        match self.run(app).binary_search_by_key(&server, |&(s, _)| s) {
+            Ok(i) if cpu > 0.0 => self.entries[lo + i].1 = cpu,
+            Ok(i) => {
+                self.entries.remove(lo + i);
+                self.start[app + 1..].iter_mut().for_each(|s| *s -= 1);
+            }
+            Err(i) if cpu > 0.0 => {
+                self.entries.insert(lo + i, (server, cpu));
+                self.start[app + 1..].iter_mut().for_each(|s| *s += 1);
+            }
+            Err(_) => {}
+        }
     }
 
     /// Number of placement *changes* relative to `prev`: instances started
@@ -392,14 +382,14 @@ mod tests {
         p.set(0, 1, 1.0);
         p.set(1, 0, 1.0);
         assert_eq!(p.get(0, 0), 2.0);
-        assert_eq!(p.instance_count(0), 2);
+        assert_eq!(p.instances(0).count(), 2);
         assert_eq!(p.total_instances(), 3);
         assert!((p.satisfied(0) - 3.0).abs() < 1e-12);
         assert_eq!(p.server_loads(2), vec![3.0, 1.0]);
         assert_eq!(p.server_vm_counts(2), vec![2, 1]);
         // Zero allocation removes the instance.
         p.set(0, 1, 0.0);
-        assert_eq!(p.instance_count(0), 1);
+        assert_eq!(p.instances(0).count(), 1);
     }
 
     #[test]
@@ -526,7 +516,7 @@ mod tests {
                 dense.instances(a).map(|(s, c)| (s, c.to_bits())).collect();
             let want: Vec<(usize, u64)> = map.instances(a).map(|(s, c)| (s, c.to_bits())).collect();
             assert_eq!(got, want, "{at}: app {a} instances");
-            assert_eq!(dense.instance_count(a), want.len(), "{at}");
+            assert_eq!(dense.instances(a).count(), want.len(), "{at}");
             assert_eq!(
                 dense.satisfied(a).to_bits(),
                 map.satisfied(a).to_bits(),
@@ -659,12 +649,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 50), "paths seen: {seen:?}");
-    }
-
-    #[test]
-    fn problem_totals() {
-        let prob = problem();
-        assert!((prob.total_capacity() - 6.0).abs() < 1e-12);
-        assert!((prob.total_demand() - 4.0).abs() < 1e-12);
     }
 }

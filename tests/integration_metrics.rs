@@ -3,7 +3,7 @@
 //! The registry scrape at epoch close reads only sim state and the sim
 //! clock, so its rendered exports are part of the platform's determinism
 //! contract: two same-seed runs of the E16/E17 scenario must produce
-//! byte-identical text and JSONL exports. A divergence means wall time
+//! byte-identical text exports. A divergence means wall time
 //! or some other host state leaked into a metric value — exactly what
 //! the wall-clock quarantine (profiler vs registry) exists to prevent.
 
@@ -24,8 +24,8 @@ fn e17_config() -> PlatformConfig {
     cfg
 }
 
-/// Run the E17 flash-crowd scenario and return both export renderings.
-fn run_scenario() -> (String, String) {
+/// Run the E17 flash-crowd scenario and return its text export.
+fn run_scenario() -> String {
     let mut p = Platform::build(e17_config()).expect("build");
     p.run_epochs(WARMUP);
     let victim = p.workload.apps_by_popularity()[0];
@@ -37,23 +37,19 @@ fn run_scenario() -> (String, String) {
         peak: 8.0,
     });
     p.run_epochs(EPOCHS);
-    (
-        p.registry.render_text("determinism"),
-        p.registry.render_jsonl("determinism"),
-    )
+    p.registry.render_text("determinism")
 }
 
-/// A same-seed rerun reproduces both exports byte-for-byte.
+/// A same-seed rerun reproduces the export byte-for-byte.
 #[test]
 fn metrics_export_is_byte_identical_across_reruns() {
-    let (base_text, base_jsonl) = run_scenario();
+    let base_text = run_scenario();
     assert!(
         base_text.contains("megadc_served_fraction"),
         "export missing expected metric:\n{base_text}"
     );
-    let (text, jsonl) = run_scenario();
+    let text = run_scenario();
     assert_eq!(base_text, text, "text export diverged between reruns");
-    assert_eq!(base_jsonl, jsonl, "jsonl export diverged between reruns");
 }
 
 /// The scrape produced real observations: counters
